@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 parse or validation failure, 2 guess budget exceeded.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,11 +102,12 @@ def _emit_code(loaded: LoadedInstance, report: CodeReport, emit: str) -> None:
     inverse = [0] * inst.n
     for sorted_i, input_i in enumerate(loaded.order):
         inverse[input_i] = sorted_i
+    costs = report.code.costs()
     rows = []
     for input_i in range(inst.n):
         si = inverse[input_i]
         runs = report.code.codewords[si]
-        cost = report.code.costs()[si]
+        cost = costs[si]
         rows.append(
             (
                 str(input_i + 1),
@@ -149,7 +149,6 @@ def cmd_solve(args) -> int:
             loaded.instance,
             k_override=args.k,
             budget=args.budget,
-            threads=args.threads,
         )
     except BudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -164,6 +163,7 @@ def cmd_exact(args) -> int:
     inverse = [0] * loaded.instance.n
     for sorted_i, input_i in enumerate(loaded.order):
         inverse[input_i] = sorted_i
+    costs = result.optimal_code.costs()
     for input_i in range(loaded.instance.n):
         si = inverse[input_i]
         print(
@@ -171,7 +171,7 @@ def cmd_exact(args) -> int:
             % (
                 input_i + 1,
                 runs_to_str(result.optimal_code.codewords[si], loaded.glyphs),
-                fmt(result.optimal_code.costs()[si]),
+                fmt(costs[si]),
             )
         )
     print("optimal cost (input scale): %s" % fmt(result.optimal_cost))
@@ -255,7 +255,6 @@ def main(argv=None) -> int:
     p.add_argument("--k", type=Fraction, default=None, help="override the horizon k")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--emit", choices=("table", "tsv"), default="table")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("exact", help="exact optimum by branch and bound (small n)")

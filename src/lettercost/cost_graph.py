@@ -9,7 +9,6 @@ the number of strings of cost exactly c, which both identifies the nodes
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -51,8 +50,6 @@ class CostGraph:
         self.max_letter_q = max(c for c, _ in self.distinct_q)
         self.level_count = (k_q - unit_q) // eps_q
         # counts[c] = number of strings of cost c; extended past k on demand
-        # (memoized pure data; the lock keeps concurrent extension consistent)
-        self._counts_lock = threading.Lock()
         self.counts: list[int] = [1]
         self._extend_counts(k_q)
         self._assert_level0_structure()
@@ -102,8 +99,7 @@ class CostGraph:
         if c < 0:
             return 0
         if c >= len(self.counts):
-            with self._counts_lock:
-                self._extend_counts(c)
+            self._extend_counts(c)
         return self.counts[c]
 
     def _assert_level0_structure(self) -> None:

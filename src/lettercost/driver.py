@@ -16,6 +16,18 @@ closed-form free-string counts: with S prefix-free, the number of cost-c
 strings with no prefix in S equals count(c) minus sum over members x of
 count(c - cost(x)).
 
+The search works in Python ints. Probabilities are scaled once by their
+common denominator (the weight total for integer weights), so partial costs
+and bounds are weights times costs in quanta; the result is turned back into
+a Fraction once. Each live level keeps its remaining capacity (free strings
+at its target cost). A table drop[i][j] = count(T_j - T_i), built once per
+solve, gives what one word placed at live level i takes from every level
+j >= i, so placing a group and undoing it are one pass over the later
+levels. All level-0 sizes share one incumbent, searched in increasing
+order; it is replaced only by a strictly cheaper guess, so ties go to the
+smaller level-0 size and the earlier depth-first order, exactly as if each
+size were searched alone and the results compared.
+
 Instances whose cheapest letter costs at most epsilon/n skip all of the above
 and use a direct candidate construction (solve_tiny_ell1).
 """
@@ -228,6 +240,10 @@ def guess_stream_size(grouping: Grouping, k: Fraction, epsilon: Fraction) -> int
 # branch-and-bound search over guesses
 
 
+# (value in weight-scaled quanta, level-0 size, per-group levels)
+Incumbent = tuple[int, int, tuple[int, ...]]
+
+
 @dataclass
 class _Search:
     norm: NormalizedInstance
@@ -244,10 +260,24 @@ class _Search:
             for i in range(1, g.level_count + 1)
             if g.count(g.level_target(i)) > 0
         ]
+        # drop[i][j - i] = count(T_j - T_i): the capacity one word placed at
+        # live level i takes from live level j >= i (count(0) == 1 covers j == i)
+        targets = [t for _, t in self.live]
+        self.drop = [
+            [g.counts[tj - ti] for tj in targets[i:]] for i, ti in enumerate(targets)
+        ]
+        # probabilities scaled by their common denominator into int weights
         ps = self.norm.instance.probabilities
-        self.prefix_p = [Fraction(0)]
+        self.scale = math.lcm(*(p.denominator for p in ps))
+        self.prefix_w = [0]
         for p in ps:
-            self.prefix_p.append(self.prefix_p[-1] + p)
+            self.prefix_w.append(self.prefix_w[-1] + p.numerator * self.scale // p.denominator)
+        self.group_w = [
+            self.prefix_w[e] - self.prefix_w[s] for s, e in self.grouping.ranges
+        ]
+        self.rest_w = [0] * (len(self.group_w) + 1)
+        for i in range(len(self.group_w) - 1, -1, -1):
+            self.rest_w[i] = self.rest_w[i + 1] + self.group_w[i]
         self.n = len(ps)
 
     def _bump(self) -> None:
@@ -255,61 +285,42 @@ class _Search:
         if self.explored > self.budget:
             raise _BudgetSignal()
 
-    def _cap(self, target: int, f0_cost: int, placed: list[list[int]]) -> int:
-        g = self.graph
-        total = g.count(target)
-        if f0_cost >= 0:
-            total -= g.count(target - f0_cost)
-        for t, cnt in placed:
-            if t < target:
-                total -= cnt * g.count(target - t)
-        return total
-
-    def _completion_bound(
-        self,
-        f0_cost: int,
-        placed: list[list[int]],
-        lpos_min: int,
-        first_word: int,
-    ) -> Fraction:
+    def _completion_bound(self, caps: list[int], lpos_min: int, first_word: int) -> int:
         """Admissible cost bound for the unplaced words: fill levels from
         lpos_min upward at their current capacities (future placements only
         shrink capacities, so this is optimistic), remainder at cost k. The
         scan is capped; words past the cap are charged the last scanned level,
         which stays optimistic."""
         left = self.n - first_word
-        value = Fraction(0)
+        value = 0
         w = first_word
-        target = self.graph.k_q
+        prefix = self.prefix_w
         last = min(len(self.live), lpos_min + 64)
         for lpos in range(lpos_min, last):
             if left == 0:
                 return value
-            _, target = self.live[lpos]
-            cap = self._cap(target, f0_cost, placed)
-            if placed and placed[-1][0] == target:
-                cap -= placed[-1][1]
+            cap = caps[lpos]
             if cap <= 0:
                 continue
             take = min(left, cap)
-            value += (self.prefix_p[w + take] - self.prefix_p[w]) * target
+            value += (prefix[w + take] - prefix[w]) * self.live[lpos][1]
             w += take
             left -= take
         if left:
-            floor = self.graph.k_q if last == len(self.live) else target
-            value += (self.prefix_p[w + left] - self.prefix_p[w]) * floor
+            floor = self.graph.k_q if last == len(self.live) else self.live[last - 1][1]
+            value += (prefix[w + left] - prefix[w]) * floor
         return value
 
     def _tail_value(
-        self, f0_cost: int, placed: list[list[int]], first_word: int
-    ) -> Fraction | None:
+        self, f0_cost: int, placed: list[tuple[int, int]], first_word: int
+    ) -> int | None:
         """Exact cost of completing words first_word.. with cheapest eligible
         tail strings; None when not enough exist."""
         g = self.graph
         need = self.n - first_word
         if need == 0:
-            return Fraction(0)
-        value = Fraction(0)
+            return 0
+        value = 0
         w = first_word
         c = g.k_q
         last_nonzero = g.k_q - 1
@@ -323,7 +334,7 @@ class _Search:
             if elig > 0:
                 last_nonzero = c
                 take = min(need, elig)
-                value += (self.prefix_p[w + take] - self.prefix_p[w]) * c
+                value += (self.prefix_w[w + take] - self.prefix_w[w]) * c
                 w += take
                 need -= take
             elif c >= g.k_q + g.max_letter_q and c - last_nonzero > g.max_letter_q:
@@ -331,27 +342,30 @@ class _Search:
             c += 1
         return value
 
-    def run(self, f0: int) -> tuple[Fraction, tuple[int, ...]] | None:
-        """Best (cost in probability-weighted quanta, per-group levels) for one
-        level-0 size; unassigned trailing groups are tail, encoded as -1."""
+    def run(self, f0: int, incumbent: Incumbent | None) -> Incumbent | None:
+        """Search the guesses with level-0 size f0 against the incumbent and
+        return the new incumbent. It changes only on a strictly cheaper
+        guess, so ties keep the earlier f0 and the earlier depth-first order.
+        Unassigned trailing groups are tail, encoded as -1."""
+        g = self.graph
         sizes = self.grouping.sizes
         ranges = self.grouping.ranges
-        gprobs = self.grouping.group_probabilities
+        group_w, rest_w = self.group_w, self.rest_w
+        live, drop = self.live, self.drop
+        L = len(live)
         G = len(sizes)
-        l1_q = self.norm.letters_q[0]
-        f0_cost = f0 * l1_q if f0 > 0 else -1
+        f0_cost = f0 * self.norm.letters_q[0] if f0 > 0 else -1
         start = 1 if f0 > 0 else 0
-        base = self.norm.instance.probabilities[0] * f0_cost if f0 > 0 else Fraction(0)
+        base = group_w[0] * f0_cost if f0 > 0 else 0
 
-        rest_prob = [Fraction(0)] * (G + 1)
-        for i in range(G - 1, start - 1, -1):
-            rest_prob[i] = rest_prob[i + 1] + gprobs[i]
-
-        best: list = [None, None]  # value, assignment
-        placed: list[list[int]] = []
+        # caps[lpos]: free strings at live level lpos's target cost, given the
+        # level-0 codeword and the words placed so far
+        caps = [g.count(t) - (g.count(t - f0_cost) if f0 > 0 else 0) for _, t in live]
+        best: list = list(incumbent) if incumbent is not None else [None, None, None]
+        placed: list[tuple[int, int]] = []  # (target, size) per placed group
         assign: list[int] = []
 
-        def leaf(gpos: int, partial: Fraction) -> None:
+        def leaf(gpos: int, partial: int) -> None:
             self.leaves += 1
             first_word = ranges[gpos][0] if gpos < G else self.n
             tail = self._tail_value(f0_cost, placed, first_word)
@@ -359,53 +373,39 @@ class _Search:
                 return
             value = partial + tail
             if best[0] is None or value < best[0]:
-                best[0] = value
-                best[1] = tuple(assign) + (-1,) * (G - start - len(assign))
+                best[:] = value, f0, tuple(assign) + (-1,) * (G - start - len(assign))
 
-        def dfs(gpos: int, lpos_min: int, partial: Fraction) -> None:
+        def dfs(gpos: int, lpos_min: int, partial: int) -> None:
             if gpos == G:
                 leaf(gpos, partial)
                 return
-            size, gp = sizes[gpos], gprobs[gpos]
-            first_word = ranges[gpos][0]
+            size, gw, rest = sizes[gpos], group_w[gpos], rest_w[gpos]
             if best[0] is not None:
                 # capacity-aware admissible bound prunes the whole subtree
-                floor = partial + self._completion_bound(
-                    f0_cost, placed, lpos_min, first_word
-                )
+                floor = partial + self._completion_bound(caps, lpos_min, ranges[gpos][0])
                 if floor >= best[0]:
                     return
-            for lpos in range(lpos_min, len(self.live)):
+            for lpos in range(lpos_min, L):
                 self._bump()
-                lvl, target = self.live[lpos]
-                bound = partial + rest_prob[gpos] * target
-                if best[0] is not None and bound >= best[0]:
+                lvl, target = live[lpos]
+                if best[0] is not None and partial + rest * target >= best[0]:
                     break
-                same = placed and placed[-1][0] == target
-                prior = placed[-1][1] if same else 0
-                cap_entries = placed[:-1] if same else placed
-                if prior + size > self._cap(target, f0_cost, cap_entries):
+                if size > caps[lpos]:
                     continue
-                if same:
-                    placed[-1][1] += size
-                else:
-                    placed.append([target, size])
+                saved = caps[lpos:]
+                caps[lpos:] = [c - size * d for c, d in zip(saved, drop[lpos])]
+                placed.append((target, size))
                 assign.append(lvl)
-                dfs(gpos + 1, lpos, partial + gp * target)
+                dfs(gpos + 1, lpos, partial + gw * target)
                 assign.pop()
-                if same:
-                    placed[-1][1] -= size
-                else:
-                    placed.pop()
+                placed.pop()
+                caps[lpos:] = saved
             # remaining groups fall to the tail
-            bound = partial + rest_prob[gpos] * self.graph.k_q
-            if best[0] is None or bound < best[0]:
+            if best[0] is None or partial + rest * g.k_q < best[0]:
                 leaf(gpos, partial)
 
         dfs(start, 0, base)
-        if best[0] is None:
-            return None
-        return best[0], best[1]
+        return None if best[0] is None else tuple(best)
 
 
 class _BudgetSignal(Exception):
@@ -578,7 +578,6 @@ def solve(
     *,
     k_override: Fraction | None = None,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     force_main: bool = False,
     ops: OpCounter | None = None,
 ) -> CodeReport:
@@ -615,37 +614,22 @@ def solve(
     grouping = group_words(norm, k)
 
     search = _Search(norm, graph, grouping, budget)
-    candidates = level0_size_candidates(norm)
-    best: tuple[Fraction, int, tuple[int, ...]] | None = None
-
-    def run_one(f0: int):
-        return search.run(f0)
-
+    best: Incumbent | None = None
     try:
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_one, candidates))
-        else:
-            results = [run_one(f0) for f0 in candidates]
+        for f0 in level0_size_candidates(norm):
+            best = search.run(f0, best)
     except _BudgetSignal:
         raise BudgetExceeded(
             search.explored, budget, _suggest_epsilon(instance, budget)
         ) from None
-
-    for f0, res in zip(candidates, results):
-        if res is None:
-            continue
-        value, assignment = res
-        if best is None or value < best[0]:
-            best = (value, f0, assignment)
     assert best is not None, "the all-tail guess is always consistent"
+    value, f0, assignment = best
+    kprefix_cost = Fraction(value, search.scale) * graph.quantum
 
-    guess = _assignment_to_guess(best[1], best[2], grouping)
+    guess = _assignment_to_guess(f0, assignment, grouping)
     leveled = construct_leveled(norm, graph, guess, instance.n, ops=ops)
     assert not isinstance(leveled, Inconsistent)
-    assert leveled.cost_for(norm.instance.probabilities) == best[0] * graph.quantum
+    assert leveled.cost_for(norm.instance.probabilities) == kprefix_cost
 
     prefix_code = convert_to_prefix(leveled, k)
     report = _finish_report(
@@ -661,7 +645,7 @@ def solve(
         graph_nodes=graph.node_count,
         graph_arcs=graph.arc_count,
         explored=search.explored,
-        kprefix_cost=best[0] * graph.quantum,
+        kprefix_cost=kprefix_cost,
     )
     return report
 

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from lettercost import codeword_cost, LetterCosts
+from lettercost import cli, codeword_cost, LetterCosts
 from lettercost.cli import main
-from lettercost.core import runs_from_str
+from lettercost.core import CodeAssignment, runs_from_str
 
 
 def run_cli(*argv):
@@ -83,6 +83,46 @@ class TestSolve:
         code, _, err = run_cli("solve", figure_skewed, "--epsilon", "0.25", "--budget", "2")
         assert code == 2
         assert "budget" in err
+
+
+class TestOutputCost:
+    # the output costs the code once, not once per row; calls made inside
+    # solve and exact_optimal are not counted
+    @pytest.fixture
+    def output_costs_calls(self, monkeypatch):
+        calls = []
+        original = CodeAssignment.costs
+
+        def counted(self):
+            calls.append(1)
+            return original(self)
+
+        def uncounted(fn):
+            def run(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls.clear()
+                return result
+
+            return run
+
+        monkeypatch.setattr(CodeAssignment, "costs", counted)
+        monkeypatch.setattr(cli, "solve", uncounted(cli.solve))
+        monkeypatch.setattr(cli, "exact_optimal", uncounted(cli.exact_optimal))
+        return calls
+
+    def test_solve_tsv_costs_once(self, tmp_path, output_costs_calls):
+        path = tmp_path / "zipf.txt"
+        path.write_text("1 2\n" + " ".join(str(1000 // i) for i in range(1, 41)) + "\n")
+        code, out, _ = run_cli("solve", str(path), "--epsilon", "1", "--emit", "tsv")
+        assert code == 0
+        assert len([ln for ln in out.splitlines() if not ln.startswith(("#", "word"))]) == 40
+        assert len(output_costs_calls) == 1
+
+    def test_exact_costs_once(self, figure_skewed, output_costs_calls):
+        code, out, _ = run_cli("exact", figure_skewed)
+        assert code == 0
+        assert len(out.splitlines()) == 5
+        assert len(output_costs_calls) == 1
 
 
 class TestParsing:

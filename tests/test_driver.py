@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -152,12 +153,14 @@ class TestSolve:
             solve(inst, budget=2)
         assert err.value.explored > 2
 
-    def test_threads_match_sequential(self):
+    def test_budget_counts_every_node(self):
+        # the search is sequential, so the budget cuts at an exact node count
         inst, _ = Instance.from_weights([5, 3, 2, 2, 1], LetterCosts([1, 2]), F(1, 2))
-        seq = solve(inst, threads=1)
-        par = solve(inst, threads=4)
-        assert seq.total_cost == par.total_cost
-        assert seq.code.codewords == par.code.codewords
+        rep = solve(inst)
+        assert solve(inst, budget=rep.explored).code == rep.code
+        with pytest.raises(BudgetExceeded) as err:
+            solve(inst, budget=rep.explored - 1)
+        assert err.value.explored == err.value.budget + 1
 
     def test_k_override(self):
         inst, _ = Instance.from_weights([2, 1, 1], LetterCosts([1, 1]), F(1, 2))
@@ -289,6 +292,39 @@ class TestSearchEquivalence:
             assert best is not None
             assert rep.kprefix_cost == best, (costs, weights, eps, k)
             checked += 1
+
+
+class TestGoldenOutput:
+    # sha256 over (codewords, total_cost, lower_bound, kprefix_cost) of every
+    # instance in the corpus, as solve produced them before the search kept
+    # one incumbent across level-0 sizes; it pins tie-breaking between
+    # equal-cost guesses, which the cost-only checks above do not
+    DIGEST = "1c0acab4554622c0c01e67c5f32e498a879750574b9cbd5cffd1f9ea06f43a52"
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(20020)
+        alphabets = ([1, 2], [1, 3], [2, 3, 4], [1, 1, 2])
+        epsilons = (F(1, 2), F(1, 4), F(1, 5))
+        for i in range(24):
+            n = rng.randint(6, 10)
+            weights = [rng.randint(1, 60) for _ in range(n)]
+            inst, _ = Instance.from_weights(
+                weights, LetterCosts(alphabets[i % 4]), epsilons[i % 3]
+            )
+            yield inst
+
+    def test_solve_reproduces_recorded_outputs(self):
+        digest = hashlib.sha256()
+        for inst in self.corpus():
+            rep = solve(inst)
+            assert rep.mode == "main"
+            digest.update(
+                repr(
+                    (rep.code.codewords, rep.total_cost, rep.lower_bound, rep.kprefix_cost)
+                ).encode()
+            )
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestEndToEnd:
