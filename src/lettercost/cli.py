@@ -27,7 +27,6 @@ from .driver import (
     solve,
 )
 from .oracles import exact_optimal
-from . import bench
 
 
 class ParseError(ValueError):
@@ -42,18 +41,23 @@ class LoadedInstance:
     instance: Instance
     order: list[int]  # order[i] = input position of sorted word i
     glyphs: str  # glyph per sorted letter
-    raw_weights: list[Fraction]
+    raw_weights: list[int | Fraction]
 
 
-def _parse_numbers(text: str, line_no: int) -> list[Fraction]:
-    values = []
+def _parse_numbers(text: str, line_no: int) -> list[int | Fraction]:
+    """The numbers on one line: ints for plain ASCII digit strings, the usual
+    case, and Fractions for every other number Fraction() accepts."""
+    values: list[int | Fraction] = []
     col = 1
     for token in text.split():
         col = text.index(token, col - 1) + 1
-        try:
-            values.append(Fraction(token))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(line_no, col, "cannot parse %r as a number" % token)
+        if token.isascii() and token.isdigit():
+            values.append(int(token))
+        else:
+            try:
+                values.append(Fraction(token))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(line_no, col, "cannot parse %r as a number" % token)
         col += len(token)
     return values
 
@@ -218,23 +222,6 @@ def cmd_graph_stats(args) -> int:
     return 0 if ok else 3
 
 
-def cmd_bench(args) -> int:
-    exps = tuple(range(10, args.max_exp + 1))
-    kinds = ("kprefix", "convert") if args.kind == "all" else (args.kind,)
-    worst = 0.0
-    for kind in kinds:
-        runner = bench.kprefix_ladder if kind == "kprefix" else bench.convert_ladder
-        results = runner(exps)
-        print("%s ladder:" % kind)
-        for n, ops, secs in results:
-            print("  n=%-6d ops=%-10d %.3fs" % (n, ops, secs))
-        for f in bench.growth_factors(results):
-            worst = max(worst, f)
-        print("  growth per doubling: %s" % ", ".join("%.2f" % f for f in bench.growth_factors(results)))
-    print("max growth: %.2f (limit 2.5)" % worst)
-    return 0 if worst <= 2.5 else 3
-
-
 def _epsilon(value: str) -> Fraction:
     eps = Fraction(value)
     if not 0 < eps <= 1:
@@ -271,11 +258,6 @@ def main(argv=None) -> int:
     p.add_argument("path")
     p.add_argument("--epsilon", type=_epsilon, default=Fraction(1, 4))
     p.set_defaults(func=cmd_graph_stats)
-
-    p = sub.add_parser("bench", help="doubling-ladder runtime checks")
-    p.add_argument("kind", choices=("kprefix", "convert", "all"))
-    p.add_argument("--max-exp", type=int, default=14)
-    p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
     try:

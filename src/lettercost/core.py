@@ -2,14 +2,20 @@
 
 Words to be encoded carry probabilities; codewords are strings over an
 alphabet whose letters have (possibly unequal) positive rational costs.
-Everything here is exact: costs and probabilities are `fractions.Fraction`
-throughout, and after `normalize` every codeword cost is an integer multiple
-of a single cost quantum, so the rest of the library can work in integer
-quantum units.
+Everything here is exact. The public values are `fractions.Fraction`s, and
+each of them has one integer view computed once at construction:
+`LetterCosts.costs_int` is every letter cost times `LetterCosts.scale`, the
+lcm of the cost denominators, and `Instance.weights_int` is every probability
+times `Instance.scale`, the lcm of the probability denominators. Costs,
+weights, sorts and validations inside the library run on these ints, and a
+`Fraction` is made only for a value the API returns. After `normalize` every
+codeword cost is also an integer multiple of a single cost quantum, so the
+guess search and the leveled construction work in integer quantum units.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -98,9 +104,16 @@ def as_runs(word) -> Runs:
 
 @dataclass(frozen=True)
 class LetterCosts:
-    """Sorted positive letter costs of an encoding alphabet (r >= 2)."""
+    """Sorted positive letter costs of an encoding alphabet (r >= 2).
+
+    scale is the lcm of the cost denominators and costs_int holds each cost
+    times scale, so an integer sum over costs_int is a codeword cost times
+    scale.
+    """
 
     costs: tuple[Fraction, ...]
+    scale: int = field(init=False, repr=False)
+    costs_int: tuple[int, ...] = field(init=False, repr=False)
 
     def __init__(self, costs: Sequence[Rational]):
         cs = tuple(Fraction(c) for c in costs)
@@ -110,7 +123,10 @@ class LetterCosts:
             raise InstanceError("letter costs must be strictly positive")
         if any(cs[i] > cs[i + 1] for i in range(len(cs) - 1)):
             raise InstanceError("letter costs must be sorted nondecreasing")
+        scale = math.lcm(*(c.denominator for c in cs))
         object.__setattr__(self, "costs", cs)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "costs_int", tuple(c.numerator * (scale // c.denominator) for c in cs))
 
     @property
     def r(self) -> int:
@@ -137,25 +153,37 @@ class LetterCosts:
 
 @dataclass(frozen=True)
 class Instance:
-    """Problem input: sorted word probabilities, letter costs, accuracy epsilon."""
+    """Problem input: sorted word probabilities, letter costs, accuracy epsilon.
+
+    scale is the lcm of the probability denominators and weights_int holds
+    each probability times scale; for integer weights with no common factor
+    these are the raw weights and their total.
+    """
 
     probabilities: tuple[Fraction, ...]
     letters: LetterCosts
     epsilon: Fraction
     weight_total: Fraction = Fraction(1)  # sum of the raw input weights
+    scale: int = field(init=False, repr=False)
+    weights_int: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        ps = tuple(Fraction(p) for p in self.probabilities)
+        # Fraction(p) would copy a Fraction, at ~1 us per word
+        ps = tuple(p if type(p) is Fraction else Fraction(p) for p in self.probabilities)
         object.__setattr__(self, "probabilities", ps)
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         object.__setattr__(self, "weight_total", Fraction(self.weight_total))
         if not ps:
             raise InstanceError("need at least one word")
-        if any(p <= 0 for p in ps):
+        scale = math.lcm(*(p.denominator for p in ps))
+        ws = tuple(p.numerator * (scale // p.denominator) for p in ps)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "weights_int", ws)
+        if any(w <= 0 for w in ws):
             raise InstanceError("probabilities must be strictly positive")
-        if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
+        if any(a < b for a, b in zip(ws, ws[1:])):
             raise InstanceError("probabilities must be sorted nonincreasing")
-        if sum(ps) != 1:
+        if sum(ws) != scale:
             raise InstanceError("probabilities must sum to 1")
         if not (0 < self.epsilon <= 1):
             raise InstanceError("epsilon must lie in (0, 1]")
@@ -175,13 +203,17 @@ class Instance:
         Returns the instance plus `order`, where order[i] is the input position
         of the i-th (sorted) word, for mapping results back.
         """
-        ws = [Fraction(w) for w in weights]
+        ws = [w if isinstance(w, int) else Fraction(w) for w in weights]
         if any(w <= 0 for w in ws):
             raise InstanceError("weights must be strictly positive")
-        total = sum(ws)
-        order = sorted(range(len(ws)), key=lambda i: (-ws[i], i))
-        probs = [ws[i] / total for i in order]
-        return Instance(tuple(probs), letters, Fraction(epsilon), total), order
+        # ints stand in for the weights: each one times the lcm of their denominators
+        scale = math.lcm(*(w.denominator for w in ws))
+        ints = [w.numerator * (scale // w.denominator) for w in ws]
+        total = sum(ints)
+        # a stable sort: equal weights keep their input order, as the key (-w, i) would
+        order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
+        probs = tuple(Fraction(ints[i], total) for i in order)
+        return Instance(probs, letters, Fraction(epsilon), Fraction(total, scale)), order
 
 
 @dataclass(frozen=True)
@@ -310,12 +342,17 @@ def normalize(instance: Instance) -> NormalizedInstance:
 
 def codeword_cost(word, letters: LetterCosts) -> Fraction:
     """Sum of the letter costs of a codeword; the empty word costs 0."""
-    runs = as_runs(word)
-    total = Fraction(0)
+    return Fraction(codeword_cost_int(as_runs(word), letters), letters.scale)
+
+
+def codeword_cost_int(runs: Runs, letters: LetterCosts) -> int:
+    """Codeword cost times letters.scale."""
+    costs, r = letters.costs_int, len(letters.costs_int)
+    total = 0
     for let, rep in runs:
-        if not 0 <= let < letters.r:
+        if not 0 <= let < r:
             raise InstanceError("letter index %d out of range" % let)
-        total += letters.costs[let] * rep
+        total += costs[let] * rep
     return total
 
 
@@ -329,6 +366,8 @@ class CodeAssignment:
 
     codewords: tuple[Runs, ...]
     letters: LetterCosts
+    # codeword costs times letters.scale, computed on first use
+    _costs_int: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cws = tuple(as_runs(c) for c in self.codewords)
@@ -341,12 +380,23 @@ class CodeAssignment:
         return len(self.codewords)
 
     def costs(self) -> list[Fraction]:
-        return [codeword_cost(c, self.letters) for c in self.codewords]
+        scale = self.letters.scale
+        costs = self.costs_int()
+        # codewords share few distinct costs, and a Fraction is immutable
+        as_fraction = {c: Fraction(c, scale) for c in set(costs)}
+        return [as_fraction[c] for c in costs]
+
+    def costs_int(self) -> list[int]:
+        """Codeword costs times letters.scale."""
+        if self._costs_int is None:
+            costs = tuple(codeword_cost_int(c, self.letters) for c in self.codewords)
+            object.__setattr__(self, "_costs_int", costs)
+        return list(self._costs_int)
 
     @property
     def ordered(self) -> bool:
-        cs = self.costs()
-        return all(cs[i] <= cs[i + 1] for i in range(len(cs) - 1))
+        cs = self.costs_int()
+        return all(a <= b for a, b in zip(cs, cs[1:]))
 
     def strings(self, glyphs: str = GLYPHS) -> list[str]:
         return [runs_to_str(c, glyphs) for c in self.codewords]
@@ -358,8 +408,8 @@ def code_cost(assignment: CodeAssignment, instance: Instance) -> Fraction:
         raise InstanceError(
             "assignment covers %d words, instance has %d" % (assignment.n, instance.n)
         )
-    cs = assignment.costs()
-    return sum(p * c for p, c in zip(instance.probabilities, cs))
+    value = sum(w * c for w, c in zip(instance.weights_int, assignment.costs_int()))
+    return Fraction(value, instance.scale * assignment.letters.scale)
 
 
 def reorder(assignment: CodeAssignment) -> CodeAssignment:
@@ -369,8 +419,12 @@ def reorder(assignment: CodeAssignment) -> CodeAssignment:
     of any instance whose probabilities are sorted nonincreasing.
     """
     cws = assignment.codewords
-    by_cost = sorted(range(len(cws)), key=lambda i: (codeword_cost(cws[i], assignment.letters), i))
-    return CodeAssignment(tuple(cws[i] for i in by_cost), assignment.letters)
+    costs = assignment.costs_int()
+    # a stable sort: the same order as the key (cost, index)
+    by_cost = sorted(range(len(cws)), key=costs.__getitem__)
+    out = CodeAssignment(tuple(cws[i] for i in by_cost), assignment.letters)
+    object.__setattr__(out, "_costs_int", tuple(costs[i] for i in by_cost))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ closed-form free-string counts: with S prefix-free, the number of cost-c
 strings with no prefix in S equals count(c) minus sum over members x of
 count(c - cost(x)).
 
-The search works in Python ints. Probabilities are scaled once by their
-common denominator (the weight total for integer weights), so partial costs
-and bounds are weights times costs in quanta; the result is turned back into
-a Fraction once. Each live level keeps its remaining capacity (free strings
+The search works in Python ints: the instance's integer weights (its
+probabilities times their common denominator) times costs in quanta, so
+partial costs and bounds are ints; the result is turned back into a Fraction
+once. Each live level keeps its remaining capacity (free strings
 at its target cost). A table drop[i][j] = count(T_j - T_i), built once per
 solve, gives what one word placed at live level i takes from every level
 j >= i, so placing a group and undoing it are one pass over the later
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -50,7 +51,6 @@ from .core import (
     is_prefix_free,
     normalize,
     reorder,
-    runs_concat,
 )
 from .cost_graph import CostGraph, Inconsistent, build_cost_graph
 from .kprefix import Guess, OpCounter, construct_leveled
@@ -133,39 +133,43 @@ class Grouping:
 
 
 def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
-    ps = norm.instance.probabilities
-    n = len(ps)
+    ws = norm.instance.weights_int
+    scale = norm.instance.scale
+    n = len(ws)
     eps = norm.epsilon_prime
+    # the packing cap (1 - p1) * eps^2 / k in integer weights is num / den, so
+    # weights are compared with it cross-multiplied; the singleton threshold
+    # is half the cap
+    cap = (scale - ws[0]) * eps * eps / k
+    num, den = cap.numerator, cap.denominator
     ranges: list[tuple[int, int]] = [(0, 1)]
     if n > 1:
-        single_thr = (1 - ps[0]) * eps * eps / (2 * k)
-        pack_thr = (1 - ps[0]) * eps * eps / k
         i = 1
-        while i < n and ps[i] > single_thr:
+        while i < n and 2 * ws[i] * den > num:
             ranges.append((i, i + 1))
             i += 1
         singleton_prefix = len(ranges)
         while i < n:
-            j, acc = i, Fraction(0)
-            while j < n and acc + ps[j] <= pack_thr:
-                acc += ps[j]
+            j, acc = i, 0
+            while j < n and (acc + ws[j]) * den <= num:
+                acc += ws[j]
                 j += 1
             ranges.append((i, j))
             i = j
     else:
         singleton_prefix = 1
 
-    probs = tuple(sum(ps[s:e], Fraction(0)) for s, e in ranges)
+    group_ws = [sum(ws[s:e]) for s, e in ranges]
+    probs = tuple(Fraction(w, scale) for w in group_ws)
     grouping = Grouping(norm, k, tuple(ranges), singleton_prefix, probs)
 
     assert grouping.ranges[0] == (0, 1)
     assert all(e0 == s1 for (_, e0), (s1, _) in zip(ranges, ranges[1:]))
     assert ranges[-1][1] == n
     if n > 1:
-        pack_thr = (1 - ps[0]) * eps * eps / k
-        for (s, e), p in zip(ranges, probs):
+        for (s, e), w in zip(ranges, group_ws):
             if e - s > 1:
-                assert p <= pack_thr, "packed group exceeds the probability cap"
+                assert w * den <= num, "packed group exceeds the probability cap"
         assert grouping.group_count <= 1 + 4 * k / (eps * eps), "too many groups"
     return grouping
 
@@ -266,19 +270,15 @@ class _Search:
         self.drop = [
             [g.counts[tj - ti] for tj in targets[i:]] for i, ti in enumerate(targets)
         ]
-        # probabilities scaled by their common denominator into int weights
-        ps = self.norm.instance.probabilities
-        self.scale = math.lcm(*(p.denominator for p in ps))
-        self.prefix_w = [0]
-        for p in ps:
-            self.prefix_w.append(self.prefix_w[-1] + p.numerator * self.scale // p.denominator)
+        ws = self.norm.instance.weights_int
+        self.prefix_w = [0, *accumulate(ws)]
         self.group_w = [
             self.prefix_w[e] - self.prefix_w[s] for s, e in self.grouping.ranges
         ]
         self.rest_w = [0] * (len(self.group_w) + 1)
         for i in range(len(self.group_w) - 1, -1, -1):
             self.rest_w[i] = self.rest_w[i + 1] + self.group_w[i]
-        self.n = len(ps)
+        self.n = len(ws)
 
     def _bump(self) -> None:
         self.explored += 1
@@ -404,7 +404,10 @@ class _Search:
             if best[0] is None or partial + rest * g.k_q < best[0]:
                 leaf(gpos, partial)
 
-        dfs(start, 0, base)
+        try:
+            dfs(start, 0, base)
+        finally:
+            del dfs  # it refers to itself through its cell, as kprefix's walk does
         return None if best[0] is None else tuple(best)
 
 
@@ -470,12 +473,13 @@ def _finish_report(
 ) -> CodeReport:
     letters = instance.letters
     assignment = reorder(CodeAssignment(tuple(codewords), letters))
-    per_word = assignment.costs()
+    value = sum(w * c for w, c in zip(instance.weights_int, assignment.costs_int()))
+    cost = Fraction(value, instance.scale * letters.scale)  # probabilities times letter costs
     l2 = letters.costs[1]
-    scaled = sum(p * c for p, c in zip(instance.probabilities, per_word)) / l2
+    scaled = cost / l2
     p1 = instance.probabilities[0]
     assert scaled >= 1 - p1, "code cost fell below the structural lower bound"
-    total = instance.weight_total * l2 * scaled
+    total = instance.weight_total * cost
     return CodeReport(
         code=assignment,
         total_cost=total,
@@ -497,17 +501,48 @@ def tiny_run_length_candidates(instance: Instance) -> list[int]:
     """Run lengths i0 to try: distinct floor((1+eps)^j), until a^i0 can no
     longer be among the n cheapest candidates (pool saturated)."""
     n, eps = instance.n, instance.epsilon
-    l1 = instance.letters.costs[0] / instance.letters.costs[1]
+    c1, c2 = instance.letters.costs_int[:2]
     out: list[int] = []
     j = 0
     while True:
         i0 = math.floor((1 + eps) ** j)
         if not out or i0 > out[-1]:
             out.append(i0)
-            if i0 >= n and i0 * l1 > 2 + n * l1:
+            if i0 >= n and i0 * c1 > 2 * c2 + n * c1:
                 break
         j += 1
     return out
+
+
+# (cost times letters.scale, family, run length j, letter) of a tiny-path
+# candidate: a^j (family 0), b a^j b (1) or a^j x a^n (2)
+TinyEntry = tuple[int, int, int, int]
+
+
+def _tiny_pool(instance: Instance, i0: int) -> tuple[int, list[TinyEntry]]:
+    """The n cheapest candidate strings for run length i0, in code order, and
+    the code's cost times instance.scale * letters.scale."""
+    n = instance.n
+    costs = instance.letters.costs_int
+    c1, c2 = costs[:2]
+    pool: list[TinyEntry] = [(i0 * c1, 0, i0, 0)]
+    pool.extend((2 * c2 + jj * c1, 1, jj, 0) for jj in range(n))
+    for x in range(1, len(costs)):
+        # per family the cost rises with j, so j >= n can never be selected
+        pool.extend((jj * c1 + costs[x] + n * c1, 2, jj, x) for jj in range(min(i0, n)))
+    pool.sort()
+    kept = pool[:n]
+    return sum(w * e[0] for w, e in zip(instance.weights_int, kept)), kept
+
+
+def _tiny_runs(entry: TinyEntry, n: int) -> Runs:
+    """The codeword of a tiny-path candidate."""
+    _, family, jj, x = entry
+    if family == 0:
+        return ((0, jj),)
+    if family == 1:
+        return ((1, 1), (0, jj), (1, 1)) if jj else ((1, 2),)
+    return ((0, jj), (x, 1), (0, n)) if jj else ((x, 1), (0, n))
 
 
 def tiny_candidate_code(
@@ -517,24 +552,10 @@ def tiny_candidate_code(
     the bracketed runs b a^j b (j < n), and a^j x a^n for every non-cheapest
     letter x and j < i0. Returns (cost, codewords, per-word costs), all in
     units of the second letter cost."""
-    n = instance.n
-    letters = instance.letters
-    scaled = [c / letters.costs[1] for c in letters.costs]
-    l1 = scaled[0]
-    pool: list[tuple[Fraction, int, int, int, Runs]] = []
-    pool.append((i0 * l1, 0, 0, 0, ((0, i0),)))
-    for jj in range(n):
-        runs = runs_concat(runs_concat(((1, 1),), ((0, jj),) if jj else ()), ((1, 1),))
-        pool.append((2 + jj * l1, 1, jj, 0, runs))
-    for x in range(1, letters.r):
-        # per family the cost rises with j, so j >= n can never be selected
-        for jj in range(min(i0, n)):
-            runs = runs_concat(((0, jj),) if jj else (), ((x, 1),))
-            runs = runs_concat(runs, ((0, n),))
-            pool.append((jj * l1 + scaled[x] + n * l1, 2, jj, x, runs))
-    pool.sort(key=lambda e: e[:4])
-    cost = sum(p * e[0] for p, e in zip(instance.probabilities, pool[:n]))
-    return cost, [e[4] for e in pool[:n]], [e[0] for e in pool[:n]]
+    value, kept = _tiny_pool(instance, i0)
+    c2 = instance.letters.costs_int[1]
+    words = [_tiny_runs(e, instance.n) for e in kept]
+    return Fraction(value, instance.scale * c2), words, [Fraction(e[0], c2) for e in kept]
 
 
 def solve_tiny_ell1(instance: Instance, *, check: bool = True) -> CodeReport:
@@ -552,14 +573,15 @@ def solve_tiny_ell1(instance: Instance, *, check: bool = True) -> CodeReport:
         raise InstanceError("cheapest letter cost exceeds epsilon/n")
 
     i0_candidates = tiny_run_length_candidates(instance)
-    best_cost: Fraction | None = None
-    best_words: list[Runs] | None = None
+    # every candidate's cost has the same denominator, so its numerator decides
+    best_value: int | None = None
+    best_kept: list[TinyEntry] = []
     for i0 in i0_candidates:
-        cost, words, _ = tiny_candidate_code(instance, i0)
-        if best_cost is None or cost < best_cost:
-            best_cost, best_words = cost, words
+        value, kept = _tiny_pool(instance, i0)
+        if best_value is None or value < best_value:
+            best_value, best_kept = value, kept
 
-    assert best_words is not None
+    best_words = [_tiny_runs(e, n) for e in best_kept]
     if n <= 512:
         assert is_prefix_free(best_words)
     return _finish_report(
@@ -624,12 +646,13 @@ def solve(
         ) from None
     assert best is not None, "the all-tail guess is always consistent"
     value, f0, assignment = best
-    kprefix_cost = Fraction(value, search.scale) * graph.quantum
+    kprefix_cost = Fraction(value, instance.scale) * graph.quantum
 
     guess = _assignment_to_guess(f0, assignment, grouping)
     leveled = construct_leveled(norm, graph, guess, instance.n, ops=ops)
     assert not isinstance(leveled, Inconsistent)
-    assert leveled.cost_for(norm.instance.probabilities) == kprefix_cost
+    # the leveled code costs what the search valued its guess at
+    assert sum(w * c for w, c in zip(instance.weights_int, leveled.word_costs_q)) == value
 
     prefix_code = convert_to_prefix(leveled, k)
     report = _finish_report(

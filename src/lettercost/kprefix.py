@@ -293,7 +293,12 @@ class _Materializer:
                     break
             return got
 
-        got = walk(self.root, cost_q, take)
+        try:
+            got = walk(self.root, cost_q, take)
+        finally:
+            # walk refers to itself through its cell; without this the whole
+            # trie would wait for a full garbage collection
+            del walk
         assert got == take, "materialization found %d of %d codewords" % (got, take)
         return out
 

@@ -10,11 +10,19 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .core import Instance, LetterCosts, normalize
-from .cost_graph import Inconsistent, build_cost_graph
-from .driver import choose_k
-from .convert import convert_to_prefix
-from .kprefix import Guess, LeveledCode, OpCounter, construct_leveled
+from lettercost import (
+    Guess,
+    Inconsistent,
+    Instance,
+    LetterCosts,
+    LeveledCode,
+    build_cost_graph,
+    choose_k,
+    construct_leveled,
+    convert_to_prefix,
+    normalize,
+)
+from lettercost.kprefix import OpCounter
 
 
 def _uniform_instance(n: int, costs, epsilon) -> Instance:

@@ -51,6 +51,27 @@ def is_prefix_free_pairwise(words):
     return True
 
 
+def fraction_codeword_cost(runs, costs):
+    """Codeword cost summed in Fractions, letter by letter run."""
+    return sum((Fraction(costs[let]) * rep for let, rep in runs), Fraction(0))
+
+
+def fraction_reorder(codewords, costs):
+    """Codewords sorted on the key (Fraction cost, index)."""
+    order = sorted(
+        range(len(codewords)), key=lambda i: (fraction_codeword_cost(codewords[i], costs), i)
+    )
+    return tuple(codewords[i] for i in order)
+
+
+def fraction_code_cost(codewords, costs, probabilities):
+    """Probability-weighted code cost summed in Fractions."""
+    return sum(
+        (p * fraction_codeword_cost(c, costs) for p, c in zip(probabilities, codewords)),
+        Fraction(0),
+    )
+
+
 def random_instance(rng: random.Random, max_n=8, max_r=3, max_cost=4, eps_choices=None):
     n = rng.randint(1, max_n)
     r = rng.randint(2, max_r)

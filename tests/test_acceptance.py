@@ -27,10 +27,10 @@ from lettercost import (
     solve,
     solve_tiny_ell1,
 )
-from lettercost import bench
 from lettercost.cost_graph import CostGraph
 from lettercost.driver import group_words
 
+import bench
 from helpers import (
     brute_force_leveled_minimum,
     count_free_brute,

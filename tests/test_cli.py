@@ -140,6 +140,20 @@ class TestParsing:
         assert code == 1
         assert "line 1, column 3" in err
 
+    def test_number_forms(self):
+        # plain ASCII digits take the int fast path; every other form gives
+        # the value Fraction() gives it
+        values = cli._parse_numbers("7 +4 3.0 1e3 2/7 1_000 \u0661\u0662 0.25", 2)
+        assert values == [7, 4, 3, 1000, F(2, 7), 1000, 12, F(1, 4)]
+        assert type(values[0]) is int
+
+    @pytest.mark.parametrize("token", ["x", "1/0", "\u00b2"])
+    def test_bad_number_column(self, token):
+        # a superscript digit passes str.isdigit but is no number
+        with pytest.raises(cli.ParseError) as exc:
+            cli._parse_numbers("12  " + token + " 5", 2)
+        assert (exc.value.line, exc.value.column) == (2, 5)
+
     def test_negative_weight(self, tmp_path):
         path = tmp_path / "neg.txt"
         path.write_text("1 1\n2 -1\n")
@@ -173,8 +187,3 @@ class TestOtherCommands:
         code, out, _ = run_cli("graph-stats", figure_skewed, "--epsilon", "0.25")
         assert code == 0
         assert "nodes:" in out and "PASS" in out
-
-    def test_bench_smoke(self):
-        code, out, _ = run_cli("bench", "kprefix", "--max-exp", "11")
-        assert code == 0
-        assert "growth per doubling" in out

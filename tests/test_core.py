@@ -17,7 +17,13 @@ from lettercost import (
 )
 from lettercost.core import runs_from_str, runs_is_prefix, runs_to_str
 
-from helpers import is_prefix_free_pairwise, tuples_to_runs
+from helpers import (
+    fraction_code_cost,
+    fraction_codeword_cost,
+    fraction_reorder,
+    is_prefix_free_pairwise,
+    tuples_to_runs,
+)
 
 
 def inst(probs, costs, eps):
@@ -211,6 +217,58 @@ class TestReorder:
         letters = LetterCosts([1, 1])
         code = CodeAssignment((runs_from_str("aa"), runs_from_str("ab")), letters)
         assert reorder(code).strings() == ["aa", "ab"]
+
+
+class TestIntegerViews:
+    @staticmethod
+    def random_runs(rng, r):
+        runs, prev = [], None
+        for _ in range(rng.randint(0, 5)):
+            let = rng.choice([x for x in range(r) if x != prev])
+            runs.append((let, rng.choice([1, 1, 2, 3, 40])))
+            prev = let
+        return tuple(runs)
+
+    def test_views_scale_the_fractions(self):
+        letters = LetterCosts([F(1, 3), 1, F(5, 2)])
+        assert (letters.scale, letters.costs_int) == (6, (2, 6, 15))
+        instance, _ = Instance.from_weights([F("0.5"), 2, F(3, 4)], letters, F(1))
+        assert instance.scale == 13
+        assert instance.weights_int == (8, 3, 2)
+        assert [F(w, instance.scale) for w in instance.weights_int] == list(instance.probabilities)
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(4242)
+        for _ in range(150):
+            r = rng.randint(2, 4)
+            costs = sorted(F(rng.randint(1, 30), rng.randint(1, 12)) for _ in range(r))
+            letters = LetterCosts(costs)
+            n = rng.randint(1, 12)
+            words = set()
+            while len(words) < n:
+                words.add(self.random_runs(rng, r))
+            words = tuple(words)
+            weights = [F(rng.randint(1, 50), rng.randint(1, 6)) for _ in range(n)]
+            instance, _ = Instance.from_weights(weights, letters, F(1, 2))
+            code = CodeAssignment(words, letters)
+            ref = [fraction_codeword_cost(w, costs) for w in words]
+            assert [codeword_cost(w, letters) for w in words] == ref
+            assert code.costs() == ref
+            fixed = reorder(code)
+            assert fixed.codewords == fraction_reorder(words, costs)
+            assert fixed.costs() == sorted(ref)
+            assert code_cost(code, instance) == fraction_code_cost(
+                words, costs, instance.probabilities
+            )
+
+    def test_instance_checks_run_on_the_integer_weights(self):
+        letters = LetterCosts([1, 2])
+        with pytest.raises(InstanceError, match="sum to 1"):
+            Instance((F(1, 2), F(1, 3)), letters, F(1))
+        with pytest.raises(InstanceError, match="nonincreasing"):
+            Instance((F(1, 3), F(2, 3)), letters, F(1))
+        with pytest.raises(InstanceError, match="positive"):
+            Instance((F(3, 2), F(-1, 2)), letters, F(1))
 
 
 class TestRuns:

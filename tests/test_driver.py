@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -28,6 +29,7 @@ from lettercost.driver import (
     tiny_candidate_code,
     tiny_run_length_candidates,
 )
+from lettercost.kprefix import _MatNode
 
 from helpers import random_instance
 
@@ -65,6 +67,14 @@ class TestGrouping:
         g = group_words(normalize(Instance(probs, LetterCosts([1, 1]), F(1, 2))), F(3))
         assert g.group_count == 14
         assert g.sizes == (1,) + (4,) * 12 + (2,)
+
+    def test_singleton_threshold_is_half_the_cap(self):
+        # cap (1 - p1) * eps^2 / k = 1/24: above 1/48 a word is a singleton,
+        # at 1/48 it is packed, two to a group
+        probs = (F(1, 2), F(1, 40)) + (F(1, 48),) * 22 + (F(1, 60),)
+        g = group_words(normalize(Instance(probs, LetterCosts([1, 1]), F(1, 2))), F(3))
+        assert g.singleton_prefix == 2
+        assert g.sizes == (1, 1) + (2,) * 11 + (1,)
 
     def test_single_word(self):
         g = group_words(normalize(Instance((F(1),), LetterCosts([1, 1]), F(1, 2))), F(3))
@@ -161,6 +171,20 @@ class TestSolve:
         with pytest.raises(BudgetExceeded) as err:
             solve(inst, budget=rep.explored - 1)
         assert err.value.explored == err.value.budget + 1
+
+    def test_main_path_leaves_no_cyclic_garbage(self):
+        # the materializer's trie and the search's closures go by reference
+        # counting, without waiting for a full collection
+        instance, _ = Instance.from_weights([1000 // i for i in range(1, 200)], LetterCosts([1, 2]), F(1))
+        gc.collect()
+        gc.disable()
+        try:
+            assert solve(instance).mode == "main"
+            tries = sum(isinstance(o, _MatNode) for o in gc.get_objects())
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert (tries, garbage) == (0, 0)
 
     def test_k_override(self):
         inst, _ = Instance.from_weights([2, 1, 1], LetterCosts([1, 1]), F(1, 2))
@@ -325,6 +349,53 @@ class TestGoldenOutput:
                 ).encode()
             )
         assert digest.hexdigest() == self.DIGEST
+
+    # sha256 over (order, codewords, total_cost, lower_bound, normalized_cost,
+    # kprefix_cost) of every instance below, as the Fraction-based library
+    # produced them; it pins the integer cost, weight and sort paths
+    INTEGER_PATHS_DIGEST = "fca29cee291d8440eb743204c2c985e153ca7afb150f1eb4c454580328ab2b62"
+
+    @staticmethod
+    def integer_paths_corpus():
+        rng = random.Random(20030)
+        # codebook-shaped: Zipf-like integer counts at eps 1
+        for n, costs in ((640, [1, 2]), (1100, [1, 1, 2])):
+            weights = [
+                max(1, int(100000 / (i + 1) ** 0.9 * rng.uniform(0.9, 1.1))) for i in range(n)
+            ]
+            rng.shuffle(weights)
+            yield weights, costs, F(1)
+        # tiny path: cheapest letter at most eps/n, self-checked up to n = 512
+        for n, costs, eps in ((220, [F(1, 1000), 1], F(1, 2)), (380, [F(1, 2000), 1, 2], F(1))):
+            yield [rng.randint(1, 500) for _ in range(n)], costs, eps
+        yield [rng.randint(1, 500) for _ in range(560)], [F(1, 3000), 1], F(1, 2)
+        # non-integer input: rational letter costs, decimal and fractional weights
+        rational = [F(1, 3), 1, F(5, 2)]
+        yield [F("%d.%02d" % (rng.randint(0, 3), rng.randint(1, 99))) for _ in range(40)], rational, F(1)
+        yield [F(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(30)], rational, F(1)
+        yield [F(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(10)], rational, F(1, 2)
+
+    def test_integer_paths_reproduce_recorded_outputs(self):
+        digest = hashlib.sha256()
+        modes = []
+        for weights, costs, eps in self.integer_paths_corpus():
+            inst, order = Instance.from_weights(weights, LetterCosts(costs), eps)
+            rep = solve(inst)
+            modes.append(rep.mode)
+            digest.update(
+                repr(
+                    (
+                        order,
+                        rep.code.codewords,
+                        rep.total_cost,
+                        rep.lower_bound,
+                        rep.normalized_cost,
+                        rep.kprefix_cost,
+                    )
+                ).encode()
+            )
+        assert modes == ["main"] * 2 + ["tiny"] * 3 + ["main"] * 3
+        assert digest.hexdigest() == self.INTEGER_PATHS_DIGEST
 
 
 class TestEndToEnd:
