@@ -54,25 +54,6 @@ def runs_to_str(runs: Runs, glyphs: str = GLYPHS) -> str:
     return "".join(glyphs[let] * rep for let, rep in runs)
 
 
-def runs_concat(a: Runs, b: Runs) -> Runs:
-    if not a:
-        return b
-    if not b:
-        return a
-    if a[-1][0] == b[0][0]:
-        merged = (a[-1][0], a[-1][1] + b[0][1])
-        return a[:-1] + (merged,) + b[1:]
-    return a + b
-
-
-def runs_size(runs: Runs) -> int:
-    return sum(rep for _, rep in runs)
-
-
-def runs_count_letter(runs: Runs, letter: int) -> int:
-    return sum(rep for let, rep in runs if let == letter)
-
-
 def runs_is_prefix(a: Runs, b: Runs) -> bool:
     """True when the letter sequence a is a (not necessarily proper) prefix of b."""
     i = 0
@@ -216,6 +197,15 @@ class Instance:
         return Instance(probs, letters, Fraction(epsilon), Fraction(total, scale)), order
 
 
+def _unchecked(cls, **values):
+    """A frozen dataclass instance made from values already known to be valid,
+    skipping the checks and derived views of its __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class NormalizedInstance:
     """Instance after the cost conditioning reduction.
@@ -322,11 +312,16 @@ def normalize(instance: Instance) -> NormalizedInstance:
     eps_prime = eps2 / s4
     quantum = min(final[0], eps_prime)
 
-    norm_inst = Instance(
-        instance.probabilities,
-        LetterCosts(final),
-        eps_prime,
-        instance.weight_total,
+    # the same words and weights: their integer views are carried over, not
+    # recomputed and checked again (eps_prime <= epsilon stays in (0, 1])
+    norm_inst = _unchecked(
+        Instance,
+        probabilities=instance.probabilities,
+        letters=LetterCosts(final),
+        epsilon=eps_prime,
+        weight_total=instance.weight_total,
+        scale=instance.scale,
+        weights_int=instance.weights_int,
     )
     return NormalizedInstance(
         instance=norm_inst,
@@ -422,9 +417,13 @@ def reorder(assignment: CodeAssignment) -> CodeAssignment:
     costs = assignment.costs_int()
     # a stable sort: the same order as the key (cost, index)
     by_cost = sorted(range(len(cws)), key=costs.__getitem__)
-    out = CodeAssignment(tuple(cws[i] for i in by_cost), assignment.letters)
-    object.__setattr__(out, "_costs_int", tuple(costs[i] for i in by_cost))
-    return out
+    # a permutation of a valid assignment is valid, so it is not checked again
+    return _unchecked(
+        CodeAssignment,
+        codewords=tuple([cws[i] for i in by_cost]),
+        letters=assignment.letters,
+        _costs_int=tuple([costs[i] for i in by_cost]),
+    )
 
 
 # ---------------------------------------------------------------------------

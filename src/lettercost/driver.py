@@ -407,7 +407,9 @@ class _Search:
         try:
             dfs(start, 0, base)
         finally:
-            del dfs  # it refers to itself through its cell, as kprefix's walk does
+            # dfs refers to itself through its cell; without this the search
+            # state would wait for a full garbage collection
+            del dfs
         return None if best[0] is None else tuple(best)
 
 

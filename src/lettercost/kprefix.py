@@ -7,9 +7,14 @@ completes to n codewords with the cheapest strings of cost >= k. Among all
 codes meeting the constraints, the result has minimum cost; when none exists
 the result is the Inconsistent value, a routine outcome for the guess search.
 
-Codewords are kept implicit as (cost, how_many) selections; concrete letter
-sequences materialize lazily through a trie walker, so construction cost never
-depends on total codeword length.
+Codewords are kept implicit as (cost, how_many) selections, so construction
+cost never depends on total codeword length. Concrete codewords materialize
+lazily: each selection takes the first free strings of its cost in
+letter-index order, found by a depth-first walk with an explicit stack whose
+frames carry their prefix as runs. Only the paths of blocking codewords (cost
+< k) are kept in a trie; off it every string is free, so the free count of a
+subtree is a plain string count. Python stack depth does not grow with
+codeword length.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .core import (
     InstanceError,
     NormalizedInstance,
     Runs,
-    runs_from_letters,
+    runs_cost_q,
 )
 from .cost_graph import (
     CostGraph,
@@ -208,6 +213,8 @@ def construct_leveled(
 
 
 class _MatNode:
+    """A trie node on the path of a blocking codeword (cost < k)."""
+
     __slots__ = ("children", "cost_q", "blocking", "blocked")
 
     def __init__(self, cost_q: int):
@@ -219,11 +226,15 @@ class _MatNode:
 
 class _Materializer:
     """Resolves (cost, count) selections into the first `count` free strings of
-    that cost, preferring cheaper letters and then lower letter indices.
+    that cost in letter-index order (letters are sorted by cost, so cheaper
+    letters come first).
 
-    Counts of candidate continuations come from the graph's string counts
-    minus the continuations cut off by blocking marks; marks of cost >= k do
-    not block, matching the relaxed prefix rule for the tail.
+    The trie holds only the paths of blocking codewords. Counts of candidate
+    continuations come from the graph's string counts minus the continuations
+    cut off by blocking marks; below a string that is not in the trie nothing
+    is marked, so every continuation is free. Marks of cost >= k do not block,
+    matching the relaxed prefix rule for the tail, so tail selections add no
+    nodes.
     """
 
     def __init__(self, graph: CostGraph, letters_q: Sequence[int]):
@@ -231,75 +242,72 @@ class _Materializer:
         self.letters_q = letters_q
         self.root = _MatNode(0)
 
-    def mark_path(self, runs: Runs, blocking: bool) -> None:
-        node, stack = self.root, [self.root]
+    def mark(self, runs: Runs) -> None:
+        """Record a blocking codeword: mark the end of its path and count it at
+        every proper prefix, by its cost relative to that prefix."""
+        letters_q = self.letters_q
+        total = runs_cost_q(runs, letters_q)
+        node = self.root
         for let, rep in runs:
             for _ in range(rep):
+                rel = total - node.cost_q
+                node.blocked[rel] = node.blocked.get(rel, 0) + 1
                 nxt = node.children.get(let)
                 if nxt is None:
-                    nxt = _MatNode(node.cost_q + self.letters_q[let])
-                    node.children[let] = nxt
+                    nxt = node.children[let] = _MatNode(node.cost_q + letters_q[let])
                 node = nxt
-                stack.append(node)
-        self._mark(stack, blocking)
-
-    @staticmethod
-    def _mark(stack: list["_MatNode"], blocking: bool) -> None:
-        node = stack[-1]
-        if blocking:
-            assert not node.blocking, "codeword selected twice"
-            node.blocking = True
-            for anc in stack[:-1]:
-                rel = node.cost_q - anc.cost_q
-                anc.blocked[rel] = anc.blocked.get(rel, 0) + 1
-
-    def _free_count(self, node: "_MatNode", budget: int) -> int:
-        if node.blocking:
-            return 0
-        total = self.graph.count(budget)
-        for rel, cnt in node.blocked.items():
-            if rel <= budget:
-                total -= cnt * self.graph.count(budget - rel)
-        return total
+        assert not node.blocking, "codeword selected twice"
+        node.blocking = True
 
     def select(self, cost_q: int, take: int, blocking: bool) -> list[Runs]:
+        """The first `take` free strings of cost cost_q, marked when blocking.
+
+        A depth-first walk with an explicit stack. A frame is [trie node (None
+        off the trie), remaining cost, strings still wanted below it, its
+        prefix as runs, next letter to try]; a frame that has handed out all it
+        wants is dropped before its last child is entered, so the stack holds
+        only the prefixes that still branch.
+        """
+        letters_q = self.letters_q
+        r = len(letters_q)
+        self.graph.count(cost_q)  # extends the string counts to every cost read below
+        count = self.graph.counts
         out: list[Runs] = []
-        path: list[int] = []
-        stack = [self.root]
-
-        def walk(node: "_MatNode", budget: int, want: int) -> int:
-            if budget == 0:
-                self._mark(stack, blocking)
-                out.append(runs_from_letters(path))
-                return 1
-            got = 0
-            for let, w in enumerate(self.letters_q):
-                if w > budget:
-                    break
-                child = node.children.get(let)
-                if child is None:
-                    child = _MatNode(node.cost_q + w)
-                    node.children[let] = child
-                avail = self._free_count(child, budget - w)
-                if avail <= 0:
-                    continue
-                sub = min(want - got, avail)
-                path.append(let)
-                stack.append(child)
-                got += walk(child, budget - w, sub)
+        stack: list[list] = [[self.root, cost_q, take, (), 0]]
+        while stack:
+            frame = stack[-1]
+            node, budget, want, runs, let = frame
+            if let == r or letters_q[let] > budget:  # letters are sorted by cost
                 stack.pop()
-                path.pop()
-                if got == want:
-                    break
-            return got
-
-        try:
-            got = walk(self.root, cost_q, take)
-        finally:
-            # walk refers to itself through its cell; without this the whole
-            # trie would wait for a full garbage collection
-            del walk
-        assert got == take, "materialization found %d of %d codewords" % (got, take)
+                continue
+            frame[4] = let + 1
+            rest = budget - letters_q[let]
+            avail = count[rest]
+            child = node.children.get(let) if node is not None else None
+            if child is not None:
+                if child.blocking:
+                    continue
+                for rel, cnt in child.blocked.items():
+                    if rel <= rest:
+                        avail -= cnt * count[rest - rel]
+            if avail <= 0:
+                continue
+            if avail >= want:  # this child supplies the rest; the frame is done
+                avail = want
+                stack.pop()
+            else:
+                frame[2] = want - avail
+            if runs and runs[-1][0] == let:
+                runs = runs[:-1] + ((let, runs[-1][1] + 1),)
+            else:
+                runs = runs + ((let, 1),)
+            if rest:
+                stack.append([child, rest, avail, runs, 0])
+            else:
+                out.append(runs)
+                if blocking:
+                    self.mark(runs)
+        assert len(out) == take, "materialization found %d of %d codewords" % (len(out), take)
         return out
 
 
@@ -307,8 +315,8 @@ def _materialize(code: LeveledCode) -> list[Runs]:
     mat = _Materializer(code.graph, code.norm.letters_q)
     words: list[Runs] = []
     if code.guess.f0 > 0:
-        runs = runs_from_letters([0] * code.guess.f0)
-        mat.mark_path(runs, blocking=True)
+        runs = ((0, code.guess.f0),)
+        mat.mark(runs)
         words.append(runs)
     for _, cost_q, count in code.level_picks:
         words.extend(mat.select(cost_q, count, blocking=True))

@@ -18,7 +18,7 @@ from lettercost import (
     is_prefix_free,
     normalize,
 )
-from lettercost.core import runs_from_str, runs_to_str
+from lettercost.core import runs_from_letters, runs_from_str, runs_to_str
 
 
 class TestEnc:
@@ -125,3 +125,30 @@ class TestConversionGuarantees:
                 assert ci >= k
                 per_word = ci + 5 + 2 * math.log2(float(ci))
                 assert float(co) <= per_word + 1e-12
+
+    def test_matches_letter_level_splice(self):
+        # the one-pass run splice equals alpha + enc(i) + beta + b spelled out
+        # letter by letter, with canonical runs; the leveled and the
+        # assignment input give the same code
+        rng = random.Random(67)
+        rewritten = 0
+        for code, k, norm in random_kprefix_codes(rng, 80):
+            letters = norm.instance.letters
+            expected = []
+            for runs in code.codewords:
+                spelled = [let for let, rep in runs for _ in range(rep)]
+                cost, cut = F(0), 0
+                while cut < len(spelled) and cost < k:
+                    cost += letters.costs[spelled[cut]]
+                    cut += 1
+                if cost < k:
+                    expected.append(runs)
+                    continue
+                beta = spelled[cut:]
+                block = [let for let, rep in enc(beta.count(1)) for _ in range(rep)]
+                expected.append(runs_from_letters(spelled[:cut] + block + beta + [1]))
+                rewritten += 1
+            assert convert_to_prefix(code, k).codewords == tuple(expected)
+            as_assignment = CodeAssignment(code.codewords, letters)
+            assert convert_to_prefix(as_assignment, k).codewords == tuple(expected)
+        assert rewritten > 200

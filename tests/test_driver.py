@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -32,6 +33,22 @@ from lettercost.driver import (
 from lettercost.kprefix import _MatNode
 
 from helpers import random_instance
+
+
+def long_codeword_instance(n=600):
+    """Zipf-like weights over letter costs [2 eps / n, 1] at eps 1/2: the main
+    path with codewords of hundreds of letters (up to 900 at n = 600)."""
+    eps = F(1, 2)
+    weights = [max(1, 100000 // (i + 1)) for i in range(n)]
+    return Instance.from_weights(weights, LetterCosts([2 * eps / n, 1]), eps)
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 class TestChooseK:
@@ -185,6 +202,19 @@ class TestSolve:
         finally:
             gc.enable()
         assert (tries, garbage) == (0, 0)
+
+    def test_stack_depth_does_not_grow_with_codeword_length(self):
+        # the materializer walks an explicit stack; a recursive walk needs one
+        # frame per letter, 900 here
+        instance, _ = long_codeword_instance()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 150)
+        try:
+            rep = solve(instance)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert rep.mode == "main"
+        assert max(sum(r for _, r in w) for w in rep.code.codewords) == 900
 
     def test_k_override(self):
         inst, _ = Instance.from_weights([2, 1, 1], LetterCosts([1, 1]), F(1, 2))
@@ -396,6 +426,25 @@ class TestGoldenOutput:
             )
         assert modes == ["main"] * 2 + ["tiny"] * 3 + ["main"] * 3
         assert digest.hexdigest() == self.INTEGER_PATHS_DIGEST
+
+    # sha256 over (order, codewords, total_cost, lower_bound, normalized_cost,
+    # kprefix_cost) of long_codeword_instance(), as the recursive trie walker
+    # produced it; it pins the order in which strings are materialized
+    LONG_CODEWORDS_DIGEST = "0f1788807e96c0965845bc78bf637838843d7d162bc43e9f7b0d0d8dcf6862fb"
+
+    def test_long_codewords_reproduce_recorded_output(self):
+        inst, order = long_codeword_instance()
+        rep = solve(inst)
+        assert rep.mode == "main"
+        record = (
+            order,
+            rep.code.codewords,
+            rep.total_cost,
+            rep.lower_bound,
+            rep.normalized_cost,
+            rep.kprefix_cost,
+        )
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == self.LONG_CODEWORDS_DIGEST
 
 
 class TestEndToEnd:

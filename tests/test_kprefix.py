@@ -17,7 +17,7 @@ from lettercost import (
 from lettercost.core import runs_to_str
 from lettercost.kprefix import LeveledCode
 
-from helpers import brute_force_leveled_minimum
+from helpers import brute_force_leveled_minimum, strings_of_cost
 
 
 def setup(costs, eps, k, n):
@@ -148,6 +148,51 @@ class TestStructure:
                 cnt * graph.count(c - bc) for bc, cnt in blocked
             )
             assert table.value(c) == affine
+
+
+class TestMaterializationOrder:
+    def test_first_free_strings_in_letter_order(self):
+        # each selection holds the first `count` strings of its cost, in
+        # letter-index order, that have no blocking prefix: no codeword below
+        # k chosen before it (the level-0 run, then the level picks in order)
+        rng = random.Random(131)
+        alphabets = [[1, 1], [1, 2], [1, 3], [F(1, 2), 1], [F(1, 3), 1], [1, 1, 2]]
+        checked = 0
+        while checked < 60:
+            costs = rng.choice(alphabets)
+            eps = rng.choice([F(1, 2), F(1)])
+            n = rng.randint(2, 14)
+            norm = normalize(Instance(tuple(F(1, n) for _ in range(n)), LetterCosts(costs), eps))
+            if norm.instance.letters.costs[0] * n <= norm.epsilon_prime:
+                continue
+            graph = build_cost_graph(norm, 1 + rng.randint(1, 4) * norm.epsilon_prime)
+            f0_max = (norm.unit_q - 1) // norm.letters_q[0]
+            f0 = rng.randint(0, f0_max) if f0_max > 0 else 0
+            counts = {}
+            for _ in range(rng.randint(0, 3)):
+                lvl = rng.randint(1, graph.level_count)
+                counts[lvl] = counts.get(lvl, 0) + rng.randint(1, 3)
+            code = construct_leveled(norm, graph, Guess(f0, tuple(sorted(counts.items()))), n)
+            if isinstance(code, Inconsistent):
+                continue
+            picks = [(c, cnt, True) for _, c, cnt in code.level_picks]
+            picks += [(c, cnt, False) for c, cnt in code.tail_picks]
+            if any(graph.count(c) > 3000 for c, _, _ in picks):
+                continue
+            blocking = [(0,) * f0] if f0 else []
+            expected = list(blocking)
+            for cost_q, count, blocks in picks:
+                free = [
+                    s
+                    for s in sorted(strings_of_cost(norm.letters_q, cost_q))
+                    if not any(s[: len(b)] == b for b in blocking)
+                ]
+                expected.extend(free[:count])
+                if blocks:
+                    blocking.extend(free[:count])
+            got = [tuple(let for let, rep in w for _ in range(rep)) for w in code.codewords]
+            assert got == expected, (costs, eps, graph.k_q, f0, counts)
+            checked += 1
 
 
 class TestScale:
