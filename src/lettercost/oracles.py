@@ -14,15 +14,16 @@ letter costs the same; it cross-checks exact_optimal on that subfamily.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .core import (
     CodeAssignment,
     Instance,
     InstanceError,
     Runs,
-    code_cost,
     runs_from_letters,
 )
 
@@ -41,30 +42,6 @@ class OracleResult:
         return self.optimal_cost / letters.costs[1]
 
 
-class _CandidatePool:
-    """All strings of at most depth_cap letters, streamed in (cost, lex) order."""
-
-    def __init__(self, letters, depth_cap: int):
-        self.costs = letters.costs
-        self.depth_cap = depth_cap
-        self._heap: list[tuple[Fraction, tuple[int, ...]]] = []
-        self.items: list[tuple[Fraction, tuple[int, ...]]] = []
-        for let in range(len(self.costs)):
-            heapq.heappush(self._heap, (self.costs[let], (let,)))
-
-    def ensure(self, count: int) -> bool:
-        """Grow the materialized pool to `count` entries; False if exhausted."""
-        while len(self.items) < count:
-            if not self._heap:
-                return False
-            cost, word = heapq.heappop(self._heap)
-            self.items.append((cost, word))
-            if len(word) < self.depth_cap:
-                for let in range(len(self.costs)):
-                    heapq.heappush(self._heap, (cost + self.costs[let], word + (let,)))
-        return True
-
-
 def exact_optimal(
     instance: Instance,
     depth_cap: int | None = None,
@@ -77,14 +54,60 @@ def exact_optimal(
     to a strictly cheaper prefix code, so some optimal trie has at most n-1
     internal nodes and hence depth at most n-1. Candidates are therefore
     enumerated up to min(depth_cap, n-1) letters without changing the result.
+    Raises InstanceError when no prefix code of n words fits in depth_cap
+    letters.
+
+    The search runs in integers: codeword costs times letters.scale and
+    probabilities times instance.scale, so every partial cost, bound and
+    incumbent is the true value times the one positive constant
+    instance.scale * letters.scale, and compares the same way.
     """
     n = instance.n
     if n > max_words:
         raise InstanceError("instance too large for the exact oracle (n=%d)" % n)
     if depth_cap is None:
         depth_cap = 2 * n
-    probs = instance.probabilities
-    pool = _CandidatePool(instance.letters, min(depth_cap, max(n - 1, 1)))
+    letters = instance.letters
+    costs = letters.costs_int
+    weights = instance.weights_int
+    r = letters.r
+
+    # initial incumbent: the n cheapest codewords of one common length
+    # (all the same length, hence prefix-free); no shorter length holds n
+    depth = 1
+    while r**depth < n:
+        depth += 1
+    if depth_cap < depth:
+        raise InstanceError(
+            "no prefix code of %d words has codewords of at most %d letters" % (n, depth_cap)
+        )
+    best_words = sorted(
+        itertools.product(range(r), repeat=depth),
+        key=lambda w: (sum(costs[let] for let in w), w),
+    )[:n]
+    best = sum(weights[i] * sum(costs[let] for let in w) for i, w in enumerate(best_words))
+    nodes = 0
+
+    # every string of at most word_cap letters, streamed in (cost, lex)
+    # order: pool_words[i] is the i-th string, pool_costs[i] its cost
+    word_cap = min(depth_cap, max(n - 1, 1))
+    heap = [(c, (let,)) for let, c in enumerate(costs)]
+    heapq.heapify(heap)
+    pool_costs: list[int] = []
+    pool_words: list[tuple[int, ...]] = []
+
+    def ensure(count: int) -> bool:
+        """Grow the pool to `count` strings; False if there are fewer."""
+        while len(pool_costs) < count:
+            if not heap:
+                return False
+            cost, word = heapq.heappop(heap)
+            pool_costs.append(cost)
+            pool_words.append(word)
+            if len(word) < word_cap:
+                for let, c in enumerate(costs):
+                    heapq.heappush(heap, (cost + c, word + (let,)))
+        return True
 
     def conflicts(word: tuple[int, ...], chosen: list[tuple[int, ...]]) -> bool:
         for other in chosen:
@@ -92,116 +115,84 @@ def exact_optimal(
                 return True
         return False
 
-    # initial incumbent: the n cheapest codewords of one common length
-    # (all the same length, hence prefix-free)
-    import itertools
-
-    r = instance.letters.r
-    depth = 1
-    while r**depth < n:
-        depth += 1
-    flat = sorted(
-        itertools.product(range(r), repeat=depth),
-        key=lambda w: (sum(instance.letters.costs[let] for let in w), w),
-    )[:n]
-    best_words = [tuple(w) for w in flat]
-    best_cost = sum(
-        probs[i] * sum(instance.letters.costs[let] for let in w)
-        for i, w in enumerate(best_words)
-    )
-    nodes = 0
-
-    def completion_bound(word_i: int, min_idx: int) -> Fraction | None:
-        """Cheapest conceivable completion for words word_i.. using pool order."""
-        remaining = n - word_i
-        if not pool.ensure(min_idx + remaining):
-            return None
-        total = Fraction(0)
-        for j in range(remaining):
-            total += probs[word_i + j] * pool.items[min_idx + j][0]
-        return total
-
     chosen: list[tuple[int, ...]] = []
 
-    def dfs(word_i: int, min_idx: int, partial: Fraction) -> None:
-        nonlocal best_cost, best_words, nodes
+    def dfs(word_i: int, min_idx: int, partial: int) -> None:
+        nonlocal best, best_words, nodes
         if word_i == n:
-            if partial < best_cost:
-                best_cost = partial
+            if partial < best:
+                best = partial
                 best_words = list(chosen)
             return
+        remaining = n - word_i
+        rest = weights[word_i:]
+        weight = rest[0]
         idx = min_idx
         while True:
             nodes += 1
-            if not pool.ensure(idx + 1):
+            if not ensure(idx + remaining):
                 return
-            cost, word = pool.items[idx]
-            bound = completion_bound(word_i, idx)
-            if bound is None or partial + bound >= best_cost:
+            # cheapest conceivable completion for words word_i..: each takes
+            # the next candidate in pool order, conflicts ignored
+            bound = sum(map(mul, rest, pool_costs[idx : idx + remaining]))
+            if partial + bound >= best:
                 return  # candidates only get costlier from here
+            word = pool_words[idx]
             if not conflicts(word, chosen):
                 chosen.append(word)
-                dfs(word_i + 1, idx + 1, partial + probs[word_i] * cost)
+                dfs(word_i + 1, idx + 1, partial + weight * pool_costs[idx])
                 chosen.pop()
             idx += 1
 
-    dfs(0, 0, Fraction(0))
+    dfs(0, 0, 0)
 
     codewords = tuple(runs_from_letters(w) for w in best_words)
-    assignment = CodeAssignment(codewords, instance.letters)
-    raw_cost = best_cost * instance.weight_total
-    assert best_cost / instance.letters.costs[1] >= 1 - probs[0]
-    return OracleResult(raw_cost, assignment, nodes)
+    assignment = CodeAssignment(codewords, letters)
+    # cost >= (1 - p1) * l2, both sides times instance.scale * letters.scale
+    assert best >= (instance.scale - weights[0]) * costs[1]
+    cost = Fraction(best, instance.scale * letters.scale)
+    return OracleResult(cost * instance.weight_total, assignment, nodes)
 
 
 def huffman_equal_costs(instance: Instance) -> OracleResult:
-    """Classical greedy merge; requires every letter cost to be equal."""
+    """Classical greedy merge; requires every letter cost to be equal.
+
+    Merges integer weights (probabilities times instance.scale), ties broken
+    by entry index, and builds the cost once from the codeword lengths.
+    """
     letters = instance.letters
-    costs = set(letters.costs)
-    if len(costs) != 1:
+    if len(set(letters.costs_int)) != 1:
         raise InstanceError("letter costs are not all equal")
-    letter_cost = letters.costs[0]
     r = letters.r
     n = instance.n
-    probs = list(instance.probabilities)
+    weights = instance.weights_int
 
-    if n == 1:
-        code = CodeAssignment((((0, 1),),), letters)
-        return OracleResult(
-            letter_cost * instance.weight_total, code, nodes_explored=1
-        )
-
-    # pad with zero-probability dummies so the r-ary merge comes out full
+    # pad with zero-weight dummies so the r-ary merge comes out full
     pad = 0
     while (n + pad - 1) % (r - 1) != 0:
         pad += 1
-    heap: list[tuple[Fraction, int, int | None]] = []
-    entries: list[tuple[Fraction, int, int | None]] = []
-    for i, p in enumerate(probs):
-        entries.append((p, i, i))
-    for j in range(pad):
-        entries.append((Fraction(0), n + j, None))
-    counter = len(entries)
+    heap = [(w, i) for i, w in enumerate(weights)] + [(0, n + j) for j in range(pad)]
+    heapq.heapify(heap)
+    groups: dict[int, list[int]] = {i: [i] if i < n else [] for i in range(n + pad)}
+    counter = n + pad
     depth = [0] * n
-    groups: dict[int, list[int]] = {i: ([w] if w is not None else []) for _, i, w in entries}
-    for p, i, _ in entries:
-        heapq.heappush(heap, (p, i))
     while len(heap) > 1:
         members: list[int] = []
-        total = Fraction(0)
+        total = 0
         for _ in range(min(r, len(heap))):
-            p, i = heapq.heappop(heap)
-            total += p
+            w, i = heapq.heappop(heap)
+            total += w
             members.extend(groups.pop(i))
-        for w in members:
-            depth[w] += 1
+        for m in members:
+            depth[m] += 1
         groups[counter] = members
         heapq.heappush(heap, (total, counter))
         counter += 1
 
     # canonical codeword allocation: word i takes the i-th smallest depth,
-    # which keeps the assignment ordered (same depth multiset, same cost)
-    depths = sorted(depth)
+    # which keeps the assignment ordered (same depth multiset, same cost);
+    # a lone word still takes one letter
+    depths = sorted(depth) if n > 1 else [1]
     available: list[tuple[int, ...]] = [()]
     cur_len = 0
     codewords: list[Runs] = []
@@ -211,8 +202,9 @@ def huffman_equal_costs(instance: Instance) -> OracleResult:
             cur_len += 1
         codewords.append(runs_from_letters(available.pop(0)))
     assignment = CodeAssignment(tuple(codewords), letters)
-    cost = code_cost(assignment, instance) * instance.weight_total
-    return OracleResult(cost, assignment, nodes_explored=counter)
+    value = sum(w * d for w, d in zip(weights, depths)) * letters.costs_int[0]
+    cost = Fraction(value, instance.scale * letters.scale)
+    return OracleResult(cost * instance.weight_total, assignment, nodes_explored=counter)
 
 
 def lower_bound(instance: Instance) -> Fraction:

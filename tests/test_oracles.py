@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -75,6 +76,35 @@ class TestExactOptimal:
             b = exact_optimal(inst, depth_cap=2 * n + 2)
             assert a.optimal_cost == b.optimal_cost
 
+    def test_depth_cap_without_room_raises(self):
+        # r**depth_cap < n leaves no prefix code; the oracle used to return
+        # its initial incumbent, whose codewords are longer than the cap
+        letters = LetterCosts([1, 2])
+        for weights, cap in (([5, 4, 3, 2, 1], 2), ([5, 4, 3, 2], 1), ([1], 0), ([1, 1], -1)):
+            inst, _ = Instance.from_weights(weights, letters, F(1, 2))
+            with pytest.raises(InstanceError):
+                exact_optimal(inst, depth_cap=cap)
+
+    def test_depth_cap_below_n_minus_1(self):
+        rng = random.Random(105)
+        raised = 0
+        for _ in range(12):
+            inst = random_instance(rng, max_n=7)
+            free = exact_optimal(inst)
+            longest = max(sum(k for _, k in w) for w in free.optimal_code.codewords)
+            lowest = 1
+            while inst.letters.r**lowest < inst.n:
+                lowest += 1
+            for cap in range(lowest, inst.n - 1):
+                res = exact_optimal(inst, depth_cap=cap)
+                assert all(sum(k for _, k in w) <= cap for w in res.optimal_code.codewords)
+                assert is_prefix_free(res.optimal_code.codewords)
+                assert res.optimal_cost >= free.optimal_cost
+                if cap >= longest:
+                    assert res.optimal_cost == free.optimal_cost
+                raised += res.optimal_cost > free.optimal_cost
+        assert raised  # some cap below n - 1 binds
+
 
 class TestHuffman:
     def test_figure_binary(self):
@@ -127,3 +157,59 @@ class TestLowerBound:
         assert lb == F(2, 3)
         res = exact_optimal(inst)
         assert res.normalized_cost >= lb
+
+
+class TestGoldenOutput:
+    # sha256 over (optimal_cost, codewords, nodes_explored) of every call
+    # below, as the Fraction-based oracles produced them; it pins the
+    # enumeration order, the pruning comparisons and the node count, which
+    # the cost-only checks above do not
+    EXACT_DIGEST = "eeb4c1416710d116c87dbee426d6aebda99260cc457b54282dceefe7264f0eb9"
+    HUFFMAN_DIGEST = "69d864892aaecbda2069dcdcc9f9432bb910c6eb7a21f88ed7618606e80f6b7e"
+
+    @staticmethod
+    def exact_corpus():
+        rng = random.Random(20050)
+        # the verify alphabets at n 6-8
+        for alphabet in ([1, 2], [1, 3], [2, 3, 4], [1, 1, 2]):
+            for n in (6, 7, 8):
+                weights = [rng.randint(1, 60) for _ in range(n)]
+                yield Instance.from_weights(weights, LetterCosts(alphabet), F(1, 2))[0], None
+        # rational letter costs, fractional weights
+        rational = LetterCosts([F(1, 3), 1, F(5, 2)])
+        for n in (6, 7):
+            weights = [F(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(n - 1)] + [F(1, 1000)]
+            yield Instance.from_weights(weights, rational, F(1, 2))[0], None
+        # tiny cheapest letter, shaped like acceptance criterion 7
+        for n, extra in ((7, []), (8, [2])):
+            tiny = LetterCosts([F(1, rng.randint(2 * n, 16 * n)), 1] + extra)
+            weights = [rng.randint(1, 9) for _ in range(n)]
+            yield Instance.from_weights(weights, tiny, F(1, 2))[0], None
+        # a feasible depth cap below n - 1 that raises the optimum
+        weights = [rng.randint(1, 60) ** 2 for _ in range(8)]
+        yield Instance.from_weights(weights, LetterCosts([1, 3]), F(1, 2))[0], 4
+
+    @staticmethod
+    def huffman_corpus():
+        rng = random.Random(20051)
+        for r, cost, n in ((2, 1, 1), (2, 3, 7), (2, F(1, 2), 10), (3, 2, 8), (3, 1, 12)):
+            weights = [rng.randint(1, 60) for _ in range(n)]
+            yield Instance.from_weights(weights, LetterCosts([cost] * r), F(1, 2))[0]
+
+    @staticmethod
+    def fingerprint(digest, res):
+        digest.update(
+            repr((res.optimal_cost, res.optimal_code.codewords, res.nodes_explored)).encode()
+        )
+
+    def test_exact_optimal_reproduces_recorded_outputs(self):
+        digest = hashlib.sha256()
+        for inst, depth_cap in self.exact_corpus():
+            self.fingerprint(digest, exact_optimal(inst, depth_cap=depth_cap))
+        assert digest.hexdigest() == self.EXACT_DIGEST
+
+    def test_huffman_reproduces_recorded_outputs(self):
+        digest = hashlib.sha256()
+        for inst in self.huffman_corpus():
+            self.fingerprint(digest, huffman_equal_costs(inst))
+        assert digest.hexdigest() == self.HUFFMAN_DIGEST
