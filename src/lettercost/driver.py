@@ -29,7 +29,10 @@ smaller level-0 size and the earlier depth-first order, exactly as if each
 size were searched alone and the results compared.
 
 Instances whose cheapest letter costs at most epsilon/n skip all of the above
-and use a direct candidate construction (solve_tiny_ell1).
+and use a direct candidate construction (solve_tiny_ell1). Its candidate
+families are arithmetic progressions of integer costs, so each run length is
+priced by one sort and one weighted sum over bare ints, and candidate entries
+are built for the cheapest run length only.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from .convert import convert_to_prefix
@@ -95,12 +99,16 @@ def choose_k(epsilon: Fraction) -> Fraction:
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise InstanceError("epsilon must lie in (0, 1]")
+    # k = top / den; int true division is correctly rounded, as float() of a
+    # Fraction is, so the scan sees the same floats without Fraction arithmetic
+    num, den = eps.numerator, eps.denominator
+    limit = 2.0 * (num / den)
     m = 1
     while True:
-        k = 1 + m * eps
-        kf = float(k)
-        if (5.0 + 2.0 * math.log2(kf)) / kf <= 2.0 * float(eps):
-            return k
+        top = den + m * num
+        kf = top / den
+        if (5.0 + 2.0 * math.log2(kf)) / kf <= limit:
+            return Fraction(top, den)
         m += 1
 
 
@@ -537,6 +545,25 @@ def _tiny_pool(instance: Instance, i0: int) -> tuple[int, list[TinyEntry]]:
     return sum(w * e[0] for w, e in zip(instance.weights_int, kept)), kept
 
 
+def _tiny_value(instance: Instance, i0: int) -> int:
+    """_tiny_pool's code cost for run length i0, without building its entries.
+
+    Each candidate family is an arithmetic progression with step c1, and
+    entries of equal cost give the same sum whichever of them is kept, so
+    sorting the bare costs gives the same n cheapest values."""
+    n = instance.n
+    costs = instance.letters.costs_int
+    c1, c2 = costs[:2]
+    pool = sorted(
+        chain(
+            (i0 * c1,),
+            range(2 * c2, 2 * c2 + n * c1, c1),
+            *(range(cx + n * c1, cx + (n + min(i0, n)) * c1, c1) for cx in costs[1:]),
+        )
+    )
+    return sum(map(mul, instance.weights_int, pool))
+
+
 def _tiny_runs(entry: TinyEntry, n: int) -> Runs:
     """The codeword of a tiny-path candidate."""
     _, family, jj, x = entry
@@ -564,7 +591,7 @@ def solve_tiny_ell1(instance: Instance, *, check: bool = True) -> CodeReport:
     """Direct construction for instances whose cheapest letter is very cheap
     (cost at most epsilon/n once the second letter is scaled to 1).
 
-    Tries every candidate run length and keeps the cheapest resulting code,
+    Prices every candidate run length and builds the code of the cheapest,
     which costs at most (1 + epsilon) times the optimum.
     """
     started = time.perf_counter()
@@ -575,15 +602,11 @@ def solve_tiny_ell1(instance: Instance, *, check: bool = True) -> CodeReport:
         raise InstanceError("cheapest letter cost exceeds epsilon/n")
 
     i0_candidates = tiny_run_length_candidates(instance)
-    # every candidate's cost has the same denominator, so its numerator decides
-    best_value: int | None = None
-    best_kept: list[TinyEntry] = []
-    for i0 in i0_candidates:
-        value, kept = _tiny_pool(instance, i0)
-        if best_value is None or value < best_value:
-            best_value, best_kept = value, kept
-
-    best_words = [_tiny_runs(e, n) for e in best_kept]
+    # every candidate's cost has the same denominator, so its numerator
+    # decides; min keeps the first of equal values, the smallest run length
+    best_i0 = min(i0_candidates, key=lambda i0: _tiny_value(instance, i0))
+    _, kept = _tiny_pool(instance, best_i0)
+    best_words = [_tiny_runs(e, n) for e in kept]
     if n <= 512:
         assert is_prefix_free(best_words)
     return _finish_report(

@@ -110,8 +110,10 @@ def exact_optimal(
         return True
 
     def conflicts(word: tuple[int, ...], chosen: list[tuple[int, ...]]) -> bool:
+        # word cannot be a prefix of a chosen word: those come earlier in
+        # (cost, lex) order, and a proper prefix costs strictly less
         for other in chosen:
-            if word[: len(other)] == other or other[: len(word)] == word:
+            if word[: len(other)] == other:
                 return True
         return False
 

@@ -12,10 +12,10 @@ from lettercost.core import runs_from_letters
 
 
 def all_strings_up_to_cost(costs, cap):
-    """Every nonempty letter tuple whose cost is at most cap, by brute DFS."""
-    costs = [Fraction(c) for c in costs]
+    """Every nonempty letter tuple whose cost is at most cap, by brute DFS.
+    Costs are summed in the type given: ints stay ints."""
     out = []
-    stack = [((), Fraction(0))]
+    stack = [((), 0)]
     while stack:
         word, c = stack.pop()
         for let in range(len(costs)):
@@ -88,22 +88,29 @@ def tuples_to_runs(words):
 
 def brute_force_leveled_minimum(norm, graph, guess, n):
     """Minimum cost over every leveled k-prefix code consistent with the guess,
-    by explicit enumeration of level codeword subsets."""
+    by explicit enumeration of level codeword subsets.
+
+    Enumerates in integers: letter costs in quanta (each normalized cost
+    divided by the cost quantum) and integer weights (probabilities times
+    instance.scale); one Fraction is made for the result."""
     import itertools
 
-    costs = norm.instance.letters.costs
     quantum = norm.cost_quantum
+    in_quanta = [c / quantum for c in norm.instance.letters.costs]
+    assert all(c.denominator == 1 for c in in_quanta)
+    costs_q = [c.numerator for c in in_quanta]
+    weights = norm.instance.weights_int
     k_q = graph.k_q
-    cap = (k_q + 2 * norm.unit_q) * quantum
-    universe = all_strings_up_to_cost(costs, cap)
+    universe = all_strings_up_to_cost(costs_q, k_q + 2 * norm.unit_q)
+    tail = [(word, cost) for word, cost in universe if cost >= k_q]
 
     by_cost_q = {}
     for word, cost in universe:
-        by_cost_q.setdefault(int(cost / quantum), []).append(word)
+        by_cost_q.setdefault(cost, []).append(word)
 
     level0 = ()
     if guess.f0 > 0:
-        if guess.f0 * norm.letters_q[0] >= norm.unit_q:
+        if guess.f0 * costs_q[0] >= norm.unit_q:
             return None
         level0 = ((0,) * guess.f0,)
 
@@ -126,20 +133,16 @@ def brute_force_leveled_minimum(norm, graph, guess, n):
         if not is_prefix_free_pairwise(chosen):
             continue
         # eligible tail strings: cost >= k, no chosen prefix (all of cost < k)
-        eligible = []
-        for word, cost in universe:
-            if cost / quantum < k_q:
-                continue
-            if any(word[: len(s)] == s for s in chosen):
-                continue
-            eligible.append(cost)
+        eligible = [
+            cost for word, cost in tail if not any(word[: len(s)] == s for s in chosen)
+        ]
         eligible.sort()
         if len(eligible) < tail_needed:
             continue
         word_costs = sorted(
-            [sum(costs[let] for let in w) for w in chosen] + eligible[:tail_needed]
+            [sum(costs_q[let] for let in w) for w in chosen] + eligible[:tail_needed]
         )
-        total = sum(p * c for p, c in zip(norm.instance.probabilities, word_costs))
+        total = sum(w * c for w, c in zip(weights, word_costs))
         if best is None or total < best:
             best = total
-    return best
+    return None if best is None else Fraction(best, norm.instance.scale) * quantum

@@ -23,8 +23,11 @@ from lettercost import (
     solve,
     solve_tiny_ell1,
 )
+from lettercost import driver
 from lettercost.core import runs_to_str
 from lettercost.driver import (
+    _tiny_pool,
+    _tiny_value,
     guess_stream_size,
     level0_size_candidates,
     tiny_candidate_code,
@@ -272,6 +275,49 @@ class TestTiny:
             assert is_prefix_free(rep.code.codewords)
             exact = exact_optimal(inst)
             assert exact.optimal_cost <= rep.total_cost <= (1 + eps) * exact.optimal_cost
+
+    def test_run_length_values_match_built_codes(self):
+        # the integer price of every run length equals the cost of the pool
+        # built for it, and the solver returns the first cheapest code
+        rng = random.Random(66)
+        below = above = 0
+        for _ in range(60):
+            n = rng.randint(1, 60)
+            eps = rng.choice([F(1, 2), F(3, 10), F(1)])
+            l2 = F(rng.randint(1, 6), rng.randint(1, 3))
+            extra = rng.randint(0, 2)  # r = 2..4 letters
+            rest = sorted(l2 + F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(extra))
+            letters = LetterCosts([l2 * eps / (n * rng.randint(1, 8)), l2, *rest])
+            weights = [rng.randint(1, 5) for _ in range(n)]
+            inst, _ = Instance.from_weights(weights, letters, eps)
+            candidates = tiny_run_length_candidates(inst)
+            for i0 in candidates:
+                assert _tiny_value(inst, i0) == _tiny_pool(inst, i0)[0], (letters, weights, i0)
+            below += sum(i0 < n for i0 in candidates)
+            above += sum(i0 > n for i0 in candidates)
+            codes = [tiny_candidate_code(inst, i0) for i0 in candidates]
+            best = min(codes, key=lambda code: code[0])
+            rep = solve_tiny_ell1(inst)
+            assert rep.code.codewords == tuple(best[1])
+            assert rep.total_cost == best[0] * l2 * inst.weight_total
+            assert rep.guess_count == len(candidates)
+        assert below > 100 and above > 50
+
+    def test_builds_entries_for_one_run_length(self, monkeypatch):
+        built = []
+
+        def counted(instance, i0):
+            built.append(i0)
+            return _tiny_pool(instance, i0)
+
+        monkeypatch.setattr(driver, "_tiny_pool", counted)
+        inst, _ = Instance.from_weights(
+            list(range(40, 0, -1)), LetterCosts([F(1, 200), 1, 2]), F(1, 2)
+        )
+        rep = solve(inst)
+        assert rep.mode == "tiny"
+        assert len(tiny_run_length_candidates(inst)) > 1
+        assert len(built) == 1
 
     def test_dispatching(self):
         # at the boundary l1 = eps*l2/n the solver takes the tiny path
