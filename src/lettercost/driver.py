@@ -19,14 +19,20 @@ count(c - cost(x)).
 The search works in Python ints: the instance's integer weights (its
 probabilities times their common denominator) times costs in quanta, so
 partial costs and bounds are ints; the result is turned back into a Fraction
-once. Each live level keeps its remaining capacity (free strings
-at its target cost). A table drop[i][j] = count(T_j - T_i), built once per
-solve, gives what one word placed at live level i takes from every level
-j >= i, so placing a group and undoing it are one pass over the later
-levels. All level-0 sizes share one incumbent, searched in increasing
-order; it is replaced only by a strictly cheaper guess, so ties go to the
-smaller level-0 size and the earlier depth-first order, exactly as if each
-size were searched alone and the results compared.
+once. Each search node owns a list of remaining capacities (free strings at
+a live level's target cost) that starts at the lowest level its groups may
+use. Placing a group at live level i builds the child's list in one pass,
+subtracting a row size * count(T_j - T_i), cached per (i, size), from the
+parent's entries; nothing is undone on return. Once there is an incumbent,
+the list stops at the node's reach: the first level j at which any leaf
+that puts a later group on j costs at least the incumbent. Such a leaf
+carries at least the last group's weight at T_j and the rest at the node's
+lowest target or above, so no leaf that could still win is cut, and the
+completion bound charges words beyond the reach at cost k. All level-0
+sizes share one incumbent, searched in increasing order; it is replaced only
+by a strictly cheaper guess, so ties go to the smaller level-0 size and the
+earlier depth-first order, exactly as if each size were searched alone and
+the results compared.
 
 Instances whose cheapest letter costs at most epsilon/n skip all of the above
 and use a direct candidate construction (solve_tiny_ell1). Its candidate
@@ -39,10 +45,11 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .convert import convert_to_prefix
@@ -71,18 +78,12 @@ DEFAULT_BUDGET = 10**7
 class BudgetExceeded(RuntimeError):
     """The guess search grew past the configured node budget."""
 
-    def __init__(self, explored: int, budget: int, suggested_epsilon: Fraction | None):
+    def __init__(self, explored: int, budget: int):
         self.explored = explored
         self.budget = budget
-        self.suggested_epsilon = suggested_epsilon
-        hint = (
-            " (smallest feasible epsilon: %s)" % suggested_epsilon
-            if suggested_epsilon is not None
-            else ""
-        )
         super().__init__(
-            "guess search exceeded budget (%d nodes explored, budget %d)%s"
-            % (explored, budget, hint)
+            "guess search exceeded budget (%d nodes explored, budget %d)"
+            % (explored, budget)
         )
 
 
@@ -93,23 +94,35 @@ class BudgetExceeded(RuntimeError):
 def choose_k(epsilon: Fraction) -> Fraction:
     """Smallest k = 1 + m*epsilon whose conversion overhead is at most 2*epsilon.
 
-    The overhead factor (5 + 2*log2(k))/k is decreasing, so a linear scan of
-    the grid terminates; smaller epsilon always yields the same or larger k.
+    The overhead factor (5 + 2*log2(k))/k is decreasing, so the test holds
+    from some m on: doubling m brackets the first such m and bisection finds
+    it, in O(log(k/epsilon)) tests. Smaller epsilon always yields the same or
+    larger k.
     """
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise InstanceError("epsilon must lie in (0, 1]")
     # k = top / den; int true division is correctly rounded, as float() of a
-    # Fraction is, so the scan sees the same floats without Fraction arithmetic
+    # Fraction is, so each test sees the same float k without Fraction arithmetic
     num, den = eps.numerator, eps.denominator
     limit = 2.0 * (num / den)
-    m = 1
-    while True:
-        top = den + m * num
-        kf = top / den
-        if (5.0 + 2.0 * math.log2(kf)) / kf <= limit:
-            return Fraction(top, den)
-        m += 1
+
+    def fits(m: int) -> bool:
+        kf = (den + m * num) / den
+        return (5.0 + 2.0 * math.log2(kf)) / kf <= limit
+
+    # once the doubling stops, m = hi passes and m = lo fails (lo = 0: none
+    # below hi); bisection keeps both
+    lo, hi = 0, 1
+    while not fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(den + hi * num, den)
 
 
 @dataclass(frozen=True)
@@ -272,12 +285,11 @@ class _Search:
             for i in range(1, g.level_count + 1)
             if g.count(g.level_target(i)) > 0
         ]
-        # drop[i][j - i] = count(T_j - T_i): the capacity one word placed at
-        # live level i takes from live level j >= i (count(0) == 1 covers j == i)
-        targets = [t for _, t in self.live]
-        self.drop = [
-            [g.counts[tj - ti] for tj in targets[i:]] for i, ti in enumerate(targets)
-        ]
+        self.targets = [t for _, t in self.live]
+        # (lpos, size) -> row: row[j - lpos] = size * count(T_j - T_lpos) is
+        # what a group of size words placed at live level lpos takes from the
+        # capacity of live level j >= lpos (count(0) == 1 covers j == lpos)
+        self.rows: dict[tuple[int, int], list[int]] = {}
         ws = self.norm.instance.weights_int
         self.prefix_w = [0, *accumulate(ws)]
         self.group_w = [
@@ -293,31 +305,43 @@ class _Search:
         if self.explored > self.budget:
             raise _BudgetSignal()
 
+    def _row(self, lpos: int, size: int) -> list[int]:
+        counts, targets = self.graph.counts, self.targets
+        t = targets[lpos]
+        row = self.rows[lpos, size] = [size * counts[tj - t] for tj in targets[lpos:]]
+        return row
+
+    def _reach(self, lpos: int, partial: int, rest: int, best: int) -> int:
+        """End of the live levels that a leaf cheaper than best can still use,
+        below a node whose unplaced groups weigh rest in all and go to live
+        levels from lpos on. If one of them goes to level j, every later one
+        goes to j or above, or to the tail; that suffix weighs at least the
+        last group, w_last, so such a leaf costs at least
+        partial + (rest - w_last) * T_lpos + w_last * T_j."""
+        w_last = self.group_w[-1]
+        need = best - partial - (rest - w_last) * self.targets[lpos]
+        return bisect_left(self.targets, -(-need // w_last), lpos)
+
     def _completion_bound(self, caps: list[int], lpos_min: int, first_word: int) -> int:
-        """Admissible cost bound for the unplaced words: fill levels from
-        lpos_min upward at their current capacities (future placements only
-        shrink capacities, so this is optimistic), remainder at cost k. The
-        scan is capped; words past the cap are charged the last scanned level,
-        which stays optimistic."""
+        """Admissible cost bound, for every leaf cheaper than the incumbent,
+        on the unplaced words: fill the levels of the node's capacity list
+        (from lpos_min up to its reach) at their current capacities, which
+        future placements only shrink, and the rest at cost k, since such a
+        leaf can put them nowhere but the tail."""
         left = self.n - first_word
         value = 0
         w = first_word
         prefix = self.prefix_w
-        last = min(len(self.live), lpos_min + 64)
-        for lpos in range(lpos_min, last):
+        for cap, target in zip(caps, islice(self.targets, lpos_min, None)):
             if left == 0:
                 return value
-            cap = caps[lpos]
             if cap <= 0:
                 continue
             take = min(left, cap)
-            value += (prefix[w + take] - prefix[w]) * self.live[lpos][1]
+            value += (prefix[w + take] - prefix[w]) * target
             w += take
             left -= take
-        if left:
-            floor = self.graph.k_q if last == len(self.live) else self.live[last - 1][1]
-            value += (prefix[w + left] - prefix[w]) * floor
-        return value
+        return value + (prefix[self.n] - prefix[w]) * self.graph.k_q
 
     def _tail_value(
         self, f0_cost: int, placed: list[tuple[int, int]], first_word: int
@@ -359,16 +383,20 @@ class _Search:
         sizes = self.grouping.sizes
         ranges = self.grouping.ranges
         group_w, rest_w = self.group_w, self.rest_w
-        live, drop = self.live, self.drop
+        live, rows = self.live, self.rows
         L = len(live)
         G = len(sizes)
         f0_cost = f0 * self.norm.letters_q[0] if f0 > 0 else -1
         start = 1 if f0 > 0 else 0
         base = group_w[0] * f0_cost if f0 > 0 else 0
 
-        # caps[lpos]: free strings at live level lpos's target cost, given the
-        # level-0 codeword and the words placed so far
-        caps = [g.count(t) - (g.count(t - f0_cost) if f0 > 0 else 0) for _, t in live]
+        # each node owns caps: the free strings at the target costs of live
+        # levels lpos_min, lpos_min + 1, ..., given the level-0 codeword and
+        # the words placed above it; with an incumbent the list stops at the
+        # node's reach, and before one it spans every live level
+        root = [g.count(t) - (g.count(t - f0_cost) if f0 > 0 else 0) for _, t in live]
+        if incumbent is not None and start < G:
+            del root[self._reach(0, base, rest_w[start], incumbent[0]) :]
         best: list = list(incumbent) if incumbent is not None else [None, None, None]
         placed: list[tuple[int, int]] = []  # (target, size) per placed group
         assign: list[int] = []
@@ -383,7 +411,7 @@ class _Search:
             if best[0] is None or value < best[0]:
                 best[:] = value, f0, tuple(assign) + (-1,) * (G - start - len(assign))
 
-        def dfs(gpos: int, lpos_min: int, partial: int) -> None:
+        def dfs(gpos: int, lpos_min: int, partial: int, caps: list[int]) -> None:
             if gpos == G:
                 leaf(gpos, partial)
                 return
@@ -396,24 +424,28 @@ class _Search:
             for lpos in range(lpos_min, L):
                 self._bump()
                 lvl, target = live[lpos]
+                # fires at or before the end of caps once there is an incumbent
                 if best[0] is not None and partial + rest * target >= best[0]:
                     break
-                if size > caps[lpos]:
+                at = lpos - lpos_min
+                if size > caps[at]:
                     continue
-                saved = caps[lpos:]
-                caps[lpos:] = [c - size * d for c, d in zip(saved, drop[lpos])]
+                child: list[int] = []  # a leaf reads no capacities
+                if gpos + 1 < G:
+                    hi = L if best[0] is None else self._reach(lpos, partial, rest, best[0])
+                    row = rows.get((lpos, size)) or self._row(lpos, size)
+                    child = list(map(sub, islice(caps, at, hi - lpos_min), row))
                 placed.append((target, size))
                 assign.append(lvl)
-                dfs(gpos + 1, lpos, partial + gw * target)
+                dfs(gpos + 1, lpos, partial + gw * target, child)
                 assign.pop()
                 placed.pop()
-                caps[lpos:] = saved
             # remaining groups fall to the tail
             if best[0] is None or partial + rest * g.k_q < best[0]:
                 leaf(gpos, partial)
 
         try:
-            dfs(start, 0, base)
+            dfs(start, 0, base, root)
         finally:
             # dfs refers to itself through its cell; without this the search
             # state would wait for a full garbage collection
@@ -666,9 +698,7 @@ def solve(
         for f0 in level0_size_candidates(norm):
             best = search.run(f0, best)
     except _BudgetSignal:
-        raise BudgetExceeded(
-            search.explored, budget, _suggest_epsilon(instance, budget)
-        ) from None
+        raise BudgetExceeded(search.explored, budget) from None
     assert best is not None, "the all-tail guess is always consistent"
     value, f0, assignment = best
     kprefix_cost = Fraction(value, instance.scale) * graph.quantum
@@ -696,21 +726,3 @@ def solve(
         kprefix_cost=kprefix_cost,
     )
     return report
-
-
-def _suggest_epsilon(instance: Instance, budget: int) -> Fraction | None:
-    for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-        if eps <= instance.epsilon:
-            continue
-        try:
-            trial = Instance(
-                instance.probabilities, instance.letters, eps, instance.weight_total
-            )
-            norm = normalize(trial)
-            k = choose_k(norm.epsilon_prime)
-            grouping = group_words(norm, k)
-            if guess_stream_size(grouping, k, norm.epsilon_prime) <= budget:
-                return eps
-        except InstanceError:
-            continue
-    return None

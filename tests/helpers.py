@@ -5,6 +5,7 @@ independent of the library's counting and construction paths.
 """
 
 from fractions import Fraction
+import math
 import random
 
 from lettercost import Instance, LetterCosts
@@ -80,6 +81,20 @@ def random_instance(rng: random.Random, max_n=8, max_r=3, max_cost=4, eps_choice
     eps = rng.choice(eps_choices or [Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)])
     inst, _ = Instance.from_weights(weights, LetterCosts(costs), eps)
     return inst
+
+
+def choose_k_scan(epsilon):
+    """driver.choose_k by a linear scan of the grid 1 + m*epsilon: the first
+    m whose overhead test passes, with the same float test."""
+    num, den = epsilon.numerator, epsilon.denominator
+    limit = 2.0 * (num / den)
+    m = 1
+    while True:
+        top = den + m * num
+        kf = top / den
+        if (5.0 + 2.0 * math.log2(kf)) / kf <= limit:
+            return Fraction(top, den)
+        m += 1
 
 
 def tuples_to_runs(words):

@@ -84,6 +84,14 @@ class TestSolve:
         assert code == 2
         assert "budget" in err
 
+    def test_budget_message_names_explored_and_budget(self, figure_skewed):
+        # the search stops at the first node past the budget and prints no code
+        code, out, err = run_cli("solve", figure_skewed, "--epsilon", "0.25", "--budget", "5")
+        assert code == 2
+        assert out == ""
+        assert "error: guess search exceeded budget (6 nodes explored, budget 5)\n" in err
+        assert "epsilon" not in err
+
 
 class TestOutputCost:
     # the output costs the code once, not once per row; calls made inside

@@ -1,20 +1,26 @@
 import gc
 import hashlib
+import itertools
 import math
 import random
 import sys
 import time
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
 from lettercost import (
     BudgetExceeded,
     Grouping,
+    Guess,
+    Inconsistent,
     Instance,
     InstanceError,
     LetterCosts,
+    build_cost_graph,
     choose_k,
+    construct_leveled,
     enumerate_guesses,
     exact_optimal,
     group_words,
@@ -35,7 +41,7 @@ from lettercost.driver import (
 )
 from lettercost.kprefix import _MatNode
 
-from helpers import random_instance
+from helpers import choose_k_scan, random_instance
 
 
 def long_codeword_instance(n=600):
@@ -71,6 +77,36 @@ class TestChooseK:
     def test_known_values(self):
         assert choose_k(F(1)) == 5
         assert choose_k(F(1, 2)) == F(25, 2)
+
+    def test_matches_linear_scan(self):
+        # the bisection returns the first grid point the scan would: every
+        # a/b with b <= 64, plus random epsilons in [1/150, 1] with large
+        # denominators (the scan takes ~0.1 s at 1/150)
+        rng = random.Random(47)
+        epsilons = {F(a, b) for b in range(1, 65) for a in range(1, b + 1)}
+        epsilons |= {F(rng.randint(10**9 // 150, 10**9), 10**9) for _ in range(60)}
+        for eps in epsilons:
+            assert choose_k(eps) == choose_k_scan(eps), eps
+
+    def test_small_epsilon_takes_logarithmic_steps(self, monkeypatch):
+        # the answer is m = 7 * 10**7 grid points up, which a linear scan
+        # would test one by one; doubling then bisection tests ~2 log2(m)
+        tests = []
+        log2 = math.log2
+
+        def counted(x):
+            tests.append(x)
+            assert len(tests) <= 60, "choose_k scans the grid"
+            return log2(x)
+
+        monkeypatch.setattr(math, "log2", counted)
+        eps = F(1, 2000)
+        k = choose_k(eps)
+        monkeypatch.undo()
+        assert len(tests) <= 2 * math.log2((k - 1) / eps) + 2
+        assert ((k - 1) / eps).denominator == 1
+        assert (5 + 2 * math.log2(float(k))) / float(k) <= 2 * float(eps)
+        assert (5 + 2 * math.log2(float(k - eps))) / float(k - eps) > 2 * float(eps)
 
 
 class TestGrouping:
@@ -343,15 +379,38 @@ class TestTiny:
         assert ratio <= (1 + eps) ** 2
 
 
+def enumerated_minimum(norm, k, n):
+    """kprefix cost of the cheapest guess, by plain enumeration of every
+    level-0 size and monotone group-to-level map, each built in full and
+    priced in integer weights times costs in quanta."""
+    graph = build_cost_graph(norm, k)
+    weights = norm.instance.weights_int
+    sizes = group_words(norm, k).sizes
+    best = None
+    for f0 in level0_size_candidates(norm):
+        skip = 1 if f0 > 0 else 0  # group 1 sits on level 0 then
+        usable = sizes[skip:]
+        for t in range(len(usable) + 1):
+            for levels in itertools.combinations_with_replacement(
+                range(1, graph.level_count + 1), t
+            ):
+                counts = {}
+                for lvl, size in zip(levels, usable[:t]):
+                    counts[lvl] = counts.get(lvl, 0) + size
+                guess = Guess(f0, tuple(sorted(counts.items())))
+                code = construct_leveled(norm, graph, guess, n)
+                if isinstance(code, Inconsistent):
+                    continue
+                cost = sum(map(mul, weights, code.word_costs_q))
+                if best is None or cost < best:
+                    best = cost
+    return None if best is None else F(best, norm.instance.scale) * graph.quantum
+
+
 class TestSearchEquivalence:
+    # the pruned depth-first search must return exactly the minimum that
+    # plain enumeration over every guess finds
     def test_search_matches_full_enumeration(self):
-        # the pruned depth-first search must return exactly the minimum that
-        # plain enumeration over every guess finds
-        import itertools
-
-        from lettercost import Guess, Inconsistent, build_cost_graph, construct_leveled
-        from lettercost.cost_graph import Inconsistent as Inc
-
         rng = random.Random(111)
         checked = 0
         while checked < 30:
@@ -367,31 +426,45 @@ class TestSearchEquivalence:
             rep = solve(inst, k_override=k)
             if rep.mode != "main":
                 continue
-
-            graph = build_cost_graph(norm, k)
-            grouping = group_words(norm, k)
-            sizes = grouping.sizes
-            best = None
-            for f0 in level0_size_candidates(norm):
-                skip = 1 if f0 > 0 else 0  # group 1 sits on level 0 then
-                usable = sizes[skip:]
-                for t in range(len(usable) + 1):
-                    for levels in itertools.combinations_with_replacement(
-                        range(1, graph.level_count + 1), t
-                    ):
-                        counts = {}
-                        for lvl, size in zip(levels, usable[:t]):
-                            counts[lvl] = counts.get(lvl, 0) + size
-                        guess = Guess(f0, tuple(sorted(counts.items())))
-                        code = construct_leveled(norm, graph, guess, n)
-                        if isinstance(code, (Inconsistent, Inc)):
-                            continue
-                        cost = code.cost_for(norm.instance.probabilities)
-                        if best is None or cost < best:
-                            best = cost
+            best = enumerated_minimum(norm, k, n)
             assert best is not None
             assert rep.kprefix_cost == best, (costs, weights, eps, k)
             checked += 1
+
+    def test_reach_limit_on_many_live_levels(self, monkeypatch):
+        # 20-22 live levels at n <= 4: the incumbent cuts most capacity lists
+        # short of the last live level, and the result must not move
+        reaches = []
+        reach = driver._Search._reach
+
+        def recorded(self, lpos, partial, rest, best):
+            hi = reach(self, lpos, partial, rest, best)
+            reaches.append(hi < len(self.live))
+            return hi
+
+        monkeypatch.setattr(driver._Search, "_reach", recorded)
+        rng = random.Random(112)
+        alphabets = ([1, 2], [F(1, 2), 1], [1, 3], [2, 3, 4], [F(2, 3), 1], [1, 1, 2])
+        checked = 0
+        while checked < 10:
+            n = rng.randint(2, 4)
+            costs = alphabets[checked % len(alphabets)]
+            weights = [rng.randint(1, 30) for _ in range(n)]
+            eps = rng.choice([F(1, 2), F(1), F(1, 4)])
+            inst, _ = Instance.from_weights(weights, LetterCosts(costs), eps)
+            norm = normalize(inst)
+            if norm.instance.letters.costs[0] * n <= norm.epsilon_prime:
+                continue
+            k = 1 + rng.randint(20, 22) * norm.epsilon_prime
+            graph = build_cost_graph(norm, k)
+            levels = range(1, graph.level_count + 1)
+            if sum(graph.count(graph.level_target(i)) > 0 for i in levels) < 20:
+                continue
+            rep = solve(inst, k_override=k)
+            assert rep.mode == "main"
+            assert rep.kprefix_cost == enumerated_minimum(norm, k, n), (costs, weights, eps, k)
+            checked += 1
+        assert sum(reaches) > 30
 
 
 class TestGoldenOutput:
@@ -491,6 +564,48 @@ class TestGoldenOutput:
             rep.kprefix_cost,
         )
         assert hashlib.sha256(repr(record).encode()).hexdigest() == self.LONG_CODEWORDS_DIGEST
+
+    # per instance of tail_shapes_corpus(): sha256 over (codewords,
+    # total_cost, kprefix_cost) and the search's explored node count, as solve
+    # produced them before capacity lists stopped at an improving leaf's
+    # reach; outputs must not move, and the search may visit fewer nodes only
+    TAIL_SHAPES = (
+        ("071a325cda4fd76059df38d1e20a9f79ab317fe9163ec51968009f0828d2ba5f", 3003),
+        ("0ad4b570d819ddd636484f11d62ce4719373e27b08ed16582442b721d46b7092", 4625),
+        ("1a81f6ac1384858c4d81a1ce79d1d7b9cdec3074a49fb44ab448a37caf246692", 7464),
+        ("29bceff0b6dcea5d01fb3a5569207349d15f02da766fccaed5197af90d46dff7", 13120),
+        ("35ce7262b4caacc525e996aeae368c6a7ab9acccdec2577af1fd41f30494138c", 3221),
+        ("13da1eef1ce554c024b87ffd3addace9884547b6f74a3460afab5f1bce7ba139", 5197),
+        ("3c207b801b6e87b9ec56b6dce439ebe5265eacee85e24d92395b1d1116ded50a", 9123),
+        ("879210a975efb93d4f55275743a4bb9a8b12994d73cfdb7bcf82b2110b1b8fd6", 16090),
+        ("b019a73a82c0ab1cd40a13f0343cb9600d872813aacb84e42b6d38c550c8083b", 1386),
+        ("25f535042594402be8d2221a5dc413be998e5bb8bfc8158fb150f0d461f1a560", 1540),
+        ("a50abd93e864494c96fd8eadfb67de71c45ee877472d4cefd197125e09d5038f", 2727),
+        ("cba4b76dcdd7a77fcc286e0b5810c693508a9b3f01a489daa219619d20629287", 3765),
+        ("89beb9f0350f69a11d5d1c9e1cb724b3155619de24505a9af0e1e506fcc21bca", 990),
+        ("cbddf633841ce2de58fcf289b46f28e6f244ec935c6663e09cee2776862534ff", 1085),
+        ("d6fb6f5c5c810289090be1083a4a1530bf713b2faa14f1ec8cb7c82d0eef5adf", 2369),
+        ("ea7925c1d09bfe6e57d616c1ef28b61b5561dd17e53a83cbad79a1f9984dc950", 2522),
+    )
+
+    @staticmethod
+    def tail_shapes_corpus():
+        # the search workload's slowest shapes, with 143-189 live levels
+        rng = random.Random(20070)
+        for costs in ([1, 3], [2, 3, 4]):
+            for eps in (F(1, 4), F(1, 5)):
+                for n in (10, 11, 12, 13):
+                    weights = [rng.randint(1, 60) for _ in range(n)]
+                    yield Instance.from_weights(weights, LetterCosts(costs), eps)[0]
+
+    def test_tail_shapes_reproduce_outputs_within_node_counts(self):
+        corpus = list(self.tail_shapes_corpus())
+        assert len(corpus) == len(self.TAIL_SHAPES)
+        for inst, (digest, explored) in zip(corpus, self.TAIL_SHAPES):
+            rep = solve(inst)
+            record = (rep.code.codewords, rep.total_cost, rep.kprefix_cost)
+            assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
+            assert rep.explored <= explored
 
 
 class TestEndToEnd:
