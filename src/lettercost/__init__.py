@@ -27,9 +27,8 @@ from .cost_graph import (
     Inconsistent,
     build_cost_graph,
     count_free_strings,
-    extend_beyond_k,
 )
-from .kprefix import Guess, LeveledCode, construct_leveled, select_level_codewords
+from .kprefix import Guess, LeveledCode, construct_leveled
 from .convert import convert_to_prefix, enc
 from .driver import (
     BudgetExceeded,
@@ -37,7 +36,6 @@ from .driver import (
     CodeReport,
     Grouping,
     choose_k,
-    enumerate_guesses,
     group_words,
     solve,
     solve_tiny_ell1,
@@ -70,9 +68,7 @@ __all__ = [
     "convert_to_prefix",
     "count_free_strings",
     "enc",
-    "enumerate_guesses",
     "exact_optimal",
-    "extend_beyond_k",
     "group_words",
     "huffman_equal_costs",
     "is_k_prefix_free",
@@ -80,7 +76,6 @@ __all__ = [
     "lower_bound",
     "normalize",
     "reorder",
-    "select_level_codewords",
     "solve",
     "solve_tiny_ell1",
 ]

@@ -128,9 +128,6 @@ class LetterCosts:
     def d(self) -> int:
         return len(self.distinct_costs)
 
-    def scaled(self, factor: Fraction) -> "LetterCosts":
-        return LetterCosts([c * factor for c in self.costs])
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -269,20 +266,6 @@ class NormalizedInstance:
             else:
                 out.append((c, 1))
         return tuple(out)
-
-    def level_of_q(self, cost_q: int, k_q: int) -> int | None:
-        """Level index of a cost: 0 below unit cost, i within the i-th band,
-        None at or beyond k (tail)."""
-        if cost_q >= k_q:
-            return None
-        if cost_q < self.unit_q:
-            return 0
-        return (cost_q - self.unit_q) // self.eps_q + 1
-
-    def level_target_q(self, i: int) -> int:
-        """The single admissible codeword cost inside level i >= 1: one quantum
-        below the next level boundary."""
-        return self.unit_q + i * self.eps_q - 1
 
 
 def normalize(instance: Instance) -> NormalizedInstance:
@@ -431,40 +414,29 @@ def reorder(assignment: CodeAssignment) -> CodeAssignment:
 
 
 class TrieNode:
-    __slots__ = ("children", "marks", "cost_q")
+    __slots__ = ("children", "marks")
 
     def __init__(self):
         self.children: dict[int, "TrieNode"] = {}
         self.marks = 0  # how many codewords end exactly here
-        self.cost_q = 0
 
 
 class CodewordTrie:
-    """Letter-level trie over codewords.
+    """Letter-level trie over codewords."""
 
-    Node costs are carried in quantum units when letter costs are supplied,
-    in letter counts otherwise.
-    """
-
-    def __init__(self, letters_q: Sequence[int] | None = None):
+    def __init__(self):
         self.root = TrieNode()
-        self.letters_q = tuple(letters_q) if letters_q is not None else None
-        self.size = 0
 
     def insert(self, word) -> TrieNode:
         runs = as_runs(word)
         node = self.root
         for let, rep in runs:
-            step = self.letters_q[let] if self.letters_q else 1
             for _ in range(rep):
                 nxt = node.children.get(let)
                 if nxt is None:
-                    nxt = TrieNode()
-                    nxt.cost_q = node.cost_q + step
-                    node.children[let] = nxt
+                    nxt = node.children[let] = TrieNode()
                 node = nxt
         node.marks += 1
-        self.size += 1
         return node
 
     def codewords(self):
@@ -480,9 +452,6 @@ class CodewordTrie:
                 path.pop()
 
         yield from dfs(self.root)
-
-    def cost_multiset_q(self) -> list[int]:
-        return sorted(node.cost_q for _, node in self.codewords())
 
 
 def _codeword_list(words) -> list[Runs]:

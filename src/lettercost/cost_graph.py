@@ -3,17 +3,21 @@
 Costs live on an integer grid of quantum units. The graph's nodes are the
 achievable string costs in [0, k]; an arc joins c to c + w for every distinct
 letter cost w, carrying the number of letters of that cost. `counts[c]` is
-the number of strings of cost exactly c, which both identifies the nodes
-(count > 0) and drives every free-string recurrence.
+the number of strings of cost exactly c, which identifies the nodes
+(count > 0) and gives every free-string count in closed form: for a
+prefix-free set S, the strings of cost c with no prefix in S number
+count(c) - sum over x in S of count(c - cost(x)). `CostGraph.free` computes
+it and `CostGraph.tail` walks it past k; the guess search and the leveled
+construction both use these two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .core import CodewordTrie, InstanceError, NormalizedInstance, as_runs, runs_cost_q
+from .core import InstanceError, NormalizedInstance, as_runs, runs_cost_q
 
 
 @dataclass(frozen=True)
@@ -66,25 +70,6 @@ class CostGraph:
             assert self.node_count <= bound, "node count exceeds n*k/eps"
             assert self.arc_count <= len(self.distinct_q) * self.node_count
 
-    @staticmethod
-    def for_instance(norm: NormalizedInstance, k: Fraction) -> "CostGraph":
-        k_q = k / norm.cost_quantum
-        if k_q.denominator != 1:
-            raise InstanceError("k must be a multiple of the cost quantum")
-        eps = norm.epsilon_prime
-        if norm.instance.letters.costs[0] * norm.n <= eps:
-            raise InstanceError(
-                "cheapest letter cost is at most eps/n; use the tiny-letter solver"
-            )
-        return CostGraph(
-            norm.distinct_q,
-            norm.unit_q,
-            norm.eps_q,
-            k_q.numerator,
-            norm.cost_quantum,
-            n=norm.n,
-        )
-
     def _extend_counts(self, upto: int) -> None:
         cs = self.counts
         for c in range(len(cs), upto + 1):
@@ -122,110 +107,107 @@ class CostGraph:
         """The one admissible codeword cost on level i >= 1."""
         return self.unit_q + i * self.eps_q - 1
 
+    def free(self, c: int, blockers: Iterable[tuple[int, int]]) -> int:
+        """Strings of cost c with no prefix in a prefix-free set S, given as
+        (cost_q, how_many) blockers: count(c) minus, per member x of S,
+        count(c - cost(x)), the strings of cost c that extend x."""
+        if c < 0:
+            return 0
+        counts = self.counts
+        if c >= len(counts):
+            self._extend_counts(c)
+        free = counts[c]
+        for t, m in blockers:
+            if t <= c:
+                free -= m * counts[c - t]
+        return free
+
+    def tail(
+        self,
+        m: int,
+        blockers: Sequence[tuple[int, int]],
+        step: Callable[[], None] | None = None,
+    ) -> list[tuple[int, int]] | None:
+        """The m cheapest strings of cost >= k with no prefix in S, as
+        (cost_q, how_many) batches in increasing cost order; None when fewer
+        than m exist. Every member of S costs less than k.
+
+        Walks the costs from k up, calling step once per cost visited. No
+        member of S costs k or more, so there the free count at c is the sum,
+        over the letters, of the free counts at c minus the letter's cost;
+        after max_letter + 1 zeros in a row at costs >= k every later count
+        is zero, and the walk stops.
+        """
+        k_q, top = self.k_q, self.max_letter_q
+        batches: list[tuple[int, int]] = []
+        c = k_q
+        last_nonzero = k_q - 1
+        while m > 0:
+            if step is not None:
+                step()
+            free = self.free(c, blockers)
+            if free > 0:
+                last_nonzero = c
+                take = min(m, free)
+                batches.append((c, take))
+                m -= take
+            elif c >= k_q + top and c - last_nonzero > top:
+                return None
+            c += 1
+        return batches
+
     def node_costs(self) -> list[Fraction]:
         return [c * self.quantum for c in self.nodes_q]
 
 
 def build_cost_graph(norm: NormalizedInstance, k: Fraction) -> CostGraph:
     """Breadth-style enumeration of all codeword costs in [0, k]."""
-    return CostGraph.for_instance(norm, Fraction(k))
+    k_q = Fraction(k) / norm.cost_quantum
+    if k_q.denominator != 1:
+        raise InstanceError("k must be a multiple of the cost quantum")
+    if norm.instance.letters.costs[0] * norm.n <= norm.epsilon_prime:
+        raise InstanceError(
+            "cheapest letter cost is at most eps/n; use the tiny-letter solver"
+        )
+    return CostGraph(
+        norm.distinct_q,
+        norm.unit_q,
+        norm.eps_q,
+        k_q.numerator,
+        norm.cost_quantum,
+        n=norm.n,
+    )
 
 
 @dataclass
 class FreeStringTable:
     """v[c] = number of strings of cost c with no prefix in the codeword set."""
 
-    graph: CostGraph
     v: list[int]
 
     def value(self, c: int) -> int:
         return self.v[c] if 0 <= c < len(self.v) else 0
 
-    def decrement(self, c: int, amount: int) -> None:
-        if self.v[c] < amount:
-            raise InstanceError("free-string count underflow at cost %d" % c)
-        self.v[c] -= amount
-
 
 def count_free_strings(graph: CostGraph, codewords) -> FreeStringTable:
     """Exact free-string counts for every cost node, given the current set S.
 
-    S may be a CodewordTrie (costs in quantum units) or an iterable of
-    codewords; S must be prefix-free and every member must cost at most k.
-    A string is free when no element of S is a prefix of it (itself included).
+    S is an iterable of codewords; it must be prefix-free and every member
+    must cost at most k. A string is free when no element of S is a prefix of
+    it (itself included). A negative count proves S is not prefix-free.
     """
+    letters_q: list[int] = []
+    for w, mult in graph.distinct_q:
+        letters_q.extend([w] * mult)
     blocked: dict[int, int] = {}
-    if isinstance(codewords, CodewordTrie):
-        costs = codewords.cost_multiset_q()
-    else:
-        costs = [runs_cost_q(as_runs(w), _letters_q(graph)) for w in codewords]
-    for c in costs:
+    for word in codewords:
+        c = runs_cost_q(as_runs(word), letters_q)
         if c > graph.k_q:
             raise InstanceError("codeword cost beyond the graph frontier")
         blocked[c] = blocked.get(c, 0) + 1
 
-    v = [0] * (graph.k_q + 1)
-    v[0] = 1 - blocked.get(0, 0)
-    for c in range(1, graph.k_q + 1):
-        total = 0
-        for w, mult in graph.distinct_q:
-            if w <= c:
-                total += mult * v[c - w]
-        total -= blocked.get(c, 0)
-        if total < 0:
-            raise InstanceError("codeword set is not prefix-free")
-        v[c] = total
-    return FreeStringTable(graph, v)
-
-
-def _letters_q(graph: CostGraph) -> list[int]:
-    out: list[int] = []
-    for w, mult in graph.distinct_q:
-        out.extend([w] * mult)
-    return out
-
-
-def extend_beyond_k(
-    graph: CostGraph, table: FreeStringTable, m: int
-) -> list[tuple[int, int]] | Inconsistent:
-    """The m cheapest strings of cost >= k with no prefix of cost < k in S.
-
-    Returned as (cost_q, how_many) batches in increasing cost order; within a
-    cost the concrete strings are resolved later by the trie materializer.
-    Signals Inconsistent when fewer than m eligible strings exist at any cost.
-    """
-    if m <= 0:
-        return []
-    picks: list[tuple[int, int]] = []
-    remaining = m
-    ext: dict[int, int] = {}
-
-    last_nonzero = -graph.max_letter_q - 1
-    for c in range(graph.k_q + 1):
-        if table.value(c) > 0:
-            last_nonzero = c
-
-    def val(c: int) -> int:
-        if c < 0:
-            return 0
-        if c <= graph.k_q:
-            return table.value(c)
-        return ext.get(c, 0)
-
-    c = graph.k_q
-    while remaining > 0:
-        if c > graph.k_q:
-            total = 0
-            for w, mult in graph.distinct_q:
-                total += mult * val(c - w)
-            ext[c] = total
-        count_here = val(c)
-        if count_here > 0:
-            last_nonzero = c
-            take = min(remaining, count_here)
-            picks.append((c, take))
-            remaining -= take
-        if c - last_nonzero > graph.max_letter_q:
-            return Inconsistent("only %d of %d tail codewords exist" % (m - remaining, m))
-        c += 1
-    return picks
+    blockers = list(blocked.items())
+    v = [graph.free(c, blockers) for c in range(graph.k_q + 1)]
+    if min(v) < 0:
+        raise InstanceError("codeword set is not prefix-free")
+    return FreeStringTable(v)

@@ -14,7 +14,9 @@ enumeration over the same guess space would, while skipping guesses that
 provably cannot win. Feasibility of a partial assignment is checked with
 closed-form free-string counts: with S prefix-free, the number of cost-c
 strings with no prefix in S equals count(c) minus sum over members x of
-count(c - cost(x)).
+count(c - cost(x)). The cost graph computes this count (CostGraph.free) and
+walks it past k for the tail (CostGraph.tail); the leveled construction
+uses the same two, so the search values a guess exactly as it is built.
 
 The search works in Python ints: the instance's integer weights (its
 probabilities times their common denominator) times costs in quanta, so
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from fractions import Fraction
 from operator import mul, sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .convert import convert_to_prefix
 from .core import (
@@ -221,38 +223,6 @@ def level0_size_candidates(norm: NormalizedInstance) -> list[int]:
     return sorted(out)
 
 
-def enumerate_guesses(
-    grouping: Grouping, k: Fraction, epsilon: Fraction, n: int
-) -> Iterator[Guess]:
-    """Every (level-0 size candidate, monotone prefix assignment) pair, raw.
-
-    Assignments send groups 1..t (a prefix of the group order) to
-    nondecreasing levels; the rest implicitly fall to the tail. No pruning
-    happens here; the solver skips over-committed combinations itself.
-    """
-    levels = (Fraction(k) - 1) / Fraction(epsilon)
-    if levels.denominator != 1:
-        raise InstanceError("k-1 must be a multiple of epsilon")
-    level_count = levels.numerator
-    sizes = grouping.sizes
-
-    def assignments(gpos: int, min_level: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        yield tuple(acc)
-        if gpos == len(sizes):
-            return
-        for lvl in range(min_level, level_count + 1):
-            acc.append(lvl)
-            yield from assignments(gpos + 1, lvl, acc)
-            acc.pop()
-
-    for f0 in level0_size_candidates(grouping.norm):
-        for asg in assignments(0, 1, []):
-            counts: dict[int, int] = {}
-            for gpos, lvl in enumerate(asg):
-                counts[lvl] = counts.get(lvl, 0) + sizes[gpos]
-            yield Guess(f0, tuple(sorted(counts.items())))
-
-
 def guess_stream_size(grouping: Grouping, k: Fraction, epsilon: Fraction) -> int:
     """Closed-form size of the raw guess stream."""
     levels = int((Fraction(k) - 1) / Fraction(epsilon))
@@ -343,35 +313,21 @@ class _Search:
             left -= take
         return value + (prefix[self.n] - prefix[w]) * self.graph.k_q
 
-    def _tail_value(
-        self, f0_cost: int, placed: list[tuple[int, int]], first_word: int
-    ) -> int | None:
+    def _tail_value(self, placed: list[tuple[int, int]], first_word: int) -> int | None:
         """Exact cost of completing words first_word.. with cheapest eligible
-        tail strings; None when not enough exist."""
-        g = self.graph
+        tail strings, given the (cost, how_many) codewords placed below k;
+        None when not enough exist."""
         need = self.n - first_word
         if need == 0:
             return 0
+        batches = self.graph.tail(need, placed, self._bump)
+        if batches is None:
+            return None
         value = 0
-        w = first_word
-        c = g.k_q
-        last_nonzero = g.k_q - 1
-        while need > 0:
-            self._bump()
-            elig = g.count(c)
-            if f0_cost >= 0:
-                elig -= g.count(c - f0_cost)
-            for t, cnt in placed:
-                elig -= cnt * g.count(c - t)
-            if elig > 0:
-                last_nonzero = c
-                take = min(need, elig)
-                value += (self.prefix_w[w + take] - self.prefix_w[w]) * c
-                w += take
-                need -= take
-            elif c >= g.k_q + g.max_letter_q and c - last_nonzero > g.max_letter_q:
-                return None
-            c += 1
+        prefix, w = self.prefix_w, first_word
+        for c, take in batches:
+            value += (prefix[w + take] - prefix[w]) * c
+            w += take
         return value
 
     def run(self, f0: int, incumbent: Incumbent | None) -> Incumbent | None:
@@ -386,25 +342,27 @@ class _Search:
         live, rows = self.live, self.rows
         L = len(live)
         G = len(sizes)
-        f0_cost = f0 * self.norm.letters_q[0] if f0 > 0 else -1
+        f0_cost = f0 * self.norm.letters_q[0]
         start = 1 if f0 > 0 else 0
-        base = group_w[0] * f0_cost if f0 > 0 else 0
+        base = group_w[0] * f0_cost
+        # (cost, how_many) of the codewords below k: the level-0 codeword,
+        # then (target, size) per placed group
+        placed: list[tuple[int, int]] = [(f0_cost, 1)] if f0 > 0 else []
 
         # each node owns caps: the free strings at the target costs of live
         # levels lpos_min, lpos_min + 1, ..., given the level-0 codeword and
         # the words placed above it; with an incumbent the list stops at the
         # node's reach, and before one it spans every live level
-        root = [g.count(t) - (g.count(t - f0_cost) if f0 > 0 else 0) for _, t in live]
+        root = [g.free(t, placed) for t in self.targets]
         if incumbent is not None and start < G:
             del root[self._reach(0, base, rest_w[start], incumbent[0]) :]
         best: list = list(incumbent) if incumbent is not None else [None, None, None]
-        placed: list[tuple[int, int]] = []  # (target, size) per placed group
         assign: list[int] = []
 
         def leaf(gpos: int, partial: int) -> None:
             self.leaves += 1
             first_word = ranges[gpos][0] if gpos < G else self.n
-            tail = self._tail_value(f0_cost, placed, first_word)
+            tail = self._tail_value(placed, first_word)
             if tail is None:
                 return
             value = partial + tail

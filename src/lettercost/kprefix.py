@@ -6,6 +6,9 @@ requested number of codewords at each level's single admissible cost, and
 completes to n codewords with the cheapest strings of cost >= k. Among all
 codes meeting the constraints, the result has minimum cost; when none exists
 the result is the Inconsistent value, a routine outcome for the guess search.
+Feasibility uses the cost graph's closed-form free-string count, the one the
+guess search uses: each level's request is checked against CostGraph.free at
+its target cost, and the tail comes from the same CostGraph.tail walk.
 
 Codewords are kept implicit as (cost, how_many) selections, so construction
 cost never depends on total codeword length. Concrete codewords materialize
@@ -28,12 +31,7 @@ from .core import (
     Runs,
     runs_cost_q,
 )
-from .cost_graph import (
-    CostGraph,
-    FreeStringTable,
-    Inconsistent,
-    extend_beyond_k,
-)
+from .cost_graph import CostGraph, Inconsistent
 
 
 class OpCounter:
@@ -59,17 +57,6 @@ class Guess:
 
     f0: int
     level_counts: tuple[tuple[int, int], ...] = ()
-
-    def f(self, i: int) -> int:
-        if i == 0:
-            return self.f0
-        for lvl, cnt in self.level_counts:
-            if lvl == i:
-                return cnt
-        return 0
-
-    def as_tuple(self, level_count: int) -> tuple[int, ...]:
-        return (self.f0,) + tuple(self.f(i) for i in range(1, level_count + 1))
 
     @property
     def level_words(self) -> int:
@@ -123,30 +110,6 @@ class LeveledCode:
             self._codewords = _materialize(self)
         return self._codewords
 
-    @property
-    def tail_start(self) -> int:
-        """Index of the first tail codeword in word order."""
-        return self.n - sum(count for _, count in self.tail_picks)
-
-
-def select_level_codewords(
-    table: FreeStringTable, level: int, count: int
-) -> tuple[int, int, int] | Inconsistent:
-    """Reserve `count` codewords at level's admissible cost; update the table.
-
-    Returns the (level, cost_q, count) selection record. Which concrete
-    strings are taken is deferred to materialization; any choice has the same
-    cost, and the eventual choice rule (cheaper letter first, then lower
-    letter index) is fixed for determinism.
-    """
-    target = table.graph.level_target(level)
-    if count == 0:
-        return (level, target, 0)
-    if target > table.graph.k_q or table.value(target) < count:
-        return Inconsistent("level %d cannot host %d codewords" % (level, count))
-    table.decrement(target, count)
-    return (level, target, count)
-
 
 def construct_leveled(
     norm: NormalizedInstance,
@@ -157,9 +120,11 @@ def construct_leveled(
 ) -> LeveledCode | Inconsistent:
     """Build a minimum-cost leveled k-prefix code consistent with the guess.
 
-    Walks every cost node in increasing order maintaining the free-string
-    table, reserves codewords at each level's admissible cost, then completes
-    with the cheapest eligible strings of cost >= k.
+    Checks each level's request against the free strings at its target cost,
+    in increasing level order, with the level-0 run and the lower levels'
+    codewords as blockers; then completes with the cheapest eligible strings
+    of cost >= k. ops, when given, counts one per level checked and one per
+    cost the tail walk visits.
     """
     bump = ops.bump if ops is not None else None
     l1_q = norm.letters_q[0]
@@ -174,37 +139,24 @@ def construct_leveled(
     if any(not 1 <= lvl <= graph.level_count for lvl in wanted):
         return Inconsistent("guess names a level outside 1..%d" % graph.level_count)
 
-    # free-string table, blocked only by the level-0 codeword so far
-    blocked0 = guess.f0 * l1_q if guess.f0 > 0 else -1
-    v = [0] * (graph.k_q + 1)
-    v[0] = 1
-    table = FreeStringTable(graph, v)
+    # (cost_q, how_many) of every codeword below k chosen so far
+    blockers: list[tuple[int, int]] = [(guess.f0 * l1_q, 1)] if guess.f0 > 0 else []
     level_picks: list[tuple[int, int, int]] = []
-
-    next_target = {graph.level_target(i): i for i in range(1, graph.level_count + 1)}
-    for c in range(1, graph.k_q + 1):
-        total = 0
-        for w, mult in graph.distinct_q:
-            if w <= c:
-                total += mult * v[c - w]
+    for lvl, count in sorted(wanted.items()):
+        if count == 0:
+            continue
         if bump:
             bump()
-        if c == blocked0:
-            total -= 1
-        v[c] = total
-        lvl = next_target.get(c)
-        if lvl is not None and wanted.get(lvl, 0) > 0:
-            picked = select_level_codewords(table, lvl, wanted[lvl])
-            if isinstance(picked, Inconsistent):
-                return picked
-            level_picks.append(picked)
+        target = graph.level_target(lvl)
+        if graph.free(target, blockers) < count:
+            return Inconsistent("level %d cannot host %d codewords" % (lvl, count))
+        blockers.append((target, count))
+        level_picks.append((lvl, target, count))
 
     missing = n - guess.codeword_total()
-    tail = extend_beyond_k(graph, table, missing)
-    if bump:
-        bump(missing + 1)
-    if isinstance(tail, Inconsistent):
-        return tail
+    tail = graph.tail(missing, blockers, bump)
+    if tail is None:
+        return Inconsistent("fewer than %d tail codewords exist" % missing)
     return LeveledCode(norm, graph, guess, n, level_picks, tail)
 
 

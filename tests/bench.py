@@ -1,8 +1,9 @@
 """Doubling-ladder harnesses for the runtime scaling checks.
 
 Operation counts, not wall time, so the checks are stable on any machine:
-construction counts cost-node relaxations and tail steps, conversion counts
-run segments touched. Both should grow at most ~2x per doubling of n.
+construction counts the levels it checks and the costs its tail walk
+visits, conversion counts run segments touched. Both should grow at most
+~2x per doubling of n.
 """
 
 from __future__ import annotations

@@ -1,0 +1,81 @@
+"""Fingerprint solve's outputs on the benchmark workloads, to diff a refactor.
+
+    PYTHONPATH=src python tests/dump_outputs.py 3 8
+
+For each seed and each workload of perfbench/workloads.py, every instance is
+solved through the public API with the library defaults. One sha256 line per
+workload and seed covers, per instance in run order, the codewords,
+total_cost, lower_bound, kprefix_cost, mode, guess_count and explored, or the
+name of the exception raised; the line also gives the explored total and
+the exceptions raised. Run it before and after a change that must not
+change results and diff the output. The file's name keeps pytest from
+collecting it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
+
+import workloads  # noqa: E402
+
+from lettercost import Instance, LetterCosts, solve  # noqa: E402
+
+
+def outcome(spec: workloads.Spec) -> tuple[str, int, str | None]:
+    """The instance's result as text, the nodes its search explored, and the
+    name of the exception it raised, if any."""
+    instance, _ = Instance.from_weights(spec.weights, LetterCosts(spec.costs), spec.epsilon)
+    try:
+        rep = solve(instance)
+    except Exception as exc:  # the exception's name is part of the output
+        name = type(exc).__name__
+        return "raised %s" % name, 0, name
+    fields = (
+        rep.code.codewords,
+        rep.total_cost,
+        rep.lower_bound,
+        rep.kprefix_cost,
+        rep.mode,
+        rep.guess_count,
+        rep.explored,
+    )
+    return repr(fields), rep.explored, None
+
+
+def dump(workload: str, seed: int) -> str:
+    digest = hashlib.sha256()
+    explored = 0
+    raised: list[str] = []
+    specs = workloads.generate(workload, seed)
+    for spec in specs:
+        text, nodes, exc = outcome(spec)
+        digest.update(text.encode() + b"\n")
+        explored += nodes
+        if exc is not None:
+            raised.append("%s at n=%d" % (exc, spec.n))
+    return "%s seed %d: %d instances, explored %d, raised [%s], sha256 %s" % (
+        workload,
+        seed,
+        len(specs),
+        explored,
+        ", ".join(raised),
+        digest.hexdigest(),
+    )
+
+
+def main(argv: list[str]) -> int:
+    seeds = [int(a) for a in argv] or [3, 8]
+    for seed in seeds:
+        for workload in workloads.GENERATORS:
+            print(dump(workload, seed), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,9 +1,12 @@
-"""Independent brute-force oracles and generators shared by the tests.
+"""Independent reference oracles and generators shared by the tests.
 
-Everything here enumerates explicitly, string by string, so it stays
+The brute-force oracles enumerate explicitly, string by string. The
+recurrence references count free strings the sequential way the library did
+before it used the closed form, cost by cost in increasing order. Both stay
 independent of the library's counting and construction paths.
 """
 
+from collections import Counter
 from fractions import Fraction
 import math
 import random
@@ -161,3 +164,79 @@ def brute_force_leveled_minimum(norm, graph, guess, n):
         if best is None or total < best:
             best = total
     return None if best is None else Fraction(best, norm.instance.scale) * quantum
+
+
+def free_counts_recurrence(distinct_q, k_q, costs_q):
+    """Free-string counts at costs 0..k_q for a codeword set given by its
+    costs in quanta, by the recurrence v[c] = sum over letters of
+    v[c - letter cost] minus the members of cost c."""
+    blocked = Counter(costs_q)
+    v = [1 - blocked[0]]
+    for c in range(1, k_q + 1):
+        v.append(sum(mult * v[c - w] for w, mult in distinct_q if w <= c) - blocked[c])
+    return v
+
+
+def tail_recurrence(distinct_q, v, m):
+    """The m cheapest strings past the table's end (cost >= k_q = len(v) - 1)
+    as (cost, how_many) batches, extending the recurrence; None when fewer
+    exist. The walk gives up once the cost is more than max_letter past the
+    last nonzero count, the table's own entries included."""
+    if m <= 0:
+        return []
+    k_q = len(v) - 1
+    top = max(w for w, _ in distinct_q)
+    ext = list(v)
+    last_nonzero = -top - 1
+    for c, value in enumerate(v):
+        if value > 0:
+            last_nonzero = c
+    picks = []
+    c = k_q
+    while m > 0:
+        if c > k_q:
+            ext.append(sum(mult * ext[c - w] for w, mult in distinct_q if w <= c))
+        if ext[c] > 0:
+            last_nonzero = c
+            take = min(m, ext[c])
+            picks.append((c, take))
+            m -= take
+        if c - last_nonzero > top:
+            return None
+        c += 1
+    return picks
+
+
+def leveled_recurrence(norm, graph, guess, n):
+    """construct_leveled's (level_picks, tail_picks) by the recurrence: one
+    pass over the costs 1..k_q that subtracts the level-0 run at its cost and
+    reserves each level's codewords at its target as the pass reaches it;
+    None where no code meets the guess."""
+    distinct_q, k_q = graph.distinct_q, graph.k_q
+    l1_q = norm.letters_q[0]
+    if guess.codeword_total() > n:
+        return None
+    if guess.f0 > 0 and guess.f0 * l1_q >= norm.unit_q:
+        return None
+    wanted = dict(guess.level_counts)
+    levels = (k_q - norm.unit_q) // norm.eps_q
+    if any(not 1 <= lvl <= levels for lvl in wanted):
+        return None
+    level_at = {norm.unit_q + i * norm.eps_q - 1: i for i in range(1, levels + 1)}
+    blocked0 = guess.f0 * l1_q if guess.f0 > 0 else -1
+    v = [1]
+    level_picks = []
+    for c in range(1, k_q + 1):
+        total = sum(mult * v[c - w] for w, mult in distinct_q if w <= c)
+        if c == blocked0:
+            total -= 1
+        lvl = level_at.get(c)
+        want = wanted.get(lvl, 0)
+        if want > 0:
+            if total < want:
+                return None
+            total -= want
+            level_picks.append((lvl, c, want))
+        v.append(total)
+    tail = tail_recurrence(distinct_q, v, n - guess.codeword_total())
+    return None if tail is None else (level_picks, tail)

@@ -4,16 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from lettercost import (
-    Inconsistent,
     Instance,
     InstanceError,
     LetterCosts,
     build_cost_graph,
     count_free_strings,
-    extend_beyond_k,
     normalize,
 )
-from lettercost.core import CodewordTrie
 from lettercost.cost_graph import CostGraph
 
 from helpers import count_free_brute, random_instance
@@ -95,13 +92,12 @@ class TestFreeStrings:
             2**c for c in range(6)
         ]
 
-    def test_accepts_trie(self):
+    def test_negative_count_rejects_set(self):
+        # a, b and their extension aa: the cost-2 count goes negative
         norm = norm_for([1, 1], 1)
         graph = build_cost_graph(norm, F(3))
-        trie = CodewordTrie(norm.letters_q)
-        trie.insert("a")
-        table = count_free_strings(graph, trie)
-        assert table.value(1) == 1
+        with pytest.raises(InstanceError):
+            count_free_strings(graph, ["a", "b", "aa"])
 
     def test_matches_bruteforce_random(self):
         rng = random.Random(42)
@@ -142,28 +138,32 @@ class TestFreeStrings:
 
 
 class TestExtendBeyondK:
-    def graph_and_table(self, codewords, k):
-        norm = norm_for([1, 1], 1)
-        graph = build_cost_graph(norm, F(k))
-        return graph, count_free_strings(graph, codewords)
+    """The tail walk past k, CostGraph.tail, with S given as blocker pairs."""
+
+    def graph(self, k):
+        return build_cost_graph(norm_for([1, 1], 1), F(k))
 
     def test_shortfall_when_everything_blocked(self):
-        graph, table = self.graph_and_table(["a", "ba", "bb"], 3)
-        # account for the chosen codewords the way the constructor does
-        table.decrement(1, 0)
-        result = extend_beyond_k(graph, table, 1)
-        assert isinstance(result, Inconsistent)
+        graph = self.graph(3)
+        steps = []
+        # a, ba and bb: every string of cost >= 3 has one of them as a prefix
+        assert graph.tail(1, [(1, 1), (2, 2)], lambda: steps.append(1)) is None
+        # no string of cost 3 or 4 is free; the walk stops at 4 = k + the
+        # largest letter cost
+        assert len(steps) == 2
 
     def test_two_cheapest(self):
-        graph, table = self.graph_and_table(["a"], 2)
-        result = extend_beyond_k(graph, table, 2)
-        assert result == [(2, 2)]  # ba and bb, both of cost 2
+        graph = self.graph(2)
+        assert graph.tail(2, [(1, 1)]) == [(2, 2)]  # ba and bb, both of cost 2
 
     def test_zero_request(self):
-        graph, table = self.graph_and_table([], 2)
-        assert extend_beyond_k(graph, table, 0) == []
+        graph = self.graph(2)
+        steps = []
+        assert graph.tail(0, [], lambda: steps.append(1)) == []
+        assert steps == []
 
     def test_spans_multiple_costs(self):
-        graph, table = self.graph_and_table([], 2)
-        result = extend_beyond_k(graph, table, 6)
-        assert result == [(2, 4), (3, 2)]
+        graph = self.graph(2)
+        steps = []
+        assert graph.tail(6, [], lambda: steps.append(1)) == [(2, 4), (3, 2)]
+        assert len(steps) == 2

@@ -21,7 +21,6 @@ from lettercost import (
     build_cost_graph,
     choose_k,
     construct_leveled,
-    enumerate_guesses,
     exact_optimal,
     group_words,
     is_prefix_free,
@@ -150,35 +149,16 @@ class TestGrouping:
 class TestGuessEnumeration:
     def make_grouping(self, costs, eps, probs, ranges):
         norm = normalize(Instance(probs, LetterCosts(costs), F(eps)))
-        sizes = tuple(e - s for s, e in ranges)
         gp = tuple(sum(probs[s:e], F(0)) for s, e in ranges)
         return Grouping(norm, F(2), ranges, 1, gp), norm
-
-    def test_one_group_one_level(self):
-        g, norm = self.make_grouping(
-            [F(1, 2), 1], F(1, 2), (F(1),), ((0, 1),)
-        )
-        guesses = list(enumerate_guesses(g, F(3, 2), norm.epsilon_prime, 1))
-        assert len(guesses) == 4
-        assert {(gu.f0, gu.level_counts) for gu in guesses} == {
-            (0, ()),
-            (0, ((1, 1),)),
-            (1, ()),
-            (1, ((1, 1),)),
-        }
-
-    def test_no_levels_edge(self):
-        g, norm = self.make_grouping([F(1, 2), 1], F(1, 2), (F(1),), ((0, 1),))
-        guesses = list(enumerate_guesses(g, F(1), norm.epsilon_prime, 1))
-        # only the empty assignment per level-0 size candidate
-        assert [gu.level_counts for gu in guesses] == [(), ()]
 
     def test_two_groups_two_levels(self):
         g, norm = self.make_grouping(
             [1, 1], F(1, 2), (F(1, 2), F(1, 2)), ((0, 1), (1, 2))
         )
-        guesses = list(enumerate_guesses(g, F(2), norm.epsilon_prime, 2))
-        assert len(guesses) == 6
+        # one level-0 size (the cheapest letter costs 1) times the monotone
+        # maps of a group prefix onto levels 1..2: (), (1,), (2,), (1, 1),
+        # (1, 2) and (2, 2)
         assert guess_stream_size(g, F(2), norm.epsilon_prime) == 6
 
     def test_level0_candidates(self):

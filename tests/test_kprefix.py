@@ -12,12 +12,16 @@ from lettercost import (
     count_free_strings,
     is_k_prefix_free,
     normalize,
-    select_level_codewords,
 )
-from lettercost.core import runs_to_str
+from lettercost.core import runs_cost_q, runs_to_str
 from lettercost.kprefix import LeveledCode
 
-from helpers import brute_force_leveled_minimum, strings_of_cost
+from helpers import (
+    brute_force_leveled_minimum,
+    free_counts_recurrence,
+    leveled_recurrence,
+    strings_of_cost,
+)
 
 
 def setup(costs, eps, k, n):
@@ -67,11 +71,11 @@ class TestConstruct:
 
 class TestSelect:
     def test_noop(self):
+        # a zero count reserves nothing: no pick, and the code of no request
         norm, graph = setup([1, 1], 1, 3, 4)
-        table = count_free_strings(graph, [])
-        before = list(table.v)
-        assert select_level_codewords(table, 1, 0) == (1, 1, 0)
-        assert table.v == before
+        code = construct_leveled(norm, graph, Guess(0, ((1, 0),)), 2)
+        assert code.level_picks == []
+        assert code.tail_picks == construct_leveled(norm, graph, Guess(0, ()), 2).tail_picks
 
     def test_materialization_order(self):
         norm, graph = setup([1, 1], 1, 3, 4)
@@ -80,16 +84,22 @@ class TestSelect:
 
     def test_consume_all(self):
         norm, graph = setup([1, 1], 1, 3, 4)
-        table = count_free_strings(graph, [])
-        assert table.value(2) == 4
-        picked = select_level_codewords(table, 2, 4)
-        assert picked == (2, 2, 4)
-        assert table.value(2) == 0
+        assert graph.free(2, []) == 4
+        code = construct_leveled(norm, graph, Guess(0, ((2, 4),)), 4)
+        assert code.level_picks == [(2, 2, 4)]
+        assert graph.free(2, [(2, 4)]) == 0
+        # the four cost-2 strings block every longer one: no fifth codeword
+        assert isinstance(construct_leveled(norm, graph, Guess(0, ((2, 4),)), 5), Inconsistent)
 
     def test_insufficient(self):
         norm, graph = setup([1, 1], 1, 3, 4)
-        table = count_free_strings(graph, [])
-        assert isinstance(select_level_codewords(table, 1, 3), Inconsistent)
+        assert graph.free(1, []) == 2
+        assert isinstance(construct_leveled(norm, graph, Guess(0, ((1, 3),)), 3), Inconsistent)
+        # a lower level's codewords count against a higher level
+        assert graph.free(2, [(1, 1)]) == 2
+        assert isinstance(
+            construct_leveled(norm, graph, Guess(0, ((1, 1), (2, 3))), 4), Inconsistent
+        )
 
 
 class TestStructure:
@@ -135,19 +145,78 @@ class TestStructure:
 
     def test_affine_counts_match_table(self):
         # closed form count(c) - sum over S of count(c - cost(x)) equals the
-        # sequential table for the sets the constructor builds
+        # sequential recurrence for the sets the constructor builds
         norm, graph = setup([F(1, 2), 1], F(1, 2), 3, 6)
         guess = Guess(0, ((1, 1), (3, 2)))
         code = construct_leveled(norm, graph, guess, 6)
         assert isinstance(code, LeveledCode)
         blocked = [(cost_q, cnt) for _, cost_q, cnt in code.level_picks]
         level_words = sum(cnt for _, _, cnt in code.level_picks)
+        costs_q = [runs_cost_q(w, norm.letters_q) for w in code.codewords[:level_words]]
+        reference = free_counts_recurrence(graph.distinct_q, graph.k_q, costs_q)
         table = count_free_strings(graph, code.codewords[:level_words])
+        assert table.v == reference
         for c in range(graph.k_q + 1):
             affine = graph.count(c) - sum(
                 cnt * graph.count(c - bc) for bc, cnt in blocked
             )
-            assert table.value(c) == affine
+            assert graph.free(c, blocked) == affine == reference[c]
+
+
+class TestRecurrenceReference:
+    def test_matches_recurrence_on_random_guesses(self):
+        # the closed form against the sequential recurrence it replaced, on
+        # random level-0 sizes and level requests: below capacity, at it
+        # (complete sets, whose tails run short) and one above it
+        rng = random.Random(181)
+        alphabets = [
+            [F(1, 2), 1],
+            [1, 1, 2],
+            [2, 3, 4],
+            [1, 1],
+            [1, 2],
+            [1, 3],
+            [F(1, 3), 1],
+            [1, 2, 2],
+        ]
+        seen = dict.fromkeys(
+            ("feasible", "level short", "tail short", "tail spans costs", "level-0 run"), 0
+        )
+        for trial in range(480):
+            costs = alphabets[trial % len(alphabets)]
+            eps = rng.choice([F(1, 3), F(1, 2), F(1)])
+            probs = tuple(F(1, 16) for _ in range(16))
+            norm = normalize(Instance(probs, LetterCosts(costs), eps))
+            graph = build_cost_graph(norm, 1 + rng.randint(1, 5) * norm.epsilon_prime)
+            f0_max = (norm.unit_q - 1) // norm.letters_q[0]
+            f0 = rng.randint(0, f0_max) if f0_max > 0 and rng.random() < 0.5 else 0
+            blocked_q = [f0 * norm.letters_q[0]] if f0 else []
+            counts = {}
+            for lvl in range(1, graph.level_count + 1):
+                target = graph.level_target(lvl)
+                cap = free_counts_recurrence(graph.distinct_q, graph.k_q, blocked_q)[target]
+                pick = rng.random()
+                if pick < 0.4 or cap <= 0:
+                    continue
+                cnt = cap if pick < 0.75 else cap + 1 if pick < 0.8 else rng.randint(1, cap)
+                counts[lvl] = cnt
+                blocked_q += [target] * cnt
+            guess = Guess(f0, tuple(sorted(counts.items())))
+            n = guess.codeword_total() + rng.randint(0, 6)
+            seen["level-0 run"] += f0 > 0
+            expected = leveled_recurrence(norm, graph, guess, n)
+            got = construct_leveled(norm, graph, guess, n)
+            where = (costs, eps, graph.k_q, guess, n)
+            if expected is None:
+                assert isinstance(got, Inconsistent), where
+                levels_fit = leveled_recurrence(norm, graph, guess, guess.codeword_total())
+                seen["tail short" if levels_fit else "level short"] += 1
+            else:
+                assert isinstance(got, LeveledCode), where
+                assert (got.level_picks, got.tail_picks) == expected, where
+                seen["feasible"] += 1
+                seen["tail spans costs"] += len(got.tail_picks) > 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestMaterializationOrder:
