@@ -8,7 +8,6 @@ guarantee.
 
 from .core import (
     CodeAssignment,
-    CodewordTrie,
     GLYPHS,
     Instance,
     InstanceError,
@@ -47,7 +46,6 @@ __all__ = [
     "C_TOTAL",
     "CodeAssignment",
     "CodeReport",
-    "CodewordTrie",
     "CostGraph",
     "FreeStringTable",
     "GLYPHS",

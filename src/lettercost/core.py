@@ -2,15 +2,16 @@
 
 Words to be encoded carry probabilities; codewords are strings over an
 alphabet whose letters have (possibly unequal) positive rational costs.
-Everything here is exact. The public values are `fractions.Fraction`s, and
-each of them has one integer view computed once at construction:
-`LetterCosts.costs_int` is every letter cost times `LetterCosts.scale`, the
-lcm of the cost denominators, and `Instance.weights_int` is every probability
-times `Instance.scale`, the lcm of the probability denominators. Costs,
-weights, sorts and validations inside the library run on these ints, and a
-`Fraction` is made only for a value the API returns. After `normalize` every
-codeword cost is also an integer multiple of a single cost quantum, so the
-guess search and the leveled construction work in integer quantum units.
+Everything here is exact. `LetterCosts.costs_int` is every letter cost
+times `LetterCosts.scale`, the lcm of the cost denominators, computed once
+next to the `Fraction` costs. An `Instance` stores its words only as ints:
+`Instance.weights_int` is every probability times `Instance.scale`, the lcm
+of the probability denominators, and `Instance.probabilities` is a
+`Fraction` view derived on request. Costs, weights, sorts and validations
+inside the library run on these ints, and a `Fraction` is made only for a
+value the API returns. After `normalize` every codeword cost is also an
+integer multiple of a single cost quantum, so the guess search and the
+leveled construction work in integer quantum units.
 """
 
 from __future__ import annotations
@@ -129,46 +130,70 @@ class LetterCosts:
         return len(self.distinct_costs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
     """Problem input: sorted word probabilities, letter costs, accuracy epsilon.
 
-    scale is the lcm of the probability denominators and weights_int holds
-    each probability times scale; for integer weights with no common factor
-    these are the raw weights and their total.
+    Word i has probability weights_int[i] / scale, scale the lcm of the
+    probability denominators: for integer weights, the raw weights and their
+    total over their gcd. `probabilities` is a Fraction view made on request.
     """
 
-    probabilities: tuple[Fraction, ...]
+    weights_int: tuple[int, ...]
+    scale: int
     letters: LetterCosts
     epsilon: Fraction
-    weight_total: Fraction = Fraction(1)  # sum of the raw input weights
-    scale: int = field(init=False, repr=False)
-    weights_int: tuple[int, ...] = field(init=False, repr=False)
+    weight_total: Fraction  # sum of the raw input weights
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        probabilities: Sequence[Rational],
+        letters: LetterCosts,
+        epsilon: Rational,
+        weight_total: Rational = 1,
+    ):
         # Fraction(p) would copy a Fraction, at ~1 us per word
-        ps = tuple(p if type(p) is Fraction else Fraction(p) for p in self.probabilities)
-        object.__setattr__(self, "probabilities", ps)
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        object.__setattr__(self, "weight_total", Fraction(self.weight_total))
-        if not ps:
-            raise InstanceError("need at least one word")
+        ps = [p if type(p) is Fraction else Fraction(p) for p in probabilities]
         scale = math.lcm(*(p.denominator for p in ps))
         ws = tuple(p.numerator * (scale // p.denominator) for p in ps)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "weights_int", ws)
+        self._store(ws, scale, letters, Fraction(epsilon), Fraction(weight_total))
+        self._check()
+
+    @classmethod
+    def _from_ints(cls, *fields) -> "Instance":
+        """An instance of the field values, in field order, stored unchecked."""
+        instance = object.__new__(cls)
+        instance._store(*fields)
+        return instance
+
+    def _store(self, weights_int, scale, letters, epsilon, weight_total) -> None:
+        # a frozen dataclass: its fields are set once, here
+        vars(self).update(
+            weights_int=weights_int, scale=scale, letters=letters, epsilon=epsilon, weight_total=weight_total
+        )
+
+    def _check(self) -> None:
+        """The one validation of an instance, run on its integer weights."""
+        ws = self.weights_int
+        if not ws:
+            raise InstanceError("need at least one word")
         if any(w <= 0 for w in ws):
             raise InstanceError("probabilities must be strictly positive")
         if any(a < b for a, b in zip(ws, ws[1:])):
             raise InstanceError("probabilities must be sorted nonincreasing")
-        if sum(ws) != scale:
+        if sum(ws) != self.scale:
             raise InstanceError("probabilities must sum to 1")
         if not (0 < self.epsilon <= 1):
             raise InstanceError("epsilon must lie in (0, 1]")
 
     @property
+    def probabilities(self) -> tuple[Fraction, ...]:
+        """The word probabilities, weights_int[i] / scale, made on request."""
+        return tuple(Fraction(w, self.scale) for w in self.weights_int)
+
+    @property
     def n(self) -> int:
-        return len(self.probabilities)
+        return len(self.weights_int)
 
     @staticmethod
     def from_weights(
@@ -185,13 +210,23 @@ class Instance:
         if any(w <= 0 for w in ws):
             raise InstanceError("weights must be strictly positive")
         # ints stand in for the weights: each one times the lcm of their denominators
-        scale = math.lcm(*(w.denominator for w in ws))
-        ints = [w.numerator * (scale // w.denominator) for w in ws]
+        den = math.lcm(*(w.denominator for w in ws))
+        ints = [w.numerator * (den // w.denominator) for w in ws]
         total = sum(ints)
         # a stable sort: equal weights keep their input order, as the key (-w, i) would
         order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
-        probs = tuple(Fraction(ints[i], total) for i in order)
-        return Instance(probs, letters, Fraction(epsilon), Fraction(total, scale)), order
+        # dividing the ints and their total by the ints' gcd leaves the lcm of
+        # the reduced probability denominators; no words (gcd 0) fail the check
+        g = math.gcd(*ints) or 1
+        instance = Instance._from_ints(
+            tuple([ints[i] // g for i in order]),
+            total // g,
+            letters,
+            Fraction(epsilon),
+            Fraction(total, den),
+        )
+        instance._check()
+        return instance, order
 
 
 def _unchecked(cls, **values):
@@ -295,16 +330,9 @@ def normalize(instance: Instance) -> NormalizedInstance:
     eps_prime = eps2 / s4
     quantum = min(final[0], eps_prime)
 
-    # the same words and weights: their integer views are carried over, not
-    # recomputed and checked again (eps_prime <= epsilon stays in (0, 1])
-    norm_inst = _unchecked(
-        Instance,
-        probabilities=instance.probabilities,
-        letters=LetterCosts(final),
-        epsilon=eps_prime,
-        weight_total=instance.weight_total,
-        scale=instance.scale,
-        weights_int=instance.weights_int,
+    # the same words, already checked (eps_prime <= epsilon stays in (0, 1])
+    norm_inst = Instance._from_ints(
+        instance.weights_int, instance.scale, LetterCosts(final), eps_prime, instance.weight_total
     )
     return NormalizedInstance(
         instance=norm_inst,
@@ -439,26 +467,6 @@ class CodewordTrie:
         node.marks += 1
         return node
 
-    def codewords(self):
-        """Yield (runs, node) for every codeword end, repeating duplicates."""
-        path: list[int] = []
-
-        def dfs(node: TrieNode):
-            for _ in range(node.marks):
-                yield runs_from_letters(path), node
-            for let, child in node.children.items():
-                path.append(let)
-                yield from dfs(child)
-                path.pop()
-
-        yield from dfs(self.root)
-
-
-def _codeword_list(words) -> list[Runs]:
-    if isinstance(words, CodewordTrie):
-        return [runs for runs, _ in words.codewords()]
-    return [as_runs(w) for w in words]
-
 
 def _has_violation(items: list[Runs], letters: LetterCosts | None, k_cost) -> bool:
     """Some codeword (of cost < k_cost, when given) is a prefix of another."""
@@ -492,9 +500,9 @@ def _has_violation(items: list[Runs], letters: LetterCosts | None, k_cost) -> bo
 
 def is_prefix_free(words) -> bool:
     """True when no codeword is a prefix of any other (duplicates count)."""
-    return not _has_violation(_codeword_list(words), None, None)
+    return not _has_violation([as_runs(w) for w in words], None, None)
 
 
 def is_k_prefix_free(words, k: Rational, letters: LetterCosts) -> bool:
     """True when no codeword of cost < k is a prefix of any other codeword."""
-    return not _has_violation(_codeword_list(words), letters, Fraction(k))
+    return not _has_violation([as_runs(w) for w in words], letters, Fraction(k))

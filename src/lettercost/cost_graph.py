@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .core import InstanceError, NormalizedInstance, as_runs, runs_cost_q
+from .core import InstanceError, NormalizedInstance, as_runs, is_prefix_free, runs_cost_q
 
 
 @dataclass(frozen=True)
@@ -134,24 +134,23 @@ class CostGraph:
 
         Walks the costs from k up, calling step once per cost visited. No
         member of S costs k or more, so there the free count at c is the sum,
-        over the letters, of the free counts at c minus the letter's cost;
-        after max_letter + 1 zeros in a row at costs >= k every later count
-        is zero, and the walk stops.
+        over the letters, of the free counts at c minus the letter's cost:
+        max_letter zeros in a row from k on make every later count zero. A
+        free string extended by the cheapest letter is free, so the walk can
+        stop short only before its first batch.
         """
         k_q, top = self.k_q, self.max_letter_q
         batches: list[tuple[int, int]] = []
         c = k_q
-        last_nonzero = k_q - 1
         while m > 0:
             if step is not None:
                 step()
             free = self.free(c, blockers)
             if free > 0:
-                last_nonzero = c
                 take = min(m, free)
                 batches.append((c, take))
                 m -= take
-            elif c >= k_q + top and c - last_nonzero > top:
+            elif not batches and c >= k_q + top - 1:
                 return None
             c += 1
         return batches
@@ -193,21 +192,19 @@ def count_free_strings(graph: CostGraph, codewords) -> FreeStringTable:
     """Exact free-string counts for every cost node, given the current set S.
 
     S is an iterable of codewords; it must be prefix-free and every member
-    must cost at most k. A string is free when no element of S is a prefix of
-    it (itself included). A negative count proves S is not prefix-free.
+    must cost at most k, or InstanceError is raised. A string is free when no
+    element of S is a prefix of it (itself included).
     """
+    words = [as_runs(word) for word in codewords]
+    if not is_prefix_free(words):
+        raise InstanceError("codeword set is not prefix-free")
     letters_q: list[int] = []
     for w, mult in graph.distinct_q:
         letters_q.extend([w] * mult)
     blocked: dict[int, int] = {}
-    for word in codewords:
-        c = runs_cost_q(as_runs(word), letters_q)
+    for word in words:
+        c = runs_cost_q(word, letters_q)
         if c > graph.k_q:
             raise InstanceError("codeword cost beyond the graph frontier")
         blocked[c] = blocked.get(c, 0) + 1
-
-    blockers = list(blocked.items())
-    v = [graph.free(c, blockers) for c in range(graph.k_q + 1)]
-    if min(v) < 0:
-        raise InstanceError("codeword set is not prefix-free")
-    return FreeStringTable(v)
+    return FreeStringTable([graph.free(c, blocked.items()) for c in range(graph.k_q + 1)])

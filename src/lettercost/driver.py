@@ -66,7 +66,7 @@ from .core import (
     reorder,
 )
 from .cost_graph import CostGraph, Inconsistent, build_cost_graph
-from .kprefix import Guess, OpCounter, construct_leveled
+from .kprefix import Guess, construct_leveled
 
 # Frozen end-to-end approximation constant: measured over the random
 # verification corpus (n <= 8, r <= 3, integer costs <= 4,
@@ -141,7 +141,12 @@ class Grouping:
     k: Fraction
     ranges: tuple[tuple[int, int], ...]  # half-open word index ranges
     singleton_prefix: int
-    group_probabilities: tuple[Fraction, ...]
+    group_weights_int: tuple[int, ...]  # group probabilities times the instance's scale
+
+    @property
+    def group_probabilities(self) -> tuple[Fraction, ...]:
+        scale = self.norm.instance.scale
+        return tuple(Fraction(w, scale) for w in self.group_weights_int)
 
     @property
     def group_count(self) -> int:
@@ -182,9 +187,8 @@ def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
     else:
         singleton_prefix = 1
 
-    group_ws = [sum(ws[s:e]) for s, e in ranges]
-    probs = tuple(Fraction(w, scale) for w in group_ws)
-    grouping = Grouping(norm, k, tuple(ranges), singleton_prefix, probs)
+    group_ws = tuple([sum(ws[s:e]) for s, e in ranges])
+    grouping = Grouping(norm, k, tuple(ranges), singleton_prefix, group_ws)
 
     assert grouping.ranges[0] == (0, 1)
     assert all(e0 == s1 for (_, e0), (s1, _) in zip(ranges, ranges[1:]))
@@ -262,9 +266,7 @@ class _Search:
         self.rows: dict[tuple[int, int], list[int]] = {}
         ws = self.norm.instance.weights_int
         self.prefix_w = [0, *accumulate(ws)]
-        self.group_w = [
-            self.prefix_w[e] - self.prefix_w[s] for s, e in self.grouping.ranges
-        ]
+        self.group_w = self.grouping.group_weights_int
         self.rest_w = [0] * (len(self.group_w) + 1)
         for i in range(len(self.group_w) - 1, -1, -1):
             self.rest_w[i] = self.rest_w[i + 1] + self.group_w[i]
@@ -477,7 +479,7 @@ def _finish_report(
     cost = Fraction(value, instance.scale * letters.scale)  # probabilities times letter costs
     l2 = letters.costs[1]
     scaled = cost / l2
-    p1 = instance.probabilities[0]
+    p1 = Fraction(instance.weights_int[0], instance.scale)
     assert scaled >= 1 - p1, "code cost fell below the structural lower bound"
     total = instance.weight_total * cost
     return CodeReport(
@@ -615,8 +617,6 @@ def solve(
     *,
     k_override: Fraction | None = None,
     budget: int = DEFAULT_BUDGET,
-    force_main: bool = False,
-    ops: OpCounter | None = None,
 ) -> CodeReport:
     """Find a prefix code of cost within a (1 + O(epsilon)) factor of optimal.
 
@@ -625,11 +625,6 @@ def solve(
     at most epsilon/n after scaling the second letter cost to 1.
     """
     started = time.perf_counter()
-    if instance.n == 0:
-        raise InstanceError("need at least one word")
-    if instance.letters.r < 2:
-        raise InstanceError("need at least two letters")
-
     if instance.n == 1:
         return _finish_report(
             instance,
@@ -641,7 +636,7 @@ def solve(
         )
 
     l2 = instance.letters.costs[1]
-    if not force_main and instance.letters.costs[0] / l2 * instance.n <= instance.epsilon:
+    if instance.letters.costs[0] / l2 * instance.n <= instance.epsilon:
         return solve_tiny_ell1(instance)
 
     norm = normalize(instance)
@@ -662,7 +657,7 @@ def solve(
     kprefix_cost = Fraction(value, instance.scale) * graph.quantum
 
     guess = _assignment_to_guess(f0, assignment, grouping)
-    leveled = construct_leveled(norm, graph, guess, instance.n, ops=ops)
+    leveled = construct_leveled(norm, graph, guess, instance.n)
     assert not isinstance(leveled, Inconsistent)
     # the leveled code costs what the search valued its guess at
     assert sum(w * c for w, c in zip(instance.weights_int, leveled.word_costs_q)) == value

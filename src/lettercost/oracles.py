@@ -212,4 +212,4 @@ def huffman_equal_costs(instance: Instance) -> OracleResult:
 def lower_bound(instance: Instance) -> Fraction:
     """1 - p1: every codeword but at most one carries a letter of cost >= l2,
     so the code costs at least this much in units of the second letter cost."""
-    return 1 - instance.probabilities[0]
+    return Fraction(instance.scale - instance.weights_int[0], instance.scale)

@@ -76,6 +76,18 @@ def fraction_code_cost(codewords, costs, probabilities):
     )
 
 
+def fraction_instance_words(weights):
+    """(weights_int, scale, probabilities) that an Instance of the raw weights
+    holds, worked out in Fractions: each weight over the total, sorted
+    nonincreasing, scale the lcm of their denominators and weights_int each
+    probability times scale."""
+    ws = [Fraction(w) for w in weights]
+    total = sum(ws)
+    probs = tuple(sorted((w / total for w in ws), reverse=True))
+    scale = math.lcm(*(p.denominator for p in probs))
+    return tuple(p.numerator * (scale // p.denominator) for p in probs), scale, probs
+
+
 def random_instance(rng: random.Random, max_n=8, max_r=3, max_cost=4, eps_choices=None):
     n = rng.randint(1, max_n)
     r = rng.randint(2, max_r)

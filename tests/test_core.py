@@ -19,6 +19,7 @@ from lettercost.core import runs_from_str, runs_is_prefix, runs_to_str
 
 from helpers import (
     fraction_code_cost,
+    fraction_instance_words,
     fraction_codeword_cost,
     fraction_reorder,
     is_prefix_free_pairwise,
@@ -131,17 +132,6 @@ class TestPrefixFree:
 
     def test_duplicates(self):
         assert not is_prefix_free(["ab", "ab"])
-
-    def test_trie_input(self):
-        from lettercost import CodewordTrie
-
-        trie = CodewordTrie()
-        for w in ["aaa", "aab", "ab", "b"]:
-            trie.insert(w)
-        assert is_prefix_free(trie)
-        trie.insert("a")
-        assert not is_prefix_free(trie)
-        assert is_k_prefix_free(trie, 1, LetterCosts([1, 3]))
 
     def test_matches_pairwise_bruteforce(self):
         rng = random.Random(21)
@@ -269,6 +259,58 @@ class TestIntegerViews:
             Instance((F(1, 3), F(2, 3)), letters, F(1))
         with pytest.raises(InstanceError, match="positive"):
             Instance((F(3, 2), F(-1, 2)), letters, F(1))
+        with pytest.raises(InstanceError, match="at least one word"):
+            Instance((), letters, F(1))
+        for eps in (F(0), F(3, 2)):
+            with pytest.raises(InstanceError, match="epsilon"):
+                Instance((F(1),), letters, eps)
+
+    def test_from_weights_checks(self):
+        letters = LetterCosts([1, 2])
+        for weights in ([2, 0], [3, -1], [F(1, 2), F(-1, 3)]):
+            with pytest.raises(InstanceError, match="weights must be strictly positive"):
+                Instance.from_weights(weights, letters, F(1))
+        with pytest.raises(InstanceError, match="at least one word"):
+            Instance.from_weights([], letters, F(1))
+        for eps in (F(0), F(3, 2)):
+            with pytest.raises(InstanceError, match="epsilon"):
+                Instance.from_weights([2, 1], letters, eps)
+
+    def test_both_constructors_match_fraction_reference(self):
+        rng = random.Random(9090)
+        letters = LetterCosts([1, 2])
+        cases = [
+            [4, 2, 2],  # common factor: scale 4, weights (2, 1, 1)
+            [1],
+            [7, 7, 7],
+            [3, 1, 2],
+            [F("0.5"), F("0.25"), F("1.75")],
+            [F(1, 3), F(1, 6), F(2, 9)],
+            [F(3, 2), 6, F(9, 4)],
+        ]
+        for _ in range(40):
+            factor = rng.choice([1, 2, 6, 1000])
+            n = rng.randint(1, 12)
+            cases.append([factor * rng.randint(1, 30) for _ in range(n)])
+            cases.append([F("%d.%03d" % (rng.randint(0, 5), rng.randint(1, 999))) for _ in range(n)])
+            cases.append([F(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(n)])
+        for weights in cases:
+            ws, scale, probs = fraction_instance_words(weights)
+            loaded, order = Instance.from_weights(weights, letters, F(1, 2))
+            made = Instance(probs, letters, F(1, 2), loaded.weight_total)
+            for instance in (loaded, made):
+                assert (instance.weights_int, instance.scale) == (ws, scale), weights
+                assert instance.probabilities == probs
+            assert loaded == made
+            assert repr(loaded) == repr(made)
+            assert [F(weights[i]) for i in order] == sorted(map(F, weights), reverse=True)
+        loaded, _ = Instance.from_weights([4, 2, 2], letters, F(1, 2))
+        assert (loaded.weights_int, loaded.scale, loaded.weight_total) == ((2, 1, 1), 4, 8)
+        assert repr(loaded) == (
+            "Instance(weights_int=(2, 1, 1), scale=4, "
+            "letters=LetterCosts(costs=(Fraction(1, 1), Fraction(2, 1))), "
+            "epsilon=Fraction(1, 2), weight_total=Fraction(8, 1))"
+        )
 
 
 class TestRuns:

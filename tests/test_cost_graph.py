@@ -92,12 +92,14 @@ class TestFreeStrings:
             2**c for c in range(6)
         ]
 
-    def test_negative_count_rejects_set(self):
-        # a, b and their extension aa: the cost-2 count goes negative
+    def test_rejects_set_that_is_not_prefix_free(self):
+        # a is a prefix of ab: the closed form would count 1 free string of
+        # cost 2, where ba and bb are 2; with a, b and aa it goes negative
         norm = norm_for([1, 1], 1)
         graph = build_cost_graph(norm, F(3))
-        with pytest.raises(InstanceError):
-            count_free_strings(graph, ["a", "b", "aa"])
+        for words in (["a", "ab"], ["a", "b", "aa"]):
+            with pytest.raises(InstanceError, match="not prefix-free"):
+                count_free_strings(graph, words)
 
     def test_matches_bruteforce_random(self):
         rng = random.Random(42)
@@ -148,9 +150,9 @@ class TestExtendBeyondK:
         steps = []
         # a, ba and bb: every string of cost >= 3 has one of them as a prefix
         assert graph.tail(1, [(1, 1), (2, 2)], lambda: steps.append(1)) is None
-        # no string of cost 3 or 4 is free; the walk stops at 4 = k + the
-        # largest letter cost
-        assert len(steps) == 2
+        # no string of cost 3 is free; one zero from k on, as many as the
+        # largest letter cost, makes every later count zero
+        assert len(steps) == 1
 
     def test_two_cheapest(self):
         graph = self.graph(2)

@@ -149,8 +149,8 @@ class TestGrouping:
 class TestGuessEnumeration:
     def make_grouping(self, costs, eps, probs, ranges):
         norm = normalize(Instance(probs, LetterCosts(costs), F(eps)))
-        gp = tuple(sum(probs[s:e], F(0)) for s, e in ranges)
-        return Grouping(norm, F(2), ranges, 1, gp), norm
+        ws = norm.instance.weights_int
+        return Grouping(norm, F(2), ranges, 1, tuple(sum(ws[s:e]) for s, e in ranges)), norm
 
     def test_two_groups_two_levels(self):
         g, norm = self.make_grouping(
@@ -250,6 +250,26 @@ class TestSolve:
         assert rep.graph_arcs <= norm.d * rep.graph_nodes
         assert rep.normalized_cost >= 1 - inst.probabilities[0]
 
+    def test_fractions_only_at_the_boundary(self, monkeypatch):
+        # loading and solving n = 2048 integer weights builds a number of
+        # Fractions that does not grow with n; one per word would be 2048
+        rng = random.Random(2048)
+        weights = [max(1, int(100000 / (i + 1) ** 0.9 * rng.uniform(0.9, 1.1))) for i in range(2048)]
+        letters = LetterCosts([1, 2])
+        made = []
+        new = F.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting_new)
+        inst, _ = Instance.from_weights(weights, letters, 1)
+        rep = solve(inst)
+        monkeypatch.undo()
+        assert rep.mode == "main"
+        assert len(made) <= 100
+
 
 class TestTiny:
     def test_smallest_run_length_candidate(self):
@@ -344,13 +364,14 @@ class TestTiny:
         assert rep.mode == "tiny"
 
     def test_boundary_agreement(self):
-        # just above the boundary both paths run; their costs stay within
-        # a (1+eps)^2 factor of each other
+        # just above the boundary (l1 * n = 9/16 > eps) solve takes the main
+        # path, and the tiny path still runs; their costs stay within a
+        # (1+eps)^2 factor of each other
         eps = F(1, 2)
         n = 4
         l1 = eps / n + F(1, 64)
         inst = Instance(tuple([F(1, n)] * n), LetterCosts([l1, 1]), eps)
-        main = solve(inst, force_main=True)
+        main = solve(inst)
         assert main.mode == "main"
         tiny = solve_tiny_ell1(inst, check=False)
         ratio = max(
