@@ -101,15 +101,18 @@ def fmt(x) -> str:
     return "%s (%.6g)" % (f, float(f))
 
 
-def _emit_code(loaded: LoadedInstance, report: CodeReport, emit: str) -> None:
-    inst = loaded.instance
-    inverse = [0] * inst.n
+def _sorted_positions(loaded: LoadedInstance) -> list[int]:
+    """The sorted position of each word, in input order."""
+    inverse = [0] * len(loaded.order)
     for sorted_i, input_i in enumerate(loaded.order):
         inverse[input_i] = sorted_i
+    return inverse
+
+
+def _emit_code(loaded: LoadedInstance, report: CodeReport, emit: str) -> None:
     costs = report.code.costs()
     rows = []
-    for input_i in range(inst.n):
-        si = inverse[input_i]
+    for input_i, si in enumerate(_sorted_positions(loaded)):
         runs = report.code.codewords[si]
         cost = costs[si]
         rows.append(
@@ -148,15 +151,7 @@ def _emit_code(loaded: LoadedInstance, report: CodeReport, emit: str) -> None:
 
 def cmd_solve(args) -> int:
     loaded = load_instance(args.path, args.epsilon)
-    try:
-        report = solve(
-            loaded.instance,
-            k_override=args.k,
-            budget=args.budget,
-        )
-    except BudgetExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    report = solve(loaded.instance, k_override=args.k, budget=args.budget)
     _emit_code(loaded, report, args.emit)
     return 0
 
@@ -164,12 +159,8 @@ def cmd_solve(args) -> int:
 def cmd_exact(args) -> int:
     loaded = load_instance(args.path, Fraction(1))
     result = exact_optimal(loaded.instance)
-    inverse = [0] * loaded.instance.n
-    for sorted_i, input_i in enumerate(loaded.order):
-        inverse[input_i] = sorted_i
     costs = result.optimal_code.costs()
-    for input_i in range(loaded.instance.n):
-        si = inverse[input_i]
+    for input_i, si in enumerate(_sorted_positions(loaded)):
         print(
             "%d\t%s\t%s"
             % (
@@ -184,11 +175,7 @@ def cmd_exact(args) -> int:
 
 def cmd_verify(args) -> int:
     loaded = load_instance(args.path, args.epsilon)
-    try:
-        report = solve(loaded.instance, budget=args.budget)
-    except BudgetExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    report = solve(loaded.instance, budget=args.budget)
     exact = exact_optimal(loaded.instance)
     ratio = Fraction(report.total_cost, exact.optimal_cost)
     bound = 1 + C_TOTAL * loaded.instance.epsilon
@@ -262,12 +249,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, InstanceError, BudgetExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except InstanceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, BudgetExceeded) else 1
 
 
 if __name__ == "__main__":

@@ -25,16 +25,23 @@ once. Each search node owns a list of remaining capacities (free strings at
 a live level's target cost) that starts at the lowest level its groups may
 use. Placing a group at live level i builds the child's list in one pass,
 subtracting a row size * count(T_j - T_i), cached per (i, size), from the
-parent's entries; nothing is undone on return. Once there is an incumbent,
-the list stops at the node's reach: the first level j at which any leaf
-that puts a later group on j costs at least the incumbent. Such a leaf
-carries at least the last group's weight at T_j and the rest at the node's
-lowest target or above, so no leaf that could still win is cut, and the
-completion bound charges words beyond the reach at cost k. All level-0
-sizes share one incumbent, searched in increasing order; it is replaced only
-by a strictly cheaper guess, so ties go to the smaller level-0 size and the
-earlier depth-first order, exactly as if each size were searched alone and
-the results compared.
+parent's entries; nothing is undone on return. The list stops at the
+node's reach: the first level j at which any leaf that puts a later group on
+j costs at least the incumbent. Such a leaf carries at least the last
+group's weight at T_j and the rest at the node's lowest target or above, so
+no leaf that could still win is cut, and the completion bound charges words
+beyond the reach at cost k.
+
+All level-0 sizes share one incumbent, searched in increasing order; it is
+replaced only by a strictly cheaper guess, so ties go to the smaller level-0
+size and the earlier depth-first order, exactly as if each size were
+searched alone and the results compared. The incumbent starts as the
+all-tail guess (every word on the n cheapest strings of cost >= k, always
+consistent) valued one above its cost V, the classical branch-and-bound
+start from a known feasible solution (Land and Doig, 1960). Size 0 is
+searched first and its all-tail leaf costs V, so the seed never outlasts
+that search; until a leaf there costs at most V, no bound, break or reach
+cuts anything, since each is at most the total weight times k <= V.
 
 Instances whose cheapest letter costs at most epsilon/n skip all of the above
 and use a direct candidate construction (solve_tiny_ell1). Its candidate
@@ -239,10 +246,6 @@ def guess_stream_size(grouping: Grouping, k: Fraction, epsilon: Fraction) -> int
 # branch-and-bound search over guesses
 
 
-# (value in weight-scaled quanta, level-0 size, per-group levels)
-Incumbent = tuple[int, int, tuple[int, ...]]
-
-
 @dataclass
 class _Search:
     norm: NormalizedInstance
@@ -271,11 +274,19 @@ class _Search:
         for i in range(len(self.group_w) - 1, -1, -1):
             self.rest_w[i] = self.rest_w[i + 1] + self.group_w[i]
         self.n = len(ws)
+        # the incumbent: [value in weight-scaled quanta, level-0 size, levels
+        # of the placed groups]. It starts as the all-tail guess (every word
+        # on the n cheapest strings of cost >= k) valued one above its cost,
+        # so any leaf costing no more replaces it; this walk counts toward
+        # neither explored nor the budget
+        batches = g.tail(self.n, [])
+        assert batches is not None, "the all-tail guess is always consistent"
+        self.best: list = [self._tail_value(batches, 0) + 1, 0, ()]
 
     def _bump(self) -> None:
         self.explored += 1
         if self.explored > self.budget:
-            raise _BudgetSignal()
+            raise BudgetExceeded(self.explored, self.budget)
 
     def _row(self, lpos: int, size: int) -> list[int]:
         counts, targets = self.graph.counts, self.targets
@@ -300,31 +311,20 @@ class _Search:
         (from lpos_min up to its reach) at their current capacities, which
         future placements only shrink, and the rest at cost k, since such a
         leaf can put them nowhere but the tail."""
-        left = self.n - first_word
-        value = 0
-        w = first_word
-        prefix = self.prefix_w
+        n, prefix = self.n, self.prefix_w
+        value, w = 0, first_word
         for cap, target in zip(caps, islice(self.targets, lpos_min, None)):
-            if left == 0:
-                return value
-            if cap <= 0:
-                continue
-            take = min(left, cap)
-            value += (prefix[w + take] - prefix[w]) * target
-            w += take
-            left -= take
-        return value + (prefix[self.n] - prefix[w]) * self.graph.k_q
+            if cap > 0:
+                end = w + cap
+                if end >= n:
+                    return value + (prefix[n] - prefix[w]) * target
+                value += (prefix[end] - prefix[w]) * target
+                w = end
+        return value + (prefix[n] - prefix[w]) * self.graph.k_q
 
-    def _tail_value(self, placed: list[tuple[int, int]], first_word: int) -> int | None:
-        """Exact cost of completing words first_word.. with cheapest eligible
-        tail strings, given the (cost, how_many) codewords placed below k;
-        None when not enough exist."""
-        need = self.n - first_word
-        if need == 0:
-            return 0
-        batches = self.graph.tail(need, placed, self._bump)
-        if batches is None:
-            return None
+    def _tail_value(self, batches: list[tuple[int, int]], first_word: int) -> int:
+        """Cost of giving words first_word.. the (cost, how_many) tail
+        batches in order."""
         value = 0
         prefix, w = self.prefix_w, first_word
         for c, take in batches:
@@ -332,11 +332,11 @@ class _Search:
             w += take
         return value
 
-    def run(self, f0: int, incumbent: Incumbent | None) -> Incumbent | None:
-        """Search the guesses with level-0 size f0 against the incumbent and
-        return the new incumbent. It changes only on a strictly cheaper
-        guess, so ties keep the earlier f0 and the earlier depth-first order.
-        Unassigned trailing groups are tail, encoded as -1."""
+    def run(self, f0: int) -> None:
+        """Search the guesses with level-0 size f0 against the incumbent,
+        which changes only on a strictly cheaper guess, so ties keep the
+        earlier f0 and the earlier depth-first order. Unassigned trailing
+        groups are tail."""
         g = self.graph
         sizes = self.grouping.sizes
         ranges = self.grouping.ranges
@@ -350,49 +350,45 @@ class _Search:
         # (cost, how_many) of the codewords below k: the level-0 codeword,
         # then (target, size) per placed group
         placed: list[tuple[int, int]] = [(f0_cost, 1)] if f0 > 0 else []
+        best = self.best
+        assign: list[int] = []
 
         # each node owns caps: the free strings at the target costs of live
         # levels lpos_min, lpos_min + 1, ..., given the level-0 codeword and
-        # the words placed above it; with an incumbent the list stops at the
-        # node's reach, and before one it spans every live level
+        # the words placed above it, up to the node's reach
         root = [g.free(t, placed) for t in self.targets]
-        if incumbent is not None and start < G:
-            del root[self._reach(0, base, rest_w[start], incumbent[0]) :]
-        best: list = list(incumbent) if incumbent is not None else [None, None, None]
-        assign: list[int] = []
+        del root[self._reach(0, base, rest_w[start], best[0]) :]
 
         def leaf(gpos: int, partial: int) -> None:
             self.leaves += 1
             first_word = ranges[gpos][0] if gpos < G else self.n
-            tail = self._tail_value(placed, first_word)
-            if tail is None:
+            batches = g.tail(self.n - first_word, placed, self._bump)
+            if batches is None:
                 return
-            value = partial + tail
-            if best[0] is None or value < best[0]:
-                best[:] = value, f0, tuple(assign) + (-1,) * (G - start - len(assign))
+            value = partial + self._tail_value(batches, first_word)
+            if value < best[0]:
+                best[:] = value, f0, tuple(assign)
 
         def dfs(gpos: int, lpos_min: int, partial: int, caps: list[int]) -> None:
             if gpos == G:
                 leaf(gpos, partial)
                 return
             size, gw, rest = sizes[gpos], group_w[gpos], rest_w[gpos]
-            if best[0] is not None:
-                # capacity-aware admissible bound prunes the whole subtree
-                floor = partial + self._completion_bound(caps, lpos_min, ranges[gpos][0])
-                if floor >= best[0]:
-                    return
+            # capacity-aware admissible bound prunes the whole subtree
+            if partial + self._completion_bound(caps, lpos_min, ranges[gpos][0]) >= best[0]:
+                return
             for lpos in range(lpos_min, L):
                 self._bump()
                 lvl, target = live[lpos]
-                # fires at or before the end of caps once there is an incumbent
-                if best[0] is not None and partial + rest * target >= best[0]:
+                # fires at or before the end of caps
+                if partial + rest * target >= best[0]:
                     break
                 at = lpos - lpos_min
                 if size > caps[at]:
                     continue
                 child: list[int] = []  # a leaf reads no capacities
                 if gpos + 1 < G:
-                    hi = L if best[0] is None else self._reach(lpos, partial, rest, best[0])
+                    hi = self._reach(lpos, partial, rest, best[0])
                     row = rows.get((lpos, size)) or self._row(lpos, size)
                     child = list(map(sub, islice(caps, at, hi - lpos_min), row))
                 placed.append((target, size))
@@ -401,7 +397,7 @@ class _Search:
                 assign.pop()
                 placed.pop()
             # remaining groups fall to the tail
-            if best[0] is None or partial + rest * g.k_q < best[0]:
+            if partial + rest * g.k_q < best[0]:
                 leaf(gpos, partial)
 
         try:
@@ -410,11 +406,6 @@ class _Search:
             # dfs refers to itself through its cell; without this the search
             # state would wait for a full garbage collection
             del dfs
-        return None if best[0] is None else tuple(best)
-
-
-class _BudgetSignal(Exception):
-    pass
 
 
 def _assignment_to_guess(
@@ -424,8 +415,6 @@ def _assignment_to_guess(
     start = 1 if f0 > 0 else 0
     counts: dict[int, int] = {}
     for off, lvl in enumerate(assignment):
-        if lvl < 0:
-            break
         counts[lvl] = counts.get(lvl, 0) + sizes[start + off]
     return Guess(f0, tuple(sorted(counts.items())))
 
@@ -646,14 +635,9 @@ def solve(
     grouping = group_words(norm, k)
 
     search = _Search(norm, graph, grouping, budget)
-    best: Incumbent | None = None
-    try:
-        for f0 in level0_size_candidates(norm):
-            best = search.run(f0, best)
-    except _BudgetSignal:
-        raise BudgetExceeded(search.explored, budget) from None
-    assert best is not None, "the all-tail guess is always consistent"
-    value, f0, assignment = best
+    for f0 in level0_size_candidates(norm):
+        search.run(f0)
+    value, f0, assignment = search.best
     kprefix_cost = Fraction(value, instance.scale) * graph.quantum
 
     guess = _assignment_to_guess(f0, assignment, grouping)

@@ -167,13 +167,12 @@ def construct_leveled(
 class _MatNode:
     """A trie node on the path of a blocking codeword (cost < k)."""
 
-    __slots__ = ("children", "cost_q", "blocking", "blocked")
+    __slots__ = ("children", "blocking", "blocked")
 
-    def __init__(self, cost_q: int):
+    def __init__(self):
         self.children: dict[int, "_MatNode"] = {}
-        self.cost_q = cost_q
         self.blocking = False  # a codeword of cost < k ends here
-        self.blocked: dict[int, int] = {}  # relative cost -> blocking marks below
+        self.blocked: dict[int, int] = {}  # cost -> blocking codewords below
 
 
 class _Materializer:
@@ -192,21 +191,19 @@ class _Materializer:
     def __init__(self, graph: CostGraph, letters_q: Sequence[int]):
         self.graph = graph
         self.letters_q = letters_q
-        self.root = _MatNode(0)
+        self.root = _MatNode()
 
     def mark(self, runs: Runs) -> None:
         """Record a blocking codeword: mark the end of its path and count it at
-        every proper prefix, by its cost relative to that prefix."""
-        letters_q = self.letters_q
-        total = runs_cost_q(runs, letters_q)
+        every proper prefix, under its cost."""
+        total = runs_cost_q(runs, self.letters_q)
         node = self.root
         for let, rep in runs:
             for _ in range(rep):
-                rel = total - node.cost_q
-                node.blocked[rel] = node.blocked.get(rel, 0) + 1
+                node.blocked[total] = node.blocked.get(total, 0) + 1
                 nxt = node.children.get(let)
                 if nxt is None:
-                    nxt = node.children[let] = _MatNode(node.cost_q + letters_q[let])
+                    nxt = node.children[let] = _MatNode()
                 node = nxt
         assert not node.blocking, "codeword selected twice"
         node.blocking = True
@@ -219,7 +216,14 @@ class _Materializer:
         prefix as runs, next letter to try]; a frame that has handed out all it
         wants is dropped before its last child is entered, so the stack holds
         only the prefixes that still branch.
+
+        A blocking codeword of cost c below a child cuts off count(cost_q - c)
+        of the child's continuations. Selections come in increasing cost
+        order (the level-0 run, the levels, then the tail, which marks
+        nothing), so no mark costs more than cost_q; the root counts every
+        mark.
         """
+        assert max(self.root.blocked, default=0) <= cost_q, "selections out of cost order"
         letters_q = self.letters_q
         r = len(letters_q)
         self.graph.count(cost_q)  # extends the string counts to every cost read below
@@ -239,9 +243,8 @@ class _Materializer:
             if child is not None:
                 if child.blocking:
                     continue
-                for rel, cnt in child.blocked.items():
-                    if rel <= rest:
-                        avail -= cnt * count[rest - rel]
+                for c, cnt in child.blocked.items():
+                    avail -= cnt * count[cost_q - c]
             if avail <= 0:
                 continue
             if avail >= want:  # this child supplies the rest; the frame is done

@@ -6,10 +6,12 @@ For each seed and each workload of perfbench/workloads.py, every instance is
 solved through the public API with the library defaults. One sha256 line per
 workload and seed covers, per instance in run order, the codewords,
 total_cost, lower_bound, kprefix_cost, mode, guess_count and explored, or the
-name of the exception raised; the line also gives the explored total and
-the exceptions raised. Run it before and after a change that must not
-change results and diff the output. The file's name keeps pytest from
-collecting it.
+name of the exception raised; the line also gives the explored total, the
+exceptions raised, and a second sha256 ("results") over the same fields
+without guess_count and explored, which stays put when a change moves only
+the search's effort. Run it before and after a change that must not change
+results and diff the output. The file's name keeps pytest from collecting
+it.
 """
 
 from __future__ import annotations
@@ -27,45 +29,47 @@ import workloads  # noqa: E402
 from lettercost import Instance, LetterCosts, solve  # noqa: E402
 
 
-def outcome(spec: workloads.Spec) -> tuple[str, int, str | None]:
-    """The instance's result as text, the nodes its search explored, and the
-    name of the exception it raised, if any."""
+def outcome(spec: workloads.Spec) -> tuple[str, str, int, str | None]:
+    """The instance's result as text, the same without the search's effort,
+    the nodes its search explored, and the name of the exception it raised,
+    if any."""
     instance, _ = Instance.from_weights(spec.weights, LetterCosts(spec.costs), spec.epsilon)
     try:
         rep = solve(instance)
     except Exception as exc:  # the exception's name is part of the output
         name = type(exc).__name__
-        return "raised %s" % name, 0, name
-    fields = (
+        return "raised %s" % name, "raised %s" % name, 0, name
+    results = (
         rep.code.codewords,
         rep.total_cost,
         rep.lower_bound,
         rep.kprefix_cost,
         rep.mode,
-        rep.guess_count,
-        rep.explored,
     )
-    return repr(fields), rep.explored, None
+    effort = (rep.guess_count, rep.explored)
+    return repr(results + effort), repr(results), rep.explored, None
 
 
 def dump(workload: str, seed: int) -> str:
-    digest = hashlib.sha256()
+    digest, results_digest = hashlib.sha256(), hashlib.sha256()
     explored = 0
     raised: list[str] = []
     specs = workloads.generate(workload, seed)
     for spec in specs:
-        text, nodes, exc = outcome(spec)
+        text, results, nodes, exc = outcome(spec)
         digest.update(text.encode() + b"\n")
+        results_digest.update(results.encode() + b"\n")
         explored += nodes
         if exc is not None:
             raised.append("%s at n=%d" % (exc, spec.n))
-    return "%s seed %d: %d instances, explored %d, raised [%s], sha256 %s" % (
+    return "%s seed %d: %d instances, explored %d, raised [%s], sha256 %s, results sha256 %s" % (
         workload,
         seed,
         len(specs),
         explored,
         ", ".join(raised),
         digest.hexdigest(),
+        results_digest.hexdigest(),
     )
 
 

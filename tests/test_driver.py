@@ -431,6 +431,18 @@ class TestSearchEquivalence:
             assert best is not None
             assert rep.kprefix_cost == best, (costs, weights, eps, k)
             checked += 1
+        # the first leaf in depth-first order costs more than the all-tail
+        # guess (2356 against 2340 and 2652 against 2420 in the search's
+        # units), so the seeded incumbent must outlast it
+        for weights, eps, want in (
+            ([8, 51, 25, 58, 32, 20, 28, 44], F(1, 4), F(555, 266)),
+            ([48, 83, 19, 13, 77, 89, 71, 60, 42, 21, 7], F(1, 2), F(1181, 530)),
+        ):
+            inst, _ = Instance.from_weights(weights, LetterCosts([1, 1, 2]), eps)
+            rep = solve(inst, k_override=F(2))
+            assert rep.mode == "main"
+            assert rep.kprefix_cost == want
+            assert want == enumerated_minimum(normalize(inst), F(2), len(weights))
 
     def test_reach_limit_on_many_live_levels(self, monkeypatch):
         # 20-22 live levels at n <= 4: the incumbent cuts most capacity lists
