@@ -17,9 +17,10 @@ leveled construction work in integer quantum units.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 GLYPHS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -53,21 +54,6 @@ def runs_from_str(s: str, glyphs: str = GLYPHS) -> Runs:
 
 def runs_to_str(runs: Runs, glyphs: str = GLYPHS) -> str:
     return "".join(glyphs[let] * rep for let, rep in runs)
-
-
-def runs_is_prefix(a: Runs, b: Runs) -> bool:
-    """True when the letter sequence a is a (not necessarily proper) prefix of b."""
-    i = 0
-    for j, (let, rep) in enumerate(a):
-        if i >= len(b):
-            return False
-        blet, brep = b[i]
-        if blet != let or brep < rep:
-            return False
-        if brep > rep:
-            return j == len(a) - 1  # a may only end inside this run of b
-        i += 1
-    return True
 
 
 def as_runs(word) -> Runs:
@@ -468,41 +454,39 @@ class CodewordTrie:
         return node
 
 
-def _has_violation(items: list[Runs], letters: LetterCosts | None, k_cost) -> bool:
-    """Some codeword (of cost < k_cost, when given) is a prefix of another."""
+def _has_violation(items: list[Runs], costs: Mapping[int, int], limit: int) -> bool:
+    """Some codeword of cost < limit is a prefix of another; costs[let] is the
+    cost of letter let, in the unit of limit."""
     trie = CodewordTrie()
     for runs in items:
         trie.insert(runs)
 
-    def below_k(runs: Runs) -> bool:
-        if k_cost is None:
-            return True
-        return codeword_cost(runs, letters) < k_cost
-
-    path: list[int] = []
-
-    def dfs(node: TrieNode, marked_above: bool) -> bool:
+    def dfs(node: TrieNode, cost: int, marked_above: bool) -> bool:
         if node.marks and marked_above:
             return True  # some cheap ancestor prefixes this codeword
-        here = node.marks > 0 and below_k(runs_from_letters(path))
+        here = node.marks > 0 and cost < limit
         if node.marks >= 2 and here:
             return True  # duplicate with cost below the threshold
         for let, child in node.children.items():
-            path.append(let)
-            bad = dfs(child, marked_above or here)
-            path.pop()
-            if bad:
+            if dfs(child, cost + costs[let], marked_above or here):
                 return True
         return False
 
-    return dfs(trie.root, False)
+    return dfs(trie.root, 0, False)
 
 
 def is_prefix_free(words) -> bool:
     """True when no codeword is a prefix of any other (duplicates count)."""
-    return not _has_violation([as_runs(w) for w in words], None, None)
+    # every letter costs 0, so every codeword is below the limit 1
+    return not _has_violation([as_runs(w) for w in words], defaultdict(int), 1)
 
 
 def is_k_prefix_free(words, k: Rational, letters: LetterCosts) -> bool:
     """True when no codeword of cost < k is a prefix of any other codeword."""
-    return not _has_violation([as_runs(w) for w in words], letters, Fraction(k))
+    items = [as_runs(w) for w in words]
+    for runs in items:
+        codeword_cost_int(runs, letters)  # rejects a letter outside the alphabet
+    k = Fraction(k)
+    # an integer cost is below k * scale exactly when it is below its ceiling
+    limit = -(-k.numerator * letters.scale // k.denominator)
+    return not _has_violation(items, letters.costs_int, limit)

@@ -14,22 +14,19 @@ Codewords are kept implicit as (cost, how_many) selections, so construction
 cost never depends on total codeword length. Concrete codewords materialize
 lazily: each selection takes the first free strings of its cost in
 letter-index order, found by a depth-first walk with an explicit stack whose
-frames carry their prefix as runs. Only the paths of blocking codewords (cost
-< k) are kept in a trie; off it every string is free, so the free count of a
-subtree is a plain string count. Python stack depth does not grow with
-codeword length.
+frames carry their prefix as runs. The blocking codewords (cost < k) are
+kept as per-cost sets of runs, with no node per letter, so neither Python
+stack depth nor memory grows with codeword length in letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .core import (
     InstanceError,
     NormalizedInstance,
     Runs,
-    runs_cost_q,
 )
 from .cost_graph import CostGraph, Inconsistent
 
@@ -164,118 +161,67 @@ def construct_leveled(
 # materialization of implicit selections into concrete codewords
 
 
-class _MatNode:
-    """A trie node on the path of a blocking codeword (cost < k)."""
+def _materialize(code: LeveledCode) -> list[Runs]:
+    """Resolve each (cost, count) selection into the first `count` free strings
+    of its cost in letter-index order (letters are sorted by cost, so cheaper
+    letters come first), in word order.
 
-    __slots__ = ("children", "blocking", "blocked")
+    A string is free when no blocking codeword (cost < k: the level-0 run and
+    the level picks) is a prefix of it; tail picks block nothing, matching the
+    relaxed prefix rule past k. Blocking codewords are kept as sets of runs
+    keyed by cost, so a prefix is looked up only when its cost is a key.
 
-    def __init__(self):
-        self.children: dict[int, "_MatNode"] = {}
-        self.blocking = False  # a codeword of cost < k ends here
-        self.blocked: dict[int, int] = {}  # cost -> blocking codewords below
-
-
-class _Materializer:
-    """Resolves (cost, count) selections into the first `count` free strings of
-    that cost in letter-index order (letters are sorted by cost, so cheaper
-    letters come first).
-
-    The trie holds only the paths of blocking codewords. Counts of candidate
-    continuations come from the graph's string counts minus the continuations
-    cut off by blocking marks; below a string that is not in the trie nothing
-    is marked, so every continuation is free. Marks of cost >= k do not block,
-    matching the relaxed prefix rule for the tail, so tail selections add no
-    nodes.
+    Each selection is one depth-first walk over the strings of its cost on an
+    explicit stack of (prefix runs, remaining cost, next letter) frames. It
+    cuts a prefix with no string of the remaining cost below it or that is a
+    blocking codeword, and stops at `count` strings. Below a prefix that is
+    not cut, some string of the cost either is free or has a blocking prefix
+    below it, so a walk goes no deeper than the strings it returns and the
+    blocking codewords; a subtree whose strings are all blocked is walked
+    again by each later selection whose strings sort after it.
     """
-
-    def __init__(self, graph: CostGraph, letters_q: Sequence[int]):
-        self.graph = graph
-        self.letters_q = letters_q
-        self.root = _MatNode()
-
-    def mark(self, runs: Runs) -> None:
-        """Record a blocking codeword: mark the end of its path and count it at
-        every proper prefix, under its cost."""
-        total = runs_cost_q(runs, self.letters_q)
-        node = self.root
-        for let, rep in runs:
-            for _ in range(rep):
-                node.blocked[total] = node.blocked.get(total, 0) + 1
-                nxt = node.children.get(let)
-                if nxt is None:
-                    nxt = node.children[let] = _MatNode()
-                node = nxt
-        assert not node.blocking, "codeword selected twice"
-        node.blocking = True
-
-    def select(self, cost_q: int, take: int, blocking: bool) -> list[Runs]:
-        """The first `take` free strings of cost cost_q, marked when blocking.
-
-        A depth-first walk with an explicit stack. A frame is [trie node (None
-        off the trie), remaining cost, strings still wanted below it, its
-        prefix as runs, next letter to try]; a frame that has handed out all it
-        wants is dropped before its last child is entered, so the stack holds
-        only the prefixes that still branch.
-
-        A blocking codeword of cost c below a child cuts off count(cost_q - c)
-        of the child's continuations. Selections come in increasing cost
-        order (the level-0 run, the levels, then the tail, which marks
-        nothing), so no mark costs more than cost_q; the root counts every
-        mark.
-        """
-        assert max(self.root.blocked, default=0) <= cost_q, "selections out of cost order"
-        letters_q = self.letters_q
-        r = len(letters_q)
-        self.graph.count(cost_q)  # extends the string counts to every cost read below
-        count = self.graph.counts
+    letters_q = code.norm.letters_q
+    r = len(letters_q)
+    graph = code.graph
+    blocked: dict[int, set[Runs]] = {}
+    words: list[Runs] = []
+    if code.guess.f0 > 0:
+        runs = ((0, code.guess.f0),)
+        blocked[code.guess.f0 * letters_q[0]] = {runs}
+        words.append(runs)
+    picks = [(cost_q, take, True) for _, cost_q, take in code.level_picks]
+    picks += [(cost_q, take, False) for cost_q, take in code.tail_picks]
+    for cost_q, take, blocking in picks:
+        graph.count(cost_q)  # extends the string counts to every cost read below
+        count = graph.counts
         out: list[Runs] = []
-        stack: list[list] = [[self.root, cost_q, take, (), 0]]
+        # a frame tries one letter, which fits its remaining cost (a string of
+        # that cost exists); the frame for the next letter goes below the
+        # child's, so the walk goes in letter order
+        stack = [((), cost_q, 0)]
         while stack:
-            frame = stack[-1]
-            node, budget, want, runs, let = frame
-            if let == r or letters_q[let] > budget:  # letters are sorted by cost
-                stack.pop()
-                continue
-            frame[4] = let + 1
+            runs, budget, let = stack.pop()
+            if let + 1 < r and letters_q[let + 1] <= budget:  # letters are sorted by cost
+                stack.append((runs, budget, let + 1))
             rest = budget - letters_q[let]
-            avail = count[rest]
-            child = node.children.get(let) if node is not None else None
-            if child is not None:
-                if child.blocking:
-                    continue
-                for c, cnt in child.blocked.items():
-                    avail -= cnt * count[cost_q - c]
-            if avail <= 0:
+            if not count[rest]:
                 continue
-            if avail >= want:  # this child supplies the rest; the frame is done
-                avail = want
-                stack.pop()
-            else:
-                frame[2] = want - avail
             if runs and runs[-1][0] == let:
                 runs = runs[:-1] + ((let, runs[-1][1] + 1),)
             else:
                 runs = runs + ((let, 1),)
+            marks = blocked.get(cost_q - rest)
+            if marks is not None and runs in marks:
+                continue
             if rest:
-                stack.append([child, rest, avail, runs, 0])
+                stack.append((runs, rest, 0))
             else:
                 out.append(runs)
-                if blocking:
-                    self.mark(runs)
+                if len(out) == take:
+                    break
         assert len(out) == take, "materialization found %d of %d codewords" % (len(out), take)
-        return out
-
-
-def _materialize(code: LeveledCode) -> list[Runs]:
-    mat = _Materializer(code.graph, code.norm.letters_q)
-    words: list[Runs] = []
-    if code.guess.f0 > 0:
-        runs = ((0, code.guess.f0),)
-        mat.mark(runs)
-        words.append(runs)
-    for _, cost_q, count in code.level_picks:
-        words.extend(mat.select(cost_q, count, blocking=True))
-    for cost_q, count in code.tail_picks:
-        words.extend(mat.select(cost_q, count, blocking=False))
+        if blocking:
+            blocked.setdefault(cost_q, set()).update(out)
+        words.extend(out)
     assert len(words) == code.n
     return words

@@ -45,7 +45,6 @@ class OracleResult:
 def exact_optimal(
     instance: Instance,
     depth_cap: int | None = None,
-    max_words: int = MAX_ORACLE_WORDS,
 ) -> OracleResult:
     """Exact minimum-cost prefix code over codewords of at most depth_cap letters.
 
@@ -63,7 +62,7 @@ def exact_optimal(
     instance.scale * letters.scale, and compares the same way.
     """
     n = instance.n
-    if n > max_words:
+    if n > MAX_ORACLE_WORDS:
         raise InstanceError("instance too large for the exact oracle (n=%d)" % n)
     if depth_cap is None:
         depth_cap = 2 * n

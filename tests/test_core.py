@@ -15,7 +15,7 @@ from lettercost import (
     normalize,
     reorder,
 )
-from lettercost.core import runs_from_str, runs_is_prefix, runs_to_str
+from lettercost.core import runs_from_str, runs_to_str
 
 from helpers import (
     fraction_code_cost,
@@ -317,9 +317,3 @@ class TestRuns:
     def test_roundtrip(self):
         for s in ["a", "aab", "abba", "bbbb"]:
             assert runs_to_str(runs_from_str(s)) == s
-
-    def test_prefix_predicate(self):
-        assert runs_is_prefix(runs_from_str("aa"), runs_from_str("aab"))
-        assert runs_is_prefix(runs_from_str("ab"), runs_from_str("ab"))
-        assert not runs_is_prefix(runs_from_str("ab"), runs_from_str("aab"))
-        assert not runs_is_prefix(runs_from_str("aab"), runs_from_str("aa"))

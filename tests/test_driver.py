@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 from operator import mul
 
@@ -38,7 +39,6 @@ from lettercost.driver import (
     tiny_candidate_code,
     tiny_run_length_candidates,
 )
-from lettercost.kprefix import _MatNode
 
 from helpers import choose_k_scan, random_instance
 
@@ -209,18 +209,41 @@ class TestSolve:
         assert err.value.explored == err.value.budget + 1
 
     def test_main_path_leaves_no_cyclic_garbage(self):
-        # the materializer's trie and the search's closures go by reference
-        # counting, without waiting for a full collection
+        # the search's closures go by reference counting, without waiting for
+        # a full collection
         instance, _ = Instance.from_weights([1000 // i for i in range(1, 200)], LetterCosts([1, 2]), F(1))
         gc.collect()
         gc.disable()
         try:
             assert solve(instance).mode == "main"
-            tries = sum(isinstance(o, _MatNode) for o in gc.get_objects())
             garbage = gc.collect()
         finally:
             gc.enable()
-        assert (tries, garbage) == (0, 0)
+        assert garbage == 0
+
+    def test_materializer_memory_does_not_grow_with_codeword_length(self, monkeypatch):
+        # blocking codewords are kept as runs, not as one node per letter; a
+        # per-letter trie peaks at ~36 MB here, with codewords of up to 900
+        # letters
+        built = []
+
+        def construct(*args):
+            built.append(construct_leveled(*args))
+            return built[-1]
+
+        instance, _ = long_codeword_instance()
+        monkeypatch.setattr(driver, "construct_leveled", construct)
+        assert solve(instance).mode == "main"
+        code = built[-1]
+        fresh = construct_leveled(code.norm, code.graph, code.guess, code.n)
+        tracemalloc.start()
+        try:
+            words = fresh.codewords
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert words == code.codewords
+        assert peak < 4 * 2**20, peak
 
     def test_stack_depth_does_not_grow_with_codeword_length(self):
         # the materializer walks an explicit stack; a recursive walk needs one
