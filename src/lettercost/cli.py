@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     p.add_argument("--emit", choices=("table", "tsv"), default="table")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("exact", help="exact optimum by branch and bound (small n)")
+    p = sub.add_parser("exact", help="exact optimum by a signature search (n <= 10)")
     p.add_argument("path")
     p.set_defaults(func=cmd_exact)
 

@@ -1,11 +1,18 @@
 """Ground-truth solvers for small instances and classical baselines.
 
-exact_optimal performs branch and bound over ordered prefix codes: candidate
-codewords are enumerated in (cost, lexicographic) order, each word in turn
-takes a candidate no cheaper than its predecessor's, and a branch dies when
-its accumulated cost plus the cheapest possible completion (per-word cheapest
-remaining candidates, conflicts ignored) cannot beat the incumbent. The
-structural bound cost >= (1 - p1) * l2 sanity-checks the result.
+exact_optimal builds an optimal code tree one cost level at a time, cheapest
+level first, by Dijkstra's algorithm over truncated-tree signatures (Golin
+and Rote, IEEE Trans. IT 44(5), 1998). A signature is the number of words
+placed so far, heaviest first, plus the pending tree nodes as (offset, count)
+pairs measured from the level being decided. At that level some nodes become
+leaves for the next words and the others are expanded, one child per letter.
+Only the cheapest pending nodes that the unplaced words can still use are
+kept, so the signatures are few. Climbing to the next nonempty level charges
+the weight of the unplaced words times the gap, so every edge but the last
+costs a positive amount and the first time the search settles the finished
+signature its distance is the optimum. The winning leaf counts are then
+replayed on actual strings. The structural bound cost >= (1 - p1) * l2
+sanity-checks the result.
 
 huffman_equal_costs is the classical greedy merge, valid only when every
 letter costs the same; it cross-checks exact_optimal on that subfamily.
@@ -15,9 +22,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .core import (
     CodeAssignment,
@@ -29,12 +36,15 @@ from .core import (
 
 MAX_ORACLE_WORDS = 10
 
+# a signature: (words placed, ((offset, count), ...)) with offsets ascending
+Signature = tuple[int, tuple[tuple[int, int], ...]]
+
 
 @dataclass(frozen=True)
 class OracleResult:
     optimal_cost: Fraction  # raw scale: original letter costs times raw weights
     optimal_code: CodeAssignment
-    nodes_explored: int
+    nodes_explored: int  # exact_optimal: states settled; huffman: items pushed on its heap
 
     @property
     def normalized_cost(self) -> Fraction:
@@ -42,117 +52,118 @@ class OracleResult:
         return self.optimal_cost / letters.costs[1]
 
 
-def exact_optimal(
-    instance: Instance,
-    depth_cap: int | None = None,
-) -> OracleResult:
-    """Exact minimum-cost prefix code over codewords of at most depth_cap letters.
+def exact_optimal(instance: Instance) -> OracleResult:
+    """Exact minimum-cost prefix code, ordered: word i gets the i-th cheapest
+    codeword.
 
-    depth_cap defaults to 2n. The search itself never needs codewords longer
-    than n-1 letters: a code trie with a single-child internal node contracts
-    to a strictly cheaper prefix code, so some optimal trie has at most n-1
-    internal nodes and hence depth at most n-1. Candidates are therefore
-    enumerated up to min(depth_cap, n-1) letters without changing the result.
-    Raises InstanceError when no prefix code of n words fits in depth_cap
-    letters.
+    Word m's codeword sits on a leaf of the code tree. Going up the cost
+    levels of the tree, the words placed so far are the heaviest ones, and
+    the search state is the signature (m, pending nodes). The start is the
+    root already expanded, since a codeword is never empty. A move at a level
+    with w0 nodes takes x of them as leaves for words m..m+x-1 and expands
+    min(w0 - x, n - m - x) of the rest: an expanded node that no word uses
+    costs nothing, so expanding fewer never helps. Then only the n - m - x
+    cheapest pending nodes are kept, as the words left use at most that many
+    disjoint subtrees and a cheaper node holds any subtree a costlier one
+    does. nodes_explored counts the states settled.
 
-    The search runs in integers: codeword costs times letters.scale and
-    probabilities times instance.scale, so every partial cost, bound and
-    incumbent is the true value times the one positive constant
-    instance.scale * letters.scale, and compares the same way.
+    Everything runs in integers: codeword costs times letters.scale and
+    probabilities times instance.scale, with one Fraction for the result.
+    Raises InstanceError above MAX_ORACLE_WORDS words.
     """
     n = instance.n
     if n > MAX_ORACLE_WORDS:
         raise InstanceError("instance too large for the exact oracle (n=%d)" % n)
-    if depth_cap is None:
-        depth_cap = 2 * n
     letters = instance.letters
     costs = letters.costs_int
     weights = instance.weights_int
-    r = letters.r
+    by_cost = sorted(Counter(costs).items())
+    # unplaced[m]: weight of words m.., charged per unit of cost climbed
+    unplaced = list(itertools.accumulate(reversed(weights), initial=0))[::-1]
 
-    # initial incumbent: the n cheapest codewords of one common length
-    # (all the same length, hence prefix-free); no shorter length holds n
-    depth = 1
-    while r**depth < n:
-        depth += 1
-    if depth_cap < depth:
-        raise InstanceError(
-            "no prefix code of %d words has codewords of at most %d letters" % (n, depth_cap)
-        )
-    best_words = sorted(
-        itertools.product(range(r), repeat=depth),
-        key=lambda w: (sum(costs[let] for let in w), w),
-    )[:n]
-    best = sum(weights[i] * sum(costs[let] for let in w) for i, w in enumerate(best_words))
-    nodes = 0
+    def climb(rest, expand: int, keep: int):
+        """(gap, pending) after expanding `expand` nodes at the current level,
+        rest being the nodes above it: the `keep` cheapest, with offsets from
+        the cheapest one, which lies `gap` above the current level. None when
+        no node is left."""
+        nodes = dict(rest)
+        if expand:
+            for c, mult in by_cost:
+                nodes[c] = nodes.get(c, 0) + expand * mult
+        if not nodes:
+            return None
+        offsets = sorted(nodes)
+        gap = offsets[0]
+        pending = []
+        for off in offsets:
+            cnt = nodes[off]
+            if cnt >= keep:
+                pending.append((off - gap, keep))
+                break
+            pending.append((off - gap, cnt))
+            keep -= cnt
+        return gap, tuple(pending)
 
-    # every string of at most word_cap letters, streamed in (cost, lex)
-    # order: pool_words[i] is the i-th string, pool_costs[i] its cost
-    word_cap = min(depth_cap, max(n - 1, 1))
-    heap = [(c, (let,)) for let, c in enumerate(costs)]
-    heapq.heapify(heap)
-    pool_costs: list[int] = []
-    pool_words: list[tuple[int, ...]] = []
+    gap, pending = climb((), 1, n)
+    start: Signature = (0, pending)
+    goal: Signature = (n, ())
+    dist = {start: unplaced[0] * gap}
+    came_from: dict[Signature, tuple[Signature, int]] = {}
+    tie = itertools.count()  # equal distances settle in insertion order
+    heap = [(dist[start], next(tie), start)]
+    settled = 0
+    while True:
+        d, _, state = heapq.heappop(heap)
+        if d > dist[state]:
+            continue  # superseded by a shorter path
+        settled += 1
+        if state == goal:
+            break
+        m, pending = state
+        w0 = pending[0][1]
+        rest = pending[1:]
+        for x in range(min(w0, n - m) + 1):
+            left = n - m - x
+            if left == 0:
+                nxt, nd = goal, d
+            else:
+                moved = climb(rest, min(w0 - x, left), left)
+                if moved is None:
+                    continue
+                gap, after = moved
+                nxt, nd = (m + x, after), d + unplaced[m + x] * gap
+            if nd < dist.get(nxt, nd + 1):
+                dist[nxt] = nd
+                came_from[nxt] = (state, x)
+                heapq.heappush(heap, (nd, next(tie), nxt))
+    best = d
 
-    def ensure(count: int) -> bool:
-        """Grow the pool to `count` strings; False if there are fewer."""
-        while len(pool_costs) < count:
-            if not heap:
-                return False
-            cost, word = heapq.heappop(heap)
-            pool_costs.append(cost)
-            pool_words.append(word)
-            if len(word) < word_cap:
-                for let, c in enumerate(costs):
-                    heapq.heappush(heap, (cost + c, word + (let,)))
-        return True
+    leaf_counts = []
+    while state != start:
+        state, x = came_from[state]
+        leaf_counts.append(x)
+    leaf_counts.reverse()
 
-    def conflicts(word: tuple[int, ...], chosen: list[tuple[int, ...]]) -> bool:
-        # word cannot be a prefix of a chosen word: those come earlier in
-        # (cost, lex) order, and a proper prefix costs strictly less
-        for other in chosen:
-            if word[: len(other)] == other:
-                return True
-        return False
+    # replay on strings: nodes as (cost, letters), so each level's nodes go
+    # in letter order, leaves first, and truncation keeps the same counts
+    frontier = sorted((c, (let,)) for let, c in enumerate(costs))[:n]
+    words: list[tuple[int, ...]] = []
+    for x in leaf_counts:
+        level = frontier[0][0]
+        w0 = sum(1 for c, _ in frontier if c == level)
+        left = n - len(words) - x
+        words.extend(word for _, word in frontier[:x])
+        expand = frontier[x : x + min(w0 - x, left)]
+        children = [(c + cl, word + (let,)) for c, word in expand for let, cl in enumerate(costs)]
+        frontier = sorted(frontier[w0:] + children)[:left]
 
-    chosen: list[tuple[int, ...]] = []
-
-    def dfs(word_i: int, min_idx: int, partial: int) -> None:
-        nonlocal best, best_words, nodes
-        if word_i == n:
-            if partial < best:
-                best = partial
-                best_words = list(chosen)
-            return
-        remaining = n - word_i
-        rest = weights[word_i:]
-        weight = rest[0]
-        idx = min_idx
-        while True:
-            nodes += 1
-            if not ensure(idx + remaining):
-                return
-            # cheapest conceivable completion for words word_i..: each takes
-            # the next candidate in pool order, conflicts ignored
-            bound = sum(map(mul, rest, pool_costs[idx : idx + remaining]))
-            if partial + bound >= best:
-                return  # candidates only get costlier from here
-            word = pool_words[idx]
-            if not conflicts(word, chosen):
-                chosen.append(word)
-                dfs(word_i + 1, idx + 1, partial + weight * pool_costs[idx])
-                chosen.pop()
-            idx += 1
-
-    dfs(0, 0, 0)
-
-    codewords = tuple(runs_from_letters(w) for w in best_words)
+    codewords = tuple(runs_from_letters(w) for w in words)
     assignment = CodeAssignment(codewords, letters)
+    assert sum(w * c for w, c in zip(weights, assignment.costs_int())) == best
     # cost >= (1 - p1) * l2, both sides times instance.scale * letters.scale
     assert best >= (instance.scale - weights[0]) * costs[1]
     cost = Fraction(best, instance.scale * letters.scale)
-    return OracleResult(cost * instance.weight_total, assignment, nodes)
+    return OracleResult(cost * instance.weight_total, assignment, settled)
 
 
 def huffman_equal_costs(instance: Instance) -> OracleResult:

@@ -2,16 +2,21 @@
 
 The brute-force oracles enumerate explicitly, string by string. The
 recurrence references count free strings the sequential way the library did
-before it used the closed form, cost by cost in increasing order. Both stay
-independent of the library's counting and construction paths.
+before it used the closed form, cost by cost in increasing order. The
+branch-and-bound reference finds the exact optimum the way the library did
+before its signature search, candidate string by candidate string. All stay
+independent of the library's counting, construction and oracle paths.
 """
 
 from collections import Counter
 from fractions import Fraction
+import heapq
+import itertools
 import math
+from operator import mul
 import random
 
-from lettercost import Instance, LetterCosts
+from lettercost import CodeAssignment, Instance, LetterCosts, OracleResult
 from lettercost.core import runs_from_letters
 
 
@@ -252,3 +257,84 @@ def leveled_recurrence(norm, graph, guess, n):
         v.append(total)
     tail = tail_recurrence(distinct_q, v, n - guess.codeword_total())
     return None if tail is None else (level_picks, tail)
+
+
+def exact_optimal_reference(instance):
+    """Exact optimum by branch and bound over ordered prefix codes, as an
+    OracleResult whose nodes_explored counts candidates tried.
+
+    Candidate codewords stream in (cost, lexicographic) order, each word in
+    turn takes a candidate after its predecessor's, and a branch dies when
+    its cost plus the cheapest conceivable completion (each remaining word
+    on the next candidate, conflicts ignored) cannot beat the incumbent. A
+    code trie with a single-child internal node contracts to a strictly
+    cheaper code, so candidates stop at n - 1 letters. Runs in integers, like
+    the library: costs times letters.scale, probabilities times scale.
+    """
+    n = instance.n
+    letters = instance.letters
+    costs = letters.costs_int
+    weights = instance.weights_int
+    r = letters.r
+
+    # initial incumbent: the n cheapest codewords of one common length
+    depth = 1
+    while r**depth < n:
+        depth += 1
+    best_words = sorted(
+        itertools.product(range(r), repeat=depth),
+        key=lambda w: (sum(costs[let] for let in w), w),
+    )[:n]
+    best = sum(weights[i] * sum(costs[let] for let in w) for i, w in enumerate(best_words))
+    nodes = 0
+
+    word_cap = max(n - 1, 1)
+    heap = [(c, (let,)) for let, c in enumerate(costs)]
+    heapq.heapify(heap)
+    pool_costs = []
+    pool_words = []
+
+    def ensure(count):
+        while len(pool_costs) < count:
+            if not heap:
+                return False
+            cost, word = heapq.heappop(heap)
+            pool_costs.append(cost)
+            pool_words.append(word)
+            if len(word) < word_cap:
+                for let, c in enumerate(costs):
+                    heapq.heappush(heap, (cost + c, word + (let,)))
+        return True
+
+    chosen = []
+
+    def dfs(word_i, min_idx, partial):
+        nonlocal best, best_words, nodes
+        if word_i == n:
+            if partial < best:
+                best = partial
+                best_words = list(chosen)
+            return
+        remaining = n - word_i
+        rest = weights[word_i:]
+        idx = min_idx
+        while True:
+            nodes += 1
+            if not ensure(idx + remaining):
+                return
+            bound = sum(map(mul, rest, pool_costs[idx : idx + remaining]))
+            if partial + bound >= best:
+                return
+            word = pool_words[idx]
+            # a chosen word comes earlier in (cost, lex) order, so only it
+            # can be a prefix of this one
+            if not any(word[: len(other)] == other for other in chosen):
+                chosen.append(word)
+                dfs(word_i + 1, idx + 1, partial + rest[0] * pool_costs[idx])
+                chosen.pop()
+            idx += 1
+
+    dfs(0, 0, 0)
+    code = CodeAssignment(tuple(runs_from_letters(w) for w in best_words), letters)
+    cost = Fraction(best, instance.scale * letters.scale) * instance.weight_total
+    return OracleResult(cost, code, nodes)

@@ -12,6 +12,7 @@ from operator import mul
 import pytest
 
 from lettercost import (
+    C_TOTAL,
     BudgetExceeded,
     Grouping,
     Guess,
@@ -645,6 +646,33 @@ class TestGoldenOutput:
 
 
 class TestEndToEnd:
+    def test_guarantee_at_ten_words(self):
+        # the search alphabets at the verify epsilons, plus tiny cheapest
+        # letters, at MAX_ORACLE_WORDS words; worst excess (cost/opt - 1)/eps
+        # per path
+        rng = random.Random(20122)
+        n = 10
+        cases = []
+        for costs in ([1, 2], [1, 3], [2, 3, 4], [1, 1, 2]):
+            for eps in (F(1, 2), F(1, 4), F(1, 5)):
+                for _ in range(4):
+                    cases.append((LetterCosts(costs), eps))
+        for eps in (F(1, 2), F(1, 4), F(1, 5)):
+            for extra in ([], [2], [], [2]):
+                cases.append((LetterCosts([eps / rng.randint(4 * n, 16 * n), 1] + extra), eps))
+        worst = {"main": F(0), "tiny": F(0)}
+        ran = {"main": 0, "tiny": 0}
+        for letters, eps in cases:
+            weights = [rng.randint(1, 1000) for _ in range(n)]
+            inst, _ = Instance.from_weights(weights, letters, eps)
+            rep = solve(inst)
+            ratio = F(rep.total_cost, exact_optimal(inst).optimal_cost)
+            assert 1 <= ratio <= 1 + C_TOTAL * eps, (letters.costs, weights, eps)
+            worst[rep.mode] = max(worst[rep.mode], (ratio - 1) / eps)
+            ran[rep.mode] += 1
+        assert ran == {"main": 48, "tiny": 12}
+        print("worst excess at n=%d: main %s*eps, tiny %s*eps" % (n, worst["main"], worst["tiny"]))
+
     def test_ratio_and_witness_sample(self):
         rng = random.Random(91)
         for _ in range(25):

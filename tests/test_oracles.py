@@ -14,7 +14,7 @@ from lettercost import (
     lower_bound,
 )
 
-from helpers import random_instance
+from helpers import exact_optimal_reference, random_instance
 
 
 class TestExactOptimal:
@@ -67,43 +67,67 @@ class TestExactOptimal:
             # adding a nearly weightless word never lowers the optimal cost
             assert exact_optimal(bigger).optimal_cost >= exact_optimal(base).optimal_cost
 
-    def test_depth_cap_self_check(self):
-        rng = random.Random(103)
-        for _ in range(10):
-            inst = random_instance(rng, max_n=5)
-            n = inst.n
-            a = exact_optimal(inst, depth_cap=2 * n)
-            b = exact_optimal(inst, depth_cap=2 * n + 2)
-            assert a.optimal_cost == b.optimal_cost
 
-    def test_depth_cap_without_room_raises(self):
-        # r**depth_cap < n leaves no prefix code; the oracle used to return
-        # its initial incumbent, whose codewords are longer than the cap
-        letters = LetterCosts([1, 2])
-        for weights, cap in (([5, 4, 3, 2, 1], 2), ([5, 4, 3, 2], 1), ([1], 0), ([1, 1], -1)):
-            inst, _ = Instance.from_weights(weights, letters, F(1, 2))
-            with pytest.raises(InstanceError):
-                exact_optimal(inst, depth_cap=cap)
+class TestAgainstReference:
+    """The signature search against the branch-and-bound reference."""
 
-    def test_depth_cap_below_n_minus_1(self):
-        rng = random.Random(105)
-        raised = 0
-        for _ in range(12):
-            inst = random_instance(rng, max_n=7)
-            free = exact_optimal(inst)
-            longest = max(sum(k for _, k in w) for w in free.optimal_code.codewords)
-            lowest = 1
-            while inst.letters.r**lowest < inst.n:
-                lowest += 1
-            for cap in range(lowest, inst.n - 1):
-                res = exact_optimal(inst, depth_cap=cap)
-                assert all(sum(k for _, k in w) <= cap for w in res.optimal_code.codewords)
-                assert is_prefix_free(res.optimal_code.codewords)
-                assert res.optimal_cost >= free.optimal_cost
-                if cap >= longest:
-                    assert res.optimal_cost == free.optimal_cost
-                raised += res.optimal_cost > free.optimal_cost
-        assert raised  # some cap below n - 1 binds
+    FAMILIES = (
+        [1, 2],
+        [1, 3],
+        [2, 3, 4],
+        [1, 1, 2],
+        [1, 1],
+        [3, 3, 3],
+        [F(1, 3), 1, F(5, 2)],
+    )
+
+    @staticmethod
+    def check_code(inst, res):
+        """An ordered prefix code of n words whose weighted codeword costs
+        sum to optimal_cost."""
+        code = res.optimal_code
+        assert code.n == inst.n
+        assert is_prefix_free(code.codewords)
+        assert code.ordered
+        weighted = sum(p * c for p, c in zip(inst.probabilities, code.costs()))
+        assert weighted * inst.weight_total == res.optimal_cost
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(20120)
+        for n in range(1, 9):
+            for costs in TestAgainstReference.FAMILIES:
+                weights = [rng.randint(1, 60) for _ in range(n)]
+                yield Instance.from_weights(weights, LetterCosts(costs), F(1, 2))[0]
+            # tiny cheapest letters, with and without a third letter
+            for extra in ([], [2]):
+                tiny = LetterCosts([F(1, rng.randint(2 * n, 16 * n)), 1] + extra)
+                weights = [rng.randint(1, 9) for _ in range(n)]
+                yield Instance.from_weights(weights, tiny, F(1, 2))[0]
+
+    def test_matches_branch_and_bound(self):
+        checked = 0
+        for inst in self.corpus():
+            res = exact_optimal(inst)
+            ref = exact_optimal_reference(inst)
+            assert res.optimal_cost == ref.optimal_cost, (inst.letters.costs, inst.weights_int)
+            self.check_code(inst, res)
+            checked += 1
+        assert checked == 8 * (len(self.FAMILIES) + 2)
+
+    def test_tiny_letter_reach(self):
+        # letters shaped like (1, 137, 137, 411); here (1, 159, 159, 477),
+        # where the branch-and-bound tries 9.6M candidates and the signature
+        # search settles 200 states
+        rng = random.Random(20121)
+        n = 10
+        tiny = LetterCosts([F(1, rng.randint(10 * n, 16 * n)), 1, 1, 3])
+        weights = [rng.randint(1, 60) for _ in range(n)]
+        inst, _ = Instance.from_weights(weights, tiny, F(1, 2))
+        res = exact_optimal(inst)
+        assert res.nodes_explored <= 5000
+        self.check_code(inst, res)
+        assert res.normalized_cost >= lower_bound(inst)
 
 
 class TestHuffman:
@@ -161,11 +185,15 @@ class TestLowerBound:
 
 class TestGoldenOutput:
     # sha256 over (optimal_cost, codewords, nodes_explored) of every call
-    # below, as the Fraction-based oracles produced them; it pins the
-    # enumeration order, the pruning comparisons and the node count, which
-    # the cost-only checks above do not
-    EXACT_DIGEST = "eeb4c1416710d116c87dbee426d6aebda99260cc457b54282dceefe7264f0eb9"
+    # below; it pins the signature search's tie-breaking, its replay on
+    # strings and its count of settled states, which the cost-only checks
+    # above do not. HUFFMAN_DIGEST was recorded from the Fraction-based
+    # greedy merge
+    EXACT_DIGEST = "aa34654344bd4868e024195b60620470ba2049d3dfecebde7981bb73200e98ae"
     HUFFMAN_DIGEST = "69d864892aaecbda2069dcdcc9f9432bb910c6eb7a21f88ed7618606e80f6b7e"
+    # sha256 over optimal_cost alone of every exact_corpus call, as the
+    # branch-and-bound oracle gave it: any exact method must reproduce it
+    EXACT_COST_DIGEST = "7a4426e94861e7a932ec2b2de539f9446ce2f7b8c24df640e9f5d975746495a4"
 
     @staticmethod
     def exact_corpus():
@@ -174,20 +202,17 @@ class TestGoldenOutput:
         for alphabet in ([1, 2], [1, 3], [2, 3, 4], [1, 1, 2]):
             for n in (6, 7, 8):
                 weights = [rng.randint(1, 60) for _ in range(n)]
-                yield Instance.from_weights(weights, LetterCosts(alphabet), F(1, 2))[0], None
+                yield Instance.from_weights(weights, LetterCosts(alphabet), F(1, 2))[0]
         # rational letter costs, fractional weights
         rational = LetterCosts([F(1, 3), 1, F(5, 2)])
         for n in (6, 7):
             weights = [F(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(n - 1)] + [F(1, 1000)]
-            yield Instance.from_weights(weights, rational, F(1, 2))[0], None
+            yield Instance.from_weights(weights, rational, F(1, 2))[0]
         # tiny cheapest letter, shaped like acceptance criterion 7
         for n, extra in ((7, []), (8, [2])):
             tiny = LetterCosts([F(1, rng.randint(2 * n, 16 * n)), 1] + extra)
             weights = [rng.randint(1, 9) for _ in range(n)]
-            yield Instance.from_weights(weights, tiny, F(1, 2))[0], None
-        # a feasible depth cap below n - 1 that raises the optimum
-        weights = [rng.randint(1, 60) ** 2 for _ in range(8)]
-        yield Instance.from_weights(weights, LetterCosts([1, 3]), F(1, 2))[0], 4
+            yield Instance.from_weights(weights, tiny, F(1, 2))[0]
 
     @staticmethod
     def huffman_corpus():
@@ -204,9 +229,15 @@ class TestGoldenOutput:
 
     def test_exact_optimal_reproduces_recorded_outputs(self):
         digest = hashlib.sha256()
-        for inst, depth_cap in self.exact_corpus():
-            self.fingerprint(digest, exact_optimal(inst, depth_cap=depth_cap))
+        for inst in self.exact_corpus():
+            self.fingerprint(digest, exact_optimal(inst))
         assert digest.hexdigest() == self.EXACT_DIGEST
+
+    def test_exact_optimal_reproduces_recorded_costs(self):
+        digest = hashlib.sha256()
+        for inst in self.exact_corpus():
+            digest.update(repr(exact_optimal(inst).optimal_cost).encode())
+        assert digest.hexdigest() == self.EXACT_COST_DIGEST
 
     def test_huffman_reproduces_recorded_outputs(self):
         digest = hashlib.sha256()
