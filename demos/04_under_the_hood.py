@@ -12,7 +12,6 @@ from lettercost import (
     choose_k,
     construct_leveled,
     convert_to_prefix,
-    count_free_strings,
     enc,
     group_words,
     normalize,
@@ -42,12 +41,13 @@ print("strings per cost (first 8 nodes):",
 
 # 4. words cluster into probability groups that share a level
 grouping = group_words(norm, k)
-print("\ngroups:", grouping.groups())
+print("\ngroups (half-open word ranges):", grouping.ranges)
 
-# 5. free-string counts drive feasibility of a constraint tuple
-table = count_free_strings(graph, ["a"])
+# 5. free-string counts drive feasibility of a constraint tuple; the taken
+# codewords are given as (cost in quanta, how many) pairs
+taken = [(norm.letters_q[0], 1)]  # the codeword 'a'
 print("\nwith 'a' taken, free strings cost 1..2:",
-      table.value(norm.unit_q), table.value(2 * norm.unit_q))
+      graph.free(norm.unit_q, taken), graph.free(2 * norm.unit_q, taken))
 
 # 6. build one leveled code by hand and convert it
 # (level 1 can host only one codeword here: the a-run blocks the other slot)

@@ -22,10 +22,8 @@ from .core import (
 )
 from .cost_graph import (
     CostGraph,
-    FreeStringTable,
     Inconsistent,
     build_cost_graph,
-    count_free_strings,
 )
 from .kprefix import Guess, LeveledCode, construct_leveled
 from .convert import convert_to_prefix, enc
@@ -39,7 +37,7 @@ from .driver import (
     solve,
     solve_tiny_ell1,
 )
-from .oracles import OracleResult, exact_optimal, huffman_equal_costs, lower_bound
+from .oracles import OracleResult, exact_optimal, lower_bound
 
 __all__ = [
     "BudgetExceeded",
@@ -47,7 +45,6 @@ __all__ = [
     "CodeAssignment",
     "CodeReport",
     "CostGraph",
-    "FreeStringTable",
     "GLYPHS",
     "Grouping",
     "Guess",
@@ -64,11 +61,9 @@ __all__ = [
     "codeword_cost",
     "construct_leveled",
     "convert_to_prefix",
-    "count_free_strings",
     "enc",
     "exact_optimal",
     "group_words",
-    "huffman_equal_costs",
     "is_k_prefix_free",
     "is_prefix_free",
     "lower_bound",

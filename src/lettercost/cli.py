@@ -5,7 +5,10 @@ weights (not necessarily sorted), and an optional line 3 the alphabet glyphs
 (default a, b, c, ... assigned to letters in increasing cost order). Numbers
 may be integers, decimals, or fractions like 2/3.
 
-Exit codes: 0 success, 1 parse or validation failure, 2 guess budget exceeded.
+Exit codes: 0 success; 1 a usage, parse or validation failure, with a
+one-line message; 2 guess budget exceeded; 3 a failed check: `verify` found
+the ratio to the optimum outside [1, bound], or `graph-stats` found the cost
+graph over its size bounds.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ def _emit_code(loaded: LoadedInstance, report: CodeReport, emit: str) -> None:
 
 def cmd_solve(args) -> int:
     loaded = load_instance(args.path, args.epsilon)
-    report = solve(loaded.instance, k_override=args.k, budget=args.budget)
+    report = solve(loaded.instance, budget=args.budget)
     _emit_code(loaded, report, args.emit)
     return 0
 
@@ -197,14 +200,15 @@ def cmd_graph_stats(args) -> int:
     graph = build_cost_graph(norm, k)
     grouping = group_words(norm, k)
     n = loaded.instance.n
+    d = len(norm.distinct_q)
     node_bound = n * k / norm.epsilon_prime
-    print("n: %d  d: %d" % (n, norm.d))
+    print("n: %d  d: %d" % (n, d))
     print("k: %s  epsilon': %s  quantum: %s" % (fmt(k), fmt(norm.epsilon_prime), fmt(norm.cost_quantum)))
     print("levels: %d" % graph.level_count)
     print("nodes: %d (bound %s)" % (graph.node_count, fmt(node_bound)))
-    print("arcs: %d (bound %d)" % (graph.arc_count, norm.d * graph.node_count))
+    print("arcs: %d (bound %d)" % (graph.arc_count, d * graph.node_count))
     print("groups: %d (bound %s)" % (grouping.group_count, fmt(1 + 4 * k / norm.epsilon_prime**2)))
-    ok = graph.node_count <= node_bound and graph.arc_count <= norm.d * graph.node_count
+    ok = graph.node_count <= node_bound and graph.arc_count <= d * graph.node_count
     print("PASS" if ok else "FAIL")
     return 0 if ok else 3
 
@@ -216,8 +220,16 @@ def _epsilon(value: str) -> Fraction:
     return eps
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line and exits 1, as for a bad file;
+    argparse's own exit code 2 means an exhausted budget here."""
+
+    def error(self, message):
+        self.exit(1, "%s: error: %s (see %s -h)\n" % (self.prog, message, self.prog))
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lettercost",
         description="Near-optimal prefix codes for alphabets with unequal letter costs",
     )
@@ -226,7 +238,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="build a near-optimal prefix code")
     p.add_argument("path")
     p.add_argument("--epsilon", type=_epsilon, default=Fraction(1, 4))
-    p.add_argument("--k", type=Fraction, default=None, help="override the horizon k")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--emit", choices=("table", "tsv"), default="table")
     p.set_defaults(func=cmd_solve)

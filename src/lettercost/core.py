@@ -100,21 +100,6 @@ class LetterCosts:
     def r(self) -> int:
         return len(self.costs)
 
-    @property
-    def distinct_costs(self) -> tuple[tuple[Fraction, int], ...]:
-        """(cost, multiplicity) pairs; d = number of distinct values."""
-        out: list[tuple[Fraction, int]] = []
-        for c in self.costs:
-            if out and out[-1][0] == c:
-                out[-1] = (c, out[-1][1] + 1)
-            else:
-                out.append((c, 1))
-        return tuple(out)
-
-    @property
-    def d(self) -> int:
-        return len(self.distinct_costs)
-
 
 @dataclass(frozen=True, init=False)
 class Instance:
@@ -142,21 +127,15 @@ class Instance:
         ps = [p if type(p) is Fraction else Fraction(p) for p in probabilities]
         scale = math.lcm(*(p.denominator for p in ps))
         ws = tuple(p.numerator * (scale // p.denominator) for p in ps)
-        self._store(ws, scale, letters, Fraction(epsilon), Fraction(weight_total))
-        self._check()
-
-    @classmethod
-    def _from_ints(cls, *fields) -> "Instance":
-        """An instance of the field values, in field order, stored unchecked."""
-        instance = object.__new__(cls)
-        instance._store(*fields)
-        return instance
-
-    def _store(self, weights_int, scale, letters, epsilon, weight_total) -> None:
         # a frozen dataclass: its fields are set once, here
         vars(self).update(
-            weights_int=weights_int, scale=scale, letters=letters, epsilon=epsilon, weight_total=weight_total
+            weights_int=ws,
+            scale=scale,
+            letters=letters,
+            epsilon=Fraction(epsilon),
+            weight_total=Fraction(weight_total),
         )
+        self._check()
 
     def _check(self) -> None:
         """The one validation of an instance, run on its integer weights."""
@@ -204,12 +183,13 @@ class Instance:
         # dividing the ints and their total by the ints' gcd leaves the lcm of
         # the reduced probability denominators; no words (gcd 0) fail the check
         g = math.gcd(*ints) or 1
-        instance = Instance._from_ints(
-            tuple([ints[i] // g for i in order]),
-            total // g,
-            letters,
-            Fraction(epsilon),
-            Fraction(total, den),
+        instance = _unchecked(
+            Instance,
+            weights_int=tuple([ints[i] // g for i in order]),
+            scale=total // g,
+            letters=letters,
+            epsilon=Fraction(epsilon),
+            weight_total=Fraction(total, den),
         )
         instance._check()
         return instance, order
@@ -217,7 +197,7 @@ class Instance:
 
 def _unchecked(cls, **values):
     """A frozen dataclass instance made from values already known to be valid,
-    skipping the checks and derived views of its __post_init__."""
+    skipping the checks and derived views of its __init__ or __post_init__."""
     obj = object.__new__(cls)
     for name, value in values.items():
         object.__setattr__(obj, name, value)
@@ -274,10 +254,6 @@ class NormalizedInstance:
         return self.instance.n
 
     @property
-    def d(self) -> int:
-        return self.instance.letters.d
-
-    @property
     def distinct_q(self) -> tuple[tuple[int, int], ...]:
         """(cost in quanta, multiplicity) per distinct letter cost."""
         out: list[tuple[int, int]] = []
@@ -317,8 +293,13 @@ def normalize(instance: Instance) -> NormalizedInstance:
     quantum = min(final[0], eps_prime)
 
     # the same words, already checked (eps_prime <= epsilon stays in (0, 1])
-    norm_inst = Instance._from_ints(
-        instance.weights_int, instance.scale, LetterCosts(final), eps_prime, instance.weight_total
+    norm_inst = _unchecked(
+        Instance,
+        weights_int=instance.weights_int,
+        scale=instance.scale,
+        letters=LetterCosts(final),
+        epsilon=eps_prime,
+        weight_total=instance.weight_total,
     )
     return NormalizedInstance(
         instance=norm_inst,
@@ -346,10 +327,6 @@ def codeword_cost_int(runs: Runs, letters: LetterCosts) -> int:
             raise InstanceError("letter index %d out of range" % let)
         total += costs[let] * rep
     return total
-
-
-def runs_cost_q(runs: Runs, letters_q: Sequence[int]) -> int:
-    return sum(letters_q[let] * rep for let, rep in runs)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .core import InstanceError, NormalizedInstance, as_runs, is_prefix_free, runs_cost_q
+from .core import InstanceError, NormalizedInstance
 
 
 @dataclass(frozen=True)
 class Inconsistent:
-    """Non-exceptional 'no such code' outcome; the guess search treats it as data."""
+    """construct_leveled's falsy 'no such code' outcome, returned, not raised."""
 
     reason: str = ""
 
@@ -155,9 +155,6 @@ class CostGraph:
             c += 1
         return batches
 
-    def node_costs(self) -> list[Fraction]:
-        return [c * self.quantum for c in self.nodes_q]
-
 
 def build_cost_graph(norm: NormalizedInstance, k: Fraction) -> CostGraph:
     """Breadth-style enumeration of all codeword costs in [0, k]."""
@@ -177,34 +174,3 @@ def build_cost_graph(norm: NormalizedInstance, k: Fraction) -> CostGraph:
         n=norm.n,
     )
 
-
-@dataclass
-class FreeStringTable:
-    """v[c] = number of strings of cost c with no prefix in the codeword set."""
-
-    v: list[int]
-
-    def value(self, c: int) -> int:
-        return self.v[c] if 0 <= c < len(self.v) else 0
-
-
-def count_free_strings(graph: CostGraph, codewords) -> FreeStringTable:
-    """Exact free-string counts for every cost node, given the current set S.
-
-    S is an iterable of codewords; it must be prefix-free and every member
-    must cost at most k, or InstanceError is raised. A string is free when no
-    element of S is a prefix of it (itself included).
-    """
-    words = [as_runs(word) for word in codewords]
-    if not is_prefix_free(words):
-        raise InstanceError("codeword set is not prefix-free")
-    letters_q: list[int] = []
-    for w, mult in graph.distinct_q:
-        letters_q.extend([w] * mult)
-    blocked: dict[int, int] = {}
-    for word in words:
-        c = runs_cost_q(word, letters_q)
-        if c > graph.k_q:
-            raise InstanceError("codeword cost beyond the graph frontier")
-        blocked[c] = blocked.get(c, 0) + 1
-    return FreeStringTable([graph.free(c, blocked.items()) for c in range(graph.k_q + 1)])

@@ -151,20 +151,12 @@ class Grouping:
     group_weights_int: tuple[int, ...]  # group probabilities times the instance's scale
 
     @property
-    def group_probabilities(self) -> tuple[Fraction, ...]:
-        scale = self.norm.instance.scale
-        return tuple(Fraction(w, scale) for w in self.group_weights_int)
-
-    @property
     def group_count(self) -> int:
         return len(self.ranges)
 
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(e - s for s, e in self.ranges)
-
-    def groups(self) -> list[list[int]]:
-        return [list(range(s, e)) for s, e in self.ranges]
 
 
 def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
@@ -601,16 +593,12 @@ def solve_tiny_ell1(instance: Instance, *, check: bool = True) -> CodeReport:
     )
 
 
-def solve(
-    instance: Instance,
-    *,
-    k_override: Fraction | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> CodeReport:
+def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     """Find a prefix code of cost within a (1 + O(epsilon)) factor of optimal.
 
-    Keeps the minimum-cost leveled code over all guesses, then converts it to
-    a prefix code. Dispatches to solve_tiny_ell1 when the cheapest letter is
+    Keeps the minimum-cost leveled code over all guesses at choose_k's
+    horizon, the one for which the ratio bound holds, then converts it to a
+    prefix code. Dispatches to solve_tiny_ell1 when the cheapest letter is
     at most epsilon/n after scaling the second letter cost to 1.
     """
     started = time.perf_counter()
@@ -630,7 +618,7 @@ def solve(
 
     norm = normalize(instance)
     eps = norm.epsilon_prime
-    k = Fraction(k_override) if k_override is not None else choose_k(eps)
+    k = choose_k(eps)
     graph = build_cost_graph(norm, k)
     grouping = group_words(norm, k)
 

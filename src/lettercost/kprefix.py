@@ -5,7 +5,9 @@ codeword count per level), build a code that is k-prefix free, has exactly the
 requested number of codewords at each level's single admissible cost, and
 completes to n codewords with the cheapest strings of cost >= k. Among all
 codes meeting the constraints, the result has minimum cost; when none exists
-the result is the Inconsistent value, a routine outcome for the guess search.
+the result is the falsy Inconsistent value, not an exception. The guess
+search never builds a guess to test it: it values guesses with the same
+counts, and solve builds only the one it found cheapest.
 Feasibility uses the cost graph's closed-form free-string count, the one the
 guess search uses: each level's request is checked against CostGraph.free at
 its target cost, and the tail comes from the same CostGraph.tail walk.
@@ -94,11 +96,6 @@ class LeveledCode:
         for cost_q, count in self.tail_picks:
             out.extend([cost_q] * count)
         return out
-
-    def cost_for(self, probabilities):
-        """Probability-weighted cost in normalized cost units."""
-        costs = self.word_costs_q
-        return sum(p * c for p, c in zip(probabilities, costs)) * self.graph.quantum
 
     @property
     def codewords(self) -> list[Runs]:

@@ -13,9 +13,6 @@ costs a positive amount and the first time the search settles the finished
 signature its distance is the optimum. The winning leaf counts are then
 replayed on actual strings. The structural bound cost >= (1 - p1) * l2
 sanity-checks the result.
-
-huffman_equal_costs is the classical greedy merge, valid only when every
-letter costs the same; it cross-checks exact_optimal on that subfamily.
 """
 
 from __future__ import annotations
@@ -26,13 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    CodeAssignment,
-    Instance,
-    InstanceError,
-    Runs,
-    runs_from_letters,
-)
+from .core import CodeAssignment, Instance, InstanceError, runs_from_letters
 
 MAX_ORACLE_WORDS = 10
 
@@ -44,7 +35,7 @@ Signature = tuple[int, tuple[tuple[int, int], ...]]
 class OracleResult:
     optimal_cost: Fraction  # raw scale: original letter costs times raw weights
     optimal_code: CodeAssignment
-    nodes_explored: int  # exact_optimal: states settled; huffman: items pushed on its heap
+    nodes_explored: int  # signatures settled
 
     @property
     def normalized_cost(self) -> Fraction:
@@ -164,59 +155,6 @@ def exact_optimal(instance: Instance) -> OracleResult:
     assert best >= (instance.scale - weights[0]) * costs[1]
     cost = Fraction(best, instance.scale * letters.scale)
     return OracleResult(cost * instance.weight_total, assignment, settled)
-
-
-def huffman_equal_costs(instance: Instance) -> OracleResult:
-    """Classical greedy merge; requires every letter cost to be equal.
-
-    Merges integer weights (probabilities times instance.scale), ties broken
-    by entry index, and builds the cost once from the codeword lengths.
-    """
-    letters = instance.letters
-    if len(set(letters.costs_int)) != 1:
-        raise InstanceError("letter costs are not all equal")
-    r = letters.r
-    n = instance.n
-    weights = instance.weights_int
-
-    # pad with zero-weight dummies so the r-ary merge comes out full
-    pad = 0
-    while (n + pad - 1) % (r - 1) != 0:
-        pad += 1
-    heap = [(w, i) for i, w in enumerate(weights)] + [(0, n + j) for j in range(pad)]
-    heapq.heapify(heap)
-    groups: dict[int, list[int]] = {i: [i] if i < n else [] for i in range(n + pad)}
-    counter = n + pad
-    depth = [0] * n
-    while len(heap) > 1:
-        members: list[int] = []
-        total = 0
-        for _ in range(min(r, len(heap))):
-            w, i = heapq.heappop(heap)
-            total += w
-            members.extend(groups.pop(i))
-        for m in members:
-            depth[m] += 1
-        groups[counter] = members
-        heapq.heappush(heap, (total, counter))
-        counter += 1
-
-    # canonical codeword allocation: word i takes the i-th smallest depth,
-    # which keeps the assignment ordered (same depth multiset, same cost);
-    # a lone word still takes one letter
-    depths = sorted(depth) if n > 1 else [1]
-    available: list[tuple[int, ...]] = [()]
-    cur_len = 0
-    codewords: list[Runs] = []
-    for d in depths:
-        while cur_len < d:
-            available = [w + (let,) for w in available for let in range(r)]
-            cur_len += 1
-        codewords.append(runs_from_letters(available.pop(0)))
-    assignment = CodeAssignment(tuple(codewords), letters)
-    value = sum(w * d for w, d in zip(weights, depths)) * letters.costs_int[0]
-    cost = Fraction(value, instance.scale * letters.scale)
-    return OracleResult(cost * instance.weight_total, assignment, nodes_explored=counter)
 
 
 def lower_bound(instance: Instance) -> Fraction:

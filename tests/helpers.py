@@ -4,8 +4,11 @@ The brute-force oracles enumerate explicitly, string by string. The
 recurrence references count free strings the sequential way the library did
 before it used the closed form, cost by cost in increasing order. The
 branch-and-bound reference finds the exact optimum the way the library did
-before its signature search, candidate string by candidate string. All stay
-independent of the library's counting, construction and oracle paths.
+before its signature search, candidate string by candidate string, and
+huffman_cost finds it by the greedy merge when every letter costs the same.
+All stay independent of the library's counting, construction and oracle
+paths. search_minimum, by contrast, runs the library's own guess search, at
+any horizon k.
 """
 
 from collections import Counter
@@ -16,7 +19,15 @@ import math
 from operator import mul
 import random
 
-from lettercost import CodeAssignment, Instance, LetterCosts, OracleResult
+from lettercost import (
+    CodeAssignment,
+    Instance,
+    LetterCosts,
+    OracleResult,
+    build_cost_graph,
+    driver,
+    group_words,
+)
 from lettercost.core import runs_from_letters
 
 
@@ -48,6 +59,50 @@ def count_free_brute(costs, blocked_words, target):
         return any(word[: len(b)] == b for b in blocked)
 
     return sum(1 for w in strings_of_cost(costs, target) if not has_blocked_prefix(w))
+
+
+def blocker_pairs(words, letters_q):
+    """The (cost_q, how_many) blockers of a codeword set, as CostGraph.free
+    takes them: its members' costs in quanta, letter by letter, counted."""
+    costs = Counter(sum(letters_q[let] * rep for let, rep in word) for word in words)
+    return sorted(costs.items())
+
+
+def leveled_cost(code):
+    """Probability-weighted cost of a LeveledCode in normalized cost units:
+    the weighted sum over word_costs_q that solve asserts, as a Fraction."""
+    instance = code.norm.instance
+    value = sum(map(mul, instance.weights_int, code.word_costs_q))
+    return Fraction(value, instance.scale) * code.graph.quantum
+
+
+def search_minimum(norm, k):
+    """kprefix cost of the cheapest guess at horizon k: driver._Search over
+    every level-0 size, run as solve runs it at choose_k's horizon."""
+    graph = build_cost_graph(norm, k)
+    search = driver._Search(norm, graph, group_words(norm, k), driver.DEFAULT_BUDGET)
+    for f0 in driver.level0_size_candidates(norm):
+        search.run(f0)
+    return Fraction(search.best[0], norm.instance.scale) * graph.quantum
+
+
+def huffman_cost(instance):
+    """Optimal code cost, in the instance's raw scale, when every letter costs
+    the same: the classical r-ary greedy merge, padded with zero weights so
+    every merge takes r items, summing the merged weights. A lone word takes
+    one letter."""
+    letters = instance.letters
+    r, c = letters.r, letters.costs_int[0]
+    assert set(letters.costs_int) == {c}
+    heap = list(instance.weights_int)
+    heap += [0] * (-(len(heap) - 1) % (r - 1))
+    heapq.heapify(heap)
+    total = heap[0] if len(heap) == 1 else 0
+    while len(heap) > 1:
+        merged = sum(heapq.heappop(heap) for _ in range(r))
+        total += merged
+        heapq.heappush(heap, merged)
+    return Fraction(total * c, instance.scale * letters.scale) * instance.weight_total
 
 
 def is_prefix_free_pairwise(words):

@@ -20,7 +20,6 @@ from lettercost import (
     build_cost_graph,
     construct_leveled,
     convert_to_prefix,
-    count_free_strings,
     exact_optimal,
     is_prefix_free,
     normalize,
@@ -32,8 +31,10 @@ from lettercost.driver import group_words
 
 import bench
 from helpers import (
+    blocker_pairs,
     brute_force_leveled_minimum,
     count_free_brute,
+    leveled_cost,
 )
 
 
@@ -135,10 +136,10 @@ def test_criterion_4_counting_recurrence_oracle():
                 cand[: len(b)] == b or b[: len(cand)] == cand for b in blocked
             ):
                 blocked.append(cand)
-        table = count_free_strings(graph, [tuple((let, 1) for let in b) for b in blocked])
+        blockers = blocker_pairs([tuple((let, 1) for let in b) for b in blocked], costs_q)
         for cq in range(k_q + 1):
             expected = 1 if cq == 0 else count_free_brute(costs, blocked, cq * quantum)
-            assert table.value(cq) == expected, (costs, blocked, cq)
+            assert graph.free(cq, blockers) == expected, (costs, blocked, cq)
         checked += 1
     print("criterion 4 PASS: free-string counts equal brute force on 50 cost sets")
 
@@ -175,7 +176,7 @@ def test_criterion_5_leveled_construction_optimality():
                         assert brute is None, (costs, k, n, guess)
                     else:
                         assert brute is not None
-                        assert code.cost_for(norm.instance.probabilities) == brute
+                        assert leveled_cost(code) == brute
                         checked += 1
     assert checked > 100
     print(
@@ -204,11 +205,11 @@ def test_criterion_6_structural_bounds():
         grouping = group_words(norm, k)
         assert grouping.group_count <= 1 + 4 * k / (e * e)
         pack = (1 - inst.probabilities[0]) * e * e / k
-        for (s, t), p in zip(grouping.ranges, grouping.group_probabilities):
+        for (s, t), w in zip(grouping.ranges, grouping.group_weights_int):
             if t - s > 1:
-                assert p <= pack
+                assert F(w, inst.scale) <= pack
         assert rep.graph_nodes <= n * k / e
-        assert rep.graph_arcs <= norm.d * rep.graph_nodes
+        assert rep.graph_arcs <= len(norm.distinct_q) * rep.graph_nodes
         runs += 1
     print("criterion 6 PASS: grouping, graph, and lower-bound invariants on 40 runs")
 

@@ -12,7 +12,10 @@ from lettercost.core import CodeAssignment, runs_from_str
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -91,6 +94,25 @@ class TestSolve:
         assert out == ""
         assert "error: guess search exceeded budget (6 nodes explored, budget 5)\n" in err
         assert "epsilon" not in err
+
+
+class TestUsageErrors:
+    # exit code 2 means an exhausted budget, so a bad option exits 1, with
+    # argparse's message on one line
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--epsilon", "2"], "argument --epsilon: epsilon must lie in (0, 1]"),
+            (["--budget", "x"], "argument --budget: invalid int value: 'x'"),
+            (["--k", "1"], "unrecognized arguments: --k 1"),
+        ],
+    )
+    def test_bad_option_exits_1(self, figure_skewed, argv, message):
+        code, out, err = run_cli("solve", figure_skewed, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert message in err
 
 
 class TestOutputCost:

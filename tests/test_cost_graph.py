@@ -8,12 +8,12 @@ from lettercost import (
     InstanceError,
     LetterCosts,
     build_cost_graph,
-    count_free_strings,
     normalize,
 )
+from lettercost.core import as_runs
 from lettercost.cost_graph import CostGraph
 
-from helpers import count_free_brute, random_instance
+from helpers import blocker_pairs, count_free_brute, random_instance
 
 FOUR = (F(1, 4),) * 4  # enough words to stay out of the tiny-letter regime
 
@@ -26,7 +26,7 @@ class TestBuild:
     def test_binary_unit(self):
         norm = norm_for([1, 1], 1)
         graph = build_cost_graph(norm, F(3))
-        assert graph.node_costs() == [0, 1, 2, 3]
+        assert [c * graph.quantum for c in graph.nodes_q] == [0, 1, 2, 3]
         assert graph.distinct_q == ((1, 2),)  # one arc kind, multiplicity 2
         assert graph.level_count == 2
 
@@ -39,7 +39,7 @@ class TestBuild:
     def test_half_unit(self):
         norm = norm_for([F(1, 2), 1], F(1, 2))
         graph = build_cost_graph(norm, F(2))
-        assert graph.node_costs() == [0, F(1, 2), 1, F(3, 2), 2]
+        assert [c * graph.quantum for c in graph.nodes_q] == [0, F(1, 2), 1, F(3, 2), 2]
         assert [graph.level_of(c) for c in graph.nodes_q] == [0, 0, 1, 2, None]
         assert graph.level_target(1) == 2  # cost 1 = 1 + eps - min(l1, eps)
 
@@ -67,39 +67,29 @@ class TestBuild:
             k = 1 + rng.randint(1, 8) * norm.epsilon_prime
             graph = build_cost_graph(norm, k)
             assert graph.node_count <= norm.n * k / norm.epsilon_prime
-            assert graph.arc_count <= norm.d * graph.node_count
+            assert graph.arc_count <= len(norm.distinct_q) * graph.node_count
             checked += 1
 
 
 class TestFreeStrings:
+    """CostGraph.free, with the codeword set S given as (cost_q, how_many)
+    blocker pairs built from its members' costs."""
+
     def test_fibonacci_counts(self):
         graph = CostGraph(((1, 1), (2, 1)), unit_q=1, eps_q=1, k_q=4, quantum=F(1))
-        table = count_free_strings(graph, [])
-        assert table.v == [1, 1, 2, 3, 5]
+        assert [graph.free(c, []) for c in range(5)] == [1, 1, 2, 3, 5]
 
     def test_blocked_by_single_letter(self):
         norm = norm_for([1, 1], 1)
         graph = build_cost_graph(norm, F(3))
-        table = count_free_strings(graph, ["a"])
-        assert table.value(1) == 1
-        assert table.value(2) == 2
+        blockers = blocker_pairs([as_runs("a")], norm.letters_q)
+        assert graph.free(1, blockers) == 1
+        assert graph.free(2, blockers) == 2
 
     def test_powers_of_two(self):
         norm = norm_for([1, 1], 1)
         graph = build_cost_graph(norm, F(5))
-        table = count_free_strings(graph, [])
-        assert [table.value(c) for c in range(6)] == [1, 2, 4, 8, 16, 32][:0] + [
-            2**c for c in range(6)
-        ]
-
-    def test_rejects_set_that_is_not_prefix_free(self):
-        # a is a prefix of ab: the closed form would count 1 free string of
-        # cost 2, where ba and bb are 2; with a, b and aa it goes negative
-        norm = norm_for([1, 1], 1)
-        graph = build_cost_graph(norm, F(3))
-        for words in (["a", "ab"], ["a", "b", "aa"]):
-            with pytest.raises(InstanceError, match="not prefix-free"):
-                count_free_strings(graph, words)
+        assert [graph.free(c, []) for c in range(6)] == [2**c for c in range(6)]
 
     def test_matches_bruteforce_random(self):
         rng = random.Random(42)
@@ -126,8 +116,8 @@ class TestFreeStrings:
                         cand[: len(b)] == b or b[: len(cand)] == cand for b in blocked
                     ):
                         blocked.append(cand)
-            table = count_free_strings(
-                graph, [tuple((let, 1) for let in b) for b in blocked]
+            blockers = blocker_pairs(
+                [tuple((let, 1) for let in b) for b in blocked], norm.letters_q
             )
             scaled_costs = norm.instance.letters.costs
             for c in range(graph.k_q + 1):
@@ -136,7 +126,7 @@ class TestFreeStrings:
                 )
                 if c == 0:
                     expected = 1  # the empty string, which brute force skips
-                assert table.value(c) == expected, (costs, blocked, c)
+                assert graph.free(c, blockers) == expected, (costs, blocked, c)
 
 
 class TestExtendBeyondK:

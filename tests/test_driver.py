@@ -41,7 +41,7 @@ from lettercost.driver import (
     tiny_run_length_candidates,
 )
 
-from helpers import choose_k_scan, random_instance
+from helpers import choose_k_scan, random_instance, search_minimum
 
 
 def long_codeword_instance(n=600):
@@ -259,19 +259,13 @@ class TestSolve:
         assert rep.mode == "main"
         assert max(sum(r for _, r in w) for w in rep.code.codewords) == 900
 
-    def test_k_override(self):
-        inst, _ = Instance.from_weights([2, 1, 1], LetterCosts([1, 1]), F(1, 2))
-        rep = solve(inst, k_override=F(3))
-        assert rep.k == 3
-        assert rep.total_cost >= exact_optimal(inst).optimal_cost
-
     def test_structural_bounds_reported(self):
         inst, _ = Instance.from_weights([4, 3, 2, 1], LetterCosts([1, 2]), F(1, 2))
         rep = solve(inst)
         norm = normalize(inst)
         k = rep.k
         assert rep.graph_nodes <= inst.n * k / norm.epsilon_prime
-        assert rep.graph_arcs <= norm.d * rep.graph_nodes
+        assert rep.graph_arcs <= len(norm.distinct_q) * rep.graph_nodes
         assert rep.normalized_cost >= 1 - inst.probabilities[0]
 
     def test_fractions_only_at_the_boundary(self, monkeypatch):
@@ -432,9 +426,16 @@ def enumerated_minimum(norm, k, n):
     return None if best is None else F(best, norm.instance.scale) * graph.quantum
 
 
+def takes_main_path(inst):
+    """solve's dispatch: the main path unless the cheapest letter costs at
+    most epsilon/n once the second costs 1."""
+    return inst.letters.costs[0] * inst.n > inst.epsilon * inst.letters.costs[1]
+
+
 class TestSearchEquivalence:
     # the pruned depth-first search must return exactly the minimum that
-    # plain enumeration over every guess finds
+    # plain enumeration over every guess finds, at horizons other than
+    # choose_k's too
     def test_search_matches_full_enumeration(self):
         rng = random.Random(111)
         checked = 0
@@ -448,12 +449,11 @@ class TestSearchEquivalence:
             if norm.instance.letters.costs[0] * n <= norm.epsilon_prime:
                 continue
             k = 1 + rng.randint(2, 5) * norm.epsilon_prime
-            rep = solve(inst, k_override=k)
-            if rep.mode != "main":
+            if not takes_main_path(inst):
                 continue
             best = enumerated_minimum(norm, k, n)
             assert best is not None
-            assert rep.kprefix_cost == best, (costs, weights, eps, k)
+            assert search_minimum(norm, k) == best, (costs, weights, eps, k)
             checked += 1
         # the first leaf in depth-first order costs more than the all-tail
         # guess (2356 against 2340 and 2652 against 2420 in the search's
@@ -463,9 +463,8 @@ class TestSearchEquivalence:
             ([48, 83, 19, 13, 77, 89, 71, 60, 42, 21, 7], F(1, 2), F(1181, 530)),
         ):
             inst, _ = Instance.from_weights(weights, LetterCosts([1, 1, 2]), eps)
-            rep = solve(inst, k_override=F(2))
-            assert rep.mode == "main"
-            assert rep.kprefix_cost == want
+            assert takes_main_path(inst)
+            assert search_minimum(normalize(inst), F(2)) == want
             assert want == enumerated_minimum(normalize(inst), F(2), len(weights))
 
     def test_reach_limit_on_many_live_levels(self, monkeypatch):
@@ -497,9 +496,8 @@ class TestSearchEquivalence:
             levels = range(1, graph.level_count + 1)
             if sum(graph.count(graph.level_target(i)) > 0 for i in levels) < 20:
                 continue
-            rep = solve(inst, k_override=k)
-            assert rep.mode == "main"
-            assert rep.kprefix_cost == enumerated_minimum(norm, k, n), (costs, weights, eps, k)
+            assert takes_main_path(inst)
+            assert search_minimum(norm, k) == enumerated_minimum(norm, k, n), (costs, weights, eps, k)
             checked += 1
         assert sum(reaches) > 30
 

@@ -9,16 +9,17 @@ from lettercost import (
     LetterCosts,
     build_cost_graph,
     construct_leveled,
-    count_free_strings,
     is_k_prefix_free,
     normalize,
 )
-from lettercost.core import runs_cost_q, runs_to_str
+from lettercost.core import runs_to_str
 from lettercost.kprefix import LeveledCode
 
 from helpers import (
+    blocker_pairs,
     brute_force_leveled_minimum,
     free_counts_recurrence,
+    leveled_cost,
     leveled_recurrence,
     strings_of_cost,
 )
@@ -150,12 +151,12 @@ class TestStructure:
         guess = Guess(0, ((1, 1), (3, 2)))
         code = construct_leveled(norm, graph, guess, 6)
         assert isinstance(code, LeveledCode)
-        blocked = [(cost_q, cnt) for _, cost_q, cnt in code.level_picks]
         level_words = sum(cnt for _, _, cnt in code.level_picks)
-        costs_q = [runs_cost_q(w, norm.letters_q) for w in code.codewords[:level_words]]
+        # the blockers from the codewords' own costs are the level picks
+        blocked = blocker_pairs(code.codewords[:level_words], norm.letters_q)
+        assert blocked == [(cost_q, cnt) for _, cost_q, cnt in code.level_picks]
+        costs_q = [cost_q for cost_q, cnt in blocked for _ in range(cnt)]
         reference = free_counts_recurrence(graph.distinct_q, graph.k_q, costs_q)
-        table = count_free_strings(graph, code.codewords[:level_words])
-        assert table.v == reference
         for c in range(graph.k_q + 1):
             affine = graph.count(c) - sum(
                 cnt * graph.count(c - bc) for bc, cnt in blocked
@@ -338,6 +339,6 @@ class TestOptimality:
                         if isinstance(code, Inconsistent):
                             assert brute is None, (costs, k, n, guess)
                         else:
-                            got = code.cost_for(norm.instance.probabilities)
+                            got = leveled_cost(code)
                             assert brute is not None, (costs, k, n, guess)
                             assert got == brute, (costs, k, n, guess)

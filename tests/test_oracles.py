@@ -9,12 +9,11 @@ from lettercost import (
     InstanceError,
     LetterCosts,
     exact_optimal,
-    huffman_equal_costs,
     is_prefix_free,
     lower_bound,
 )
 
-from helpers import exact_optimal_reference, random_instance
+from helpers import exact_optimal_reference, huffman_cost, random_instance
 
 
 class TestExactOptimal:
@@ -131,25 +130,23 @@ class TestAgainstReference:
 
 
 class TestHuffman:
+    """exact_optimal where every letter costs the same, so the optimum is the
+    classical Huffman code's cost."""
+
     def test_figure_binary(self):
         inst, _ = Instance.from_weights([2, 2, 1, 1], LetterCosts([1, 1]), F(1, 4))
-        res = huffman_equal_costs(inst)
+        res = exact_optimal(inst)
         assert res.optimal_cost == 12
 
     def test_two_even_words(self):
         inst = Instance((F(1, 2), F(1, 2)), LetterCosts([1, 1]), F(1, 2))
-        assert huffman_equal_costs(inst).optimal_cost == 1
+        assert exact_optimal(inst).optimal_cost == 1
 
     def test_four_letters_four_words(self):
         inst = Instance((F(1, 4),) * 4, LetterCosts([1, 1, 1, 1]), F(1, 2))
-        res = huffman_equal_costs(inst)
+        res = exact_optimal(inst)
         assert res.optimal_cost == 1
         assert sorted(res.optimal_code.strings()) == ["a", "b", "c", "d"]
-
-    def test_rejects_unequal(self):
-        inst = Instance((F(1),), LetterCosts([1, 2]), F(1, 2))
-        with pytest.raises(InstanceError):
-            huffman_equal_costs(inst)
 
     def test_matches_exact_on_random_equal_cost_instances(self):
         rng = random.Random(104)
@@ -159,11 +156,10 @@ class TestHuffman:
             c = rng.randint(1, 3)
             weights = [rng.randint(1, 9) for _ in range(n)]
             inst, _ = Instance.from_weights(weights, LetterCosts([c] * r), F(1, 2))
-            h = huffman_equal_costs(inst)
             e = exact_optimal(inst)
-            assert h.optimal_cost == e.optimal_cost, (weights, r, c)
-            assert is_prefix_free(h.optimal_code.codewords)
-            assert h.optimal_code.ordered
+            assert e.optimal_cost == huffman_cost(inst), (weights, r, c)
+            assert is_prefix_free(e.optimal_code.codewords)
+            assert e.optimal_code.ordered
 
 
 class TestLowerBound:
@@ -187,10 +183,8 @@ class TestGoldenOutput:
     # sha256 over (optimal_cost, codewords, nodes_explored) of every call
     # below; it pins the signature search's tie-breaking, its replay on
     # strings and its count of settled states, which the cost-only checks
-    # above do not. HUFFMAN_DIGEST was recorded from the Fraction-based
-    # greedy merge
+    # above do not
     EXACT_DIGEST = "aa34654344bd4868e024195b60620470ba2049d3dfecebde7981bb73200e98ae"
-    HUFFMAN_DIGEST = "69d864892aaecbda2069dcdcc9f9432bb910c6eb7a21f88ed7618606e80f6b7e"
     # sha256 over optimal_cost alone of every exact_corpus call, as the
     # branch-and-bound oracle gave it: any exact method must reproduce it
     EXACT_COST_DIGEST = "7a4426e94861e7a932ec2b2de539f9446ce2f7b8c24df640e9f5d975746495a4"
@@ -215,13 +209,6 @@ class TestGoldenOutput:
             yield Instance.from_weights(weights, tiny, F(1, 2))[0]
 
     @staticmethod
-    def huffman_corpus():
-        rng = random.Random(20051)
-        for r, cost, n in ((2, 1, 1), (2, 3, 7), (2, F(1, 2), 10), (3, 2, 8), (3, 1, 12)):
-            weights = [rng.randint(1, 60) for _ in range(n)]
-            yield Instance.from_weights(weights, LetterCosts([cost] * r), F(1, 2))[0]
-
-    @staticmethod
     def fingerprint(digest, res):
         digest.update(
             repr((res.optimal_cost, res.optimal_code.codewords, res.nodes_explored)).encode()
@@ -238,9 +225,3 @@ class TestGoldenOutput:
         for inst in self.exact_corpus():
             digest.update(repr(exact_optimal(inst).optimal_cost).encode())
         assert digest.hexdigest() == self.EXACT_COST_DIGEST
-
-    def test_huffman_reproduces_recorded_outputs(self):
-        digest = hashlib.sha256()
-        for inst in self.huffman_corpus():
-            self.fingerprint(digest, huffman_equal_costs(inst))
-        assert digest.hexdigest() == self.HUFFMAN_DIGEST
