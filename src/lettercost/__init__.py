@@ -15,7 +15,6 @@ from .core import (
     NormalizedInstance,
     code_cost,
     codeword_cost,
-    is_k_prefix_free,
     is_prefix_free,
     normalize,
     reorder,
@@ -64,7 +63,6 @@ __all__ = [
     "enc",
     "exact_optimal",
     "group_words",
-    "is_k_prefix_free",
     "is_prefix_free",
     "lower_bound",
     "normalize",

@@ -1,4 +1,4 @@
-"""Turn a k-prefix code into a true prefix code with a self-delimiting escape.
+"""Turn a leveled k-prefix code into a true prefix code with a self-delimiting escape.
 
 Codewords cheaper than k pass through untouched. A codeword of cost >= k is
 split at its first prefix alpha whose cost reaches k; the remainder beta is
@@ -11,16 +11,15 @@ by at most the factor 1 + l2*(5 + 2*log2(k))/k.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .core import (
     CodeAssignment,
     InstanceError,
+    Rational,
     Runs,
     _unchecked,
-    is_k_prefix_free,
     runs_from_letters,
 )
 from .kprefix import LeveledCode
@@ -83,38 +82,22 @@ def _transform(runs: Runs, letter_costs: Sequence[int], k: int, blocks: dict[int
     return out + head + beta[1:-1] + last
 
 
-def convert_to_prefix(code, k) -> CodeAssignment:
-    """Convert a k-prefix code (LeveledCode or CodeAssignment) to a prefix code.
+def convert_to_prefix(code: LeveledCode, k: Rational) -> CodeAssignment:
+    """Convert a leveled code, k-prefix free by construction, to a prefix code.
 
-    Codewords of cost < k are returned unchanged. Raises when a plain
-    CodeAssignment input is not k-prefix free; leveled codes are k-prefix free
-    by construction and skip that scan. Both inputs are converted in integer
-    costs: quanta for a leveled code, letters.scale units for an assignment.
+    k must be the horizon the code's cost graph was built at. Codewords of
+    cost < k are returned unchanged; the rest are converted in quanta.
     """
-    if isinstance(code, LeveledCode):
-        letters = code.norm.instance.letters
-        k_int = code.graph.k_q
-        if k_int < code.graph.unit_q:
-            raise InstanceError("conversion requires k >= 1")
-        letter_costs = code.norm.letters_q
-        costs = code.word_costs_q
-    elif isinstance(code, CodeAssignment):
-        letters = code.letters
-        k = Fraction(k)
-        if k < 1:
-            raise InstanceError("conversion requires k >= 1")
-        if not is_k_prefix_free(code.codewords, k, letters):
-            raise InstanceError("input code is not k-prefix free")
-        # an integer cost reaches k * scale exactly when it reaches its ceiling
-        k_int = math.ceil(k * letters.scale)
-        letter_costs = letters.costs_int
-        costs = code.costs_int()
-    else:
-        raise InstanceError("expected a LeveledCode or CodeAssignment")
+    graph = code.graph
+    horizon = graph.k_q * graph.quantum
+    if Fraction(k) != horizon:
+        raise InstanceError("k %s is not the code's horizon %s" % (k, horizon))
+    k_q, letters_q = graph.k_q, code.norm.letters_q
     blocks: dict[int, Runs] = {}
     out = tuple(
-        _transform(runs, letter_costs, k_int, blocks) if cost >= k_int else runs
-        for runs, cost in zip(code.codewords, costs)
+        _transform(runs, letters_q, k_q, blocks) if cost >= k_q else runs
+        for runs, cost in zip(code.codewords, code.word_costs_q)
     )
+    letters = code.norm.instance.letters
     # a prefix code made from distinct runs: nothing to check again
     return _unchecked(CodeAssignment, codewords=out, letters=letters, _costs_int=None)

@@ -17,10 +17,9 @@ leveled construction work in integer quantum units.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 GLYPHS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -401,7 +400,7 @@ def reorder(assignment: CodeAssignment) -> CodeAssignment:
 
 
 # ---------------------------------------------------------------------------
-# prefix-freeness predicates and the codeword trie
+# the prefix-freeness predicate and the codeword trie
 
 
 class TrieNode:
@@ -431,39 +430,23 @@ class CodewordTrie:
         return node
 
 
-def _has_violation(items: list[Runs], costs: Mapping[int, int], limit: int) -> bool:
-    """Some codeword of cost < limit is a prefix of another; costs[let] is the
-    cost of letter let, in the unit of limit."""
+def _has_violation(items: list[Runs]) -> bool:
+    """Some codeword is a prefix of another or equals it."""
     trie = CodewordTrie()
     for runs in items:
         trie.insert(runs)
 
-    def dfs(node: TrieNode, cost: int, marked_above: bool) -> bool:
-        if node.marks and marked_above:
-            return True  # some cheap ancestor prefixes this codeword
-        here = node.marks > 0 and cost < limit
-        if node.marks >= 2 and here:
-            return True  # duplicate with cost below the threshold
-        for let, child in node.children.items():
-            if dfs(child, cost + costs[let], marked_above or here):
+    def dfs(node: TrieNode, marked_above: bool) -> bool:
+        if node.marks and (marked_above or node.marks >= 2):
+            return True  # a codeword above prefixes this one, or a duplicate
+        for child in node.children.values():
+            if dfs(child, marked_above or node.marks > 0):
                 return True
         return False
 
-    return dfs(trie.root, 0, False)
+    return dfs(trie.root, False)
 
 
 def is_prefix_free(words) -> bool:
     """True when no codeword is a prefix of any other (duplicates count)."""
-    # every letter costs 0, so every codeword is below the limit 1
-    return not _has_violation([as_runs(w) for w in words], defaultdict(int), 1)
-
-
-def is_k_prefix_free(words, k: Rational, letters: LetterCosts) -> bool:
-    """True when no codeword of cost < k is a prefix of any other codeword."""
-    items = [as_runs(w) for w in words]
-    for runs in items:
-        codeword_cost_int(runs, letters)  # rejects a letter outside the alphabet
-    k = Fraction(k)
-    # an integer cost is below k * scale exactly when it is below its ceiling
-    limit = -(-k.numerator * letters.scale // k.denominator)
-    return not _has_violation(items, letters.costs_int, limit)
+    return not _has_violation([as_runs(w) for w in words])

@@ -40,7 +40,6 @@ class CostGraph:
         eps_q: int,
         k_q: int,
         quantum: Fraction,
-        n: int | None = None,
     ):
         if (k_q - unit_q) % eps_q != 0:
             raise InstanceError("k-1 must be an integer multiple of epsilon")
@@ -65,10 +64,6 @@ class CostGraph:
             for w, _ in self.distinct_q
             if c + w <= k_q
         )
-        if n is not None and n >= 2:
-            bound = Fraction(n * k_q, eps_q)
-            assert self.node_count <= bound, "node count exceeds n*k/eps"
-            assert self.arc_count <= len(self.distinct_q) * self.node_count
 
     def _extend_counts(self, upto: int) -> None:
         cs = self.counts
@@ -165,12 +160,16 @@ def build_cost_graph(norm: NormalizedInstance, k: Fraction) -> CostGraph:
         raise InstanceError(
             "cheapest letter cost is at most eps/n; use the tiny-letter solver"
         )
-    return CostGraph(
+    graph = CostGraph(
         norm.distinct_q,
         norm.unit_q,
         norm.eps_q,
         k_q.numerator,
         norm.cost_quantum,
-        n=norm.n,
     )
+    if norm.n >= 2:
+        bound = Fraction(norm.n * graph.k_q, graph.eps_q)
+        assert graph.node_count <= bound, "node count exceeds n*k/eps"
+        assert graph.arc_count <= len(graph.distinct_q) * graph.node_count
+    return graph
 

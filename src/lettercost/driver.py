@@ -68,6 +68,7 @@ from .core import (
     InstanceError,
     NormalizedInstance,
     Runs,
+    code_cost,
     is_prefix_free,
     normalize,
     reorder,
@@ -145,7 +146,6 @@ class Grouping:
     """
 
     norm: NormalizedInstance
-    k: Fraction
     ranges: tuple[tuple[int, int], ...]  # half-open word index ranges
     singleton_prefix: int
     group_weights_int: tuple[int, ...]  # group probabilities times the instance's scale
@@ -187,7 +187,7 @@ def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
         singleton_prefix = 1
 
     group_ws = tuple([sum(ws[s:e]) for s, e in ranges])
-    grouping = Grouping(norm, k, tuple(ranges), singleton_prefix, group_ws)
+    grouping = Grouping(norm, tuple(ranges), singleton_prefix, group_ws)
 
     assert grouping.ranges[0] == (0, 1)
     assert all(e0 == s1 for (_, e0), (s1, _) in zip(ranges, ranges[1:]))
@@ -456,8 +456,7 @@ def _finish_report(
 ) -> CodeReport:
     letters = instance.letters
     assignment = reorder(CodeAssignment(tuple(codewords), letters))
-    value = sum(w * c for w, c in zip(instance.weights_int, assignment.costs_int()))
-    cost = Fraction(value, instance.scale * letters.scale)  # probabilities times letter costs
+    cost = code_cost(assignment, instance)  # probabilities times letter costs
     l2 = letters.costs[1]
     scaled = cost / l2
     p1 = Fraction(instance.weights_int[0], instance.scale)
@@ -560,7 +559,7 @@ def tiny_candidate_code(
     return Fraction(value, instance.scale * c2), words, [Fraction(e[0], c2) for e in kept]
 
 
-def solve_tiny_ell1(instance: Instance, *, check: bool = True) -> CodeReport:
+def solve_tiny_ell1(instance: Instance) -> CodeReport:
     """Direct construction for instances whose cheapest letter is very cheap
     (cost at most epsilon/n once the second letter is scaled to 1).
 
@@ -571,7 +570,7 @@ def solve_tiny_ell1(instance: Instance, *, check: bool = True) -> CodeReport:
     n = instance.n
     eps = instance.epsilon
     l1 = instance.letters.costs[0] / instance.letters.costs[1]
-    if check and l1 * n > eps:
+    if l1 * n > eps:
         raise InstanceError("cheapest letter cost exceeds epsilon/n")
 
     i0_candidates = tiny_run_length_candidates(instance)

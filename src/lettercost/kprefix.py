@@ -12,13 +12,13 @@ Feasibility uses the cost graph's closed-form free-string count, the one the
 guess search uses: each level's request is checked against CostGraph.free at
 its target cost, and the tail comes from the same CostGraph.tail walk.
 
-Codewords are kept implicit as (cost, how_many) selections, so construction
-cost never depends on total codeword length. Concrete codewords materialize
-lazily: each selection takes the first free strings of its cost in
-letter-index order, found by a depth-first walk with an explicit stack whose
-frames carry their prefix as runs. The blocking codewords (cost < k) are
-kept as per-cost sets of runs, with no node per letter, so neither Python
-stack depth nor memory grows with codeword length in letters.
+A code is kept as (cost, how_many) picks, the pairs CostGraph.free and
+CostGraph.tail take, so construction cost never depends on codeword length.
+Codewords materialize lazily: each pick takes the first free strings of its
+cost in letter-index order, found by a depth-first walk with an explicit
+stack whose frames carry their prefix as runs. The blocking codewords (cost
+< k) are kept as per-cost sets of runs, with no node per letter, so neither
+Python stack depth nor memory grows with codeword length in letters.
 """
 
 from __future__ import annotations
@@ -72,30 +72,22 @@ class Guess:
 class LeveledCode:
     """A leveled k-prefix code in implicit form.
 
-    level_picks: (level, cost_q, count) per nonempty level, ascending;
-    tail_picks: (cost_q, count) batches of cost >= k, ascending.
-    Word i receives the i-th codeword in this cost order (most probable word
-    first), with the level-0 codeword, when present, cheapest of all.
+    picks: (cost_q, count) pairs in increasing cost order: the level-0 run,
+    when present, then each nonempty level at its target cost, then the tail
+    batches of cost >= k. Word i receives the i-th codeword in this order
+    (most probable word first).
     """
 
     norm: NormalizedInstance
     graph: CostGraph
     guess: Guess
     n: int
-    level_picks: list[tuple[int, int, int]]
-    tail_picks: list[tuple[int, int]]
+    picks: list[tuple[int, int]]
     _codewords: list[Runs] | None = field(default=None, repr=False)
 
     @property
     def word_costs_q(self) -> list[int]:
-        out = []
-        if self.guess.f0 > 0:
-            out.append(self.guess.f0 * self.norm.letters_q[0])
-        for _, cost_q, count in self.level_picks:
-            out.extend([cost_q] * count)
-        for cost_q, count in self.tail_picks:
-            out.extend([cost_q] * count)
-        return out
+        return [cost_q for cost_q, count in self.picks for _ in range(count)]
 
     @property
     def codewords(self) -> list[Runs]:
@@ -135,7 +127,6 @@ def construct_leveled(
 
     # (cost_q, how_many) of every codeword below k chosen so far
     blockers: list[tuple[int, int]] = [(guess.f0 * l1_q, 1)] if guess.f0 > 0 else []
-    level_picks: list[tuple[int, int, int]] = []
     for lvl, count in sorted(wanted.items()):
         if count == 0:
             continue
@@ -145,50 +136,45 @@ def construct_leveled(
         if graph.free(target, blockers) < count:
             return Inconsistent("level %d cannot host %d codewords" % (lvl, count))
         blockers.append((target, count))
-        level_picks.append((lvl, target, count))
 
     missing = n - guess.codeword_total()
     tail = graph.tail(missing, blockers, bump)
     if tail is None:
         return Inconsistent("fewer than %d tail codewords exist" % missing)
-    return LeveledCode(norm, graph, guess, n, level_picks, tail)
+    return LeveledCode(norm, graph, guess, n, blockers + tail)
 
 
 # ---------------------------------------------------------------------------
-# materialization of implicit selections into concrete codewords
+# materialization of implicit picks into concrete codewords
 
 
 def _materialize(code: LeveledCode) -> list[Runs]:
-    """Resolve each (cost, count) selection into the first `count` free strings
-    of its cost in letter-index order (letters are sorted by cost, so cheaper
+    """Resolve each (cost, count) pick into the first `count` free strings of
+    its cost in letter-index order (letters are sorted by cost, so cheaper
     letters come first), in word order.
 
-    A string is free when no blocking codeword (cost < k: the level-0 run and
-    the level picks) is a prefix of it; tail picks block nothing, matching the
-    relaxed prefix rule past k. Blocking codewords are kept as sets of runs
-    keyed by cost, so a prefix is looked up only when its cost is a key.
+    A string is free when no blocking codeword is a prefix of it. A pick
+    blocks later picks exactly when its cost is below k, the relaxed prefix
+    rule. Below cost 1 each cost holds one string, a cheapest-letter run
+    (CostGraph checks this), so the level-0 pick's walk finds a^f0. Blocking
+    codewords are kept as sets of runs keyed by cost, so a prefix is looked
+    up only when its cost is a key.
 
-    Each selection is one depth-first walk over the strings of its cost on an
+    Each pick is one depth-first walk over the strings of its cost on an
     explicit stack of (prefix runs, remaining cost, next letter) frames. It
     cuts a prefix with no string of the remaining cost below it or that is a
     blocking codeword, and stops at `count` strings. Below a prefix that is
     not cut, some string of the cost either is free or has a blocking prefix
     below it, so a walk goes no deeper than the strings it returns and the
     blocking codewords; a subtree whose strings are all blocked is walked
-    again by each later selection whose strings sort after it.
+    again by each later pick whose strings sort after it.
     """
     letters_q = code.norm.letters_q
     r = len(letters_q)
     graph = code.graph
     blocked: dict[int, set[Runs]] = {}
     words: list[Runs] = []
-    if code.guess.f0 > 0:
-        runs = ((0, code.guess.f0),)
-        blocked[code.guess.f0 * letters_q[0]] = {runs}
-        words.append(runs)
-    picks = [(cost_q, take, True) for _, cost_q, take in code.level_picks]
-    picks += [(cost_q, take, False) for cost_q, take in code.tail_picks]
-    for cost_q, take, blocking in picks:
+    for cost_q, take in code.picks:
         graph.count(cost_q)  # extends the string counts to every cost read below
         count = graph.counts
         out: list[Runs] = []
@@ -217,7 +203,7 @@ def _materialize(code: LeveledCode) -> list[Runs]:
                 if len(out) == take:
                     break
         assert len(out) == take, "materialization found %d of %d codewords" % (len(out), take)
-        if blocking:
+        if cost_q < graph.k_q:
             blocked.setdefault(cost_q, set()).update(out)
         words.extend(out)
     assert len(words) == code.n

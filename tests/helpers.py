@@ -27,6 +27,7 @@ from lettercost import (
     build_cost_graph,
     driver,
     group_words,
+    normalize,
 )
 from lettercost.core import runs_from_letters
 
@@ -66,6 +67,14 @@ def blocker_pairs(words, letters_q):
     takes them: its members' costs in quanta, letter by letter, counted."""
     costs = Counter(sum(letters_q[let] * rep for let, rep in word) for word in words)
     return sorted(costs.items())
+
+
+def leveled_setup(costs, eps, k, n):
+    """(norm, graph) for n equally likely words over the given letter costs,
+    with the cost graph built at horizon k."""
+    probs = tuple(Fraction(1, n) for _ in range(n))
+    norm = normalize(Instance(probs, LetterCosts(costs), Fraction(eps)))
+    return norm, build_cost_graph(norm, Fraction(k))
 
 
 def leveled_cost(code):
@@ -109,6 +118,20 @@ def is_prefix_free_pairwise(words):
     """O(m^2) reference predicate over letter tuples or strings."""
     ws = [tuple(w) for w in words]
     for i, a in enumerate(ws):
+        for j, b in enumerate(ws):
+            if i != j and b[: len(a)] == a:
+                return False
+    return True
+
+
+def is_k_prefix_free_pairwise(codewords, k, costs):
+    """O(m^2) reference: no codeword of cost below k is a prefix of another
+    (duplicates count). Codewords are runs; costs[let] is the cost of letter
+    let, in the unit of k."""
+    ws = [tuple(let for let, rep in w for _ in range(rep)) for w in codewords]
+    for i, a in enumerate(ws):
+        if sum(costs[let] for let in a) >= k:
+            continue
         for j, b in enumerate(ws):
             if i != j and b[: len(a)] == a:
                 return False
@@ -280,10 +303,10 @@ def tail_recurrence(distinct_q, v, m):
 
 
 def leveled_recurrence(norm, graph, guess, n):
-    """construct_leveled's (level_picks, tail_picks) by the recurrence: one
-    pass over the costs 1..k_q that subtracts the level-0 run at its cost and
-    reserves each level's codewords at its target as the pass reaches it;
-    None where no code meets the guess."""
+    """construct_leveled's picks by the recurrence: one pass over the costs
+    1..k_q that subtracts the level-0 run at its cost and reserves each
+    level's codewords at its target as the pass reaches it; None where no
+    code meets the guess."""
     distinct_q, k_q = graph.distinct_q, graph.k_q
     l1_q = norm.letters_q[0]
     if guess.codeword_total() > n:
@@ -297,21 +320,21 @@ def leveled_recurrence(norm, graph, guess, n):
     level_at = {norm.unit_q + i * norm.eps_q - 1: i for i in range(1, levels + 1)}
     blocked0 = guess.f0 * l1_q if guess.f0 > 0 else -1
     v = [1]
-    level_picks = []
+    picks = []
     for c in range(1, k_q + 1):
         total = sum(mult * v[c - w] for w, mult in distinct_q if w <= c)
         if c == blocked0:
             total -= 1
-        lvl = level_at.get(c)
-        want = wanted.get(lvl, 0)
+            picks.append((c, 1))
+        want = wanted.get(level_at.get(c), 0)
         if want > 0:
             if total < want:
                 return None
             total -= want
-            level_picks.append((lvl, c, want))
+            picks.append((c, want))
         v.append(total)
     tail = tail_recurrence(distinct_q, v, n - guess.codeword_total())
-    return None if tail is None else (level_picks, tail)
+    return None if tail is None else picks + tail
 
 
 def exact_optimal_reference(instance):

@@ -5,12 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from lettercost import (
-    CodeAssignment,
     Guess,
     Inconsistent,
     Instance,
     InstanceError,
     LetterCosts,
+    LeveledCode,
     build_cost_graph,
     construct_leveled,
     convert_to_prefix,
@@ -18,7 +18,10 @@ from lettercost import (
     is_prefix_free,
     normalize,
 )
+from lettercost.convert import _transform
 from lettercost.core import runs_from_letters, runs_from_str, runs_to_str
+
+from helpers import leveled_setup
 
 
 class TestEnc:
@@ -51,11 +54,11 @@ class TestEnc:
 
 
 class TestWorkedConversions:
-    LETTERS = LetterCosts([1, 1])
+    # letters a and b cost 1 each, and k is in the same integer unit
+    COSTS = (1, 1)
 
     def convert_one(self, word, k):
-        code = CodeAssignment((runs_from_str(word),), self.LETTERS)
-        return convert_to_prefix(code, k).strings()[0]
+        return runs_to_str(_transform(runs_from_str(word), self.COSTS, k, {}))
 
     def test_split_with_suffix(self):
         assert self.convert_one("aab", 2) == "aabbabbb"
@@ -64,21 +67,29 @@ class TestWorkedConversions:
         assert self.convert_one("aa", 2) == "aaabb"
 
     def test_untouched_below_k(self):
-        code = CodeAssignment(
-            (runs_from_str("aa"), runs_from_str("ab"), runs_from_str("b")), self.LETTERS
-        )
-        out = convert_to_prefix(code, 4)
-        assert out.strings() == ["aa", "ab", "b"]
-
-    def test_rejects_non_k_prefix_free(self):
-        code = CodeAssignment((runs_from_str("a"), runs_from_str("ab")), self.LETTERS)
+        # every codeword of this leveled code costs less than k = 3
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
+        code = construct_leveled(norm, graph, Guess(0, ((1, 1), (2, 2))), 3)
+        assert convert_to_prefix(code, 3).strings() == ["a", "ba", "bb"]
         with pytest.raises(InstanceError):
-            convert_to_prefix(code, 2)
+            _transform(runs_from_str("ab"), self.COSTS, 3, {})
 
     def test_rejects_small_k(self):
-        code = CodeAssignment((runs_from_str("a"),), self.LETTERS)
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
+        code = construct_leveled(norm, graph, Guess(0, ()), 2)
         with pytest.raises(InstanceError):
             convert_to_prefix(code, F(1, 2))
+
+    def test_rejects_k_other_than_the_horizon(self):
+        # the code is k-prefix free at the horizon its cost graph was built
+        # at, and its tail starts there; any other k is refused
+        norm, graph = leveled_setup([F(1, 2), 1], F(1, 2), F(5, 2), 4)
+        code = construct_leveled(norm, graph, Guess(0, ((1, 1),)), 4)
+        assert isinstance(code, LeveledCode)
+        for k in (2, 3, F(9, 4), F(5, 2) + norm.cost_quantum):
+            with pytest.raises(InstanceError, match="horizon"):
+                convert_to_prefix(code, k)
+        assert is_prefix_free(convert_to_prefix(code, F(5, 2)).codewords)
 
 
 def random_kprefix_codes(rng, count):
@@ -128,8 +139,7 @@ class TestConversionGuarantees:
 
     def test_matches_letter_level_splice(self):
         # the one-pass run splice equals alpha + enc(i) + beta + b spelled out
-        # letter by letter, with canonical runs; the leveled and the
-        # assignment input give the same code
+        # letter by letter, with canonical runs
         rng = random.Random(67)
         rewritten = 0
         for code, k, norm in random_kprefix_codes(rng, 80):
@@ -149,6 +159,4 @@ class TestConversionGuarantees:
                 expected.append(runs_from_letters(spelled[:cut] + block + beta + [1]))
                 rewritten += 1
             assert convert_to_prefix(code, k).codewords == tuple(expected)
-            as_assignment = CodeAssignment(code.codewords, letters)
-            assert convert_to_prefix(as_assignment, k).codewords == tuple(expected)
         assert rewritten > 200

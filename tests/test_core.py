@@ -10,7 +10,6 @@ from lettercost import (
     LetterCosts,
     code_cost,
     codeword_cost,
-    is_k_prefix_free,
     is_prefix_free,
     normalize,
     reorder,
@@ -125,10 +124,8 @@ class TestPrefixFree:
         assert is_prefix_free(["aaa", "aab", "ab", "b"])
 
     def test_nested(self):
-        letters = LetterCosts([1, 3])
         assert not is_prefix_free(["a", "ab"])
-        assert is_k_prefix_free(["a", "ab"], 1, letters)
-        assert not is_k_prefix_free(["a", "ab"], 2, letters)
+        assert not is_prefix_free(["ab", "a"])
 
     def test_duplicates(self):
         assert not is_prefix_free(["ab", "ab"])

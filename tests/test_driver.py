@@ -151,7 +151,7 @@ class TestGuessEnumeration:
     def make_grouping(self, costs, eps, probs, ranges):
         norm = normalize(Instance(probs, LetterCosts(costs), F(eps)))
         ws = norm.instance.weights_int
-        return Grouping(norm, F(2), ranges, 1, tuple(sum(ws[s:e]) for s, e in ranges)), norm
+        return Grouping(norm, ranges, 1, tuple(sum(ws[s:e]) for s, e in ranges)), norm
 
     def test_two_groups_two_levels(self):
         g, norm = self.make_grouping(
@@ -383,7 +383,8 @@ class TestTiny:
 
     def test_boundary_agreement(self):
         # just above the boundary (l1 * n = 9/16 > eps) solve takes the main
-        # path, and the tiny path still runs; their costs stay within a
+        # path and solve_tiny_ell1 refuses the instance, but the tiny path's
+        # candidate codes still price it; the two costs stay within a
         # (1+eps)^2 factor of each other
         eps = F(1, 2)
         n = 4
@@ -391,10 +392,11 @@ class TestTiny:
         inst = Instance(tuple([F(1, n)] * n), LetterCosts([l1, 1]), eps)
         main = solve(inst)
         assert main.mode == "main"
-        tiny = solve_tiny_ell1(inst, check=False)
-        ratio = max(
-            F(main.total_cost, tiny.total_cost), F(tiny.total_cost, main.total_cost)
-        )
+        with pytest.raises(InstanceError):
+            solve_tiny_ell1(inst)
+        best = min(tiny_candidate_code(inst, i0)[0] for i0 in tiny_run_length_candidates(inst))
+        tiny_cost = best * inst.letters.costs[1] * inst.weight_total
+        ratio = max(main.total_cost / tiny_cost, tiny_cost / main.total_cost)
         assert ratio <= (1 + eps) ** 2
 
 

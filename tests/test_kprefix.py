@@ -9,7 +9,6 @@ from lettercost import (
     LetterCosts,
     build_cost_graph,
     construct_leveled,
-    is_k_prefix_free,
     normalize,
 )
 from lettercost.core import runs_to_str
@@ -19,81 +18,76 @@ from helpers import (
     blocker_pairs,
     brute_force_leveled_minimum,
     free_counts_recurrence,
+    is_k_prefix_free_pairwise,
     leveled_cost,
     leveled_recurrence,
+    leveled_setup,
     strings_of_cost,
 )
 
 
-def setup(costs, eps, k, n):
-    probs = tuple(F(1, n) for _ in range(n))
-    norm = normalize(Instance(probs, LetterCosts(costs), F(eps)))
-    graph = build_cost_graph(norm, F(k))
-    return norm, graph
-
-
 class TestConstruct:
     def test_three_words(self):
-        norm, graph = setup([1, 1], 1, 3, 4)
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
         code = construct_leveled(norm, graph, Guess(0, ((1, 1), (2, 2))), 3)
         assert isinstance(code, LeveledCode)
         assert [runs_to_str(c) for c in code.codewords] == ["a", "ba", "bb"]
         assert code.word_costs_q == [1, 2, 2]
 
     def test_fourth_word_impossible(self):
-        norm, graph = setup([1, 1], 1, 3, 4)
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
         result = construct_leveled(norm, graph, Guess(0, ((1, 1), (2, 2))), 4)
         assert isinstance(result, Inconsistent)
 
     def test_two_singles(self):
-        norm, graph = setup([1, 1], 1, 3, 4)
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
         code = construct_leveled(norm, graph, Guess(0, ((1, 2),)), 2)
         assert [runs_to_str(c) for c in code.codewords] == ["a", "b"]
 
     def test_level_zero_codeword(self):
-        norm, graph = setup([F(1, 2), 1], F(1, 2), 2, 4)
+        norm, graph = leveled_setup([F(1, 2), 1], F(1, 2), 2, 4)
         code = construct_leveled(norm, graph, Guess(1, ((1, 1),)), 2)
         assert isinstance(code, LeveledCode)
         words = [runs_to_str(c) for c in code.codewords]
         assert words[0] == "a"
         assert words[1] == "b"  # the run aa is blocked by the level-0 codeword
-        assert is_k_prefix_free(code.codewords, 2, norm.instance.letters)
+        assert is_k_prefix_free_pairwise(code.codewords, 2, norm.instance.letters.costs)
 
     def test_overfull_guess(self):
-        norm, graph = setup([1, 1], 1, 3, 4)
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
         assert isinstance(
             construct_leveled(norm, graph, Guess(0, ((1, 2), (2, 4))), 3), Inconsistent
         )
 
     def test_level0_size_too_costly(self):
-        norm, graph = setup([F(1, 2), 1], F(1, 2), 2, 4)
+        norm, graph = leveled_setup([F(1, 2), 1], F(1, 2), 2, 4)
         assert isinstance(construct_leveled(norm, graph, Guess(2, ()), 4), Inconsistent)
 
 
 class TestSelect:
     def test_noop(self):
         # a zero count reserves nothing: no pick, and the code of no request
-        norm, graph = setup([1, 1], 1, 3, 4)
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
         code = construct_leveled(norm, graph, Guess(0, ((1, 0),)), 2)
-        assert code.level_picks == []
-        assert code.tail_picks == construct_leveled(norm, graph, Guess(0, ()), 2).tail_picks
+        assert all(cost_q >= graph.k_q for cost_q, _ in code.picks)
+        assert code.picks == construct_leveled(norm, graph, Guess(0, ()), 2).picks
 
     def test_materialization_order(self):
-        norm, graph = setup([1, 1], 1, 3, 4)
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
         code = construct_leveled(norm, graph, Guess(0, ((2, 3),)), 3)
         assert [runs_to_str(c) for c in code.codewords] == ["aa", "ab", "ba"]
 
     def test_consume_all(self):
-        norm, graph = setup([1, 1], 1, 3, 4)
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
         assert graph.free(2, []) == 4
         code = construct_leveled(norm, graph, Guess(0, ((2, 4),)), 4)
-        assert code.level_picks == [(2, 2, 4)]
+        assert code.picks == [(2, 4)]
         assert graph.free(2, [(2, 4)]) == 0
         # the four cost-2 strings block every longer one: no fifth codeword
         assert isinstance(construct_leveled(norm, graph, Guess(0, ((2, 4),)), 5), Inconsistent)
 
     def test_insufficient(self):
-        norm, graph = setup([1, 1], 1, 3, 4)
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
         assert graph.free(1, []) == 2
         assert isinstance(construct_leveled(norm, graph, Guess(0, ((1, 3),)), 3), Inconsistent)
         # a lower level's codewords count against a higher level
@@ -124,17 +118,18 @@ class TestStructure:
             code = construct_leveled(norm, graph, guess, n)
             if isinstance(code, Inconsistent):
                 continue
-            assert is_k_prefix_free(code.codewords, k, norm.instance.letters)
-            # leveled: every level pick sits exactly on its level's target cost
-            for lvl, cost_q, cnt in code.level_picks:
-                assert cost_q == graph.level_target(lvl)
-            for cost_q, cnt in code.tail_picks:
-                assert cost_q >= graph.k_q
+            assert is_k_prefix_free_pairwise(code.codewords, k, norm.instance.letters.costs)
+            # leveled: the picks below k are the guess's levels, each at its
+            # target cost, and the picks rise in cost
+            below = [(cost_q, cnt) for cost_q, cnt in code.picks if cost_q < graph.k_q]
+            assert below == [(graph.level_target(lvl), cnt) for lvl, cnt in guess.level_counts]
+            costs_q = [cost_q for cost_q, _ in code.picks]
+            assert costs_q == sorted(set(costs_q))
 
     def test_level0_uniqueness(self):
         # with a level-0 size given, the code holds exactly that one codeword
         # below unit cost, a run of the cheapest letter, and nothing else in a*
-        norm, graph = setup([F(1, 4), 1], F(1, 2), 2, 6)
+        norm, graph = leveled_setup([F(1, 4), 1], F(1, 2), 2, 6)
         code = construct_leveled(norm, graph, Guess(2, ((2, 2),)), 5)
         assert isinstance(code, LeveledCode)
         letters = norm.instance.letters
@@ -144,17 +139,35 @@ class TestStructure:
         pure_runs = [c for c in code.codewords if all(let == 0 for let, _ in c)]
         assert pure_runs == [((0, 2),)]
 
+    def test_level0_run_is_the_first_codeword(self):
+        # the level-0 pick is walked like any other; below cost 1 its cost
+        # holds one string, so the walk finds the run a^f0, for every size
+        checked = 0
+        for costs in ([1, 2], [1, 3]):
+            for eps in (F(1), F(1, 2), F(1, 4)):
+                norm, graph = leveled_setup(costs, eps, 1 + 2 * eps, 6)
+                f_max = (norm.unit_q - 1) // norm.letters_q[0]
+                assert f_max >= 1
+                for f0 in range(1, f_max + 1):
+                    code = construct_leveled(norm, graph, Guess(f0, ()), 6)
+                    assert isinstance(code, LeveledCode), (costs, eps, f0)
+                    assert code.picks[0] == (f0 * norm.letters_q[0], 1)
+                    assert code.codewords[0] == ((0, f0),)
+                    checked += 1
+        assert checked == 9
+
     def test_affine_counts_match_table(self):
         # closed form count(c) - sum over S of count(c - cost(x)) equals the
         # sequential recurrence for the sets the constructor builds
-        norm, graph = setup([F(1, 2), 1], F(1, 2), 3, 6)
+        norm, graph = leveled_setup([F(1, 2), 1], F(1, 2), 3, 6)
         guess = Guess(0, ((1, 1), (3, 2)))
         code = construct_leveled(norm, graph, guess, 6)
         assert isinstance(code, LeveledCode)
-        level_words = sum(cnt for _, _, cnt in code.level_picks)
-        # the blockers from the codewords' own costs are the level picks
+        level_picks = [(cost_q, cnt) for cost_q, cnt in code.picks if cost_q < graph.k_q]
+        level_words = sum(cnt for _, cnt in level_picks)
+        # the blockers from the codewords' own costs are the picks below k
         blocked = blocker_pairs(code.codewords[:level_words], norm.letters_q)
-        assert blocked == [(cost_q, cnt) for _, cost_q, cnt in code.level_picks]
+        assert blocked == level_picks
         costs_q = [cost_q for cost_q, cnt in blocked for _ in range(cnt)]
         reference = free_counts_recurrence(graph.distinct_q, graph.k_q, costs_q)
         for c in range(graph.k_q + 1):
@@ -214,15 +227,15 @@ class TestRecurrenceReference:
                 seen["tail short" if levels_fit else "level short"] += 1
             else:
                 assert isinstance(got, LeveledCode), where
-                assert (got.level_picks, got.tail_picks) == expected, where
+                assert got.picks == expected, where
                 seen["feasible"] += 1
-                seen["tail spans costs"] += len(got.tail_picks) > 1
+                seen["tail spans costs"] += sum(c >= graph.k_q for c, _ in got.picks) > 1
         assert min(seen.values()) >= 20, seen
 
 
 class TestMaterializationOrder:
     def test_first_free_strings_in_letter_order(self):
-        # each selection holds the first `count` strings of its cost, in
+        # each pick holds the first `count` strings of its cost, in
         # letter-index order, that have no blocking prefix: no codeword below
         # k chosen before it (the level-0 run, then the level picks in order)
         rng = random.Random(131)
@@ -245,20 +258,18 @@ class TestMaterializationOrder:
             code = construct_leveled(norm, graph, Guess(f0, tuple(sorted(counts.items()))), n)
             if isinstance(code, Inconsistent):
                 continue
-            picks = [(c, cnt, True) for _, c, cnt in code.level_picks]
-            picks += [(c, cnt, False) for c, cnt in code.tail_picks]
-            if any(graph.count(c) > 3000 for c, _, _ in picks):
+            if any(graph.count(c) > 3000 for c, _ in code.picks):
                 continue
-            blocking = [(0,) * f0] if f0 else []
-            expected = list(blocking)
-            for cost_q, count, blocks in picks:
+            blocking = []
+            expected = []
+            for cost_q, count in code.picks:
                 free = [
                     s
                     for s in sorted(strings_of_cost(norm.letters_q, cost_q))
                     if not any(s[: len(b)] == b for b in blocking)
                 ]
                 expected.extend(free[:count])
-                if blocks:
+                if cost_q < graph.k_q:
                     blocking.extend(free[:count])
             got = [tuple(let for let, rep in w for _ in range(rep)) for w in code.codewords]
             assert got == expected, (costs, eps, graph.k_q, f0, counts)
@@ -291,7 +302,7 @@ class TestScale:
         )
         assert isinstance(code, LeveledCode)
         assert len(code.codewords) == n
-        assert is_k_prefix_free(code.codewords, F(7, 2), norm.instance.letters)
+        assert is_k_prefix_free_pairwise(code.codewords, F(7, 2), norm.instance.letters.costs)
         costs_q = [
             sum(norm.letters_q[let] * rep for let, rep in w) for w in code.codewords
         ]

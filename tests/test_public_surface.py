@@ -33,7 +33,6 @@ PUBLIC = [
     "enc",
     "exact_optimal",
     "group_words",
-    "is_k_prefix_free",
     "is_prefix_free",
     "lower_bound",
     "normalize",
@@ -76,6 +75,7 @@ def test_all_is_pinned():
 def test_removed_names_stay_removed():
     names = removed_names()
     assert "huffman_equal_costs" in names and "solve(k_override=...)" in names
+    assert "is_k_prefix_free" in names and "LeveledCode.level_picks" in names
     for name in names:
         assert re.fullmatch(r"[A-Za-z_][\w.]*(\(\w+=\.\.\.\))?", name), name
     assert [name for name in names if still_there(name)] == []
