@@ -7,12 +7,17 @@ how many second-letter occurrences beta contains, and a final second letter is
 appended. Doubling every digit makes the block's end ("ab") unmistakable, so
 distinct codewords can no longer be prefixes of one another. Total cost grows
 by at most the factor 1 + l2*(5 + 2*log2(k))/k.
+
+The leveled code records each tail codeword as alpha plus a suffix beta from
+a table shared by the whole code, so the converted codeword is
+(alpha + enc(i) without its final 'b') + ('b' + beta + 'b'), runs merged
+inside each part. The first part is built once per alpha and count i, the
+second once per suffix, and each codeword is one tuple concatenation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .core import (
     CodeAssignment,
@@ -38,66 +43,57 @@ def enc(i: int) -> Runs:
     return runs_from_letters(letters)
 
 
-def _transform(runs: Runs, letter_costs: Sequence[int], k: int, blocks: dict[int, Runs]) -> Runs:
-    """alpha + enc(i) + beta + 'b' for one codeword of cost >= k, with runs
-    merged at the seams.
-
-    alpha is the shortest prefix of cost >= k, beta the rest, and i the number
-    of second letters in beta. Costs are integers; blocks memoizes enc(i).
-    """
-    acc = 0
-    for idx, (let, rep) in enumerate(runs):
-        w = letter_costs[let]
-        if acc + w * rep >= k:
-            break
-        acc += w * rep
-    else:
-        raise InstanceError("codeword cost is below k; nothing to split")
-    need = -((acc - k) // w)  # alpha ends inside this run: ceil((k - acc) / w) letters
-    beta = runs[idx + 1 :]
-    if need < rep:
-        beta = ((let, rep - need),) + beta
-    i = 0
-    for b_let, b_rep in beta:
-        if b_let == 1:
-            i += b_rep
-    block = blocks.get(i)
-    if block is None:
-        block = blocks[i] = enc(i)
-    # enc(i) starts with a doubled digit or the final 'a', and ends with one 'b'
-    first = block[0]
-    if first[0] == let:
-        out = runs[:idx] + ((let, need + first[1]),) + block[1:-1]
-    else:
-        out = runs[:idx] + ((let, need), first) + block[1:-1]
+def _escape_suffix(beta: Runs) -> Runs:
+    """'b' + beta + 'b', with runs merged at both ends."""
     if not beta:
-        return out + ((1, 2),)
+        return ((1, 2),)
     head, last = beta[0], beta[-1]
     if len(beta) == 1:
         if head[0] == 1:
-            return out + ((1, head[1] + 2),)
-        return out + ((1, 1), head, (1, 1))
+            return ((1, head[1] + 2),)
+        return ((1, 1), head, (1, 1))
     head = ((1, head[1] + 1),) if head[0] == 1 else ((1, 1), head)
     last = ((1, last[1] + 1),) if last[0] == 1 else (last, (1, 1))
-    return out + head + beta[1:-1] + last
+    return head + beta[1:-1] + last
 
 
 def convert_to_prefix(code: LeveledCode, k: Rational) -> CodeAssignment:
     """Convert a leveled code, k-prefix free by construction, to a prefix code.
 
     k must be the horizon the code's cost graph was built at. Codewords of
-    cost < k are returned unchanged; the rest are converted in quanta.
+    cost < k are returned unchanged; the rest are converted in quanta, from
+    the split at alpha that materialization recorded.
     """
     graph = code.graph
     horizon = graph.k_q * graph.quantum
     if Fraction(k) != horizon:
         raise InstanceError("k %s is not the code's horizon %s" % (k, horizon))
-    k_q, letters_q = graph.k_q, code.norm.letters_q
-    blocks: dict[int, Runs] = {}
-    out = tuple(
-        _transform(runs, letters_q, k_q, blocks) if cost >= k_q else runs
-        for runs, cost in zip(code.codewords, code.word_costs_q)
-    )
+    words = code.codewords
+    # picks rise in cost, so the codewords below k come first and pass as they are
+    out = words[: len(words) - sum(used for _, _, used in code._tails)]
+    # per suffix beta: its second-letter count i and 'b' + beta + 'b'
+    suffixes = {
+        rest: [(sum(rep for let, rep in beta if let == 1), _escape_suffix(beta)) for beta in betas]
+        for rest, betas in code._suffixes.items()
+    }
+    blocks: dict[int, Runs] = {}  # enc(i) without its final 'b'
+    for alpha, rest, used in code._tails:
+        let, rep = alpha[-1]
+        heads: dict[int, Runs] = {}  # alpha + enc(i) without its final 'b'
+        for i, tail in suffixes[rest][:used]:
+            head = heads.get(i)
+            if head is None:
+                block = blocks.get(i)
+                if block is None:
+                    block = blocks[i] = enc(i)[:-1]
+                # enc(i) starts with a doubled digit or the final 'a'
+                if block[0][0] == let:
+                    head = alpha[:-1] + ((let, rep + block[0][1]),) + block[1:]
+                else:
+                    head = alpha + block
+                heads[i] = head
+            # the head ends in 'a' and the tail starts with 'b': no seam to merge
+            out.append(head + tail)
     letters = code.norm.instance.letters
     # a prefix code made from distinct runs: nothing to check again
-    return _unchecked(CodeAssignment, codewords=out, letters=letters, _costs_int=None)
+    return _unchecked(CodeAssignment, codewords=tuple(out), letters=letters, _costs_int=None)

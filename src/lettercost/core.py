@@ -314,18 +314,23 @@ def normalize(instance: Instance) -> NormalizedInstance:
 
 def codeword_cost(word, letters: LetterCosts) -> Fraction:
     """Sum of the letter costs of a codeword; the empty word costs 0."""
-    return Fraction(codeword_cost_int(as_runs(word), letters), letters.scale)
+    return Fraction(_price_int((as_runs(word),), letters)[0], letters.scale)
 
 
-def codeword_cost_int(runs: Runs, letters: LetterCosts) -> int:
-    """Codeword cost times letters.scale."""
-    costs, r = letters.costs_int, len(letters.costs_int)
-    total = 0
-    for let, rep in runs:
-        if not 0 <= let < r:
-            raise InstanceError("letter index %d out of range" % let)
-        total += costs[let] * rep
-    return total
+def _price_int(codewords: Iterable[Runs], letters: LetterCosts) -> tuple[int, ...]:
+    """Codeword costs times letters.scale. A letter index outside the
+    alphabet, negative ones included, raises InstanceError."""
+    cost_of = dict(enumerate(letters.costs_int))
+    costs = []
+    try:
+        for runs in codewords:
+            total = 0
+            for let, rep in runs:
+                total += cost_of[let] * rep
+            costs.append(total)
+    except KeyError as err:
+        raise InstanceError("letter index %r out of range" % (err.args[0],)) from None
+    return tuple(costs)
 
 
 @dataclass(frozen=True)
@@ -357,8 +362,7 @@ class CodeAssignment:
     def costs_int(self) -> list[int]:
         """Codeword costs times letters.scale."""
         if self._costs_int is None:
-            costs = tuple(codeword_cost_int(c, self.letters) for c in self.codewords)
-            object.__setattr__(self, "_costs_int", costs)
+            object.__setattr__(self, "_costs_int", _price_int(self.codewords, self.letters))
         return list(self._costs_int)
 
     @property

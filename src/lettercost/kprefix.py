@@ -18,12 +18,18 @@ Codewords materialize lazily: each pick takes the first free strings of its
 cost in letter-index order, found by a depth-first walk with an explicit
 stack whose frames carry their prefix as runs. The blocking codewords (cost
 < k) are kept as per-cost sets of runs, with no node per letter, so neither
-Python stack depth nor memory grows with codeword length in letters.
+Python stack depth nor memory grows with codeword length in letters. The
+walk of a tail pick stops at each string's shortest prefix alpha of cost
+>= k and appends the first strings of the remaining cost from a suffix table
+per cost, which every pick of the code shares. The code keeps that split,
+so the escape conversion splices each alpha and each suffix once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from .core import (
     InstanceError,
@@ -80,10 +86,13 @@ class LeveledCode:
 
     norm: NormalizedInstance
     graph: CostGraph
-    guess: Guess
-    n: int
     picks: list[tuple[int, int]]
     _codewords: list[Runs] | None = field(default=None, repr=False)
+    # set with _codewords: each tail codeword's split at its shortest prefix
+    # alpha of cost >= k, as (alpha, suffix cost, how many suffixes) in word
+    # order, and the suffix strings of each cost in letter order
+    _tails: list[tuple[Runs, int, int]] = field(default_factory=list, repr=False)
+    _suffixes: dict[int, list[Runs]] = field(default_factory=dict, repr=False)
 
     @property
     def word_costs_q(self) -> list[int]:
@@ -141,11 +150,56 @@ def construct_leveled(
     tail = graph.tail(missing, blockers, bump)
     if tail is None:
         return Inconsistent("fewer than %d tail codewords exist" % missing)
-    return LeveledCode(norm, graph, guess, n, blockers + tail)
+    return LeveledCode(norm, graph, blockers + tail)
 
 
 # ---------------------------------------------------------------------------
 # materialization of implicit picks into concrete codewords
+
+
+def _walk(
+    letters_q: Sequence[int],
+    count: list[int],
+    cost_q: int,
+    cut_q: int,
+    blocked: dict[int, set[Runs]],
+) -> Iterator[tuple[Runs, int]]:
+    """Yield (prefix, rest) pairs in letter-index order: each string of cost
+    cost_q with no blocking prefix, as (string, 0), except that a prefix whose
+    cost reaches cut_q is yielded with the cost `rest` its strings still need,
+    and not walked below.
+
+    One depth-first walk on an explicit stack of (prefix runs, remaining cost,
+    next letter) frames. It cuts a prefix with no string of the remaining
+    cost below it or that is a blocking codeword. Below a prefix that is not
+    cut, some string of the cost either is free or has a blocking prefix
+    below it, so the walk goes no deeper than the strings it yields and the
+    blocking codewords.
+    """
+    r = len(letters_q)
+    # a frame tries one letter, which fits its remaining cost (a string of
+    # that cost exists); the frame for the next letter goes below the
+    # child's, so the walk goes in letter order
+    stack = [((), cost_q, 0)]
+    while stack:
+        runs, budget, let = stack.pop()
+        if let + 1 < r and letters_q[let + 1] <= budget:  # letters are sorted by cost
+            stack.append((runs, budget, let + 1))
+        rest = budget - letters_q[let]
+        if not count[rest]:
+            continue
+        if runs and runs[-1][0] == let:
+            runs = runs[:-1] + ((let, runs[-1][1] + 1),)
+        else:
+            runs = runs + ((let, 1),)
+        spent = cost_q - rest
+        marks = blocked.get(spent)
+        if marks is not None and runs in marks:
+            continue
+        if rest and spent < cut_q:
+            stack.append((runs, rest, 0))
+        else:
+            yield runs, rest
 
 
 def _materialize(code: LeveledCode) -> list[Runs]:
@@ -158,53 +212,71 @@ def _materialize(code: LeveledCode) -> list[Runs]:
     rule. Below cost 1 each cost holds one string, a cheapest-letter run
     (CostGraph checks this), so the level-0 pick's walk finds a^f0. Blocking
     codewords are kept as sets of runs keyed by cost, so a prefix is looked
-    up only when its cost is a key.
+    up only when its cost is a key. A subtree whose strings are all blocked
+    is walked again by each later pick whose strings sort after it.
 
-    Each pick is one depth-first walk over the strings of its cost on an
-    explicit stack of (prefix runs, remaining cost, next letter) frames. It
-    cuts a prefix with no string of the remaining cost below it or that is a
-    blocking codeword, and stops at `count` strings. Below a prefix that is
-    not cut, some string of the cost either is free or has a blocking prefix
-    below it, so a walk goes no deeper than the strings it returns and the
-    blocking codewords; a subtree whose strings are all blocked is walked
-    again by each later pick whose strings sort after it.
+    A string of cost >= k is alpha + beta, alpha its shortest prefix of cost
+    >= k. Every blocking codeword costs less than k, so only alpha decides
+    whether the string is free, and since such prefixes are prefix free,
+    letter order is (alpha, beta) order. So a tail pick's walk stops at each
+    free alpha and pairs it with the first strings of the remaining cost,
+    taken from a suffix table per cost. The tables are shared by every pick
+    of the code and are filled lazily by the same walk with no blockers, so
+    none holds more strings than one pick asked of it. code._tails records
+    each alpha with its table's cost and how many of its strings it took.
     """
     letters_q = code.norm.letters_q
-    r = len(letters_q)
     graph = code.graph
+    k_q = graph.k_q
     blocked: dict[int, set[Runs]] = {}
+    # suffix tables: cost -> (its first strings in letter order, each as
+    # (beta, first letter, first run length, beta past its first run), and
+    # the walk that yields the rest); cost 0 holds only the empty string,
+    # which a walk, starting from a letter, cannot yield
+    tables: dict[int, tuple[list[tuple[Runs, int, int, Runs]], Iterator]] = {
+        0: ([((), -1, 0, ())], iter(()))
+    }
+    tails: list[tuple[Runs, int, int]] = []
     words: list[Runs] = []
     for cost_q, take in code.picks:
         graph.count(cost_q)  # extends the string counts to every cost read below
         count = graph.counts
-        out: list[Runs] = []
-        # a frame tries one letter, which fits its remaining cost (a string of
-        # that cost exists); the frame for the next letter goes below the
-        # child's, so the walk goes in letter order
-        stack = [((), cost_q, 0)]
-        while stack:
-            runs, budget, let = stack.pop()
-            if let + 1 < r and letters_q[let + 1] <= budget:  # letters are sorted by cost
-                stack.append((runs, budget, let + 1))
-            rest = budget - letters_q[let]
-            if not count[rest]:
-                continue
-            if runs and runs[-1][0] == let:
-                runs = runs[:-1] + ((let, runs[-1][1] + 1),)
-            else:
-                runs = runs + ((let, 1),)
-            marks = blocked.get(cost_q - rest)
-            if marks is not None and runs in marks:
-                continue
-            if rest:
-                stack.append((runs, rest, 0))
-            else:
-                out.append(runs)
+        walk = _walk(letters_q, count, cost_q, k_q, blocked)
+        if cost_q < k_q:
+            out = [runs for runs, _ in itertools.islice(walk, take)]
+            blocked.setdefault(cost_q, set()).update(out)
+        else:
+            out = []
+            for alpha, rest in walk:
+                table = tables.get(rest)
+                if table is None:
+                    table = tables[rest] = ([], _walk(letters_q, count, rest, rest, {}))
+                rows, more = table
+                used = take - len(out)
+                if used > len(rows):
+                    rows.extend(
+                        (beta, beta[0][0], beta[0][1], beta[1:])
+                        for beta, _ in itertools.islice(more, used - len(rows))
+                    )
+                    used = min(used, len(rows))
+                tails.append((alpha, rest, used))
+                # alpha + beta, with runs merged at the seam; alpha with its
+                # last run lengthened is made once per length
+                let, rep = alpha[-1]
+                heads: dict[int, Runs] = {}
+                for beta, first, first_rep, beta_rest in rows[:used]:
+                    if first == let:
+                        head = heads.get(first_rep)
+                        if head is None:
+                            head = heads[first_rep] = alpha[:-1] + ((let, rep + first_rep),)
+                        out.append(head + beta_rest)
+                    else:
+                        out.append(alpha + beta)
                 if len(out) == take:
                     break
         assert len(out) == take, "materialization found %d of %d codewords" % (len(out), take)
-        if cost_q < graph.k_q:
-            blocked.setdefault(cost_q, set()).update(out)
         words.extend(out)
-    assert len(words) == code.n
+    assert len(words) == sum(cnt for _, cnt in code.picks)
+    code._tails = tails
+    code._suffixes = {rest: [row[0] for row in rows] for rest, (rows, _) in tables.items()}
     return words

@@ -6,7 +6,11 @@ before it used the closed form, cost by cost in increasing order. The
 branch-and-bound reference finds the exact optimum the way the library did
 before its signature search, candidate string by candidate string, and
 huffman_cost finds it by the greedy merge when every letter costs the same.
-All stay independent of the library's counting, construction and oracle
+The materialization and splice references build a leveled code's codewords
+and their escape conversion the way the library did before it split tail
+strings into a prefix and a shared suffix: one walk per pick down to whole
+strings, then one pass over each converted codeword's runs. All stay
+independent of the library's counting, construction, conversion and oracle
 paths. search_minimum, by contrast, runs the library's own guess search, at
 any horizon k.
 """
@@ -22,10 +26,12 @@ import random
 from lettercost import (
     CodeAssignment,
     Instance,
+    InstanceError,
     LetterCosts,
     OracleResult,
     build_cost_graph,
     driver,
+    enc,
     group_words,
     normalize,
 )
@@ -416,3 +422,98 @@ def exact_optimal_reference(instance):
     code = CodeAssignment(tuple(runs_from_letters(w) for w in best_words), letters)
     cost = Fraction(best, instance.scale * letters.scale) * instance.weight_total
     return OracleResult(cost, code, nodes)
+
+
+def materialize_reference(code):
+    """A LeveledCode's codewords: each (cost, count) pick walked down to the
+    first `count` strings of its cost in letter order, with no blocking
+    codeword as a prefix. The codewords of the picks below k block; they are
+    kept as per-cost sets of runs."""
+    letters_q = code.norm.letters_q
+    r = len(letters_q)
+    graph = code.graph
+    blocked = {}
+    words = []
+    for cost_q, take in code.picks:
+        graph.count(cost_q)  # extends the string counts to every cost read below
+        count = graph.counts
+        out = []
+        stack = [((), cost_q, 0)]
+        while stack:
+            runs, budget, let = stack.pop()
+            if let + 1 < r and letters_q[let + 1] <= budget:
+                stack.append((runs, budget, let + 1))
+            rest = budget - letters_q[let]
+            if not count[rest]:
+                continue
+            if runs and runs[-1][0] == let:
+                runs = runs[:-1] + ((let, runs[-1][1] + 1),)
+            else:
+                runs = runs + ((let, 1),)
+            marks = blocked.get(cost_q - rest)
+            if marks is not None and runs in marks:
+                continue
+            if rest:
+                stack.append((runs, rest, 0))
+            else:
+                out.append(runs)
+                if len(out) == take:
+                    break
+        assert len(out) == take
+        if cost_q < graph.k_q:
+            blocked.setdefault(cost_q, set()).update(out)
+        words.extend(out)
+    return words
+
+
+def transform_reference(runs, letter_costs, k, blocks):
+    """alpha + enc(i) + beta + 'b' for one codeword of cost >= k, with runs
+    merged at the seams, in one pass over its runs. alpha is the shortest
+    prefix of cost >= k, beta the rest, and i the number of second letters
+    in beta. Costs are integers; blocks memoizes enc(i)."""
+    acc = 0
+    for idx, (let, rep) in enumerate(runs):
+        w = letter_costs[let]
+        if acc + w * rep >= k:
+            break
+        acc += w * rep
+    else:
+        raise InstanceError("codeword cost is below k; nothing to split")
+    need = -((acc - k) // w)  # alpha ends inside this run: ceil((k - acc) / w) letters
+    beta = runs[idx + 1 :]
+    if need < rep:
+        beta = ((let, rep - need),) + beta
+    i = 0
+    for b_let, b_rep in beta:
+        if b_let == 1:
+            i += b_rep
+    block = blocks.get(i)
+    if block is None:
+        block = blocks[i] = enc(i)
+    # enc(i) starts with a doubled digit or the final 'a', and ends with one 'b'
+    first = block[0]
+    if first[0] == let:
+        out = runs[:idx] + ((let, need + first[1]),) + block[1:-1]
+    else:
+        out = runs[:idx] + ((let, need), first) + block[1:-1]
+    if not beta:
+        return out + ((1, 2),)
+    head, last = beta[0], beta[-1]
+    if len(beta) == 1:
+        if head[0] == 1:
+            return out + ((1, head[1] + 2),)
+        return out + ((1, 1), head, (1, 1))
+    head = ((1, head[1] + 1),) if head[0] == 1 else ((1, 1), head)
+    last = ((1, last[1] + 1),) if last[0] == 1 else (last, (1, 1))
+    return out + head + beta[1:-1] + last
+
+
+def convert_reference(code):
+    """The escape conversion of a LeveledCode, from materialize_reference's
+    codewords: those of cost >= k pass through transform_reference, in quanta."""
+    k_q, letters_q = code.graph.k_q, code.norm.letters_q
+    blocks = {}
+    return tuple(
+        transform_reference(runs, letters_q, k_q, blocks) if cost >= k_q else runs
+        for runs, cost in zip(materialize_reference(code), code.word_costs_q)
+    )

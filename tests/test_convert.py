@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -12,16 +13,19 @@ from lettercost import (
     LetterCosts,
     LeveledCode,
     build_cost_graph,
+    choose_k,
     construct_leveled,
     convert_to_prefix,
+    driver,
     enc,
     is_prefix_free,
     normalize,
+    solve,
 )
-from lettercost.convert import _transform
-from lettercost.core import runs_from_letters, runs_from_str, runs_to_str
+from lettercost.core import runs_from_letters, runs_to_str
 
-from helpers import leveled_setup
+from bench import _filled_guess, _uniform_instance
+from helpers import convert_reference, leveled_setup, materialize_reference
 
 
 class TestEnc:
@@ -54,11 +58,13 @@ class TestEnc:
 
 
 class TestWorkedConversions:
-    # letters a and b cost 1 each, and k is in the same integer unit
-    COSTS = (1, 1)
-
     def convert_one(self, word, k):
-        return runs_to_str(_transform(runs_from_str(word), self.COSTS, k, {}))
+        # the all-tail code over letters a and b of cost 1 holds the cheapest
+        # strings of cost >= k in letter order: at k = 2, aa ab ba bb aaa aab
+        norm, graph = leveled_setup([1, 1], 1, k, 6)
+        code = construct_leveled(norm, graph, Guess(0, ()), 6)
+        converted = convert_to_prefix(code, k).strings()
+        return dict(zip(map(runs_to_str, code.codewords), converted))[word]
 
     def test_split_with_suffix(self):
         assert self.convert_one("aab", 2) == "aabbabbb"
@@ -71,8 +77,6 @@ class TestWorkedConversions:
         norm, graph = leveled_setup([1, 1], 1, 3, 4)
         code = construct_leveled(norm, graph, Guess(0, ((1, 1), (2, 2))), 3)
         assert convert_to_prefix(code, 3).strings() == ["a", "ba", "bb"]
-        with pytest.raises(InstanceError):
-            _transform(runs_from_str("ab"), self.COSTS, 3, {})
 
     def test_rejects_small_k(self):
         norm, graph = leveled_setup([1, 1], 1, 3, 4)
@@ -160,3 +164,93 @@ class TestConversionGuarantees:
                 rewritten += 1
             assert convert_to_prefix(code, k).codewords == tuple(expected)
         assert rewritten > 200
+
+
+def horizon_code(costs, eps, n, guess_for):
+    """The leveled code of n equally likely words at choose_k's horizon, for
+    the guess guess_for(norm, graph, n)."""
+    norm = normalize(_uniform_instance(n, costs, eps))
+    graph = build_cost_graph(norm, choose_k(norm.epsilon_prime))
+    code = construct_leveled(norm, graph, guess_for(norm, graph, n), n)
+    assert isinstance(code, LeveledCode)
+    return code
+
+
+def all_tail(norm, graph, n):
+    return Guess(0, ())
+
+
+class TestAgainstReference:
+    # codes with thousands of tail codewords, whose picks share suffix tables
+    # and ask more of them pick after pick
+
+    def check(self, code):
+        assert code.codewords == materialize_reference(code)
+        k = code.graph.k_q * code.graph.quantum
+        assert convert_to_prefix(code, k).codewords == convert_reference(code)
+
+    def test_solve_codes(self, monkeypatch):
+        built = []
+
+        def construct(*args):
+            built.append(construct_leveled(*args))
+            return built[-1]
+
+        monkeypatch.setattr(driver, "construct_leveled", construct)
+        for costs in ([1, 2], [1, 1, 2]):
+            for n in (1024, 2048):
+                zipf = [10**6 // (i + 1) + 1 for i in range(n)]
+                instance, _ = Instance.from_weights(zipf, LetterCosts(costs), 1)
+                assert solve(instance).mode == "main"
+                self.check(built[-1])
+
+    def test_all_tail_codes(self):
+        # at eps 1/4 every tail string costs k; at eps 1 the tails span
+        # several costs, and on 1 2 and 1 1 2 alphas of two costs share tables
+        shared = 0
+        for costs, eps in (
+            ([1, 1], F(1, 4)),
+            ([1, 2], F(1, 4)),
+            ([1, 3], F(1, 4)),
+            ([2, 3, 4], F(1, 4)),
+            ([F(1, 8), 1], F(1, 2)),
+            ([1, 1], 1),
+            ([1, 2], 1),
+            ([1, 3], 1),
+            ([1, 1, 2], 1),
+        ):
+            code = horizon_code(costs, eps, 4096, all_tail)
+            self.check(code)
+            alpha_costs = {}
+            for alpha, rest, _ in code._tails:
+                cost_q = sum(code.norm.letters_q[let] * rep for let, rep in alpha)
+                alpha_costs.setdefault(rest, set()).add(cost_q)
+            shared += sum(len(costs_q) > 1 for costs_q in alpha_costs.values())
+        assert shared > 0
+
+    def test_level_heavy_codes(self):
+        for costs, eps in (([F(1, 8), 1], F(1, 2)), ([2, 3, 4], F(1, 4)), ([1, 2], F(1, 4))):
+            code = horizon_code(costs, eps, 1024, _filled_guess)
+            assert any(cost_q < code.graph.k_q for cost_q, _ in code.picks)
+            self.check(code)
+
+
+def test_memory_is_bounded_by_the_codewords():
+    # suffix tables hold only the strings the picks took; a walk of every
+    # tail string down to its last letter peaks at ~5.3 MB here
+    n = 16384
+    norm = normalize(_uniform_instance(n, [1, 1], 1))
+    k = choose_k(norm.epsilon_prime)
+    graph = build_cost_graph(norm, k)
+    # a first pass fills the interpreter's free lists, so the peak below does
+    # not depend on which tests ran before
+    convert_to_prefix(construct_leveled(norm, graph, Guess(0, ()), n), k)
+    code = construct_leveled(norm, graph, Guess(0, ()), n)
+    tracemalloc.start()
+    try:
+        converted = convert_to_prefix(code, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(converted.codewords) == n
+    assert peak < 4 * 2**20, peak

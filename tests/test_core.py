@@ -112,8 +112,13 @@ class TestCodewordCost:
         assert codeword_cost("", self.LETTERS13) == 0
 
     def test_bad_letter(self):
-        with pytest.raises(InstanceError):
-            codeword_cost(((5, 1),), self.LETTERS13)
+        # a negative index must not wrap around to the last letter
+        for bad in (5, 2, -1):
+            with pytest.raises(InstanceError, match="out of range"):
+                codeword_cost(((bad, 1),), self.LETTERS13)
+            code = CodeAssignment((((0, 1),), ((bad, 1),)), self.LETTERS13)
+            with pytest.raises(InstanceError, match="out of range"):
+                code.costs_int()
 
 
 class TestPrefixFree:

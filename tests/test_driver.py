@@ -20,6 +20,7 @@ from lettercost import (
     Instance,
     InstanceError,
     LetterCosts,
+    LeveledCode,
     build_cost_graph,
     choose_k,
     construct_leveled,
@@ -236,7 +237,7 @@ class TestSolve:
         monkeypatch.setattr(driver, "construct_leveled", construct)
         assert solve(instance).mode == "main"
         code = built[-1]
-        fresh = construct_leveled(code.norm, code.graph, code.guess, code.n)
+        fresh = LeveledCode(code.norm, code.graph, code.picks)
         tracemalloc.start()
         try:
             words = fresh.codewords
