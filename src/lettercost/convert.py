@@ -62,22 +62,23 @@ def convert_to_prefix(code: LeveledCode, k: Rational) -> CodeAssignment:
 
     k must be the horizon the code's cost graph was built at. Codewords of
     cost < k are returned unchanged; the rest are converted in quanta, from
-    the split at alpha that materialization recorded.
+    the code's materialized value: the split of each at alpha, and the
+    suffix tables.
     """
     graph = code.graph
     horizon = graph.k_q * graph.quantum
     if Fraction(k) != horizon:
         raise InstanceError("k %s is not the code's horizon %s" % (k, horizon))
-    words = code.codewords
+    words, tails, tables = code._parts()
     # picks rise in cost, so the codewords below k come first and pass as they are
-    out = words[: len(words) - sum(used for _, _, used in code._tails)]
+    out = words[: sum(count for cost_q, count in code.picks if cost_q < graph.k_q)]
     # per suffix beta: its second-letter count i and 'b' + beta + 'b'
     suffixes = {
         rest: [(sum(rep for let, rep in beta if let == 1), _escape_suffix(beta)) for beta in betas]
-        for rest, betas in code._suffixes.items()
+        for rest, betas in tables.items()
     }
     blocks: dict[int, Runs] = {}  # enc(i) without its final 'b'
-    for alpha, rest, used in code._tails:
+    for alpha, rest, used in tails:
         let, rep = alpha[-1]
         heads: dict[int, Runs] = {}  # alpha + enc(i) without its final 'b'
         for i, tail in suffixes[rest][:used]:

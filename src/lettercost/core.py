@@ -216,7 +216,6 @@ class NormalizedInstance:
     instance: Instance
     epsilon_prime: Fraction
     cost_quantum: Fraction
-    scale_factor: Fraction  # normalized cost * scale_factor ~ original cost units
 
     # integer quantum-unit views, derived in __post_init__
     letters_q: tuple[int, ...] = field(init=False)
@@ -304,7 +303,6 @@ def normalize(instance: Instance) -> NormalizedInstance:
         instance=norm_inst,
         epsilon_prime=eps_prime,
         cost_quantum=quantum,
-        scale_factor=s1 * s4,
     )
 
 

@@ -68,6 +68,7 @@ from .core import (
     InstanceError,
     NormalizedInstance,
     Runs,
+    _unchecked,
     code_cost,
     is_prefix_free,
     normalize,
@@ -75,6 +76,7 @@ from .core import (
 )
 from .cost_graph import CostGraph, Inconsistent, build_cost_graph
 from .kprefix import Guess, construct_leveled
+from .oracles import lower_bound
 
 # Frozen end-to-end approximation constant: measured over the random
 # verification corpus (n <= 8, r <= 3, integer costs <= 4,
@@ -147,7 +149,6 @@ class Grouping:
 
     norm: NormalizedInstance
     ranges: tuple[tuple[int, int], ...]  # half-open word index ranges
-    singleton_prefix: int
     group_weights_int: tuple[int, ...]  # group probabilities times the instance's scale
 
     @property
@@ -175,7 +176,6 @@ def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
         while i < n and 2 * ws[i] * den > num:
             ranges.append((i, i + 1))
             i += 1
-        singleton_prefix = len(ranges)
         while i < n:
             j, acc = i, 0
             while j < n and (acc + ws[j]) * den <= num:
@@ -183,11 +183,9 @@ def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
                 j += 1
             ranges.append((i, j))
             i = j
-    else:
-        singleton_prefix = 1
 
     group_ws = tuple([sum(ws[s:e]) for s, e in ranges])
-    grouping = Grouping(norm, tuple(ranges), singleton_prefix, group_ws)
+    grouping = Grouping(norm, tuple(ranges), group_ws)
 
     assert grouping.ranges[0] == (0, 1)
     assert all(e0 == s1 for (_, e0), (s1, _) in zip(ranges, ranges[1:]))
@@ -441,12 +439,12 @@ class CodeReport:
     kprefix_cost: Fraction | None = None
 
     def __post_init__(self):
-        assert self.total_cost >= self.lower_bound
+        assert self.total_cost >= self.lower_bound, "code cost fell below the structural lower bound"
 
 
 def _finish_report(
     instance: Instance,
-    codewords: Sequence[Runs],
+    code: CodeAssignment,
     *,
     mode: str,
     ratio_bound: Fraction,
@@ -454,23 +452,18 @@ def _finish_report(
     started: float,
     **extra,
 ) -> CodeReport:
-    letters = instance.letters
-    assignment = reorder(CodeAssignment(tuple(codewords), letters))
-    cost = code_cost(assignment, instance)  # probabilities times letter costs
-    l2 = letters.costs[1]
-    scaled = cost / l2
-    p1 = Fraction(instance.weights_int[0], instance.scale)
-    assert scaled >= 1 - p1, "code cost fell below the structural lower bound"
-    total = instance.weight_total * cost
+    """The report on an ordered code, priced by its own costs."""
+    cost = code_cost(code, instance)  # probabilities times letter costs
+    l2 = instance.letters.costs[1]
     return CodeReport(
-        code=assignment,
-        total_cost=total,
-        lower_bound=(1 - p1) * l2 * instance.weight_total,
+        code=code,
+        total_cost=instance.weight_total * cost,
+        lower_bound=lower_bound(instance) * l2 * instance.weight_total,
         ratio_bound_used=ratio_bound,
         guess_count=guess_count,
         elapsed=time.perf_counter() - started,
         mode=mode,
-        normalized_cost=scaled,
+        normalized_cost=cost / l2,
         **extra,
     )
 
@@ -501,9 +494,10 @@ def tiny_run_length_candidates(instance: Instance) -> list[int]:
 TinyEntry = tuple[int, int, int, int]
 
 
-def _tiny_pool(instance: Instance, i0: int) -> tuple[int, list[TinyEntry]]:
-    """The n cheapest candidate strings for run length i0, in code order, and
-    the code's cost times instance.scale * letters.scale."""
+def _tiny_pool(instance: Instance, i0: int) -> tuple[int, CodeAssignment]:
+    """The code made of the n cheapest candidate strings for run length i0,
+    in cost order and priced from the pool, and its cost times
+    instance.scale * letters.scale."""
     n = instance.n
     costs = instance.letters.costs_int
     c1, c2 = costs[:2]
@@ -514,7 +508,15 @@ def _tiny_pool(instance: Instance, i0: int) -> tuple[int, list[TinyEntry]]:
         pool.extend((jj * c1 + costs[x] + n * c1, 2, jj, x) for jj in range(min(i0, n)))
     pool.sort()
     kept = pool[:n]
-    return sum(w * e[0] for w, e in zip(instance.weights_int, kept)), kept
+    prices = tuple([e[0] for e in kept])
+    # distinct and prefix free by construction (see solve_tiny_ell1)
+    code = _unchecked(
+        CodeAssignment,
+        codewords=tuple([_tiny_runs(e, n) for e in kept]),
+        letters=instance.letters,
+        _costs_int=prices,
+    )
+    return sum(map(mul, instance.weights_int, prices)), code
 
 
 def _tiny_value(instance: Instance, i0: int) -> int:
@@ -553,10 +555,10 @@ def tiny_candidate_code(
     the bracketed runs b a^j b (j < n), and a^j x a^n for every non-cheapest
     letter x and j < i0. Returns (cost, codewords, per-word costs), all in
     units of the second letter cost."""
-    value, kept = _tiny_pool(instance, i0)
+    value, code = _tiny_pool(instance, i0)
     c2 = instance.letters.costs_int[1]
-    words = [_tiny_runs(e, instance.n) for e in kept]
-    return Fraction(value, instance.scale * c2), words, [Fraction(e[0], c2) for e in kept]
+    costs = [Fraction(c, c2) for c in code.costs_int()]
+    return Fraction(value, instance.scale * c2), list(code.codewords), costs
 
 
 def solve_tiny_ell1(instance: Instance) -> CodeReport:
@@ -564,7 +566,14 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
     (cost at most epsilon/n once the second letter is scaled to 1).
 
     Prices every candidate run length and builds the code of the cheapest,
-    which costs at most (1 + epsilon) times the optimum.
+    which costs at most (1 + epsilon) times the optimum. The code is made of
+    candidates a^i0, b a^j b with j < n, and a^j x a^n with j < i0 and x not
+    a, and is prefix free by construction: any two of them differ at a
+    letter both have. a^i0 has an a where a^j x a^n has x. Two words
+    a^j x a^n differ at their first letter other than a. Two words that
+    start with b, b a^j b or b a^n, differ at letter j + 2 of the shorter,
+    which is b in b a^j b and a in every longer one, since j < n. Any other
+    two words differ at their first letter.
     """
     started = time.perf_counter()
     n = instance.n
@@ -577,13 +586,12 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
     # every candidate's cost has the same denominator, so its numerator
     # decides; min keeps the first of equal values, the smallest run length
     best_i0 = min(i0_candidates, key=lambda i0: _tiny_value(instance, i0))
-    _, kept = _tiny_pool(instance, best_i0)
-    best_words = [_tiny_runs(e, n) for e in kept]
+    _, code = _tiny_pool(instance, best_i0)
     if n <= 512:
-        assert is_prefix_free(best_words)
+        assert is_prefix_free(code.codewords)
     return _finish_report(
         instance,
-        best_words,
+        code,
         mode="tiny",
         ratio_bound=1 + eps,
         guess_count=len(i0_candidates),
@@ -604,7 +612,7 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     if instance.n == 1:
         return _finish_report(
             instance,
-            [((0, 1),)],
+            CodeAssignment((((0, 1),),), instance.letters),
             mode="single",
             ratio_bound=Fraction(1),
             guess_count=1,
@@ -636,7 +644,7 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     prefix_code = convert_to_prefix(leveled, k)
     report = _finish_report(
         instance,
-        prefix_code.codewords,
+        reorder(CodeAssignment(prefix_code.codewords, instance.letters)),
         mode="main",
         ratio_bound=1 + C_TOTAL * instance.epsilon,
         guess_count=search.leaves,

@@ -21,8 +21,10 @@ stack whose frames carry their prefix as runs. The blocking codewords (cost
 Python stack depth nor memory grows with codeword length in letters. The
 walk of a tail pick stops at each string's shortest prefix alpha of cost
 >= k and appends the first strings of the remaining cost from a suffix table
-per cost, which every pick of the code shares. The code keeps that split,
-so the escape conversion splices each alpha and each suffix once.
+per cost, which every pick of the code shares. The code keeps one
+materialized value, its codewords with that split and the suffix tables,
+and convert_to_prefix reads it, so the escape conversion splices each alpha
+and each suffix once.
 """
 
 from __future__ import annotations
@@ -74,6 +76,12 @@ class Guess:
         return self.codeword_total() <= n
 
 
+# a materialized code: its codewords in word order; each tail codeword's split
+# at its shortest prefix alpha of cost >= k, as (alpha, suffix cost, how many
+# suffixes) in word order; and the suffix strings of each cost in letter order
+Materialized = tuple[list[Runs], list[tuple[Runs, int, int]], dict[int, list[Runs]]]
+
+
 @dataclass
 class LeveledCode:
     """A leveled k-prefix code in implicit form.
@@ -87,12 +95,8 @@ class LeveledCode:
     norm: NormalizedInstance
     graph: CostGraph
     picks: list[tuple[int, int]]
-    _codewords: list[Runs] | None = field(default=None, repr=False)
-    # set with _codewords: each tail codeword's split at its shortest prefix
-    # alpha of cost >= k, as (alpha, suffix cost, how many suffixes) in word
-    # order, and the suffix strings of each cost in letter order
-    _tails: list[tuple[Runs, int, int]] = field(default_factory=list, repr=False)
-    _suffixes: dict[int, list[Runs]] = field(default_factory=dict, repr=False)
+    # _materialize's value, made on first use
+    _materialized: Materialized | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def word_costs_q(self) -> list[int]:
@@ -101,9 +105,13 @@ class LeveledCode:
     @property
     def codewords(self) -> list[Runs]:
         """Materialized codewords in word order (cheapest first)."""
-        if self._codewords is None:
-            self._codewords = _materialize(self)
-        return self._codewords
+        return self._parts()[0]
+
+    def _parts(self) -> Materialized:
+        """The materialized code: codewords, tail splits and suffix tables."""
+        if self._materialized is None:
+            self._materialized = _materialize(self)
+        return self._materialized
 
 
 def construct_leveled(
@@ -202,7 +210,7 @@ def _walk(
             yield runs, rest
 
 
-def _materialize(code: LeveledCode) -> list[Runs]:
+def _materialize(code: LeveledCode) -> Materialized:
     """Resolve each (cost, count) pick into the first `count` free strings of
     its cost in letter-index order (letters are sorted by cost, so cheaper
     letters come first), in word order.
@@ -222,8 +230,9 @@ def _materialize(code: LeveledCode) -> list[Runs]:
     free alpha and pairs it with the first strings of the remaining cost,
     taken from a suffix table per cost. The tables are shared by every pick
     of the code and are filled lazily by the same walk with no blockers, so
-    none holds more strings than one pick asked of it. code._tails records
-    each alpha with its table's cost and how many of its strings it took.
+    none holds more strings than one pick asked of it. Returns the codewords,
+    each alpha with its table's cost and how many of its strings it took, and
+    the tables' strings.
     """
     letters_q = code.norm.letters_q
     graph = code.graph
@@ -277,6 +286,4 @@ def _materialize(code: LeveledCode) -> list[Runs]:
         assert len(out) == take, "materialization found %d of %d codewords" % (len(out), take)
         words.extend(out)
     assert len(words) == sum(cnt for _, cnt in code.picks)
-    code._tails = tails
-    code._suffixes = {rest: [row[0] for row in rows] for rest, (rows, _) in tables.items()}
-    return words
+    return words, tails, {rest: [row[0] for row in rows] for rest, (rows, _) in tables.items()}

@@ -130,6 +130,14 @@ def is_prefix_free_pairwise(words):
     return True
 
 
+def is_prefix_free_sorted(codewords):
+    """Reference predicate over runs, with no recursion: spelled out and
+    sorted, a codeword that is a prefix of another, or equal to it, is a
+    prefix of the one that follows it."""
+    spelled = sorted("".join(chr(let) * rep for let, rep in runs) for runs in codewords)
+    return not any(b.startswith(a) for a, b in zip(spelled, spelled[1:]))
+
+
 def is_k_prefix_free_pairwise(codewords, k, costs):
     """O(m^2) reference: no codeword of cost below k is a prefix of another
     (duplicates count). Codewords are runs; costs[let] is the cost of letter

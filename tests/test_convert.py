@@ -222,7 +222,7 @@ class TestAgainstReference:
             code = horizon_code(costs, eps, 4096, all_tail)
             self.check(code)
             alpha_costs = {}
-            for alpha, rest, _ in code._tails:
+            for alpha, rest, _ in code._parts()[1]:
                 cost_q = sum(code.norm.letters_q[let] * rep for let, rep in alpha)
                 alpha_costs.setdefault(rest, set()).add(cost_q)
             shared += sum(len(costs_q) > 1 for costs_q in alpha_costs.values())

@@ -46,10 +46,13 @@ class TestNormalize:
         assert norm.epsilon_prime == F(1, 3)
 
     def test_uniform_scaling(self):
-        norm = normalize(inst(ONE, [2, 2], F(1, 4)))
+        instance = inst(ONE, [2, 2], F(1, 4))
+        norm = normalize(instance)
         assert norm.instance.letters.costs == (F(1), F(1))
         assert norm.epsilon_prime == F(1, 4)
-        assert norm.scale_factor == 2
+        # normalize never rounds the cheapest letter, so its two costs give
+        # the scale factor
+        assert instance.letters.costs[0] / norm.instance.letters.costs[0] == 2
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(InstanceError):
@@ -87,11 +90,14 @@ class TestNormalize:
             eps = F(rng.randint(1, 10), 10)
             instance = inst(ONE, costs, eps)
             norm = normalize(instance)
+            # normalize never rounds the cheapest letter, so its two costs
+            # give the factor that maps normalized costs back
+            scale_factor = costs[0] / norm.instance.letters.costs[0]
             for length in range(1, 5):
                 for word in itertools.product(range(r), repeat=length):
                     cost = sum(costs[let] for let in word)
                     norm_cost = sum(norm.instance.letters.costs[let] for let in word)
-                    mapped = norm_cost * norm.scale_factor
+                    mapped = norm_cost * scale_factor
                     assert cost <= mapped <= (1 + eps) * cost
 
     def test_quantum_divides_everything(self):

@@ -32,7 +32,7 @@ from lettercost import (
     solve_tiny_ell1,
 )
 from lettercost import driver
-from lettercost.core import runs_to_str
+from lettercost.core import _price_int, runs_to_str
 from lettercost.driver import (
     _tiny_pool,
     _tiny_value,
@@ -42,7 +42,7 @@ from lettercost.driver import (
     tiny_run_length_candidates,
 )
 
-from helpers import choose_k_scan, random_instance, search_minimum
+from helpers import choose_k_scan, is_prefix_free_sorted, random_instance, search_minimum
 
 
 def long_codeword_instance(n=600):
@@ -117,7 +117,6 @@ class TestGrouping:
         )
         g = group_words(normalize(inst), F(3))
         assert g.ranges == ((0, 1), (1, 2), (2, 3), (3, 4))
-        assert g.singleton_prefix == 4
 
     def test_heavy_head_packed_rest(self):
         probs = (F(1, 2),) + tuple([F(1, 100)] * 50)
@@ -130,7 +129,7 @@ class TestGrouping:
         # at 1/48 it is packed, two to a group
         probs = (F(1, 2), F(1, 40)) + (F(1, 48),) * 22 + (F(1, 60),)
         g = group_words(normalize(Instance(probs, LetterCosts([1, 1]), F(1, 2))), F(3))
-        assert g.singleton_prefix == 2
+        assert g.ranges[:3] == ((0, 1), (1, 2), (2, 4))
         assert g.sizes == (1, 1) + (2,) * 11 + (1,)
 
     def test_single_word(self):
@@ -152,7 +151,7 @@ class TestGuessEnumeration:
     def make_grouping(self, costs, eps, probs, ranges):
         norm = normalize(Instance(probs, LetterCosts(costs), F(eps)))
         ws = norm.instance.weights_int
-        return Grouping(norm, ranges, 1, tuple(sum(ws[s:e]) for s, e in ranges)), norm
+        return Grouping(norm, ranges, tuple(sum(ws[s:e]) for s, e in ranges)), norm
 
     def test_two_groups_two_levels(self):
         g, norm = self.make_grouping(
@@ -237,6 +236,9 @@ class TestSolve:
         monkeypatch.setattr(driver, "construct_leveled", construct)
         assert solve(instance).mode == "main"
         code = built[-1]
+        # a first pass fills the interpreter's free lists, so the peak below
+        # does not depend on which tests ran before
+        LeveledCode(code.norm, code.graph, code.picks).codewords
         fresh = LeveledCode(code.norm, code.graph, code.picks)
         tracemalloc.start()
         try:
@@ -357,6 +359,30 @@ class TestTiny:
             assert rep.total_cost == best[0] * l2 * inst.weight_total
             assert rep.guess_count == len(candidates)
         assert below > 100 and above > 50
+
+    def test_codes_above_the_self_check(self):
+        # solve_tiny_ell1 checks its code only up to n = 512; above that its
+        # code and the candidate codes of other run lengths must be distinct,
+        # prefix free, ordered and priced as built. The shortest run length
+        # is always among them: short ones keep many b a^j b words, which
+        # solve's code seldom has
+        rng = random.Random(16)
+        for _ in range(10):
+            n = rng.randint(513, 1100)
+            eps = rng.choice([F(1, 2), F(3, 10), F(1)])
+            rest = sorted(F(rng.randint(1, 8), rng.randint(1, 3)) for _ in range(rng.randint(0, 2)))
+            letters = LetterCosts([eps / (n * rng.randint(1, 8)), 1, *(1 + c for c in rest)])
+            weights = [rng.randint(1, 10**6) for _ in range(n)]
+            inst, _ = Instance.from_weights(weights, letters, eps)
+            candidates = tiny_run_length_candidates(inst)
+            codes = [solve_tiny_ell1(inst).code]
+            for i0 in [candidates[0], *rng.sample(candidates[1:], 2)]:
+                codes.append(_tiny_pool(inst, i0)[1])
+            for code in codes:
+                assert len(set(code.codewords)) == n
+                assert is_prefix_free_sorted(code.codewords)
+                assert code.costs_int() == list(_price_int(code.codewords, letters))
+                assert code.ordered
 
     def test_builds_entries_for_one_run_length(self, monkeypatch):
         built = []

@@ -2,12 +2,15 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from lettercost import (
     Guess,
     Inconsistent,
     Instance,
     LetterCosts,
     build_cost_graph,
+    choose_k,
     construct_leveled,
     normalize,
 )
@@ -58,6 +61,20 @@ class TestConstruct:
         assert isinstance(
             construct_leveled(norm, graph, Guess(0, ((1, 2), (2, 4))), 3), Inconsistent
         )
+
+    def test_materializing_keeps_equality(self):
+        # the materialized value is a cache, not part of the code: it neither
+        # makes two equal codes unequal nor can be passed in
+        norm = normalize(Instance(tuple([F(1, 8)] * 8), LetterCosts([1, 2]), 1))
+        graph = build_cost_graph(norm, choose_k(norm.epsilon_prime))
+        a, b = (construct_leveled(norm, graph, Guess(0), 8) for _ in range(2))
+        assert a == b
+        a.codewords
+        assert a == b
+        with pytest.raises(TypeError):
+            LeveledCode(norm, graph, a.picks, _codewords=a.codewords)
+        with pytest.raises(TypeError):
+            LeveledCode(norm, graph, a.picks, _materialized=a._parts())
 
     def test_level0_size_too_costly(self):
         norm, graph = leveled_setup([F(1, 2), 1], F(1, 2), 2, 4)

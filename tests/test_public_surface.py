@@ -77,6 +77,7 @@ def test_removed_names_stay_removed():
     assert "huffman_equal_costs" in names and "solve(k_override=...)" in names
     assert "is_k_prefix_free" in names and "LeveledCode.level_picks" in names
     assert "LeveledCode.guess" in names and "core.codeword_cost_int" in names
+    assert "NormalizedInstance.scale_factor" in names and "Grouping.singleton_prefix" in names
     for name in names:
         assert re.fullmatch(r"[A-Za-z_][\w.]*(\(\w+=\.\.\.\))?", name), name
     assert [name for name in names if still_there(name)] == []
