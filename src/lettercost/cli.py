@@ -1,9 +1,10 @@
 """Command line front end.
 
 Instance files are plain text: line 1 holds the letter costs, line 2 the word
-weights (not necessarily sorted), and an optional line 3 the alphabet glyphs
-(default a, b, c, ... assigned to letters in increasing cost order). Numbers
-may be integers, decimals, or fractions like 2/3.
+weights (not necessarily sorted), and an optional line 3 the alphabet glyphs,
+one distinct glyph per letter (default a, b, c, ... assigned to letters in
+increasing cost order; more than 26 letters need the line). Numbers may be
+integers, decimals, or fractions like 2/3.
 
 Exit codes: 0 success; 1 a usage, parse or validation failure, with a
 one-line message; 2 guess budget exceeded; 3 a failed check: `verify` found
@@ -84,6 +85,14 @@ def load_instance(path: str, epsilon: Fraction) -> LoadedInstance:
         glyphs = "".join(lines[2].split())
         if len(glyphs) != len(costs):
             raise ParseError(3, 1, "expected %d glyphs" % len(costs))
+        for i, glyph in enumerate(glyphs):
+            if glyph in glyphs[:i]:
+                col = lines[2].index(glyph, lines[2].index(glyph) + 1) + 1
+                raise ParseError(3, col, "glyph %r repeats; the code would not decode" % glyph)
+    elif len(costs) > len(GLYPHS):
+        raise ParseError(
+            3, 1, "%d letters need a glyph line; there are %d default glyphs" % (len(costs), len(GLYPHS))
+        )
     else:
         glyphs = GLYPHS[: len(costs)]
     letter_order = sorted(range(len(costs)), key=lambda i: (costs[i], i))
@@ -91,9 +100,12 @@ def load_instance(path: str, epsilon: Fraction) -> LoadedInstance:
     sorted_glyphs = "".join(glyphs[i] for i in letter_order)
     try:
         letters = LetterCosts(sorted_costs)
-        instance, order = Instance.from_weights(weights, letters, epsilon)
     except InstanceError as exc:
         raise ParseError(1, 1, str(exc))
+    try:
+        instance, order = Instance.from_weights(weights, letters, epsilon)
+    except InstanceError as exc:
+        raise ParseError(2, 1, str(exc))
     return LoadedInstance(instance, order, sorted_glyphs, weights)
 
 

@@ -45,9 +45,11 @@ cuts anything, since each is at most the total weight times k <= V.
 
 Instances whose cheapest letter costs at most epsilon/n skip all of the above
 and use a direct candidate construction (solve_tiny_ell1). Its candidate
-families are arithmetic progressions of integer costs, so each run length is
-priced by one sort and one weighted sum over bare ints, and candidate entries
-are built for the cheapest run length only.
+families are arithmetic progressions of integer costs with one common step,
+so their merged cost order is a short list of strided runs of ranks
+(_tiny_segments). Each run length is priced from strided prefix sums of the
+weights, in work that does not grow with n, and the code is built, as
+slices, for the cheapest run length only.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from fractions import Fraction
 from operator import mul, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .convert import convert_to_prefix
 from .core import (
@@ -475,77 +477,125 @@ def _finish_report(
 def tiny_run_length_candidates(instance: Instance) -> list[int]:
     """Run lengths i0 to try: distinct floor((1+eps)^j), until a^i0 can no
     longer be among the n cheapest candidates (pool saturated)."""
-    n, eps = instance.n, instance.epsilon
+    n, base = instance.n, 1 + instance.epsilon
     c1, c2 = instance.letters.costs_int[:2]
     out: list[int] = []
-    j = 0
+    # (1+eps)^j = top / bottom, kept in ints
+    top = bottom = 1
     while True:
-        i0 = math.floor((1 + eps) ** j)
+        i0 = top // bottom
         if not out or i0 > out[-1]:
             out.append(i0)
             if i0 >= n and i0 * c1 > 2 * c2 + n * c1:
                 break
-        j += 1
+        top *= base.numerator
+        bottom *= base.denominator
     return out
 
 
-# (cost times letters.scale, family, run length j, letter) of a tiny-path
-# candidate: a^j (family 0), b a^j b (1) or a^j x a^n (2)
-TinyEntry = tuple[int, int, int, int]
+def _tiny_segments(
+    costs_int: Sequence[int], n: int, i0: int
+) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+    """The n cheapest tiny-path candidates for run length i0, in the order
+    (cost, family, j, letter), as strided runs of ranks: (first rank, stride,
+    count, first cost, family, first j, letter) per run, for the candidates
+    a^j (family 0), b a^j b (1) and a^j x a^n (2), costs times letters.scale.
+
+    Every family is an arithmetic progression with step c1: a^i0 one point,
+    b a^j b n terms from 2 c2, and a^j x a^n min(i0, n) terms from cx + n c1
+    for each letter x >= 1. A family whose first cost is c fills the
+    c1-windows c // c1 on, one term each, at the same cost mod c1. Between
+    two windows where a family starts or ends, the active families repeat in
+    the same order inside every window, by (cost mod c1, family, j, letter),
+    so each occupies ranks first, first + m, ... for m active families.
+    There are at most 2(r + 1) such windows, so at most 2r + 1 segments.
+    """
+    c1, c2 = costs_int[:2]
+    # (first cost, family, first j, letter, terms); a family's cost rises
+    # with j, so no family has more than n terms among the n cheapest
+    families = [(i0 * c1, 0, i0, 0, 1), (2 * c2, 1, 0, 0, n)]
+    families += [(cx + n * c1, 2, 0, x, min(i0, n)) for x, cx in enumerate(costs_int[1:], 1)]
+    # (first window, end window, cost mod c1, family, first j, letter)
+    spans = [(c // c1, c // c1 + t, c % c1, family, j, x) for c, family, j, x, t in families]
+    edges = sorted({b for start, end, *_ in spans for b in (start, end)})
+    rank = 0
+    for lo, hi in zip(edges, edges[1:]):
+        # the families active at window lo, in their order inside a window,
+        # with their j at window lo
+        active = sorted(
+            (res, family, j + lo - start, x)
+            for start, end, res, family, j, x in spans
+            if start <= lo < end
+        )
+        m = len(active)
+        for p, (res, family, j, x) in enumerate(active):
+            first = rank + p
+            if first >= n:
+                return
+            yield first, m, min(hi - lo, -((first - n) // m)), lo * c1 + res, family, j, x
+        rank += m * (hi - lo)
+
+
+def _tiny_values(instance: Instance, run_lengths: Sequence[int]) -> list[int]:
+    """_tiny_pool's code cost for each run length, without building its code.
+
+    A run with first rank f, stride a, count k and first cost c costs
+    c * sum(w) + c1 * sum(u * w) over the weights w of ranks f + u a, u < k,
+    read from prefix sums of w and of q * w along each residue class of
+    stride a (q the position in the class); these are built once per stride."""
+    ws = instance.weights_int
+    costs = instance.letters.costs_int
+    c1 = costs[0]
+    sums: dict[int, list[tuple[list[int], list[int]]]] = {}
+    values = []
+    for i0 in run_lengths:
+        value = 0
+        for first, a, count, cost, *_ in _tiny_segments(costs, instance.n, i0):
+            tables = sums.get(a)
+            if tables is None:
+                tables = sums[a] = []
+                for s in range(a):
+                    cls = ws[s::a]
+                    tables.append(
+                        ([0, *accumulate(cls)], [0, *accumulate(map(mul, cls, range(len(cls))))])
+                    )
+            w_sums, qw_sums = tables[first % a]
+            q, end = first // a, first // a + count
+            w = w_sums[end] - w_sums[q]
+            value += cost * w + c1 * (qw_sums[end] - qw_sums[q] - q * w)
+        values.append(value)
+    return values
 
 
 def _tiny_pool(instance: Instance, i0: int) -> tuple[int, CodeAssignment]:
     """The code made of the n cheapest candidate strings for run length i0,
-    in cost order and priced from the pool, and its cost times
+    in cost order and priced from _tiny_segments, and its cost times
     instance.scale * letters.scale."""
     n = instance.n
     costs = instance.letters.costs_int
-    c1, c2 = costs[:2]
-    pool: list[TinyEntry] = [(i0 * c1, 0, i0, 0)]
-    pool.extend((2 * c2 + jj * c1, 1, jj, 0) for jj in range(n))
-    for x in range(1, len(costs)):
-        # per family the cost rises with j, so j >= n can never be selected
-        pool.extend((jj * c1 + costs[x] + n * c1, 2, jj, x) for jj in range(min(i0, n)))
-    pool.sort()
-    kept = pool[:n]
-    prices = tuple([e[0] for e in kept])
+    c1 = costs[0]
+    prices = [0] * n
+    words: list = [None] * n
+    bb, tail = (1, 1), (0, n)
+    for first, a, count, cost, family, j, x in _tiny_segments(costs, n, i0):
+        ranks = slice(first, first + a * count, a)
+        prices[ranks] = range(cost, cost + count * c1, c1)
+        js = range(j, j + count)
+        if family == 0:
+            words[first] = ((0, j),)
+        elif family == 1:
+            words[ranks] = [(bb, (0, jj), bb) if jj else ((1, 2),) for jj in js]
+        else:
+            xx = (x, 1)
+            words[ranks] = [((0, jj), xx, tail) if jj else (xx, tail) for jj in js]
     # distinct and prefix free by construction (see solve_tiny_ell1)
     code = _unchecked(
         CodeAssignment,
-        codewords=tuple([_tiny_runs(e, n) for e in kept]),
+        codewords=tuple(words),
         letters=instance.letters,
-        _costs_int=prices,
+        _costs_int=tuple(prices),
     )
     return sum(map(mul, instance.weights_int, prices)), code
-
-
-def _tiny_value(instance: Instance, i0: int) -> int:
-    """_tiny_pool's code cost for run length i0, without building its entries.
-
-    Each candidate family is an arithmetic progression with step c1, and
-    entries of equal cost give the same sum whichever of them is kept, so
-    sorting the bare costs gives the same n cheapest values."""
-    n = instance.n
-    costs = instance.letters.costs_int
-    c1, c2 = costs[:2]
-    pool = sorted(
-        chain(
-            (i0 * c1,),
-            range(2 * c2, 2 * c2 + n * c1, c1),
-            *(range(cx + n * c1, cx + (n + min(i0, n)) * c1, c1) for cx in costs[1:]),
-        )
-    )
-    return sum(map(mul, instance.weights_int, pool))
-
-
-def _tiny_runs(entry: TinyEntry, n: int) -> Runs:
-    """The codeword of a tiny-path candidate."""
-    _, family, jj, x = entry
-    if family == 0:
-        return ((0, jj),)
-    if family == 1:
-        return ((1, 1), (0, jj), (1, 1)) if jj else ((1, 2),)
-    return ((0, jj), (x, 1), (0, n)) if jj else ((x, 1), (0, n))
 
 
 def tiny_candidate_code(
@@ -584,9 +634,15 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
 
     i0_candidates = tiny_run_length_candidates(instance)
     # every candidate's cost has the same denominator, so its numerator
-    # decides; min keeps the first of equal values, the smallest run length
-    best_i0 = min(i0_candidates, key=lambda i0: _tiny_value(instance, i0))
-    _, code = _tiny_pool(instance, best_i0)
+    # decides; index keeps the first of equal values, the smallest run length
+    values = _tiny_values(instance, i0_candidates)
+    _, code = _tiny_pool(instance, i0_candidates[values.index(min(values))])
+    # The code is prefix free by construction, but this check stays: at
+    # n = 500-512 it raises RecursionError in is_prefix_free, and
+    # perfbench/test_perfbench.py::test_tiny_recursion_band_counts_as_failure
+    # pins that failure, which sets the tiny workload's tail and success rate.
+    # It goes together with that test, once is_prefix_free no longer recurses
+    # and the benchmark is changed to match
     if n <= 512:
         assert is_prefix_free(code.codewords)
     return _finish_report(

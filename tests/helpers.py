@@ -9,7 +9,10 @@ huffman_cost finds it by the greedy merge when every letter costs the same.
 The materialization and splice references build a leveled code's codewords
 and their escape conversion the way the library did before it split tail
 strings into a prefix and a shared suffix: one walk per pick down to whole
-strings, then one pass over each converted codeword's runs. All stay
+strings, then one pass over each converted codeword's runs. The tiny-path
+references price and build a run length's code the way the library did
+before it walked the candidates as strided runs: one sorted pool of all
+candidates, cut at n. All stay
 independent of the library's counting, construction, conversion and oracle
 paths. search_minimum, by contrast, runs the library's own guess search, at
 any horizon k.
@@ -35,7 +38,7 @@ from lettercost import (
     group_words,
     normalize,
 )
-from lettercost.core import runs_from_letters
+from lettercost.core import _unchecked, runs_from_letters
 
 
 def all_strings_up_to_cost(costs, cap):
@@ -525,3 +528,48 @@ def convert_reference(code):
         transform_reference(runs, letters_q, k_q, blocks) if cost >= k_q else runs
         for runs, cost in zip(materialize_reference(code), code.word_costs_q)
     )
+
+
+def tiny_value_reference(instance, i0):
+    """The cost of tiny_pool_reference's code, times instance.scale *
+    letters.scale, from one sort of every candidate's bare cost: entries of
+    equal cost give the same sum whichever of them is kept."""
+    n = instance.n
+    costs = instance.letters.costs_int
+    c1, c2 = costs[:2]
+    pool = sorted(
+        itertools.chain(
+            (i0 * c1,),
+            range(2 * c2, 2 * c2 + n * c1, c1),
+            *(range(cx + n * c1, cx + (n + min(i0, n)) * c1, c1) for cx in costs[1:]),
+        )
+    )
+    return sum(map(mul, instance.weights_int, pool))
+
+
+def tiny_pool_reference(instance, i0):
+    """(value, code) of the n cheapest tiny-path candidates for run length i0:
+    every (cost, family, j, letter) entry of a^i0 (family 0), b a^j b for
+    j < n (1) and a^j x a^n for j < min(i0, n) (2) sorted as a tuple, then
+    cut at n."""
+    n = instance.n
+    costs = instance.letters.costs_int
+    c1, c2 = costs[:2]
+    pool = [(i0 * c1, 0, i0, 0)]
+    pool.extend((2 * c2 + jj * c1, 1, jj, 0) for jj in range(n))
+    for x in range(1, len(costs)):
+        pool.extend((jj * c1 + costs[x] + n * c1, 2, jj, x) for jj in range(min(i0, n)))
+    pool.sort()
+    words = []
+    for _, family, jj, x in pool[:n]:
+        if family == 0:
+            words.append(((0, jj),))
+        elif family == 1:
+            words.append(((1, 1), (0, jj), (1, 1)) if jj else ((1, 2),))
+        else:
+            words.append(((0, jj), (x, 1), (0, n)) if jj else ((x, 1), (0, n)))
+    prices = tuple(e[0] for e in pool[:n])
+    code = _unchecked(
+        CodeAssignment, codewords=tuple(words), letters=instance.letters, _costs_int=prices
+    )
+    return sum(map(mul, instance.weights_int, prices)), code

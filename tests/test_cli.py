@@ -201,6 +201,54 @@ class TestParsing:
         assert code == 1
 
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1 1\n3 -2 1\n", "line 2, column 1: weights must be strictly positive"),
+            ("1 1\n1 0 1\n", "line 2, column 1: weights must be strictly positive"),
+            ("0 1\n1 1\n", "line 1, column 1: letter costs must be strictly positive"),
+            ("1\n1 1\n", "line 1, column 1: need at least 2 letters"),
+        ],
+    )
+    def test_validation_error_lines(self, tmp_path, text, where):
+        # weight errors point at the weight line, letter-cost errors at the
+        # letter-cost line
+        path = tmp_path / "invalid.txt"
+        path.write_text(text)
+        code, out, err = run_cli("solve", str(path))
+        assert code == 1
+        assert out == "" and err == "error: %s\n" % where
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_more_letters_than_default_glyphs(self, tmp_path, command):
+        path = tmp_path / "wide.txt"
+        path.write_text(" ".join(["1"] * 28) + "\n1 1\n")
+        code, out, err = run_cli(command, str(path))
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: line 3, column 1: 28 letters need a glyph line")
+
+    def test_glyph_line_names_many_letters(self, tmp_path):
+        glyphs = "abcdefghijklmnopqrstuvwxyzAB"
+        path = tmp_path / "wide.txt"
+        path.write_text(" ".join(["1"] * 27 + ["2"]) + "\n3 1\n" + glyphs + "\n")
+        code, out, _ = run_cli("solve", str(path), "--emit", "tsv")
+        assert code == 0
+        rows = [ln.split("\t") for ln in out.splitlines()[1:3]]
+        assert [row[2] for row in rows] == ["a", "b"]
+
+    @pytest.mark.parametrize("glyph_line, column", [("aa", 2), ("a b a", 5), (". - .", 5)])
+    def test_repeated_glyph(self, tmp_path, glyph_line, column):
+        # a code printed with a repeated glyph could not be decoded
+        path = tmp_path / "glyphs.txt"
+        letters = len("".join(glyph_line.split()))
+        path.write_text(" ".join(["1"] * letters) + "\n1 1\n" + glyph_line + "\n")
+        code, out, err = run_cli("solve", str(path))
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: line 3, column %d: glyph" % column)
+
+
 class TestOtherCommands:
     def test_exact(self, figure_skewed):
         code, out, _ = run_cli("exact", figure_skewed)

@@ -35,14 +35,22 @@ from lettercost import driver
 from lettercost.core import _price_int, runs_to_str
 from lettercost.driver import (
     _tiny_pool,
-    _tiny_value,
+    _tiny_segments,
+    _tiny_values,
     guess_stream_size,
     level0_size_candidates,
     tiny_candidate_code,
     tiny_run_length_candidates,
 )
 
-from helpers import choose_k_scan, is_prefix_free_sorted, random_instance, search_minimum
+from helpers import (
+    choose_k_scan,
+    is_prefix_free_sorted,
+    random_instance,
+    search_minimum,
+    tiny_pool_reference,
+    tiny_value_reference,
+)
 
 
 def long_codeword_instance(n=600):
@@ -348,8 +356,8 @@ class TestTiny:
             weights = [rng.randint(1, 5) for _ in range(n)]
             inst, _ = Instance.from_weights(weights, letters, eps)
             candidates = tiny_run_length_candidates(inst)
-            for i0 in candidates:
-                assert _tiny_value(inst, i0) == _tiny_pool(inst, i0)[0], (letters, weights, i0)
+            values = [_tiny_pool(inst, i0)[0] for i0 in candidates]
+            assert _tiny_values(inst, candidates) == values, (letters, weights)
             below += sum(i0 < n for i0 in candidates)
             above += sum(i0 > n for i0 in candidates)
             codes = [tiny_candidate_code(inst, i0) for i0 in candidates]
@@ -383,6 +391,54 @@ class TestTiny:
                 assert is_prefix_free_sorted(code.codewords)
                 assert code.costs_int() == list(_price_int(code.codewords, letters))
                 assert code.ordered
+
+    def test_closed_form_matches_sorted_pool(self):
+        # the strided walk prices and builds every run length's code as one
+        # sort of the whole candidate pool would: same values, codewords,
+        # prices and order. Equal letter costs, costs a multiple of c1 apart
+        # and costs near 2 c2 - n c1 make ties inside a window between
+        # families and between letters x, which the tuple order breaks
+        rng = random.Random(17)
+        for _ in range(150):
+            n = rng.randint(1, 300)
+            eps = rng.choice([F(1, 2), F(3, 10), F(1)])
+            l1 = eps / (n * rng.randint(1, 4))
+            rest = []
+            for _ in range(rng.randint(0, 3)):  # r = 2..5 letters
+                rest.append(rng.choice([
+                    F(1),
+                    1 + rng.randint(0, 3 * n) * l1,
+                    max(F(1), 2 - (n + rng.randint(-3, 3)) * l1),
+                    1 + F(rng.randint(0, 6), rng.randint(1, 4)),
+                ]))
+            letters = LetterCosts(sorted([l1, F(1), *rest]))
+            weights = [rng.randint(1, 10**40) for _ in range(n)]
+            inst, _ = Instance.from_weights(weights, letters, eps)
+            candidates = tiny_run_length_candidates(inst)
+            expected = [tiny_value_reference(inst, i0) for i0 in candidates]
+            assert _tiny_values(inst, candidates) == expected, (letters, n)
+            for i0, value in zip(candidates, expected):
+                ref_value, ref = tiny_pool_reference(inst, i0)
+                got_value, got = _tiny_pool(inst, i0)
+                assert got_value == ref_value == value
+                assert got.codewords == ref.codewords, (letters, n, i0)
+                assert got.costs_int() == list(ref._costs_int), (letters, n, i0)
+
+    def test_segment_count_does_not_grow_with_n(self):
+        # every run of a segment starts at the segment's first window, so the
+        # distinct first windows count the segments: at most 2r + 1 whatever
+        # n is, and the runs cover ranks 0..n-1 once each
+        for rest in ([2], [3, 3], [2, 5, 7], [3, 4, 4, 9]):
+            for e in range(8, 15):
+                n = 2**e
+                letters = LetterCosts([F(1, 2 * n), *rest])
+                inst = Instance.from_weights([1] * n, letters, F(1, 2))[0]
+                c1, r = letters.costs_int[0], len(letters.costs)
+                for i0 in tiny_run_length_candidates(inst):
+                    runs = list(_tiny_segments(letters.costs_int, n, i0))
+                    assert len({cost // c1 for _, _, _, cost, *_ in runs}) <= 2 * r + 1
+                    ranks = [f + a * u for f, a, k, *_ in runs for u in range(k)]
+                    assert sorted(ranks) == list(range(n))
 
     def test_builds_entries_for_one_run_length(self, monkeypatch):
         built = []
