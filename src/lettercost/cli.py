@@ -4,7 +4,9 @@ Instance files are plain text: line 1 holds the letter costs, line 2 the word
 weights (not necessarily sorted), and an optional line 3 the alphabet glyphs,
 one distinct glyph per letter (default a, b, c, ... assigned to letters in
 increasing cost order; more than 26 letters need the line). Numbers may be
-integers, decimals, or fractions like 2/3.
+integers, decimals, or fractions like 2/3. Blank lines are skipped and not
+counted; there are no comment lines, so a line starting with # is data, and a
+fourth line is an error.
 
 Exit codes: 0 success; 1 a usage, parse or validation failure, with a
 one-line message; 2 guess budget exceeded; 3 a failed check: `verify` found
@@ -72,7 +74,7 @@ def load_instance(path: str, epsilon: Fraction) -> LoadedInstance:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ParseError(0, 0, str(exc))
-    lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln for ln in lines if ln.strip()]
     if len(lines) < 2:
         raise ParseError(1, 1, "need a letter-cost line and a weight line")
     costs = _parse_numbers(lines[0], 1)
@@ -95,6 +97,8 @@ def load_instance(path: str, epsilon: Fraction) -> LoadedInstance:
         )
     else:
         glyphs = GLYPHS[: len(costs)]
+    if len(lines) > 3:
+        raise ParseError(4, 1, "expected at most 3 lines: letter costs, weights, glyphs")
     letter_order = sorted(range(len(costs)), key=lambda i: (costs[i], i))
     sorted_costs = [costs[i] for i in letter_order]
     sorted_glyphs = "".join(glyphs[i] for i in letter_order)

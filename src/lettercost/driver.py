@@ -4,8 +4,10 @@ The solve pipeline conditions the instance, picks the prefix-relaxation
 horizon k, builds the cost graph, partitions words into probability groups,
 and searches over constraint tuples (level-0 codeword size plus a monotone
 assignment of a group prefix to levels; unassigned groups fall to the cost->=k
-tail). The minimum-cost consistent leveled code is converted into a true
-prefix code.
+tail). The search keeps the cheapest leaf's leveled code as its (cost,
+count) picks: the level-0 codeword, each placed group at its level's target
+cost, and the tail batches the leaf walked. solve builds that code from the
+picks and converts it into a true prefix code.
 
 The search is depth-first over assignments in increasing level order with an
 admissible bound (accumulated cost plus remaining probability times the
@@ -15,8 +17,9 @@ provably cannot win. Feasibility of a partial assignment is checked with
 closed-form free-string counts: with S prefix-free, the number of cost-c
 strings with no prefix in S equals count(c) minus sum over members x of
 count(c - cost(x)). The cost graph computes this count (CostGraph.free) and
-walks it past k for the tail (CostGraph.tail); the leveled construction
-uses the same two, so the search values a guess exactly as it is built.
+walks it past k for the tail (CostGraph.tail). construct_leveled, which
+rebuilds a code from a guess, uses the same two, so for the winning guess it
+returns the picks that solve builds its code from.
 
 The search works in Python ints: the instance's integer weights (its
 probabilities times their common denominator) times costs in quanta, so
@@ -58,9 +61,9 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, groupby, islice
 from fractions import Fraction
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Iterator, Sequence
 
 from .convert import convert_to_prefix
@@ -76,8 +79,8 @@ from .core import (
     normalize,
     reorder,
 )
-from .cost_graph import CostGraph, Inconsistent, build_cost_graph
-from .kprefix import Guess, construct_leveled
+from .cost_graph import CostGraph, build_cost_graph
+from .kprefix import LeveledCode
 from .oracles import lower_bound
 
 # Frozen end-to-end approximation constant: measured over the random
@@ -249,12 +252,10 @@ class _Search:
 
     def __post_init__(self):
         g = self.graph
-        self.live: list[tuple[int, int]] = [
-            (i, g.level_target(i))
-            for i in range(1, g.level_count + 1)
-            if g.count(g.level_target(i)) > 0
+        # the target costs of the live levels: those with strings of that cost
+        self.targets = [
+            t for t in map(g.level_target, range(1, g.level_count + 1)) if g.count(t) > 0
         ]
-        self.targets = [t for _, t in self.live]
         # (lpos, size) -> row: row[j - lpos] = size * count(T_j - T_lpos) is
         # what a group of size words placed at live level lpos takes from the
         # capacity of live level j >= lpos (count(0) == 1 covers j == lpos)
@@ -266,14 +267,14 @@ class _Search:
         for i in range(len(self.group_w) - 1, -1, -1):
             self.rest_w[i] = self.rest_w[i + 1] + self.group_w[i]
         self.n = len(ws)
-        # the incumbent: [value in weight-scaled quanta, level-0 size, levels
-        # of the placed groups]. It starts as the all-tail guess (every word
-        # on the n cheapest strings of cost >= k) valued one above its cost,
-        # so any leaf costing no more replaces it; this walk counts toward
-        # neither explored nor the budget
+        # the incumbent: [value in weight-scaled quanta, its code's (cost,
+        # how_many) picks in word order]. It starts as the all-tail guess
+        # (every word on the n cheapest strings of cost >= k) valued one above
+        # its cost, so any leaf costing no more replaces it; this walk counts
+        # toward neither explored nor the budget
         batches = g.tail(self.n, [])
         assert batches is not None, "the all-tail guess is always consistent"
-        self.best: list = [self._tail_value(batches, 0) + 1, 0, ()]
+        self.best: list = [self._tail_value(batches, 0) + 1, batches]
 
     def _bump(self) -> None:
         self.explored += 1
@@ -333,22 +334,21 @@ class _Search:
         sizes = self.grouping.sizes
         ranges = self.grouping.ranges
         group_w, rest_w = self.group_w, self.rest_w
-        live, rows = self.live, self.rows
-        L = len(live)
+        targets, rows = self.targets, self.rows
+        L = len(targets)
         G = len(sizes)
         f0_cost = f0 * self.norm.letters_q[0]
         start = 1 if f0 > 0 else 0
         base = group_w[0] * f0_cost
         # (cost, how_many) of the codewords below k: the level-0 codeword,
-        # then (target, size) per placed group
+        # then (target, size) per placed group, in nondecreasing target order
         placed: list[tuple[int, int]] = [(f0_cost, 1)] if f0 > 0 else []
         best = self.best
-        assign: list[int] = []
 
         # each node owns caps: the free strings at the target costs of live
         # levels lpos_min, lpos_min + 1, ..., given the level-0 codeword and
         # the words placed above it, up to the node's reach
-        root = [g.free(t, placed) for t in self.targets]
+        root = [g.free(t, placed) for t in targets]
         del root[self._reach(0, base, rest_w[start], best[0]) :]
 
         def leaf(gpos: int, partial: int) -> None:
@@ -359,7 +359,7 @@ class _Search:
                 return
             value = partial + self._tail_value(batches, first_word)
             if value < best[0]:
-                best[:] = value, f0, tuple(assign)
+                best[:] = value, placed + batches
 
         def dfs(gpos: int, lpos_min: int, partial: int, caps: list[int]) -> None:
             if gpos == G:
@@ -371,7 +371,7 @@ class _Search:
                 return
             for lpos in range(lpos_min, L):
                 self._bump()
-                lvl, target = live[lpos]
+                target = targets[lpos]
                 # fires at or before the end of caps
                 if partial + rest * target >= best[0]:
                     break
@@ -384,9 +384,7 @@ class _Search:
                     row = rows.get((lpos, size)) or self._row(lpos, size)
                     child = list(map(sub, islice(caps, at, hi - lpos_min), row))
                 placed.append((target, size))
-                assign.append(lvl)
                 dfs(gpos + 1, lpos, partial + gw * target, child)
-                assign.pop()
                 placed.pop()
             # remaining groups fall to the tail
             if partial + rest * g.k_q < best[0]:
@@ -398,17 +396,6 @@ class _Search:
             # dfs refers to itself through its cell; without this the search
             # state would wait for a full garbage collection
             del dfs
-
-
-def _assignment_to_guess(
-    f0: int, assignment: Sequence[int], grouping: Grouping
-) -> Guess:
-    sizes = grouping.sizes
-    start = 1 if f0 > 0 else 0
-    counts: dict[int, int] = {}
-    for off, lvl in enumerate(assignment):
-        counts[lvl] = counts.get(lvl, 0) + sizes[start + off]
-    return Guess(f0, tuple(sorted(counts.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +554,9 @@ def _tiny_values(instance: Instance, run_lengths: Sequence[int]) -> list[int]:
     return values
 
 
-def _tiny_pool(instance: Instance, i0: int) -> tuple[int, CodeAssignment]:
+def _tiny_pool(instance: Instance, i0: int) -> CodeAssignment:
     """The code made of the n cheapest candidate strings for run length i0,
-    in cost order and priced from _tiny_segments, and its cost times
-    instance.scale * letters.scale."""
+    in cost order and priced from _tiny_segments."""
     n = instance.n
     costs = instance.letters.costs_int
     c1 = costs[0]
@@ -595,7 +581,7 @@ def _tiny_pool(instance: Instance, i0: int) -> tuple[int, CodeAssignment]:
         letters=instance.letters,
         _costs_int=tuple(prices),
     )
-    return sum(map(mul, instance.weights_int, prices)), code
+    return code
 
 
 def tiny_candidate_code(
@@ -605,9 +591,11 @@ def tiny_candidate_code(
     the bracketed runs b a^j b (j < n), and a^j x a^n for every non-cheapest
     letter x and j < i0. Returns (cost, codewords, per-word costs), all in
     units of the second letter cost."""
-    value, code = _tiny_pool(instance, i0)
+    code = _tiny_pool(instance, i0)
     c2 = instance.letters.costs_int[1]
-    costs = [Fraction(c, c2) for c in code.costs_int()]
+    prices = code.costs_int()
+    value = sum(map(mul, instance.weights_int, prices))
+    costs = [Fraction(c, c2) for c in prices]
     return Fraction(value, instance.scale * c2), list(code.codewords), costs
 
 
@@ -636,7 +624,7 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
     # every candidate's cost has the same denominator, so its numerator
     # decides; index keeps the first of equal values, the smallest run length
     values = _tiny_values(instance, i0_candidates)
-    _, code = _tiny_pool(instance, i0_candidates[values.index(min(values))])
+    code = _tiny_pool(instance, i0_candidates[values.index(min(values))])
     # The code is prefix free by construction, but this check stays: at
     # n = 500-512 it raises RecursionError in is_prefix_free, and
     # perfbench/test_perfbench.py::test_tiny_recursion_band_counts_as_failure
@@ -660,8 +648,8 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     """Find a prefix code of cost within a (1 + O(epsilon)) factor of optimal.
 
     Keeps the minimum-cost leveled code over all guesses at choose_k's
-    horizon, the one for which the ratio bound holds, then converts it to a
-    prefix code. Dispatches to solve_tiny_ell1 when the cheapest letter is
+    horizon, the one for which the ratio bound holds, as the search found it,
+    then converts it to a prefix code. Dispatches to solve_tiny_ell1 when the cheapest letter is
     at most epsilon/n after scaling the second letter cost to 1.
     """
     started = time.perf_counter()
@@ -688,12 +676,14 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     search = _Search(norm, graph, grouping, budget)
     for f0 in level0_size_candidates(norm):
         search.run(f0)
-    value, f0, assignment = search.best
+    value, picks = search.best
     kprefix_cost = Fraction(value, instance.scale) * graph.quantum
 
-    guess = _assignment_to_guess(f0, assignment, grouping)
-    leveled = construct_leveled(norm, graph, guess, instance.n)
-    assert not isinstance(leveled, Inconsistent)
+    # the search places groups in nondecreasing level order, so groups that
+    # share a level are consecutive picks at its target; merged, each level is
+    # one pick, as construct_leveled makes it
+    merged = [(c, sum(cnt for _, cnt in run)) for c, run in groupby(picks, itemgetter(0))]
+    leveled = LeveledCode(norm, graph, merged)
     # the leveled code costs what the search valued its guess at
     assert sum(w * c for w, c in zip(instance.weights_int, leveled.word_costs_q)) == value
 

@@ -5,12 +5,15 @@ codeword count per level), build a code that is k-prefix free, has exactly the
 requested number of codewords at each level's single admissible cost, and
 completes to n codewords with the cheapest strings of cost >= k. Among all
 codes meeting the constraints, the result has minimum cost; when none exists
-the result is the falsy Inconsistent value, not an exception. The guess
-search never builds a guess to test it: it values guesses with the same
-counts, and solve builds only the one it found cheapest.
-Feasibility uses the cost graph's closed-form free-string count, the one the
-guess search uses: each level's request is checked against CostGraph.free at
-its target cost, and the tail comes from the same CostGraph.tail walk.
+the result is the falsy Inconsistent value, not an exception. solve does not
+call it: the guess search values guesses with the same counts and keeps the
+cheapest one's picks, from which solve makes its LeveledCode directly.
+construct_leveled rebuilds a code from a guess, for callers that hold only
+the guess. Feasibility uses the cost graph's closed-form free-string count,
+the one the guess search uses: each level's request is checked against
+CostGraph.free at its target cost, and the tail comes from the same
+CostGraph.tail walk, so for the search's winning guess it returns the picks
+that solve builds its code from.
 
 A code is kept as (cost, how_many) picks, the pairs CostGraph.free and
 CostGraph.tail take, so construction cost never depends on codeword length.

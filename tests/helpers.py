@@ -15,7 +15,8 @@ before it walked the candidates as strided runs: one sorted pool of all
 candidates, cut at n. All stay
 independent of the library's counting, construction, conversion and oracle
 paths. search_minimum, by contrast, runs the library's own guess search, at
-any horizon k.
+any horizon k, and solved_leveled_code records the leveled code that solve
+itself converts.
 """
 
 from collections import Counter
@@ -33,10 +34,12 @@ from lettercost import (
     LetterCosts,
     OracleResult,
     build_cost_graph,
+    convert_to_prefix,
     driver,
     enc,
     group_words,
     normalize,
+    solve,
 )
 from lettercost.core import _unchecked, runs_from_letters
 
@@ -102,6 +105,22 @@ def search_minimum(norm, k):
     for f0 in driver.level0_size_candidates(norm):
         search.run(f0)
     return Fraction(search.best[0], norm.instance.scale) * graph.quantum
+
+
+def solved_leveled_code(monkeypatch, instance):
+    """The leveled code that solve hands to convert_to_prefix on the main
+    path, recorded at that call."""
+    handed = []
+
+    def convert(code, k):
+        handed.append(code)
+        return convert_to_prefix(code, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "convert_to_prefix", convert)
+        assert solve(instance).mode == "main"
+    (code,) = handed
+    return code
 
 
 def huffman_cost(instance):

@@ -248,6 +248,31 @@ class TestParsing:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: line 3, column %d: glyph" % column)
 
+    def test_hash_line_is_a_glyph_line(self, tmp_path):
+        # there are no comment lines: #- names the glyphs # and -
+        path = tmp_path / "hash.txt"
+        path.write_text("1 2\n3 1\n\n#-\n")
+        code, out, _ = run_cli("solve", str(path), "--emit", "tsv")
+        assert code == 0
+        rows = [ln.split("\t") for ln in out.splitlines()[1:3]]
+        assert [row[2] for row in rows] == ["#", "-"]
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1 2\n3 1\nab\n# note\n", "line 4, column 1: expected at most 3 lines"),
+            ("# note\n1 2\n3 1\nab\n", "line 1, column 1: cannot parse '#'"),
+        ],
+    )
+    def test_stray_line_is_an_error(self, tmp_path, text, where):
+        # a line that was meant as a comment fails at its line
+        path = tmp_path / "stray.txt"
+        path.write_text(text)
+        code, out, err = run_cli("solve", str(path))
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: " + where)
+
 
 class TestOtherCommands:
     def test_exact(self, figure_skewed):

@@ -16,16 +16,14 @@ from lettercost import (
     choose_k,
     construct_leveled,
     convert_to_prefix,
-    driver,
     enc,
     is_prefix_free,
     normalize,
-    solve,
 )
 from lettercost.core import runs_from_letters, runs_to_str
 
 from bench import _filled_guess, _uniform_instance
-from helpers import convert_reference, leveled_setup, materialize_reference
+from helpers import convert_reference, leveled_setup, materialize_reference, solved_leveled_code
 
 
 class TestEnc:
@@ -190,19 +188,11 @@ class TestAgainstReference:
         assert convert_to_prefix(code, k).codewords == convert_reference(code)
 
     def test_solve_codes(self, monkeypatch):
-        built = []
-
-        def construct(*args):
-            built.append(construct_leveled(*args))
-            return built[-1]
-
-        monkeypatch.setattr(driver, "construct_leveled", construct)
         for costs in ([1, 2], [1, 1, 2]):
             for n in (1024, 2048):
                 zipf = [10**6 // (i + 1) + 1 for i in range(n)]
                 instance, _ = Instance.from_weights(zipf, LetterCosts(costs), 1)
-                assert solve(instance).mode == "main"
-                self.check(built[-1])
+                self.check(solved_leveled_code(monkeypatch, instance))
 
     def test_all_tail_codes(self):
         # at eps 1/4 every tail string costs k; at eps 1 the tails span

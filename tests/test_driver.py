@@ -48,6 +48,7 @@ from helpers import (
     is_prefix_free_sorted,
     random_instance,
     search_minimum,
+    solved_leveled_code,
     tiny_pool_reference,
     tiny_value_reference,
 )
@@ -234,16 +235,8 @@ class TestSolve:
         # blocking codewords are kept as runs, not as one node per letter; a
         # per-letter trie peaks at ~36 MB here, with codewords of up to 900
         # letters
-        built = []
-
-        def construct(*args):
-            built.append(construct_leveled(*args))
-            return built[-1]
-
         instance, _ = long_codeword_instance()
-        monkeypatch.setattr(driver, "construct_leveled", construct)
-        assert solve(instance).mode == "main"
-        code = built[-1]
+        code = solved_leveled_code(monkeypatch, instance)
         # a first pass fills the interpreter's free lists, so the peak below
         # does not depend on which tests ran before
         LeveledCode(code.norm, code.graph, code.picks).codewords
@@ -298,6 +291,59 @@ class TestSolve:
         monkeypatch.undo()
         assert rep.mode == "main"
         assert len(made) <= 100
+
+
+class TestHandOver:
+    # solve makes its leveled code from the picks of the search's cheapest
+    # leaf; the guess those picks spell, built by construct_leveled, must
+    # give the very same picks
+
+    @staticmethod
+    def rebuilt_guess(code):
+        """The guess a leveled code's picks below k spell: f0 from the pick
+        cheaper than the unit, a level per pick from CostGraph.level_of."""
+        graph = code.graph
+        f0, counts = 0, []
+        for cost_q, count in code.picks:
+            if cost_q < graph.unit_q:
+                assert count == 1
+                f0 = cost_q // code.norm.letters_q[0]
+            elif cost_q < graph.k_q:
+                counts.append((graph.level_of(cost_q), count))
+        return Guess(f0, tuple(counts))
+
+    @staticmethod
+    def instances():
+        rng = random.Random(18)
+        for costs in ([1, 2], [1, 3], [2, 3, 4], [1, 1, 2]):
+            for eps in (F(1, 2), F(1, 3), F(1, 4), F(1, 5)):
+                for _ in range(3):
+                    n = rng.randint(2, 12)
+                    weights = [rng.randint(1, 60) for _ in range(n)]
+                    yield Instance.from_weights(weights, LetterCosts(costs), eps)[0]
+        for costs, n in (([1, 2], 1024), ([1, 1, 2], 2048)):
+            zipf = [int(10**6 / (i + 1) ** 0.9) + rng.randint(1, 100) for i in range(n)]
+            yield Instance.from_weights(zipf, LetterCosts(costs), 1)[0]
+
+    def test_picks_equal_the_rebuilt_guess(self, monkeypatch):
+        searches = []
+
+        class Recorded(driver._Search):
+            def __post_init__(self):
+                super().__post_init__()
+                searches.append(self)
+
+        monkeypatch.setattr(driver, "_Search", Recorded)
+        with_f0 = shared_level = 0
+        for inst in self.instances():
+            code = solved_leveled_code(monkeypatch, inst)
+            guess = self.rebuilt_guess(code)
+            rebuilt = construct_leveled(code.norm, code.graph, guess, inst.n)
+            assert rebuilt.picks == code.picks, (inst.letters, inst.epsilon, inst.n)
+            with_f0 += guess.f0 > 0
+            # the search's own picks hold one entry per placed group
+            shared_level += len(searches[-1].best[1]) > len(code.picks)
+        assert with_f0 >= 3 and shared_level >= 3, (with_f0, shared_level)
 
 
 class TestTiny:
@@ -356,7 +402,8 @@ class TestTiny:
             weights = [rng.randint(1, 5) for _ in range(n)]
             inst, _ = Instance.from_weights(weights, letters, eps)
             candidates = tiny_run_length_candidates(inst)
-            values = [_tiny_pool(inst, i0)[0] for i0 in candidates]
+            prices = [_tiny_pool(inst, i0).costs_int() for i0 in candidates]
+            values = [sum(map(mul, inst.weights_int, p)) for p in prices]
             assert _tiny_values(inst, candidates) == values, (letters, weights)
             below += sum(i0 < n for i0 in candidates)
             above += sum(i0 > n for i0 in candidates)
@@ -385,7 +432,7 @@ class TestTiny:
             candidates = tiny_run_length_candidates(inst)
             codes = [solve_tiny_ell1(inst).code]
             for i0 in [candidates[0], *rng.sample(candidates[1:], 2)]:
-                codes.append(_tiny_pool(inst, i0)[1])
+                codes.append(_tiny_pool(inst, i0))
             for code in codes:
                 assert len(set(code.codewords)) == n
                 assert is_prefix_free_sorted(code.codewords)
@@ -419,7 +466,8 @@ class TestTiny:
             assert _tiny_values(inst, candidates) == expected, (letters, n)
             for i0, value in zip(candidates, expected):
                 ref_value, ref = tiny_pool_reference(inst, i0)
-                got_value, got = _tiny_pool(inst, i0)
+                got = _tiny_pool(inst, i0)
+                got_value = sum(map(mul, inst.weights_int, got.costs_int()))
                 assert got_value == ref_value == value
                 assert got.codewords == ref.codewords, (letters, n, i0)
                 assert got.costs_int() == list(ref._costs_int), (letters, n, i0)
@@ -560,7 +608,7 @@ class TestSearchEquivalence:
 
         def recorded(self, lpos, partial, rest, best):
             hi = reach(self, lpos, partial, rest, best)
-            reaches.append(hi < len(self.live))
+            reaches.append(hi < len(self.targets))
             return hi
 
         monkeypatch.setattr(driver._Search, "_reach", recorded)
