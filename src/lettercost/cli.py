@@ -2,11 +2,13 @@
 
 Instance files are plain text: line 1 holds the letter costs, line 2 the word
 weights (not necessarily sorted), and an optional line 3 the alphabet glyphs,
-one distinct glyph per letter (default a, b, c, ... assigned to letters in
-increasing cost order; more than 26 letters need the line). Numbers may be
-integers, decimals, or fractions like 2/3. Blank lines are skipped and not
-counted; there are no comment lines, so a line starting with # is data, and a
-fourth line is an error.
+one distinct glyph per letter in the order of the cost line (default a, b,
+c, ... in that order; more than 26 letters need the line). Numbers may be
+integers, decimals, or fractions like 2/3. Blank lines are skipped, but error
+messages number lines as the file does, blank lines included; there are no
+comment lines, so a line starting with # is data, and a fourth line is an
+error. A line of plain ASCII digits is parsed in one pass; a line with any
+other number form is parsed token by token, which also places any error.
 
 Exit codes: 0 success; 1 a usage, parse or validation failure, with a
 one-line message; 2 guess budget exceeded; 3 a failed check: `verify` found
@@ -20,6 +22,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .core import GLYPHS, Instance, InstanceError, LetterCosts, normalize, runs_to_str
 from .cost_graph import build_cost_graph
@@ -51,19 +54,28 @@ class LoadedInstance:
 
 
 def _parse_numbers(text: str, line_no: int) -> list[int | Fraction]:
-    """The numbers on one line: ints for plain ASCII digit strings, the usual
-    case, and Fractions for every other number Fraction() accepts."""
+    """The numbers on one line: ints for plain ASCII digit strings, and
+    Fractions for every other number Fraction() accepts. A line of plain
+    digits only, the usual weight line, is converted in one pass; any other
+    line goes token by token, which places a bad token at its column."""
+    tokens = text.split()
+    digits = "".join(tokens)
+    if digits.isascii() and digits.isdigit():
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # past int()'s digit limit; placed below
+            pass
     values: list[int | Fraction] = []
     col = 1
-    for token in text.split():
+    for token in tokens:
         col = text.index(token, col - 1) + 1
-        if token.isascii() and token.isdigit():
-            values.append(int(token))
-        else:
-            try:
+        try:
+            if token.isascii() and token.isdigit():
+                values.append(int(token))
+            else:
                 values.append(Fraction(token))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(line_no, col, "cannot parse %r as a number" % token)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(line_no, col, "cannot parse %r as a number" % token)
         col += len(token)
     return values
 
@@ -71,45 +83,47 @@ def _parse_numbers(text: str, line_no: int) -> list[int | Fraction]:
 def load_instance(path: str, epsilon: Fraction) -> LoadedInstance:
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise ParseError(0, 0, str(exc))
-    lines = [ln for ln in lines if ln.strip()]
+    # (line number in the file, text) of each line that is not blank
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln and not ln.isspace()]
     if len(lines) < 2:
         raise ParseError(1, 1, "need a letter-cost line and a weight line")
-    costs = _parse_numbers(lines[0], 1)
-    weights = _parse_numbers(lines[1], 2)
-    if not costs:
-        raise ParseError(1, 1, "no letter costs")
-    if not weights:
-        raise ParseError(2, 1, "no word weights")
+    (cost_no, cost_line), (weight_no, weight_line) = lines[:2]
+    costs = _parse_numbers(cost_line, cost_no)
+    weights = _parse_numbers(weight_line, weight_no)
     if len(lines) >= 3:
-        glyphs = "".join(lines[2].split())
+        glyph_no, glyph_line = lines[2]
+        glyphs = "".join(glyph_line.split())
         if len(glyphs) != len(costs):
-            raise ParseError(3, 1, "expected %d glyphs" % len(costs))
+            raise ParseError(glyph_no, 1, "expected %d glyphs" % len(costs))
         for i, glyph in enumerate(glyphs):
             if glyph in glyphs[:i]:
-                col = lines[2].index(glyph, lines[2].index(glyph) + 1) + 1
-                raise ParseError(3, col, "glyph %r repeats; the code would not decode" % glyph)
+                col = glyph_line.index(glyph, glyph_line.index(glyph) + 1) + 1
+                message = "glyph %r repeats; the code would not decode" % glyph
+                raise ParseError(glyph_no, col, message)
     elif len(costs) > len(GLYPHS):
         raise ParseError(
-            3, 1, "%d letters need a glyph line; there are %d default glyphs" % (len(costs), len(GLYPHS))
+            weight_no + 1,
+            1,
+            "%d letters need a glyph line; there are %d default glyphs" % (len(costs), len(GLYPHS)),
         )
     else:
         glyphs = GLYPHS[: len(costs)]
     if len(lines) > 3:
-        raise ParseError(4, 1, "expected at most 3 lines: letter costs, weights, glyphs")
+        raise ParseError(lines[3][0], 1, "expected at most 3 lines: letter costs, weights, glyphs")
     letter_order = sorted(range(len(costs)), key=lambda i: (costs[i], i))
     sorted_costs = [costs[i] for i in letter_order]
     sorted_glyphs = "".join(glyphs[i] for i in letter_order)
     try:
         letters = LetterCosts(sorted_costs)
     except InstanceError as exc:
-        raise ParseError(1, 1, str(exc))
+        raise ParseError(cost_no, 1, str(exc))
     try:
         instance, order = Instance.from_weights(weights, letters, epsilon)
     except InstanceError as exc:
-        raise ParseError(2, 1, str(exc))
+        raise ParseError(weight_no, 1, str(exc))
     return LoadedInstance(instance, order, sorted_glyphs, weights)
 
 
@@ -129,34 +143,34 @@ def _sorted_positions(loaded: LoadedInstance) -> list[int]:
 
 
 def _emit_code(loaded: LoadedInstance, report: CodeReport, emit: str) -> None:
-    costs = report.code.costs()
-    rows = []
-    for input_i, si in enumerate(_sorted_positions(loaded)):
-        runs = report.code.codewords[si]
-        cost = costs[si]
-        rows.append(
-            (
-                str(input_i + 1),
-                str(Fraction(loaded.raw_weights[input_i])),
-                runs_to_str(runs, loaded.glyphs),
-                fmt(cost),
-            )
-        )
+    costs, scale = report.code.costs_int(), report.code.letters.scale
+    # codewords share few distinct costs; each is formatted once
+    cost_text = {c: fmt(Fraction(c, scale)) for c in set(costs)}
+    codewords = report.code.codewords
+    # each distinct (letter, repeat) run is spelled once
+    spell = {run: loaded.glyphs[run[0]] * run[1] for run in set(chain.from_iterable(codewords))}
+    positions = _sorted_positions(loaded)
+    columns = (
+        [str(i) for i in range(1, len(positions) + 1)],
+        list(map(str, loaded.raw_weights)),
+        ["".join(map(spell.__getitem__, codewords[si])) for si in positions],
+        [cost_text[costs[si]] for si in positions],
+    )
+    header = ("word", "weight", "codeword", "cost")
     if emit == "tsv":
-        print("word\tweight\tcodeword\tcost")
-        for row in rows:
-            print("\t".join(row))
+        template = "\t".join(["%s"] * 4)
+        print(template % header)
+        print("\n".join(map(template.__mod__, zip(*columns))))
         print("# total_cost\t%s" % fmt(report.total_cost))
         print("# lower_bound\t%s" % fmt(report.lower_bound))
         print("# guesses\t%d" % report.guess_count)
     else:
-        header = ("word", "weight", "codeword", "cost")
-        widths = [max(len(r[i]) for r in rows + [header]) for i in range(4)]
-        line = "  ".join(h.ljust(w) for h, w in zip(header, widths))
+        widths = [max(len(h), *map(len, col)) for h, col in zip(header, columns)]
+        template = "  ".join("%%-%ds" % w for w in widths)
+        line = template % header
         print(line)
         print("-" * len(line))
-        for row in rows:
-            print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
+        print("\n".join(map(template.__mod__, zip(*columns))))
         print()
         print("total cost (input scale): %s" % fmt(report.total_cost))
         print("normalized cost:          %s" % fmt(report.normalized_cost))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import ge
 from typing import Iterable, Sequence
 
 GLYPHS = "abcdefghijklmnopqrstuvwxyz"
@@ -141,9 +142,9 @@ class Instance:
         ws = self.weights_int
         if not ws:
             raise InstanceError("need at least one word")
-        if any(w <= 0 for w in ws):
+        if min(ws) <= 0:
             raise InstanceError("probabilities must be strictly positive")
-        if any(a < b for a, b in zip(ws, ws[1:])):
+        if not all(map(ge, ws, ws[1:])):
             raise InstanceError("probabilities must be sorted nonincreasing")
         if sum(ws) != self.scale:
             raise InstanceError("probabilities must sum to 1")
@@ -170,21 +171,30 @@ class Instance:
         Returns the instance plus `order`, where order[i] is the input position
         of the i-th (sorted) word, for mapping results back.
         """
-        ws = [w if isinstance(w, int) else Fraction(w) for w in weights]
-        if any(w <= 0 for w in ws):
-            raise InstanceError("weights must be strictly positive")
-        # ints stand in for the weights: each one times the lcm of their denominators
-        den = math.lcm(*(w.denominator for w in ws))
-        ints = [w.numerator * (den // w.denominator) for w in ws]
+        ints = list(weights)
+        if {*map(type, ints)} <= {int}:
+            # the usual input: ints already, with no denominators to clear
+            den = 1
+            if ints and min(ints) <= 0:
+                raise InstanceError("weights must be strictly positive")
+        else:
+            ws = [w if isinstance(w, int) else Fraction(w) for w in ints]
+            if any(w <= 0 for w in ws):
+                raise InstanceError("weights must be strictly positive")
+            # ints stand in for the weights: each one times the lcm of their denominators
+            den = math.lcm(*(w.denominator for w in ws))
+            ints = [w.numerator * (den // w.denominator) for w in ws]
         total = sum(ints)
         # a stable sort: equal weights keep their input order, as the key (-w, i) would
         order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
         # dividing the ints and their total by the ints' gcd leaves the lcm of
         # the reduced probability denominators; no words (gcd 0) fail the check
         g = math.gcd(*ints) or 1
+        if g != 1:
+            ints = [w // g for w in ints]
         instance = _unchecked(
             Instance,
-            weights_int=tuple([ints[i] // g for i in order]),
+            weights_int=tuple(map(ints.__getitem__, order)),
             scale=total // g,
             letters=letters,
             epsilon=Fraction(epsilon),

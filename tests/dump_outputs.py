@@ -9,15 +9,22 @@ total_cost, lower_bound, kprefix_cost, mode, guess_count and explored, or the
 name of the exception raised; the line also gives the explored total, the
 exceptions raised, and a second sha256 ("results") over the same fields
 without guess_count and explored, which stays put when a change moves only
-the search's effort. Run it before and after a change that must not change
-results and diff the output. The file's name keeps pytest from collecting
-it.
+the search's effort. After each such line a "cli" line gives one sha256
+over the stdout and exit code of `lettercost solve FILE --epsilon EPS --emit
+tsv`, run in-process on each of the workload's instance files, and the name
+of any exception that escaped, so a change to the loader or the printer can
+be diffed the same way. Run it before and after a change that must not
+change results and diff the output. The file's name keeps pytest from
+collecting it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,7 +33,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import workloads  # noqa: E402
 
-from lettercost import Instance, LetterCosts, solve  # noqa: E402
+from lettercost import Instance, LetterCosts, cli, solve  # noqa: E402
 
 
 def outcome(spec: workloads.Spec) -> tuple[str, str, int, str | None]:
@@ -73,11 +80,37 @@ def dump(workload: str, seed: int) -> str:
     )
 
 
+def dump_cli(workload: str, seed: int) -> str:
+    digest = hashlib.sha256()
+    raised: list[str] = []
+    specs = workloads.generate(workload, seed)
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = workloads.write_instances(specs, scratch)
+        for path, spec in zip(paths, specs):
+            argv = ["solve", path, "--epsilon", str(spec.epsilon), "--emit", "tsv"]
+            out = io.StringIO()
+            try:
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+            except Exception as exc:  # the exception's name is part of the output
+                code = type(exc).__name__
+                raised.append("%s at n=%d" % (code, spec.n))
+            digest.update(b"%s\n%s\n" % (str(code).encode(), out.getvalue().encode()))
+    return "%s seed %d cli: %d files, raised [%s], sha256 %s" % (
+        workload,
+        seed,
+        len(specs),
+        ", ".join(raised),
+        digest.hexdigest(),
+    )
+
+
 def main(argv: list[str]) -> int:
     seeds = [int(a) for a in argv] or [3, 8]
     for seed in seeds:
         for workload in workloads.GENERATORS:
             print(dump(workload, seed), flush=True)
+            print(dump_cli(workload, seed), flush=True)
     return 0
 
 

@@ -12,7 +12,9 @@ strings into a prefix and a shared suffix: one walk per pick down to whole
 strings, then one pass over each converted codeword's runs. The tiny-path
 references price and build a run length's code the way the library did
 before it walked the candidates as strided runs: one sorted pool of all
-candidates, cut at n. All stay
+candidates, cut at n. The reference loader reads an instance file the way
+the command line did before it parsed whole lines and built instances in
+bulk: token by token, and every weight through a Fraction. All stay
 independent of the library's counting, construction, conversion and oracle
 paths. search_minimum, by contrast, runs the library's own guess search, at
 any horizon k, and solved_leveled_code records the leveled code that solve
@@ -28,6 +30,7 @@ from operator import mul
 import random
 
 from lettercost import (
+    GLYPHS,
     CodeAssignment,
     Instance,
     InstanceError,
@@ -41,6 +44,7 @@ from lettercost import (
     normalize,
     solve,
 )
+from lettercost.cli import ParseError
 from lettercost.core import _unchecked, runs_from_letters
 
 
@@ -592,3 +596,78 @@ def tiny_pool_reference(instance, i0):
         CodeAssignment, codewords=tuple(words), letters=instance.letters, _costs_int=prices
     )
     return sum(map(mul, instance.weights_int, prices)), code
+
+
+def parse_numbers_reference(text, line_no):
+    """The numbers on one line, token by token: an int for plain ASCII
+    digits, else a Fraction; a token that is neither raises ParseError at
+    its column."""
+    values = []
+    col = 1
+    for token in text.split():
+        col = text.index(token, col - 1) + 1
+        try:
+            if token.isascii() and token.isdigit():
+                values.append(int(token))
+            else:
+                values.append(Fraction(token))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(line_no, col, "cannot parse %r as a number" % token)
+        col += len(token)
+    return values
+
+
+def weights_reference(weights):
+    """(weights_int, scale, weight_total, order) of Instance.from_weights,
+    with every weight made a Fraction: the ints are the weights times the
+    lcm of their denominators, sorted on the key (-w, input position) and
+    divided by their gcd."""
+    ws = [Fraction(w) for w in weights]
+    if any(w <= 0 for w in ws):
+        raise InstanceError("weights must be strictly positive")
+    den = math.lcm(*(w.denominator for w in ws))
+    ints = [w.numerator * (den // w.denominator) for w in ws]
+    order = sorted(range(len(ints)), key=lambda i: (-ints[i], i))
+    g = math.gcd(*ints)
+    return tuple(ints[i] // g for i in order), sum(ints) // g, Fraction(sum(ints), den), order
+
+
+def load_reference(text):
+    """What cli.load_instance reads from an instance file's text, as
+    (weights_int, scale, weight_total, order, glyphs, raw_weights); raises
+    the ParseError that load_instance raises. Lines are numbered as in the
+    file, blank lines included."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if len(lines) < 2:
+        raise ParseError(1, 1, "need a letter-cost line and a weight line")
+    costs = parse_numbers_reference(lines[0][1], lines[0][0])
+    weights = parse_numbers_reference(lines[1][1], lines[1][0])
+    if len(lines) >= 3:
+        no, line = lines[2]
+        glyphs = "".join(line.split())
+        if len(glyphs) != len(costs):
+            raise ParseError(no, 1, "expected %d glyphs" % len(costs))
+        for i, glyph in enumerate(glyphs):
+            if glyph in glyphs[:i]:
+                col = line.index(glyph, line.index(glyph) + 1) + 1
+                raise ParseError(no, col, "glyph %r repeats; the code would not decode" % glyph)
+    elif len(costs) > len(GLYPHS):
+        raise ParseError(
+            lines[1][0] + 1,
+            1,
+            "%d letters need a glyph line; there are %d default glyphs" % (len(costs), len(GLYPHS)),
+        )
+    else:
+        glyphs = GLYPHS[: len(costs)]
+    if len(lines) > 3:
+        raise ParseError(lines[3][0], 1, "expected at most 3 lines: letter costs, weights, glyphs")
+    letter_order = sorted(range(len(costs)), key=lambda i: (costs[i], i))
+    try:
+        LetterCosts([costs[i] for i in letter_order])
+    except InstanceError as exc:
+        raise ParseError(lines[0][0], 1, str(exc))
+    try:
+        words = weights_reference(weights)
+    except InstanceError as exc:
+        raise ParseError(lines[1][0], 1, str(exc))
+    return words + ("".join(glyphs[i] for i in letter_order), weights)

@@ -116,12 +116,13 @@ class TestUsageErrors:
 
 
 class TestOutputCost:
-    # the output costs the code once, not once per row; calls made inside
-    # solve and exact_optimal are not counted
+    # the output prices the code once, not once per row; costs() prices
+    # through costs_int(), so counting costs_int() counts both; calls made
+    # inside solve and exact_optimal are not counted
     @pytest.fixture
     def output_costs_calls(self, monkeypatch):
         calls = []
-        original = CodeAssignment.costs
+        original = CodeAssignment.costs_int
 
         def counted(self):
             calls.append(1)
@@ -135,7 +136,7 @@ class TestOutputCost:
 
             return run
 
-        monkeypatch.setattr(CodeAssignment, "costs", counted)
+        monkeypatch.setattr(CodeAssignment, "costs_int", counted)
         monkeypatch.setattr(cli, "solve", uncounted(cli.solve))
         monkeypatch.setattr(cli, "exact_optimal", uncounted(cli.exact_optimal))
         return calls
@@ -272,6 +273,36 @@ class TestParsing:
         assert code == 1
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: " + where)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("\n1 2\n\n3 -1\n", "line 4, column 1: weights must be strictly positive"),
+            ("\n\n0 1\n1 1\n", "line 3, column 1: letter costs must be strictly positive"),
+            ("1 1\n\n \t\n2 x\n", "line 4, column 3: cannot parse 'x' as a number"),
+            ("1 1\n\n1 1\n\nabc\n", "line 5, column 1: expected 2 glyphs"),
+            ("1 2\n\n3 1\n\naa\n", "line 5, column 2: glyph 'a' repeats"),
+            ("1 2\n3 1\n\nab\n\n#\n", "line 6, column 1: expected at most 3 lines"),
+            (" ".join(["1"] * 28) + "\n\n1 1\n", "line 4, column 1: 28 letters need a glyph line"),
+        ],
+    )
+    def test_lines_count_blank_lines(self, tmp_path, text, where):
+        # every error names the line as the file numbers it, blank lines included
+        path = tmp_path / "blanks.txt"
+        path.write_text(text)
+        code, out, err = run_cli("solve", str(path))
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: " + where)
+
+    def test_digit_limit_is_a_parse_error(self, tmp_path):
+        # a weight past int()'s digit limit is placed like any bad token
+        path = tmp_path / "long.txt"
+        path.write_text("1 2\n3 " + "9" * 5000 + "\n")
+        code, out, err = run_cli("solve", str(path))
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: line 2, column 3: cannot parse '999")
 
 
 class TestOtherCommands:

@@ -1,0 +1,121 @@
+"""Seeded robustness of `lettercost solve`, run in-process.
+
+Each case writes an instance file with edge values: epsilon from 1 down to
+1/8, equal letter costs, fraction and decimal costs, 40-digit and duplicate
+weights, 2-6 letters, a cheapest letter small enough for the tiny-letter
+path, blank lines and glyph lines. The word count is capped per case and
+`--budget` keeps every search short. A case either exits 0 with a TSV code
+that is prefix free and whose `# total_cost` line is the cost recomputed
+from the printed codewords, or exits 1, 2 or 3 with one line on stderr and
+nothing on stdout. An exception that escapes `cli.main` fails the case.
+"""
+
+import io
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from helpers import is_prefix_free_sorted
+from lettercost import GLYPHS
+from lettercost.cli import main
+from lettercost.core import runs_from_letters
+
+EPSILONS = ["1", "1/2", "0.5", "1/3", "1/4", "0.2", "1/8"]
+BUDGET = 20000
+
+
+def letter_costs(rng):
+    r = rng.randint(2, 6)
+    kind = rng.choice(["equal", "ints", "fractions", "decimals", "tiny"])
+    if kind == "equal":
+        return [rng.choice(["1", "2", "3/2"])] * r
+    if kind == "ints":
+        return [str(rng.randint(1, 5)) for _ in range(r)]
+    if kind == "fractions":
+        return ["%d/%d" % (rng.randint(1, 9), rng.randint(1, 4)) for _ in range(r)]
+    if kind == "decimals":
+        return ["%d.%d" % (rng.randint(0, 3), rng.randint(1, 99)) for _ in range(r)]
+    # a cheapest letter far below eps/n after the second letter is scaled to 1
+    cheapest = "1/%d" % rng.choice([1000, 4096, 10**6])
+    return [cheapest] + [str(rng.randint(1, 3)) for _ in range(r - 1)]
+
+
+def weights(rng, n):
+    kind = rng.choice(["ints", "huge", "duplicates", "mixed"])
+    if kind == "ints":
+        return [str(rng.randint(1, 10**6)) for _ in range(n)]
+    if kind == "huge":
+        return [str(rng.randrange(10**39, 10**40)) for _ in range(n)]
+    if kind == "duplicates":
+        return [str(rng.choice([1, 7, 7, 1000])) for _ in range(n)]
+    forms = [
+        "%d" % rng.randint(1, 99),
+        "%d/%d" % (rng.randint(1, 99), rng.randint(1, 9)),
+        "0.%d" % rng.randint(1, 99),
+    ]
+    return [rng.choice(forms) for _ in range(n)]
+
+
+def blank(rng):
+    return rng.choice(["", "", "\n", " \n\n"])
+
+
+def case(rng):
+    """(file text, epsilon, input costs, glyphs per input letter or None)."""
+    eps = rng.choice(EPSILONS)
+    # fewer words where the search has more levels to place them on
+    cap = 40 if Fraction(eps) >= Fraction(1, 2) else 12
+    costs = letter_costs(rng)
+    words = weights(rng, rng.randint(1, cap))
+    text = blank(rng) + " ".join(costs) + "\n" + blank(rng) + " ".join(words) + "\n"
+    glyphs = None
+    if rng.random() < 0.3:
+        glyphs = rng.sample(".-*+=o", len(costs))
+        text += blank(rng) + " ".join(glyphs) + "\n"
+    return text + blank(rng), eps, costs, glyphs, words
+
+
+def glyph_costs(costs, glyphs):
+    """Each printed glyph's letter cost. The glyph line names the letters in
+    the order of the cost line, and so do the default glyphs a, b, c, ..."""
+    return dict(zip(glyphs or GLYPHS, map(Fraction, costs)))
+
+
+def value(text):
+    """A printed number: an integer, or a fraction followed by its float."""
+    return Fraction(text.split(" (")[0])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_solve_ends_in_a_checked_code_or_an_exit_code(tmp_path, seed):
+    rng = random.Random("cli-robust:%d" % seed)
+    text, eps, costs, glyphs, words = case(rng)
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["solve", str(path), "--epsilon", eps, "--budget", str(BUDGET), "--emit", "tsv"]
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if code != 0:
+        assert code in (1, 2, 3) and out == "" and err.startswith("error: "), (code, err)
+        return
+    lines = out.splitlines()
+    assert lines[0] == "word\tweight\tcodeword\tcost"
+    rows = [line.split("\t") for line in lines[1 : 1 + len(words)]]
+    footer = dict(line.split("\t") for line in lines[1 + len(words) :])
+    assert set(footer) == {"# total_cost", "# lower_bound", "# guesses"}
+    cost_of = glyph_costs(costs, glyphs)
+    index = {glyph: i for i, glyph in enumerate(cost_of)}
+    total = Fraction(0)
+    for i, (word, weight, codeword, cost) in enumerate(rows):
+        assert int(word) == i + 1 and value(weight) == Fraction(words[i])
+        priced = sum((cost_of[glyph] for glyph in codeword), Fraction(0))
+        assert priced == value(cost)
+        total += Fraction(words[i]) * priced
+    assert value(footer["# total_cost"]) == total
+    spelled = [runs_from_letters(index[glyph] for glyph in row[2]) for row in rows]
+    assert len(spelled) == len(words) and is_prefix_free_sorted(spelled)
