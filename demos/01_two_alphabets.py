@@ -17,6 +17,7 @@ from lettercost import (
     lower_bound,
     solve,
 )
+from lettercost.core import runs_from_str
 
 weights = [2, 2, 1, 1]
 
@@ -39,7 +40,7 @@ for costs in ([1, 1], [1, 3]):
 # the skewed optimum really does pay 3 per 'b' and 1 per 'a'
 letters = LetterCosts([1, 3])
 for word in ["aaa", "aab", "ab", "b"]:
-    print(f"cost({word}) = {codeword_cost(word, letters)}")
+    print(f"cost({word}) = {codeword_cost(runs_from_str(word), letters)}")
 
 print()
 print("lower bound logic: all but one codeword carries a letter of cost >= 1,")

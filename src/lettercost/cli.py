@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import chain
 
-from .core import GLYPHS, Instance, InstanceError, LetterCosts, normalize, runs_to_str
+from .core import GLYPHS, CodeAssignment, Instance, InstanceError, LetterCosts, normalize
 from .cost_graph import build_cost_graph
 from .driver import (
     C_TOTAL,
@@ -127,35 +128,48 @@ def load_instance(path: str, epsilon: Fraction) -> LoadedInstance:
     return LoadedInstance(instance, order, sorted_glyphs, weights)
 
 
+def _exact_text(x) -> str:
+    """str(Fraction(x)) with every digit: str() of an int stops at
+    sys.get_int_max_str_digits() digits, and str() of a Decimal does not."""
+    f = Fraction(x)
+    text = str(Decimal(f.numerator))
+    return text if f.denominator == 1 else "%s/%s" % (text, Decimal(f.denominator))
+
+
 def fmt(x) -> str:
     f = Fraction(x)
     if f.denominator == 1:
-        return str(f.numerator)
-    return "%s (%.6g)" % (f, float(f))
+        return _exact_text(f)
+    try:
+        approx = "%.6g" % float(f)
+    except OverflowError:  # past a float's range: round to 6 digits in decimal
+        approx = format(Context(prec=6).divide(f.numerator, f.denominator).normalize(), "g")
+    return "%s (%s)" % (_exact_text(f), approx)
 
 
-def _sorted_positions(loaded: LoadedInstance) -> list[int]:
-    """The sorted position of each word, in input order."""
-    inverse = [0] * len(loaded.order)
-    for sorted_i, input_i in enumerate(loaded.order):
-        inverse[input_i] = sorted_i
-    return inverse
-
-
-def _emit_code(loaded: LoadedInstance, report: CodeReport, emit: str) -> None:
-    costs, scale = report.code.costs_int(), report.code.letters.scale
+def _code_columns(loaded: LoadedInstance, code: CodeAssignment) -> tuple[list[str], list[str]]:
+    """Each word's codeword and cost as text, in input order."""
+    costs, scale = code.costs_int(), code.letters.scale
     # codewords share few distinct costs; each is formatted once
     cost_text = {c: fmt(Fraction(c, scale)) for c in set(costs)}
-    codewords = report.code.codewords
+    codewords = code.codewords
     # each distinct (letter, repeat) run is spelled once
     spell = {run: loaded.glyphs[run[0]] * run[1] for run in set(chain.from_iterable(codewords))}
-    positions = _sorted_positions(loaded)
-    columns = (
-        [str(i) for i in range(1, len(positions) + 1)],
-        list(map(str, loaded.raw_weights)),
+    positions = [0] * len(loaded.order)  # the sorted position of each word, in input order
+    for sorted_i, input_i in enumerate(loaded.order):
+        positions[input_i] = sorted_i
+    return (
         ["".join(map(spell.__getitem__, codewords[si])) for si in positions],
         [cost_text[costs[si]] for si in positions],
     )
+
+
+def _emit_code(loaded: LoadedInstance, report: CodeReport, emit: str) -> None:
+    try:
+        weights = list(map(str, loaded.raw_weights))
+    except ValueError:  # a weight past str()'s digit limit
+        weights = list(map(_exact_text, loaded.raw_weights))
+    columns = ([str(i) for i in range(1, len(weights) + 1)], weights, *_code_columns(loaded, report.code))
     header = ("word", "weight", "codeword", "cost")
     if emit == "tsv":
         template = "\t".join(["%s"] * 4)
@@ -192,16 +206,9 @@ def cmd_solve(args) -> int:
 def cmd_exact(args) -> int:
     loaded = load_instance(args.path, Fraction(1))
     result = exact_optimal(loaded.instance)
-    costs = result.optimal_code.costs()
-    for input_i, si in enumerate(_sorted_positions(loaded)):
-        print(
-            "%d\t%s\t%s"
-            % (
-                input_i + 1,
-                runs_to_str(result.optimal_code.codewords[si], loaded.glyphs),
-                fmt(costs[si]),
-            )
-        )
+    codewords, costs = _code_columns(loaded, result.optimal_code)
+    for input_i, row in enumerate(zip(codewords, costs), 1):
+        print("%d\t%s\t%s" % (input_i, *row))
     print("optimal cost (input scale): %s" % fmt(result.optimal_cost))
     return 0
 

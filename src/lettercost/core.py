@@ -19,14 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from operator import ge
 from typing import Iterable, Sequence
 
 GLYPHS = "abcdefghijklmnopqrstuvwxyz"
 
 Rational = Fraction | int
-# A codeword is a run-length encoded letter sequence: ((letter, repeat), ...).
-# Runs keep long cheap-letter chains O(1) instead of O(length).
+# A codeword is canonical runs of letters, ((letter, repeat), ...): each repeat
+# at least 1 and no two adjacent runs of one letter, so a string has one
+# spelling. Runs keep long cheap-letter chains O(1) instead of O(length).
 Runs = tuple[tuple[int, int], ...]
 
 
@@ -39,13 +41,7 @@ class InstanceError(ValueError):
 
 
 def runs_from_letters(letters: Iterable[int]) -> Runs:
-    out: list[list[int]] = []
-    for let in letters:
-        if out and out[-1][0] == let:
-            out[-1][1] += 1
-        else:
-            out.append([let, 1])
-    return tuple((a, b) for a, b in out)
+    return tuple((let, len(list(run))) for let, run in groupby(letters))
 
 
 def runs_from_str(s: str, glyphs: str = GLYPHS) -> Runs:
@@ -54,16 +50,6 @@ def runs_from_str(s: str, glyphs: str = GLYPHS) -> Runs:
 
 def runs_to_str(runs: Runs, glyphs: str = GLYPHS) -> str:
     return "".join(glyphs[let] * rep for let, rep in runs)
-
-
-def as_runs(word) -> Runs:
-    """Accept a str (default glyphs), an iterable of letter indices, or runs."""
-    if isinstance(word, str):
-        return runs_from_str(word)
-    word = tuple(word)
-    if word and isinstance(word[0], tuple):
-        return word  # already runs
-    return runs_from_letters(word)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +250,7 @@ class NormalizedInstance:
     @property
     def distinct_q(self) -> tuple[tuple[int, int], ...]:
         """(cost in quanta, multiplicity) per distinct letter cost."""
-        out: list[tuple[int, int]] = []
-        for c in self.letters_q:
-            if out and out[-1][0] == c:
-                out[-1] = (c, out[-1][1] + 1)
-            else:
-                out.append((c, 1))
-        return tuple(out)
+        return tuple((c, len(list(run))) for c, run in groupby(self.letters_q))
 
 
 def normalize(instance: Instance) -> NormalizedInstance:
@@ -320,39 +300,52 @@ def normalize(instance: Instance) -> NormalizedInstance:
 # cost evaluation
 
 
-def codeword_cost(word, letters: LetterCosts) -> Fraction:
-    """Sum of the letter costs of a codeword; the empty word costs 0."""
-    return Fraction(_price_int((as_runs(word),), letters)[0], letters.scale)
+def codeword_cost(word: Runs, letters: LetterCosts) -> Fraction:
+    """Sum of the letter costs of a codeword in runs; the empty word () costs 0."""
+    return Fraction(_price_int((word,), letters)[0], letters.scale)
 
 
 def _price_int(codewords: Iterable[Runs], letters: LetterCosts) -> tuple[int, ...]:
-    """Codeword costs times letters.scale. A letter index outside the
-    alphabet, negative ones included, raises InstanceError."""
+    """Codeword costs times letters.scale. Anything but canonical runs, such as
+    a str, letter indices, a letter outside the alphabet (negative ones too),
+    a repeat below 1 or two adjacent runs of one letter, raises InstanceError."""
     cost_of = dict(enumerate(letters.costs_int))
     costs = []
     try:
         for runs in codewords:
             total = 0
+            prev = -1
             for let, rep in runs:
                 total += cost_of[let] * rep
+                if rep < 1 or let == prev:
+                    raise ValueError
+                prev = let
+            if not total and runs != ():  # only () spells the empty word
+                raise ValueError
             costs.append(total)
     except KeyError as err:
         raise InstanceError("letter index %r out of range" % (err.args[0],)) from None
+    except (TypeError, ValueError):
+        raise InstanceError("codeword %r is not in canonical runs" % (runs,)) from None
     return tuple(costs)
 
 
 @dataclass(frozen=True)
 class CodeAssignment:
-    """Word index -> codeword map; position i holds the codeword of word i."""
+    """Word index -> codeword map; position i holds the codeword of word i.
+    The constructor refuses codewords that are not canonical runs or not
+    distinct; builders of codes valid by construction use core._unchecked."""
 
     codewords: tuple[Runs, ...]
     letters: LetterCosts
-    # codeword costs times letters.scale, computed on first use
+    # codeword costs times letters.scale, from the constructor or on first use
     _costs_int: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cws = tuple(as_runs(c) for c in self.codewords)
+        cws = tuple(self.codewords)
         object.__setattr__(self, "codewords", cws)
+        object.__setattr__(self, "_costs_int", _price_int(cws, self.letters))
+        # canonical runs spell each string one way, so distinct runs are distinct strings
         if len(set(cws)) != len(cws):
             raise InstanceError("codewords must be distinct (injective map)")
 
@@ -429,8 +422,7 @@ class CodewordTrie:
     def __init__(self):
         self.root = TrieNode()
 
-    def insert(self, word) -> TrieNode:
-        runs = as_runs(word)
+    def insert(self, runs: Runs) -> None:
         node = self.root
         for let, rep in runs:
             for _ in range(rep):
@@ -439,7 +431,6 @@ class CodewordTrie:
                     nxt = node.children[let] = TrieNode()
                 node = nxt
         node.marks += 1
-        return node
 
 
 def _has_violation(items: list[Runs]) -> bool:
@@ -459,6 +450,6 @@ def _has_violation(items: list[Runs]) -> bool:
     return dfs(trie.root, False)
 
 
-def is_prefix_free(words) -> bool:
-    """True when no codeword is a prefix of any other (duplicates count)."""
-    return not _has_violation([as_runs(w) for w in words])
+def is_prefix_free(words: Iterable[Runs]) -> bool:
+    """True when no codeword (in runs) is a prefix of any other (duplicates count)."""
+    return not _has_violation(list(words))

@@ -1,10 +1,11 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
-from lettercost import cli, codeword_cost, LetterCosts
+from lettercost import cli, codeword_cost, LetterCosts, solve
 from lettercost.cli import main
 from lettercost.core import CodeAssignment, runs_from_str
 
@@ -321,3 +322,59 @@ class TestOtherCommands:
         code, out, _ = run_cli("graph-stats", figure_skewed, "--epsilon", "0.25")
         assert code == 0
         assert "nodes:" in out and "PASS" in out
+
+
+class TestLongNumbers:
+    """Values past str()'s 4,300-digit limit for ints print in full."""
+
+    NINES = "9" * 4300  # str() takes this many digits, but not their sum
+
+    @pytest.fixture
+    def nines(self, tmp_path):
+        path = tmp_path / "nines.txt"
+        path.write_text("1 2\n%s %s\n" % (self.NINES, self.NINES))
+        return str(path)
+
+    @staticmethod
+    def value(out, label):
+        """The Decimal printed after `label` on its line of `out`."""
+        line = next(ln for ln in out.splitlines() if ln.startswith(label))
+        return Decimal(line[len(label) :].strip())
+
+    def test_solve_prints_totals_in_full(self, nines):
+        report = solve(cli.load_instance(nines, F(1)).instance)
+        total, lower = report.total_cost, report.lower_bound
+        assert total.denominator == lower.denominator == 1
+        code, out, err = run_cli("solve", nines, "--epsilon", "1", "--emit", "tsv")
+        assert code == 0 and "Traceback" not in err
+        assert self.value(out, "# total_cost") == Decimal(total.numerator)
+        assert self.value(out, "# lower_bound") == Decimal(lower.numerator)
+        assert [row.split("\t")[1] for row in out.splitlines()[1:3]] == [self.NINES] * 2
+        code, out, err = run_cli("solve", nines, "--epsilon", "1")
+        assert code == 0 and "Traceback" not in err
+        assert self.value(out, "total cost (input scale):") == Decimal(total.numerator)
+
+    def test_exact_and_verify(self, nines):
+        code, out, _ = run_cli("exact", nines)
+        assert code == 0
+        # a and b, costs 1 and 2, on two equal weights
+        assert self.value(out, "optimal cost (input scale):") == Decimal(3 * int(self.NINES))
+        code, out, _ = run_cli("verify", nines, "--epsilon", "1")
+        assert code == 0 and out.endswith("PASS\n")
+
+    def test_fraction_past_float_range(self, tmp_path):
+        # a weight of 4,401 digits, and costs of denominator 3 past a float's range
+        path = tmp_path / "big.txt"
+        path.write_text("1 2\n1e4400 1/3\n")
+        for argv in (["solve", "--epsilon", "1", "--emit", "tsv"], ["exact"], ["verify"]):
+            code, out, err = run_cli(argv[0], str(path), *argv[1:])
+            assert code == 0 and "Traceback" not in err, argv
+        code, out, _ = run_cli("solve", str(path), "--epsilon", "1", "--emit", "tsv")
+        assert out.splitlines()[1].split("\t")[1] == "1" + "0" * 4400
+        # 3 * 10**4400 + 4 over 3, rounded to 6 digits as %.6g rounds a float
+        assert out.splitlines()[3] == "# total_cost\t3%s4/3 (1e+4400)" % ("0" * 4399)
+
+    def test_fmt_matches_str_within_the_limit(self):
+        for x in (0, 7, 10**40 + 3, F(2, 3), F(-5, 7), F(10**300, 3)):
+            f = F(x)
+            assert cli.fmt(x) == (str(f) if f.denominator == 1 else "%s (%.6g)" % (f, float(f)))

@@ -10,11 +10,14 @@ from lettercost import (
     LetterCosts,
     code_cost,
     codeword_cost,
+    exact_optimal,
     is_prefix_free,
     normalize,
     reorder,
+    solve,
 )
 from lettercost.core import runs_from_str, runs_to_str
+from lettercost.driver import tiny_candidate_code, tiny_run_length_candidates
 
 from helpers import (
     fraction_code_cost,
@@ -111,35 +114,34 @@ class TestCodewordCost:
     LETTERS13 = LetterCosts([1, 3])
 
     def test_figure_pair(self):
-        assert codeword_cost("ab", self.LETTERS13) == 4
-        assert codeword_cost("aaa", self.LETTERS13) == 3
+        assert codeword_cost(runs_from_str("ab"), self.LETTERS13) == 4
+        assert codeword_cost(runs_from_str("aaa"), self.LETTERS13) == 3
 
     def test_empty(self):
-        assert codeword_cost("", self.LETTERS13) == 0
+        assert codeword_cost(runs_from_str(""), self.LETTERS13) == 0
 
     def test_bad_letter(self):
         # a negative index must not wrap around to the last letter
         for bad in (5, 2, -1):
             with pytest.raises(InstanceError, match="out of range"):
                 codeword_cost(((bad, 1),), self.LETTERS13)
-            code = CodeAssignment((((0, 1),), ((bad, 1),)), self.LETTERS13)
             with pytest.raises(InstanceError, match="out of range"):
-                code.costs_int()
+                CodeAssignment((((0, 1),), ((bad, 1),)), self.LETTERS13)
 
 
 class TestPrefixFree:
     def test_binary_block(self):
-        assert is_prefix_free(["aa", "ab", "ba", "bb"])
+        assert is_prefix_free(map(runs_from_str, ["aa", "ab", "ba", "bb"]))
 
     def test_figure_code(self):
-        assert is_prefix_free(["aaa", "aab", "ab", "b"])
+        assert is_prefix_free(map(runs_from_str, ["aaa", "aab", "ab", "b"]))
 
     def test_nested(self):
-        assert not is_prefix_free(["a", "ab"])
-        assert not is_prefix_free(["ab", "a"])
+        assert not is_prefix_free(map(runs_from_str, ["a", "ab"]))
+        assert not is_prefix_free(map(runs_from_str, ["ab", "a"]))
 
     def test_duplicates(self):
-        assert not is_prefix_free(["ab", "ab"])
+        assert not is_prefix_free(map(runs_from_str, ["ab", "ab"]))
 
     def test_matches_pairwise_bruteforce(self):
         rng = random.Random(21)
@@ -150,6 +152,95 @@ class TestPrefixFree:
                 for _ in range(m)
             ]
             assert is_prefix_free(tuples_to_runs(words)) == is_prefix_free_pairwise(words)
+
+
+class TestCanonicalRuns:
+    """A codeword is canonical runs: letter indices in the alphabet, repeats
+    of at least 1, and no two adjacent runs of one letter."""
+
+    LETTERS12 = LetterCosts([1, 2])
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "ab",  # a str: runs_from_str turns it into runs
+            "",
+            (0, 1),  # letter indices: runs_from_letters turns them into runs
+            (0, 0, 1),
+            ((0, 1), (0, 1)),  # aa, which is ((0, 2),)
+            ((0, 0), (1, 1)),
+            ((0, -3),),
+            ((2, 1),),  # letter index r
+            ((-1, 1),),
+            ((1, 1), (0, 2), (0, 1)),
+        ],
+    )
+    def test_malformed_codewords_are_refused(self, word):
+        with pytest.raises(InstanceError):
+            codeword_cost(word, self.LETTERS12)
+        with pytest.raises(InstanceError):
+            CodeAssignment((((1, 1),), word), self.LETTERS12)
+
+    def test_found_codes_are_refused_where_they_are_made(self):
+        # both spell aa, and a repeat of -3 priced -3 and spelled the empty word
+        for codewords in ([((0, 1), (0, 1)), ((0, 2),)], [((0, -3),)]):
+            with pytest.raises(InstanceError, match="canonical"):
+                CodeAssignment(codewords, self.LETTERS12)
+
+    def test_canonical_codewords_are_kept(self):
+        code = CodeAssignment([(), ((1, 1), (0, 2), (1, 3))], self.LETTERS12)
+        assert code.codewords == ((), ((1, 1), (0, 2), (1, 3)))
+        assert code.costs_int() == [0, 10]
+
+    @staticmethod
+    def assert_rewraps(code):
+        again = CodeAssignment(code.codewords, code.letters)
+        assert again.codewords == code.codewords
+        assert again.costs_int() == code.costs_int()
+
+    def test_main_path_codes_are_canonical(self):
+        # solve builds its code from convert_to_prefix and reorder unchecked
+        rng = random.Random(2020)
+        zipf_ns = {(1, 2): (256, 2048), (1, 3): (256, 2048), (2, 3, 4): (24,), (1, 1, 2): (256, 2048)}
+        for costs, ns in zipf_ns.items():
+            letters = LetterCosts(costs)
+            for n in ns:
+                weights = [10**6 // (i + 1) + rng.randint(1, 9) for i in range(n)]
+                instance, _ = Instance.from_weights(weights, letters, F(1))
+                self.assert_rewraps(solve(instance).code)
+            for eps in (F(1, 2), F(1, 3), F(1, 4), F(1, 5)):
+                weights = [rng.randint(1, 1000) for _ in range(rng.randint(2, 10))]
+                instance, _ = Instance.from_weights(weights, letters, eps)
+                report = solve(instance)
+                assert report.mode == "main"
+                self.assert_rewraps(report.code)
+
+    def test_tiny_path_codes_are_canonical(self):
+        # every candidate code that _tiny_pool builds, and solve's above n = 512
+        rng = random.Random(2121)
+        for n, others in ((20, [1, 2]), (100, [1, 3, 3]), (300, [1, 2, 5]), (700, [1, 4]), (1024, [1, 1, 2])):
+            eps = F(1, rng.randint(1, 5))
+            letters = LetterCosts([eps / (4 * n)] + others)
+            weights = [10**6 // (i + 1) + rng.randint(0, 3) for i in range(n)]
+            instance, _ = Instance.from_weights(weights, letters, eps)
+            if n <= 300:
+                c2 = letters.costs_int[1]
+                for i0 in tiny_run_length_candidates(instance):
+                    _, words, costs = tiny_candidate_code(instance, i0)
+                    again = CodeAssignment(words, letters)
+                    assert [F(c, c2) for c in again.costs_int()] == costs
+            else:
+                report = solve(instance)
+                assert report.mode == "tiny"
+                self.assert_rewraps(report.code)
+
+    def test_exact_optimal_codes_are_canonical(self):
+        rng = random.Random(2222)
+        for costs in ([1, 1], [1, 2], [1, 3], [2, 3, 4], [1, 1, 2], [F(1, 8), 1]):
+            for _ in range(3):
+                weights = [rng.randint(1, 100) for _ in range(rng.randint(2, 10))]
+                instance, _ = Instance.from_weights(weights, LetterCosts(costs), F(1))
+                self.assert_rewraps(exact_optimal(instance).optimal_code)
 
 
 class TestCodeCost:

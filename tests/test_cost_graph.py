@@ -10,7 +10,7 @@ from lettercost import (
     build_cost_graph,
     normalize,
 )
-from lettercost.core import as_runs
+from lettercost.core import runs_from_str
 from lettercost.cost_graph import CostGraph
 
 from helpers import blocker_pairs, count_free_brute, random_instance
@@ -82,7 +82,7 @@ class TestFreeStrings:
     def test_blocked_by_single_letter(self):
         norm = norm_for([1, 1], 1)
         graph = build_cost_graph(norm, F(3))
-        blockers = blocker_pairs([as_runs("a")], norm.letters_q)
+        blockers = blocker_pairs([runs_from_str("a")], norm.letters_q)
         assert graph.free(1, blockers) == 1
         assert graph.free(2, blockers) == 2
 
