@@ -28,7 +28,6 @@ from itertools import chain
 from .core import GLYPHS, CodeAssignment, Instance, InstanceError, LetterCosts, normalize
 from .cost_graph import build_cost_graph
 from .driver import (
-    C_TOTAL,
     DEFAULT_BUDGET,
     BudgetExceeded,
     CodeReport,
@@ -218,7 +217,7 @@ def cmd_verify(args) -> int:
     report = solve(loaded.instance, budget=args.budget)
     exact = exact_optimal(loaded.instance)
     ratio = Fraction(report.total_cost, exact.optimal_cost)
-    bound = 1 + C_TOTAL * loaded.instance.epsilon
+    bound = report.ratio_bound_used
     print("solver cost:  %s" % fmt(report.total_cost))
     print("optimal cost: %s" % fmt(exact.optimal_cost))
     print("ratio: %s" % fmt(ratio))

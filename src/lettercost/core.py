@@ -302,30 +302,33 @@ def normalize(instance: Instance) -> NormalizedInstance:
 
 def codeword_cost(word: Runs, letters: LetterCosts) -> Fraction:
     """Sum of the letter costs of a codeword in runs; the empty word () costs 0."""
-    return Fraction(_price_int((word,), letters)[0], letters.scale)
+    return CodeAssignment((word,), letters).costs()[0]
 
 
 def _price_int(codewords: Iterable[Runs], letters: LetterCosts) -> tuple[int, ...]:
     """Codeword costs times letters.scale. Anything but canonical runs, such as
     a str, letter indices, a letter outside the alphabet (negative ones too),
-    a repeat below 1 or two adjacent runs of one letter, raises InstanceError."""
-    cost_of = dict(enumerate(letters.costs_int))
-    costs = []
+    a letter or repeat that is not an int, a repeat below 1 or two adjacent
+    runs of one letter, raises InstanceError."""
+    cost_of = letters.costs_int  # a tuple, which no float letter indexes
+    costs, let = [], 0
     try:
         for runs in codewords:
             total = 0
             prev = -1
             for let, rep in runs:
                 total += cost_of[let] * rep
-                if rep < 1 or let == prev:
+                if rep < 1 or let == prev or let < 0:
                     raise ValueError
                 prev = let
-            if not total and runs != ():  # only () spells the empty word
+            # only () spells the empty word; a repeat that is no int makes no int total
+            if type(total) is not int or not total and runs != ():
                 raise ValueError
             costs.append(total)
-    except KeyError as err:
-        raise InstanceError("letter index %r out of range" % (err.args[0],)) from None
-    except (TypeError, ValueError):
+    except (IndexError, TypeError, ValueError):
+        # let is the failing run's letter, or one in range that passed
+        if type(let) is int and not 0 <= let < len(cost_of):
+            raise InstanceError("letter index %r out of range" % (let,)) from None
         raise InstanceError("codeword %r is not in canonical runs" % (runs,)) from None
     return tuple(costs)
 
@@ -346,8 +349,11 @@ class CodeAssignment:
         object.__setattr__(self, "codewords", cws)
         object.__setattr__(self, "_costs_int", _price_int(cws, self.letters))
         # canonical runs spell each string one way, so distinct runs are distinct strings
-        if len(set(cws)) != len(cws):
-            raise InstanceError("codewords must be distinct (injective map)")
+        try:
+            if len(set(cws)) != len(cws):
+                raise InstanceError("codewords must be distinct (injective map)")
+        except TypeError:  # a codeword or a run given as a list
+            raise InstanceError("codewords must be tuples of (letter, repeat) tuples") from None
 
     @property
     def n(self) -> int:

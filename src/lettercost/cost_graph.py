@@ -4,7 +4,8 @@ Costs live on an integer grid of quantum units. The graph's nodes are the
 achievable string costs in [0, k]; an arc joins c to c + w for every distinct
 letter cost w, carrying the number of letters of that cost. `counts[c]` is
 the number of strings of cost exactly c, which identifies the nodes
-(count > 0) and gives every free-string count in closed form: for a
+(count > 0) and the live levels (a level's one admissible cost has
+count > 0), and gives every free-string count in closed form: for a
 prefix-free set S, the strings of cost c with no prefix in S number
 count(c) - sum over x in S of count(c - cost(x)). `CostGraph.free` computes
 it and `CostGraph.tail` walks it past k; the guess search and the leveled
@@ -13,8 +14,10 @@ construction both use these two.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .core import InstanceError, NormalizedInstance
@@ -54,33 +57,32 @@ class CostGraph:
         self.level_count = (k_q - unit_q) // eps_q
         # counts[c] = number of strings of cost c; extended past k on demand
         self.counts: list[int] = [1]
-        self._extend_counts(k_q)
+        self.count(k_q)
         self._assert_level0_structure()
-        self.nodes_q = [c for c in range(k_q + 1) if self.counts[c] > 0]
+        # level i >= 1 admits one codeword cost, level_target(i), and is live
+        # when some string has that cost; the targets step by eps_q from
+        # level_target(1) to k - 1
+        first = unit_q + eps_q - 1
+        self.live_targets = list(compress(range(first, k_q, eps_q), self.counts[first:k_q:eps_q]))
+        self.nodes_q = list(compress(range(k_q + 1), self.counts))
         self.node_count = len(self.nodes_q)
-        self.arc_count = sum(
-            1
-            for c in self.nodes_q
-            for w, _ in self.distinct_q
-            if c + w <= k_q
-        )
-
-    def _extend_counts(self, upto: int) -> None:
-        cs = self.counts
-        for c in range(len(cs), upto + 1):
-            total = 0
-            for w, mult in self.distinct_q:
-                if w <= c:
-                    total += mult * cs[c - w]
-            cs.append(total)
+        # an arc of cost w leaves every node c <= k - w
+        self.arc_count = sum(bisect_right(self.nodes_q, k_q - w) for w, _ in self.distinct_q)
 
     def count(self, c: int) -> int:
-        """Number of strings of cost c (c in quantum units; negative -> 0)."""
+        """Number of strings of cost c (c in quantum units; negative -> 0),
+        filling the table through c on first use."""
         if c < 0:
             return 0
-        if c >= len(self.counts):
-            self._extend_counts(c)
-        return self.counts[c]
+        cs = self.counts
+        if c >= len(cs):
+            for x in range(len(cs), c + 1):
+                total = 0
+                for w, mult in self.distinct_q:
+                    if w <= x:
+                        total += mult * cs[x - w]
+                cs.append(total)
+        return cs[c]
 
     def _assert_level0_structure(self) -> None:
         # every sub-unit achievable cost is a run of the cheapest letter
@@ -106,12 +108,8 @@ class CostGraph:
         """Strings of cost c with no prefix in a prefix-free set S, given as
         (cost_q, how_many) blockers: count(c) minus, per member x of S,
         count(c - cost(x)), the strings of cost c that extend x."""
-        if c < 0:
-            return 0
+        free = self.count(c)
         counts = self.counts
-        if c >= len(counts):
-            self._extend_counts(c)
-        free = counts[c]
         for t, m in blockers:
             if t <= c:
                 free -= m * counts[c - t]
@@ -170,6 +168,5 @@ def build_cost_graph(norm: NormalizedInstance, k: Fraction) -> CostGraph:
     if norm.n >= 2:
         bound = Fraction(norm.n * graph.k_q, graph.eps_q)
         assert graph.node_count <= bound, "node count exceeds n*k/eps"
-        assert graph.arc_count <= len(graph.distinct_q) * graph.node_count
     return graph
 

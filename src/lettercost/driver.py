@@ -252,10 +252,7 @@ class _Search:
 
     def __post_init__(self):
         g = self.graph
-        # the target costs of the live levels: those with strings of that cost
-        self.targets = [
-            t for t in map(g.level_target, range(1, g.level_count + 1)) if g.count(t) > 0
-        ]
+        self.targets = g.live_targets
         # (lpos, size) -> row: row[j - lpos] = size * count(T_j - T_lpos) is
         # what a group of size words placed at live level lpos takes from the
         # capacity of live level j >= lpos (count(0) == 1 covers j == lpos)

@@ -5,8 +5,9 @@
 For each seed and each workload of perfbench/workloads.py, every instance is
 solved through the public API with the library defaults. One sha256 line per
 workload and seed covers, per instance in run order, the codewords,
-total_cost, lower_bound, kprefix_cost, mode, guess_count and explored, or the
-name of the exception raised; the line also gives the explored total, the
+total_cost, lower_bound, kprefix_cost, mode, the cost graph's node and arc
+counts, the group count, guess_count and explored, or the name of the
+exception raised; the line also gives the explored total, the
 exceptions raised, and a second sha256 ("results") over the same fields
 without guess_count and explored, which stays put when a change moves only
 the search's effort. After each such line a "cli" line gives one sha256
@@ -52,6 +53,9 @@ def outcome(spec: workloads.Spec) -> tuple[str, str, int, str | None]:
         rep.lower_bound,
         rep.kprefix_cost,
         rep.mode,
+        rep.graph_nodes,
+        rep.graph_arcs,
+        rep.group_count,
     )
     effort = (rep.guess_count, rep.explored)
     return repr(results + effort), repr(results), rep.explored, None

@@ -14,7 +14,10 @@ references price and build a run length's code the way the library did
 before it walked the candidates as strided runs: one sorted pool of all
 candidates, cut at n. The reference loader reads an instance file the way
 the command line did before it parsed whole lines and built instances in
-bulk: token by token, and every weight through a Fraction. All stay
+bulk: token by token, and every weight through a Fraction. The layout scans
+list a cost graph's live levels, nodes and arcs the way the library did
+before the graph computed them in one pass each: level by level, cost by
+cost and arc by arc. All stay
 independent of the library's counting, construction, conversion and oracle
 paths. search_minimum, by contrast, runs the library's own guess search, at
 any horizon k, and solved_leveled_code records the leveled code that solve
@@ -310,6 +313,25 @@ def free_counts_recurrence(distinct_q, k_q, costs_q):
     for c in range(1, k_q + 1):
         v.append(sum(mult * v[c - w] for w, mult in distinct_q if w <= c) - blocked[c])
     return v
+
+
+def live_targets_scan(graph):
+    """The target costs of the graph's live levels, level by level, the way
+    the guess search listed them before the graph did: level_target(i) for
+    every level i, kept where a string has that cost."""
+    levels = range(1, graph.level_count + 1)
+    return [t for t in map(graph.level_target, levels) if graph.count(t) > 0]
+
+
+def nodes_scan(graph):
+    """The graph's node costs, cost by cost over 0..k_q."""
+    return [c for c in range(graph.k_q + 1) if graph.count(c) > 0]
+
+
+def arc_count_scan(graph):
+    """The graph's arcs, one per node and distinct letter cost that stays
+    within k_q, counted one by one."""
+    return sum(1 for c in nodes_scan(graph) for w, _ in graph.distinct_q if c + w <= graph.k_q)
 
 
 def tail_recurrence(distinct_q, v, m):

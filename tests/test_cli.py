@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lettercost import cli, codeword_cost, LetterCosts, solve
+from lettercost import cli, codeword_cost, driver, LetterCosts, solve
 from lettercost.cli import main
 from lettercost.core import CodeAssignment, runs_from_str
 
@@ -317,6 +317,21 @@ class TestOtherCommands:
         assert code == 0
         assert "ratio: 1" in out
         assert "PASS" in out
+
+    def test_verify_prints_the_bound_the_solver_certified(self, tmp_path, monkeypatch):
+        # the cheapest letter, 1/100 of the second, is below eps/n: the
+        # tiny-letter path certifies 1 + eps by its own proof, whatever
+        # C_TOTAL the main path uses
+        tiny = tmp_path / "tiny.txt"
+        tiny.write_text("1 100\n5 4 3 2 1\n")
+        assert solve(cli.load_instance(str(tiny), F(1, 2)).instance).mode == "tiny"
+        monkeypatch.setattr(driver, "C_TOTAL", F(2))
+        code, out, _ = run_cli("verify", str(tiny), "--epsilon", "0.5")
+        assert code == 0 and out.endswith("bound: 3/2 (1.5)\nPASS\n")
+        path = tmp_path / "main.txt"
+        path.write_text("1 2\n5 4 3 2 1\n")
+        code, out, _ = run_cli("verify", str(path), "--epsilon", "0.5")
+        assert code == 0 and out.endswith("bound: 2\nPASS\n")
 
     def test_graph_stats(self, figure_skewed):
         code, out, _ = run_cli("graph-stats", figure_skewed, "--epsilon", "0.25")

@@ -173,6 +173,11 @@ class TestCanonicalRuns:
             ((2, 1),),  # letter index r
             ((-1, 1),),
             ((1, 1), (0, 2), (0, 1)),
+            ((0, 1.5),),  # a repeat or a letter that is not an int
+            ((0, F(1)),),
+            ((0.0, 1),),
+            [(0, 1)],  # a codeword or a run given as a list
+            ([0, 1],),
         ],
     )
     def test_malformed_codewords_are_refused(self, word):

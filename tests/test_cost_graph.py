@@ -8,12 +8,20 @@ from lettercost import (
     InstanceError,
     LetterCosts,
     build_cost_graph,
+    choose_k,
     normalize,
 )
 from lettercost.core import runs_from_str
 from lettercost.cost_graph import CostGraph
 
-from helpers import blocker_pairs, count_free_brute, random_instance
+from helpers import (
+    arc_count_scan,
+    blocker_pairs,
+    count_free_brute,
+    live_targets_scan,
+    nodes_scan,
+    random_instance,
+)
 
 FOUR = (F(1, 4),) * 4  # enough words to stay out of the tiny-letter regime
 
@@ -69,6 +77,36 @@ class TestBuild:
             assert graph.node_count <= norm.n * k / norm.epsilon_prime
             assert graph.arc_count <= len(norm.distinct_q) * graph.node_count
             checked += 1
+
+
+class TestLayout:
+    """live_targets, nodes_q and arc_count, each computed in one pass, equal
+    the level-by-level, cost-by-cost and arc-by-arc scans."""
+
+    ALPHABETS = [(1, 2), (1, 3), (2, 3, 4), (1, 1, 2), (1, 4)]
+
+    def test_layout_matches_the_scans(self):
+        rng = random.Random(2121)
+        drawn = [tuple(sorted(rng.randint(1, 6) for _ in range(rng.randint(2, 4)))) for _ in range(6)]
+        coarse = empty = 0
+        for costs in self.ALPHABETS + drawn:
+            for m in range(1, 13):
+                norm = norm_for(costs, F(1, m))
+                eps, quantum = norm.epsilon_prime, norm.cost_quantum
+                k = choose_k(eps)
+                # no live level at k = 1; then choose_k's k and a few eps steps above it
+                for horizon in (1, k, k + eps, k + rng.randint(2, 6) * eps):
+                    k_q = horizon / quantum
+                    assert k_q.denominator == 1
+                    graph = CostGraph(norm.distinct_q, norm.unit_q, norm.eps_q, k_q.numerator, quantum)
+                    assert graph.live_targets == live_targets_scan(graph)
+                    assert graph.nodes_q == nodes_scan(graph)
+                    assert graph.arc_count == arc_count_scan(graph)
+                    coarse += graph.eps_q > 1 and graph.live_targets != []
+                    if graph.k_q == graph.unit_q:
+                        assert graph.live_targets == []
+                        empty += 1
+        assert coarse > 0 and empty > 0
 
 
 class TestFreeStrings:

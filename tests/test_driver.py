@@ -33,6 +33,7 @@ from lettercost import (
 )
 from lettercost import driver
 from lettercost.core import _price_int, runs_to_str
+from lettercost.cost_graph import CostGraph
 from lettercost.driver import (
     _tiny_pool,
     _tiny_segments,
@@ -344,6 +345,26 @@ class TestHandOver:
             # the search's own picks hold one entry per placed group
             shared_level += len(searches[-1].best[1]) > len(code.picks)
         assert with_f0 >= 3 and shared_level >= 3, (with_f0, shared_level)
+
+
+class TestLiveLevels:
+    def test_solve_lists_no_level_itself(self, monkeypatch):
+        # the cost graph lists its live levels; solve never asks for a
+        # level's target, over every alphabet of the benchmark workloads
+        def refuse(graph, i):
+            raise AssertionError("level_target(%d) called" % i)
+
+        monkeypatch.setattr(CostGraph, "level_target", refuse)
+        rng = random.Random(21)
+        for costs in ([1, 2], [1, 3], [2, 3, 4], [1, 1, 2]):
+            for eps in (F(1), F(1, 2), F(3, 10), F(1, 4), F(1, 5)):
+                weights = [rng.randint(1, 1000) for _ in range(rng.randint(6, 12))]
+                instance, _ = Instance.from_weights(weights, LetterCosts(costs), eps)
+                assert solve(instance).mode == "main"
+        for costs in ([1, 2], [1, 1, 2]):
+            zipf = [10**6 // (i + 1) + rng.randint(1, 9) for i in range(1024)]
+            instance, _ = Instance.from_weights(zipf, LetterCosts(costs), F(1))
+            assert solve(instance).mode == "main"
 
 
 class TestTiny:
