@@ -46,6 +46,19 @@ searched first and its all-tail leaf costs V, so the seed never outlasts
 that search; until a leaf there costs at most V, no bound, break or reach
 cuts anything, since each is at most the total weight times k <= V.
 
+That seed is far above the optimum, and a search from it spends most of its
+nodes finding a good incumbent. So the search runs twice over one state
+(_Search.minimize). The first pass places groups on every other live level
+only. Each of its leaves is a leaf of the full search with the same value: a
+group sits on a live level either way, and a leaf's capacities are checked
+only at the levels it uses. The pass reaches its all-tail leaf at size 0, so
+it ends with the value W <= V of a real leaf. The full pass starts from W + 1.
+A search seeded above the optimum m reaches its first leaf of cost m, since
+every cut is admissible for leaves cheaper than the incumbent, and keeps it,
+since ties never replace. So the full pass returns the leaf that the search
+from V + 1 returns, with the same codes, ties and costs, and cuts only nodes
+that cannot win.
+
 Instances whose cheapest letter costs at most epsilon/n skip all of the above
 and use a direct candidate construction (solve_tiny_ell1). Its candidate
 families are arithmetic progressions of integer costs with one common step,
@@ -394,6 +407,22 @@ class _Search:
             # state would wait for a full garbage collection
             del dfs
 
+    def minimize(self) -> None:
+        """Search every level-0 size in two passes over this state: first on
+        every other live level only, then on all of them against that pass's
+        best value plus one, so that the full pass keeps its own first
+        cheapest leaf. The budget, explored and leaves cover both."""
+        sizes = level0_size_candidates(self.norm)
+        live = self.targets
+        # rows are keyed by position in targets, so each pass has its own
+        self.targets, self.rows = live[::2], {}
+        for f0 in sizes:
+            self.run(f0)
+        self.best[0] += 1
+        self.targets, self.rows = live, {}
+        for f0 in sizes:
+            self.run(f0)
+
 
 # ---------------------------------------------------------------------------
 # reports
@@ -671,8 +700,7 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     grouping = group_words(norm, k)
 
     search = _Search(norm, graph, grouping, budget)
-    for f0 in level0_size_candidates(norm):
-        search.run(f0)
+    search.minimize()
     value, picks = search.best
     kprefix_cost = Fraction(value, instance.scale) * graph.quantum
 

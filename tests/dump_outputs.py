@@ -14,7 +14,9 @@ the search's effort. After each such line a "cli" line gives one sha256
 over the stdout and exit code of `lettercost solve FILE --epsilon EPS --emit
 tsv`, run in-process on each of the workload's instance files, and the name
 of any exception that escaped, so a change to the loader or the printer can
-be diffed the same way. Run it before and after a change that must not
+be diffed the same way, and a second sha256 ("cli results") over the same
+output without its "# guesses" line, which stays put when a change moves
+only the search's effort. Run it before and after a change that must not
 change results and diff the output. The file's name keeps pytest from
 collecting it.
 """
@@ -85,7 +87,7 @@ def dump(workload: str, seed: int) -> str:
 
 
 def dump_cli(workload: str, seed: int) -> str:
-    digest = hashlib.sha256()
+    digest, results_digest = hashlib.sha256(), hashlib.sha256()
     raised: list[str] = []
     specs = workloads.generate(workload, seed)
     with tempfile.TemporaryDirectory() as scratch:
@@ -99,13 +101,19 @@ def dump_cli(workload: str, seed: int) -> str:
             except Exception as exc:  # the exception's name is part of the output
                 code = type(exc).__name__
                 raised.append("%s at n=%d" % (code, spec.n))
-            digest.update(b"%s\n%s\n" % (str(code).encode(), out.getvalue().encode()))
-    return "%s seed %d cli: %d files, raised [%s], sha256 %s" % (
+            text = out.getvalue()
+            results = "".join(
+                line for line in text.splitlines(True) if not line.startswith("# guesses\t")
+            )
+            digest.update(b"%s\n%s\n" % (str(code).encode(), text.encode()))
+            results_digest.update(b"%s\n%s\n" % (str(code).encode(), results.encode()))
+    return "%s seed %d cli: %d files, raised [%s], sha256 %s, cli results sha256 %s" % (
         workload,
         seed,
         len(specs),
         ", ".join(raised),
         digest.hexdigest(),
+        results_digest.hexdigest(),
     )
 
 

@@ -19,9 +19,11 @@ list a cost graph's live levels, nodes and arcs the way the library did
 before the graph computed them in one pass each: level by level, cost by
 cost and arc by arc. All stay
 independent of the library's counting, construction, conversion and oracle
-paths. search_minimum, by contrast, runs the library's own guess search, at
-any horizon k, and solved_leveled_code records the leveled code that solve
-itself converts.
+paths. single_pass_minimize runs the guess search the way the library did
+before it took a first pass over every other live level: one pass, from the
+all-tail incumbent. search_minimum, by contrast, runs the library's own
+guess search, at any horizon k, and solved_leveled_code records the leveled
+code that solve itself converts.
 """
 
 from collections import Counter
@@ -105,13 +107,21 @@ def leveled_cost(code):
 
 
 def search_minimum(norm, k):
-    """kprefix cost of the cheapest guess at horizon k: driver._Search over
-    every level-0 size, run as solve runs it at choose_k's horizon."""
+    """kprefix cost of the cheapest guess at horizon k: driver._Search's
+    minimize, as solve runs it at choose_k's horizon."""
     graph = build_cost_graph(norm, k)
     search = driver._Search(norm, graph, group_words(norm, k), driver.DEFAULT_BUDGET)
-    for f0 in driver.level0_size_candidates(norm):
-        search.run(f0)
+    search.minimize()
     return Fraction(search.best[0], norm.instance.scale) * graph.quantum
+
+
+def single_pass_minimize(search):
+    """driver._Search.minimize the way the library ran it before the search
+    took a first pass over every other live level: one pass over all live
+    levels, each level-0 size in increasing order, from the all-tail
+    incumbent."""
+    for f0 in driver.level0_size_candidates(search.norm):
+        search.run(f0)
 
 
 def solved_leveled_code(monkeypatch, instance):

@@ -49,6 +49,7 @@ from helpers import (
     is_prefix_free_sorted,
     random_instance,
     search_minimum,
+    single_pass_minimize,
     solved_leveled_code,
     tiny_pool_reference,
     tiny_value_reference,
@@ -69,6 +70,25 @@ def stack_depth():
         depth += 1
         frame = frame.f_back
     return depth
+
+
+def recorded_solves(monkeypatch, instances, minimize=None, budget=driver.DEFAULT_BUDGET):
+    """solve's report on each instance, with the search it ran; minimize,
+    if given, stands in for _Search.minimize."""
+    searches = []
+
+    class Recorded(driver._Search):
+        def __post_init__(self):
+            super().__post_init__()
+            searches.append(self)
+
+    if minimize is not None:
+        Recorded.minimize = minimize
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "_Search", Recorded)
+        reports = [solve(inst, budget=budget) for inst in instances]
+    assert len(searches) == len(reports)
+    return list(zip(reports, searches))
 
 
 class TestChooseK:
@@ -218,6 +238,19 @@ class TestSolve:
         with pytest.raises(BudgetExceeded) as err:
             solve(inst, budget=rep.explored - 1)
         assert err.value.explored == err.value.budget + 1
+
+    def test_thirty_words_over_one_three_within_budget(self, monkeypatch):
+        # one pass over every live level explored 11,861,690 nodes here, past
+        # the default budget, before it settled on the picks whose sha256 is
+        # recorded below; the first pass over every other live level brings
+        # the same picks within 10**6 nodes
+        rng = random.Random(30)
+        weights = [rng.randint(1, 1000) for _ in range(30)]
+        inst, _ = Instance.from_weights(weights, LetterCosts([1, 3]), F(1, 2))
+        ((rep, search),) = recorded_solves(monkeypatch, [inst], budget=10**6)
+        picks = hashlib.sha256(repr(search.best).encode()).hexdigest()
+        assert picks == "446dfa3f88d07b6539c7673a80c017c17c68b3638e0bbdf64d74fb79708a11b4"
+        assert search.best[0] == 114370 and rep.kprefix_cost == F(22874, 8343)
 
     def test_main_path_leaves_no_cyclic_garbage(self):
         # the search's closures go by reference counting, without waiting for
@@ -654,6 +687,48 @@ class TestSearchEquivalence:
             assert search_minimum(norm, k) == enumerated_minimum(norm, k, n), (costs, weights, eps, k)
             checked += 1
         assert sum(reaches) > 30
+
+    # the first pass over every other live level must leave the full
+    # search's result as one pass alone finds it: the same value, the same
+    # picks among equal-cost leaves, and so the same code
+    ALPHABETS = ([1, 2], [1, 3], [2, 3, 4], [1, 1, 2], [1, 2, 2, 5], [F(1, 2), 1], [1, 1])
+
+    @classmethod
+    def differential_corpus(cls, count):
+        # weights from 1..1 and 1..2 make equal-cost leaves common
+        rng = random.Random(22)
+        while count:
+            costs = cls.ALPHABETS[count % len(cls.ALPHABETS)]
+            n = rng.randint(2, 11)
+            eps = rng.choice((F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 5)))
+            top = rng.choice((1, 2, 1000))
+            weights = [rng.randint(1, top) for _ in range(n)]
+            inst, _ = Instance.from_weights(weights, LetterCosts(costs), eps)
+            if takes_main_path(inst):
+                count -= 1
+                yield inst
+
+    def test_two_passes_match_single_pass(self, monkeypatch):
+        corpus = list(self.differential_corpus(1000))
+        ran = recorded_solves(monkeypatch, corpus)
+        reference = recorded_solves(monkeypatch, corpus, single_pass_minimize)
+        for inst, (rep, search), (want, single) in zip(corpus, ran, reference):
+            assert search.best == single.best, (inst.letters.costs, inst.weights_int, inst.epsilon)
+            assert rep.code == want.code
+            assert (rep.total_cost, rep.kprefix_cost) == (want.total_cost, want.kprefix_cost)
+        alphabets = {inst.letters.costs for inst in corpus}
+        assert len(alphabets) == len(self.ALPHABETS)
+
+    def test_first_pass_cuts_tail_shape_nodes(self, monkeypatch):
+        # one pass alone explored 78,139 nodes over this corpus; with the
+        # first pass the search explored 21,874, and fewer on every instance
+        corpus = list(TestGoldenOutput.tail_shapes_corpus())
+        ran = recorded_solves(monkeypatch, corpus)
+        reference = recorded_solves(monkeypatch, corpus, single_pass_minimize)
+        for (rep, _), (want, _) in zip(ran, reference):
+            assert rep.code == want.code
+            assert rep.explored < want.explored
+        assert sum(rep.explored for rep, _ in ran) * 3 < sum(want.explored for want, _ in reference)
 
 
 class TestGoldenOutput:
