@@ -47,17 +47,21 @@ that search; until a leaf there costs at most V, no bound, break or reach
 cuts anything, since each is at most the total weight times k <= V.
 
 That seed is far above the optimum, and a search from it spends most of its
-nodes finding a good incumbent. So the search runs twice over one state
-(_Search.minimize). The first pass places groups on every other live level
-only. Each of its leaves is a leaf of the full search with the same value: a
-group sits on a live level either way, and a leaf's capacities are checked
-only at the levels it uses. The pass reaches its all-tail leaf at size 0, so
-it ends with the value W <= V of a real leaf. The full pass starts from W + 1.
-A search seeded above the optimum m reaches its first leaf of cost m, since
-every cut is admissible for leaves cheaper than the incumbent, and keeps it,
-since ties never replace. So the full pass returns the leaf that the search
-from V + 1 returns, with the same codes, ties and costs, and cuts only nodes
-that cannot win.
+nodes finding a good incumbent. So _Search.minimize first searches size 0
+once over a coarser grouping: group 0 alone, the other groups merged two at
+a time (a last odd one alone), on every live level. A leaf of that pass puts
+both groups of a pair on one live level, or on the tail, and the same
+assignment is a leaf of the full search with the same value. Its capacity
+checks pass there too: a + b words fit in cap exactly when a do and b fit in
+the cap - a * count(0) that are left, and every later level loses
+(a + b) * count(T_j - T_i) either way. The pass reaches its all-tail leaf, so
+it ends with the value W <= V of a real leaf, and the full pass, over every
+level-0 size, starts from W + 1. A search seeded above the optimum m reaches
+its first leaf of cost m, since every cut is admissible for leaves cheaper
+than the incumbent, and keeps it, since ties never replace. So the full pass
+returns the leaf that the search from V + 1 returns, with the same codes,
+ties and costs, and cuts only nodes that cannot win. The pass is skipped
+when pairing would merge nothing (two groups or fewer).
 
 Instances whose cheapest letter costs at most epsilon/n skip all of the above
 and use a direct candidate construction (solve_tiny_ell1). Its candidate
@@ -268,15 +272,13 @@ class _Search:
         self.targets = g.live_targets
         # (lpos, size) -> row: row[j - lpos] = size * count(T_j - T_lpos) is
         # what a group of size words placed at live level lpos takes from the
-        # capacity of live level j >= lpos (count(0) == 1 covers j == lpos)
+        # capacity of live level j >= lpos (count(0) == 1 covers j == lpos);
+        # it does not depend on the grouping, so every pass shares it
         self.rows: dict[tuple[int, int], list[int]] = {}
         ws = self.norm.instance.weights_int
         self.prefix_w = [0, *accumulate(ws)]
-        self.group_w = self.grouping.group_weights_int
-        self.rest_w = [0] * (len(self.group_w) + 1)
-        for i in range(len(self.group_w) - 1, -1, -1):
-            self.rest_w[i] = self.rest_w[i + 1] + self.group_w[i]
         self.n = len(ws)
+        self._group(self.grouping.ranges)
         # the incumbent: [value in weight-scaled quanta, its code's (cost,
         # how_many) picks in word order]. It starts as the all-tail guess
         # (every word on the n cheapest strings of cost >= k) valued one above
@@ -285,6 +287,15 @@ class _Search:
         batches = g.tail(self.n, [])
         assert batches is not None, "the all-tail guess is always consistent"
         self.best: list = [self._tail_value(batches, 0) + 1, batches]
+
+    def _group(self, ranges: Sequence[tuple[int, int]]) -> None:
+        """Search with these contiguous word ranges as the groups: their
+        sizes, their weights and, per position, the weight from there on."""
+        prefix = self.prefix_w
+        self.ranges = ranges
+        self.sizes = [e - s for s, e in ranges]
+        self.group_w = [prefix[e] - prefix[s] for s, e in ranges]
+        self.rest_w = [*accumulate(reversed(self.group_w), initial=0)][::-1]
 
     def _bump(self) -> None:
         self.explored += 1
@@ -341,8 +352,7 @@ class _Search:
         earlier f0 and the earlier depth-first order. Unassigned trailing
         groups are tail."""
         g = self.graph
-        sizes = self.grouping.sizes
-        ranges = self.grouping.ranges
+        sizes, ranges = self.sizes, self.ranges
         group_w, rest_w = self.group_w, self.rest_w
         targets, rows = self.targets, self.rows
         L = len(targets)
@@ -408,19 +418,20 @@ class _Search:
             del dfs
 
     def minimize(self) -> None:
-        """Search every level-0 size in two passes over this state: first on
-        every other live level only, then on all of them against that pass's
-        best value plus one, so that the full pass keeps its own first
+        """Search every level-0 size against one incumbent, seeded by a pass
+        at size 0 over a coarser grouping: group 0 alone and the others
+        merged two at a time. That pass ends on a real leaf's value W, and
+        the full pass starts from W + 1, so that it keeps its own first
         cheapest leaf. The budget, explored and leaves cover both."""
-        sizes = level0_size_candidates(self.norm)
-        live = self.targets
-        # rows are keyed by position in targets, so each pass has its own
-        self.targets, self.rows = live[::2], {}
-        for f0 in sizes:
-            self.run(f0)
-        self.best[0] += 1
-        self.targets, self.rows = live, {}
-        for f0 in sizes:
+        ranges = self.grouping.ranges
+        if len(ranges) > 2:
+            last = len(ranges) - 1
+            pairs = [(ranges[i][0], ranges[min(i + 1, last)][1]) for i in range(1, last + 1, 2)]
+            self._group([ranges[0], *pairs])
+            self.run(0)
+            self.best[0] += 1
+            self._group(ranges)
+        for f0 in level0_size_candidates(self.norm):
             self.run(f0)
 
 

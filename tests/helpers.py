@@ -20,10 +20,12 @@ before the graph computed them in one pass each: level by level, cost by
 cost and arc by arc. All stay
 independent of the library's counting, construction, conversion and oracle
 paths. single_pass_minimize runs the guess search the way the library did
-before it took a first pass over every other live level: one pass, from the
-all-tail incumbent. search_minimum, by contrast, runs the library's own
-guess search, at any horizon k, and solved_leveled_code records the leveled
-code that solve itself converts.
+before it took a first pass to seed its incumbent: one pass, from the
+all-tail incumbent. every_other_level_minimize runs it the way the library
+did before that first pass merged the groups in pairs: a first pass over
+every other live level, then the full one. search_minimum, by contrast, runs
+the library's own guess search, at any horizon k, and solved_leveled_code
+records the leveled code that solve itself converts.
 """
 
 from collections import Counter
@@ -117,10 +119,25 @@ def search_minimum(norm, k):
 
 def single_pass_minimize(search):
     """driver._Search.minimize the way the library ran it before the search
-    took a first pass over every other live level: one pass over all live
-    levels, each level-0 size in increasing order, from the all-tail
-    incumbent."""
+    took a first pass to seed its incumbent: one pass over all live levels,
+    each level-0 size in increasing order, from the all-tail incumbent."""
     for f0 in driver.level0_size_candidates(search.norm):
+        search.run(f0)
+
+
+def every_other_level_minimize(search):
+    """driver._Search.minimize the way the library ran it before its first
+    pass merged the groups in pairs: every level-0 size over every other live
+    level only, then over all of them from that pass's best value plus one.
+    Rows are keyed by position in targets, so each pass has its own."""
+    sizes = driver.level0_size_candidates(search.norm)
+    live = search.targets
+    search.targets, search.rows = live[::2], {}
+    for f0 in sizes:
+        search.run(f0)
+    search.best[0] += 1
+    search.targets, search.rows = live, {}
+    for f0 in sizes:
         search.run(f0)
 
 

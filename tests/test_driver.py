@@ -46,6 +46,7 @@ from lettercost.driver import (
 
 from helpers import (
     choose_k_scan,
+    every_other_level_minimize,
     is_prefix_free_sorted,
     random_instance,
     search_minimum,
@@ -239,11 +240,22 @@ class TestSolve:
             solve(inst, budget=rep.explored - 1)
         assert err.value.explored == err.value.budget + 1
 
+    def test_zipf_thirty_two_words_within_small_budget(self):
+        # with a first pass over every other live level the search explored
+        # 361,004 nodes here and raised BudgetExceeded at this budget; the
+        # first pass over the paired groups finds the same code in 163,567
+        weights = [10**7 // (i + 1) + 1 for i in range(32)]
+        inst, _ = Instance.from_weights(weights, LetterCosts([1, 2]), F(1, 2))
+        rep = solve(inst, budget=200_000)
+        codewords = hashlib.sha256(repr(rep.code.codewords).encode()).hexdigest()
+        assert codewords == "e885083292943e87eecc53ff80668e5bf99a6dea1f1f875bd2a894546483dc5d"
+        assert (rep.total_cost, rep.kprefix_cost) == (243256022, F(121628011, 40584972))
+
     def test_thirty_words_over_one_three_within_budget(self, monkeypatch):
         # one pass over every live level explored 11,861,690 nodes here, past
         # the default budget, before it settled on the picks whose sha256 is
-        # recorded below; the first pass over every other live level brings
-        # the same picks within 10**6 nodes
+        # recorded below; a first pass to seed the incumbent brings the same
+        # picks within 10**6 nodes (132,867 with the groups merged in pairs)
         rng = random.Random(30)
         weights = [rng.randint(1, 1000) for _ in range(30)]
         inst, _ = Instance.from_weights(weights, LetterCosts([1, 3]), F(1, 2))
@@ -688,7 +700,7 @@ class TestSearchEquivalence:
             checked += 1
         assert sum(reaches) > 30
 
-    # the first pass over every other live level must leave the full
+    # the first pass over the groups merged in pairs must leave the full
     # search's result as one pass alone finds it: the same value, the same
     # picks among equal-cost leaves, and so the same code
     ALPHABETS = ([1, 2], [1, 3], [2, 3, 4], [1, 1, 2], [1, 2, 2, 5], [F(1, 2), 1], [1, 1])
@@ -721,7 +733,8 @@ class TestSearchEquivalence:
 
     def test_first_pass_cuts_tail_shape_nodes(self, monkeypatch):
         # one pass alone explored 78,139 nodes over this corpus; with the
-        # first pass the search explored 21,874, and fewer on every instance
+        # first pass over the paired groups the search explored 12,956, and
+        # fewer on every instance
         corpus = list(TestGoldenOutput.tail_shapes_corpus())
         ran = recorded_solves(monkeypatch, corpus)
         reference = recorded_solves(monkeypatch, corpus, single_pass_minimize)
@@ -729,6 +742,17 @@ class TestSearchEquivalence:
             assert rep.code == want.code
             assert rep.explored < want.explored
         assert sum(rep.explored for rep, _ in ran) * 3 < sum(want.explored for want, _ in reference)
+
+    def test_paired_pass_cuts_nodes_against_every_other_level(self, monkeypatch):
+        # a first pass over every other live level explored 21,874 nodes over
+        # this corpus in all, against 12,956 after the paired groups' pass
+        corpus = list(TestGoldenOutput.tail_shapes_corpus())
+        ran = recorded_solves(monkeypatch, corpus)
+        reference = recorded_solves(monkeypatch, corpus, every_other_level_minimize)
+        for (rep, search), (want, other) in zip(ran, reference):
+            assert search.best == other.best
+            assert rep.explored < want.explored
+        assert sum(rep.explored for rep, _ in ran) * 100 <= 65 * sum(want.explored for want, _ in reference)
 
 
 class TestGoldenOutput:
