@@ -13,7 +13,7 @@ other number form is parsed token by token, which also places any error.
 Exit codes: 0 success; 1 a usage, parse or validation failure, with a
 one-line message; 2 guess budget exceeded; 3 a failed check: `verify` found
 the ratio to the optimum outside [1, bound], or `graph-stats` found the cost
-graph over its size bounds.
+graph or the grouping over its size bounds.
 """
 
 from __future__ import annotations
@@ -214,8 +214,9 @@ def cmd_exact(args) -> int:
 
 def cmd_verify(args) -> int:
     loaded = load_instance(args.path, args.epsilon)
-    report = solve(loaded.instance, budget=args.budget)
+    # the oracle first, so an instance too large for it fails before solve runs
     exact = exact_optimal(loaded.instance)
+    report = solve(loaded.instance, budget=args.budget)
     ratio = Fraction(report.total_cost, exact.optimal_cost)
     bound = report.ratio_bound_used
     print("solver cost:  %s" % fmt(report.total_cost))
@@ -243,8 +244,13 @@ def cmd_graph_stats(args) -> int:
     print("levels: %d" % graph.level_count)
     print("nodes: %d (bound %s)" % (graph.node_count, fmt(node_bound)))
     print("arcs: %d (bound %d)" % (graph.arc_count, d * graph.node_count))
-    print("groups: %d (bound %s)" % (grouping.group_count, fmt(1 + 4 * k / norm.epsilon_prime**2)))
-    ok = graph.node_count <= node_bound and graph.arc_count <= d * graph.node_count
+    group_bound = 1 + 4 * k / norm.epsilon_prime**2
+    print("groups: %d (bound %s)" % (grouping.group_count, fmt(group_bound)))
+    ok = (
+        graph.node_count <= node_bound
+        and graph.arc_count <= d * graph.node_count
+        and grouping.group_count <= group_bound
+    )
     print("PASS" if ok else "FAIL")
     return 0 if ok else 3
 
@@ -254,6 +260,16 @@ def _epsilon(value: str) -> Fraction:
     if not 0 < eps <= 1:
         raise argparse.ArgumentTypeError("epsilon must lie in (0, 1]")
     return eps
+
+
+def _budget(value: str) -> int:
+    try:
+        budget = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % value)
+    if budget < 1:
+        raise argparse.ArgumentTypeError("budget must be a positive integer")
+    return budget
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,7 +290,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="build a near-optimal prefix code")
     p.add_argument("path")
     p.add_argument("--epsilon", type=_epsilon, default=Fraction(1, 4))
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("--emit", choices=("table", "tsv"), default="table")
     p.set_defaults(func=cmd_solve)
 
@@ -285,7 +301,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="solve and compare against the exact optimum")
     p.add_argument("path")
     p.add_argument("--epsilon", type=_epsilon, default=Fraction(1, 4))
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("graph-stats", help="cost graph size against its bounds")

@@ -34,7 +34,8 @@ class Inconsistent:
 
 
 class CostGraph:
-    """Achievable codeword costs up to k, with string counts per cost."""
+    """Achievable codeword costs up to k, with string counts per cost.
+    Raises InstanceError when more than one letter costs less than the unit."""
 
     def __init__(
         self,
@@ -49,6 +50,10 @@ class CostGraph:
         if k_q < unit_q:
             raise InstanceError("k must be at least 1")
         self.distinct_q = tuple(distinct_q)
+        # then every string cheaper than the unit is a run of the cheapest
+        # letter, one string per cost, as level 0 and _materialize expect
+        if sum(mult for c, mult in self.distinct_q if c < unit_q) > 1:
+            raise InstanceError("at most one letter may cost less than the unit")
         self.unit_q = unit_q
         self.eps_q = eps_q
         self.k_q = k_q
@@ -58,7 +63,6 @@ class CostGraph:
         # counts[c] = number of strings of cost c; extended past k on demand
         self.counts: list[int] = [1]
         self.count(k_q)
-        self._assert_level0_structure()
         # level i >= 1 admits one codeword cost, level_target(i), and is live
         # when some string has that cost; the targets step by eps_q from
         # level_target(1) to k - 1
@@ -83,15 +87,6 @@ class CostGraph:
                         total += mult * cs[x - w]
                 cs.append(total)
         return cs[c]
-
-    def _assert_level0_structure(self) -> None:
-        # every sub-unit achievable cost is a run of the cheapest letter
-        l1 = self.distinct_q[0][0]
-        for c in range(min(self.unit_q, self.k_q + 1)):
-            if self.counts[c] > 0:
-                assert c % l1 == 0 and self.counts[c] == 1, (
-                    "cost %d below the unit is not a cheapest-letter run" % c
-                )
 
     def level_of(self, cost_q: int) -> int | None:
         if cost_q >= self.k_q:
@@ -158,15 +153,11 @@ def build_cost_graph(norm: NormalizedInstance, k: Fraction) -> CostGraph:
         raise InstanceError(
             "cheapest letter cost is at most eps/n; use the tiny-letter solver"
         )
-    graph = CostGraph(
+    return CostGraph(
         norm.distinct_q,
         norm.unit_q,
         norm.eps_q,
         k_q.numerator,
         norm.cost_quantum,
     )
-    if norm.n >= 2:
-        bound = Fraction(norm.n * graph.k_q, graph.eps_q)
-        assert graph.node_count <= bound, "node count exceeds n*k/eps"
-    return graph
 

@@ -192,32 +192,23 @@ def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
     # is half the cap
     cap = (scale - ws[0]) * eps * eps / k
     num, den = cap.numerator, cap.denominator
+    # the groups run contiguously from (0, 1) to n, and a packed group weighs
+    # at most the cap. The words after the first weigh k / eps^2 caps; a
+    # later singleton weighs over half a cap and two adjacent packed groups
+    # over one, so there are fewer than 2 + 2k / eps^2 <= 1 + 4k / eps^2 groups
     ranges: list[tuple[int, int]] = [(0, 1)]
-    if n > 1:
-        i = 1
-        while i < n and 2 * ws[i] * den > num:
-            ranges.append((i, i + 1))
-            i += 1
-        while i < n:
-            j, acc = i, 0
-            while j < n and (acc + ws[j]) * den <= num:
-                acc += ws[j]
-                j += 1
-            ranges.append((i, j))
-            i = j
-
-    group_ws = tuple([sum(ws[s:e]) for s, e in ranges])
-    grouping = Grouping(norm, tuple(ranges), group_ws)
-
-    assert grouping.ranges[0] == (0, 1)
-    assert all(e0 == s1 for (_, e0), (s1, _) in zip(ranges, ranges[1:]))
-    assert ranges[-1][1] == n
-    if n > 1:
-        for (s, e), w in zip(ranges, group_ws):
-            if e - s > 1:
-                assert w * den <= num, "packed group exceeds the probability cap"
-        assert grouping.group_count <= 1 + 4 * k / (eps * eps), "too many groups"
-    return grouping
+    i = 1
+    while i < n and 2 * ws[i] * den > num:
+        ranges.append((i, i + 1))
+        i += 1
+    while i < n:
+        j, acc = i, 0
+        while j < n and (acc + ws[j]) * den <= num:
+            acc += ws[j]
+            j += 1
+        ranges.append((i, j))
+        i = j
+    return Grouping(norm, tuple(ranges), tuple([sum(ws[s:e]) for s, e in ranges]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +276,6 @@ class _Search:
         # its cost, so any leaf costing no more replaces it; this walk counts
         # toward neither explored nor the budget
         batches = g.tail(self.n, [])
-        assert batches is not None, "the all-tail guess is always consistent"
         self.best: list = [self._tail_value(batches, 0) + 1, batches]
 
     def _group(self, ranges: Sequence[tuple[int, int]]) -> None:
@@ -463,9 +453,6 @@ class CodeReport:
     graph_arcs: int | None = None
     explored: int = 0
     kprefix_cost: Fraction | None = None
-
-    def __post_init__(self):
-        assert self.total_cost >= self.lower_bound, "code cost fell below the structural lower bound"
 
 
 def _finish_report(
@@ -720,9 +707,6 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     # one pick, as construct_leveled makes it
     merged = [(c, sum(cnt for _, cnt in run)) for c, run in groupby(picks, itemgetter(0))]
     leveled = LeveledCode(norm, graph, merged)
-    # the leveled code costs what the search valued its guess at
-    assert sum(w * c for w, c in zip(instance.weights_int, leveled.word_costs_q)) == value
-
     prefix_code = convert_to_prefix(leveled, k)
     report = _finish_report(
         instance,

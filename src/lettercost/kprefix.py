@@ -107,7 +107,8 @@ class LeveledCode:
 
     @property
     def codewords(self) -> list[Runs]:
-        """Materialized codewords in word order (cheapest first)."""
+        """Materialized codewords in word order (cheapest first). Raises
+        InstanceError when a pick asks for more free strings than exist."""
         return self._parts()[0]
 
     def _parts(self) -> Materialized:
@@ -286,7 +287,10 @@ def _materialize(code: LeveledCode) -> Materialized:
                         out.append(alpha + beta)
                 if len(out) == take:
                     break
-        assert len(out) == take, "materialization found %d of %d codewords" % (len(out), take)
+        if len(out) < take:
+            raise InstanceError(
+                "a pick asks for %d strings of cost %d quanta; only %d are free"
+                % (take, cost_q, len(out))
+            )
         words.extend(out)
-    assert len(words) == sum(cnt for _, cnt in code.picks)
     return words, tails, {rest: [row[0] for row in rows] for rest, (rows, _) in tables.items()}

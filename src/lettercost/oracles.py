@@ -11,8 +11,7 @@ kept, so the signatures are few. Climbing to the next nonempty level charges
 the weight of the unplaced words times the gap, so every edge but the last
 costs a positive amount and the first time the search settles the finished
 signature its distance is the optimum. The winning leaf counts are then
-replayed on actual strings. The structural bound cost >= (1 - p1) * l2
-sanity-checks the result.
+replayed on actual strings.
 """
 
 from __future__ import annotations
@@ -149,12 +148,8 @@ def exact_optimal(instance: Instance) -> OracleResult:
         frontier = sorted(frontier[w0:] + children)[:left]
 
     codewords = tuple(runs_from_letters(w) for w in words)
-    assignment = CodeAssignment(codewords, letters)
-    assert sum(w * c for w, c in zip(weights, assignment.costs_int())) == best
-    # cost >= (1 - p1) * l2, both sides times instance.scale * letters.scale
-    assert best >= (instance.scale - weights[0]) * costs[1]
     cost = Fraction(best, instance.scale * letters.scale)
-    return OracleResult(cost * instance.weight_total, assignment, settled)
+    return OracleResult(cost * instance.weight_total, CodeAssignment(codewords, letters), settled)
 
 
 def lower_bound(instance: Instance) -> Fraction:

@@ -102,7 +102,8 @@ def leveled_setup(costs, eps, k, n):
 
 def leveled_cost(code):
     """Probability-weighted cost of a LeveledCode in normalized cost units:
-    the weighted sum over word_costs_q that solve asserts, as a Fraction."""
+    the weighted sum over word_costs_q, as a Fraction, that equals the
+    search's value on the code solve builds (test_driver.py, TestHandOver)."""
     instance = code.norm.instance
     value = sum(map(mul, instance.weights_int, code.word_costs_q))
     return Fraction(value, instance.scale) * code.graph.quantum

@@ -1,11 +1,12 @@
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
-from lettercost import cli, codeword_cost, driver, LetterCosts, solve
+from lettercost import cli, codeword_cost, driver, Grouping, LetterCosts, solve
 from lettercost.cli import main
 from lettercost.core import CodeAssignment, runs_from_str
 
@@ -114,6 +115,16 @@ class TestUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert message in err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_must_be_positive(self, figure_skewed, command, budget):
+        # not an exhausted budget (exit 2) but a usage error
+        code, out, err = run_cli(command, figure_skewed, "--budget", budget)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "argument --budget: budget must be a positive integer" in err
 
 
 class TestOutputCost:
@@ -333,10 +344,36 @@ class TestOtherCommands:
         code, out, _ = run_cli("verify", str(path), "--epsilon", "0.5")
         assert code == 0 and out.endswith("bound: 2\nPASS\n")
 
+    def test_verify_asks_the_oracle_first(self, tmp_path, monkeypatch):
+        # an instance too large for the exact oracle fails before solve runs
+        path = tmp_path / "eleven.txt"
+        path.write_text("1 2\n" + " ".join(str(11 - i) for i in range(11)) + "\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        code, out, err = run_cli("verify", str(path), "--epsilon", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: instance too large for the exact oracle (n=11)\n"
+
     def test_graph_stats(self, figure_skewed):
         code, out, _ = run_cli("graph-stats", figure_skewed, "--epsilon", "0.25")
         assert code == 0
         assert "nodes:" in out and "PASS" in out
+
+    def test_graph_stats_checks_the_group_bound(self, figure_skewed, monkeypatch):
+        # a grouping past 1 + 4k/eps'^2 groups fails the check, though the
+        # cost graph is within its bounds
+        def too_many(norm, k):
+            count = math.floor(1 + 4 * k / norm.epsilon_prime**2) + 1
+            return Grouping(norm, ((0, 1),) * count, (1,) * count)
+
+        monkeypatch.setattr(cli, "group_words", too_many)
+        code, out, _ = run_cli("graph-stats", figure_skewed, "--epsilon", "1")
+        assert code == 3
+        assert out.endswith("FAIL\n")
 
 
 class TestLongNumbers:

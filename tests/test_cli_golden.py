@@ -10,14 +10,23 @@ they are. The main-path `solve` digests were recorded again when the guess
 search gained a first pass over every other live level, and again when that
 pass gave way to one over the groups merged in pairs; each time only the
 guesses line of each changed, and no other line.
+
+The corpus runs once more in a `python -O` interpreter, where `assert`
+statements are stripped, so no printed result depends on one.
 """
 
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import lettercost
 from lettercost.cli import main
 
 ZIPF = " ".join(str(10**6 // ((i * 37) % 61 + 1)) for i in range(60))
@@ -141,3 +150,41 @@ def test_stdout_matches_golden_digest(tmp_path, name, command, digest):
     path = tmp_path / (name + ".txt")
     path.write_text(FILES[name])
     assert stdout_digest(path, command.split()) == digest
+
+
+# reads a JSON list of command lines on stdin; prints sys.flags.optimize,
+# then each command's exit code and stdout digest
+OPTIMIZED_RUN = """
+import hashlib, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from lettercost.cli import main
+print(sys.flags.optimize)
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_golden_digests_without_asserts(tmp_path):
+    for name, text in FILES.items():
+        (tmp_path / (name + ".txt")).write_text(text)
+    argvs = [
+        [command.split()[0], str(tmp_path / (name + ".txt")), *command.split()[1:]]
+        for name, command, _ in GOLDEN
+    ]
+    src = str(Path(lettercost.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RUN],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    optimize, *lines = run.stdout.splitlines()
+    assert optimize == "1"
+    assert lines == ["0 " + digest for _, _, digest in GOLDEN]

@@ -62,6 +62,15 @@ class TestBuild:
         with pytest.raises(InstanceError):
             build_cost_graph(norm, F(5, 2))
 
+    def test_rejects_two_letters_below_the_unit(self):
+        # level 0 and the materializer take every string cheaper than the
+        # unit to be a run of the one cheapest letter
+        with pytest.raises(InstanceError, match="at most one letter"):
+            CostGraph(((1, 1), (2, 1)), 4, 1, 8, F(1, 4))
+        with pytest.raises(InstanceError, match="at most one letter"):
+            CostGraph(((1, 2), (4, 1)), 4, 1, 8, F(1, 4))
+        assert CostGraph(((1, 1), (4, 1)), 4, 1, 8, F(1, 4)).counts[:4] == [1, 1, 1, 1]
+
     def test_size_bounds_random(self):
         rng = random.Random(41)
         checked = 0

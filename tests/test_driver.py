@@ -173,8 +173,15 @@ class TestGrouping:
             inst = random_instance(rng)
             norm = normalize(inst)
             k = choose_k(norm.epsilon_prime)
-            g = group_words(norm, k)  # group_words asserts its own invariants
+            g = group_words(norm, k)
             eps = norm.epsilon_prime
+            # the first word alone, then contiguous ranges that cover every word
+            assert g.ranges[0] == (0, 1)
+            assert all(e0 == s1 for (_, e0), (s1, _) in zip(g.ranges, g.ranges[1:]))
+            assert g.ranges[-1][1] == inst.n
+            cap = (norm.instance.scale - norm.instance.weights_int[0]) * eps * eps / k
+            for size, w in zip(g.sizes, g.group_weights_int):
+                assert size == 1 or w <= cap, "packed group exceeds the probability cap"
             assert g.group_count <= 1 + 4 * k / (eps * eps)
 
 
@@ -386,6 +393,9 @@ class TestHandOver:
             guess = self.rebuilt_guess(code)
             rebuilt = construct_leveled(code.norm, code.graph, guess, inst.n)
             assert rebuilt.picks == code.picks, (inst.letters, inst.epsilon, inst.n)
+            # the leveled code costs what the search valued its guess at
+            value = sum(map(mul, inst.weights_int, code.word_costs_q))
+            assert value == searches[-1].best[0]
             with_f0 += guess.f0 > 0
             # the search's own picks hold one entry per placed group
             shared_level += len(searches[-1].best[1]) > len(code.picks)

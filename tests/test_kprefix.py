@@ -8,6 +8,7 @@ from lettercost import (
     Guess,
     Inconsistent,
     Instance,
+    InstanceError,
     LetterCosts,
     build_cost_graph,
     choose_k,
@@ -112,6 +113,16 @@ class TestSelect:
         assert isinstance(
             construct_leveled(norm, graph, Guess(0, ((1, 1), (2, 3))), 4), Inconsistent
         )
+
+    def test_pick_past_the_free_strings_is_an_error(self):
+        # a pick made by hand, not by the search or construct_leveled, may
+        # ask for more strings of its cost than exist
+        inst, _ = Instance.from_weights([5, 3, 2, 1], LetterCosts([1, 2]), 1)
+        norm = normalize(inst)
+        graph = build_cost_graph(norm, choose_k(norm.epsilon_prime))
+        code = LeveledCode(norm, graph, [(graph.live_targets[0], 1000)])
+        with pytest.raises(InstanceError, match="asks for 1000 strings"):
+            code.codewords
 
 
 class TestStructure:
