@@ -256,7 +256,10 @@ def cmd_graph_stats(args) -> int:
 
 
 def _epsilon(value: str) -> Fraction:
-    eps = Fraction(value)
+    try:
+        eps = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid epsilon value: %r" % value)
     if not 0 < eps <= 1:
         raise argparse.ArgumentTypeError("epsilon must lie in (0, 1]")
     return eps

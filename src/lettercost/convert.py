@@ -66,9 +66,8 @@ def convert_to_prefix(code: LeveledCode, k: Rational) -> CodeAssignment:
     suffix tables.
     """
     graph = code.graph
-    horizon = graph.k_q * graph.quantum
-    if Fraction(k) != horizon:
-        raise InstanceError("k %s is not the code's horizon %s" % (k, horizon))
+    if Fraction(k) != graph.k:
+        raise InstanceError("k %s is not the code's horizon %s" % (k, graph.k))
     words, tails, tables = code._parts()
     # picks rise in cost, so the codewords below k come first and pass as they are
     out = words[: sum(count for cost_q, count in code.picks if cost_q < graph.k_q)]

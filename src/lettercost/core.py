@@ -9,8 +9,10 @@ next to the `Fraction` costs. An `Instance` stores its words only as ints:
 of the probability denominators, and `Instance.probabilities` is a
 `Fraction` view derived on request. Costs, weights, sorts and validations
 inside the library run on these ints, and a `Fraction` is made only for a
-value the API returns. After `normalize` every codeword cost is also an
-integer multiple of a single cost quantum, so the guess search and the
+value the API returns. `normalize` computes the conditioned letter costs in
+ints, once, on one grid whose quantum is the gcd of the letter costs, and
+`NormalizedInstance` keeps them there: every codeword cost is a whole number
+of quanta, no coarser grid holds them all, and the guess search and the
 leveled construction work in integer quantum units.
 """
 
@@ -199,53 +201,36 @@ def _unchecked(cls, **values):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NormalizedInstance:
-    """Instance after the cost conditioning reduction.
+    """Instance after the cost conditioning reduction; normalize makes it.
 
-    Invariants: second cheapest letter costs exactly 1; every letter cost with
-    index >= 2 is an integer multiple of epsilon_prime; epsilon_prime is an
-    integer multiple or divisor of the cheapest cost; hence every codeword
-    cost is an integer multiple of cost_quantum = min(l1, epsilon_prime).
+    Every cost lies on one integer grid: letters_q holds the letter costs in
+    quanta, with gcd 1, and unit_q is the second letter's cost, 1, in quanta,
+    so the quantum is 1/unit_q and every codeword cost is a whole number of
+    quanta. Every letter cost but the cheapest is a multiple of
+    epsilon_prime, which is a multiple or a divisor of the cheapest. eps_q is
+    a level's width in quanta: epsilon_prime in quanta, or 1 when
+    epsilon_prime is finer than the grid, where each level holds at most one
+    grid cost.
     """
 
-    instance: Instance
-    epsilon_prime: Fraction
-    cost_quantum: Fraction
-
-    # integer quantum-unit views, derived in __post_init__
-    letters_q: tuple[int, ...] = field(init=False)
-    unit_q: int = field(init=False)  # the cost value 1 in quantum units
-    eps_q: int = field(init=False)  # epsilon_prime in quantum units
-
-    def __post_init__(self):
-        costs = self.instance.letters.costs
-        if costs[1] != 1:
-            raise InstanceError("normalized second letter cost must be 1")
-        q = self.cost_quantum
-        lq = []
-        for c in costs:
-            m = c / q
-            if m.denominator != 1:
-                raise InstanceError("letter cost %s is not a multiple of the quantum" % c)
-            lq.append(m.numerator)
-        eq = self.epsilon_prime / q
-        uq = 1 / q
-        if eq.denominator != 1 or uq.denominator != 1:
-            raise InstanceError("epsilon/unit not multiples of the quantum")
-        for c in costs[1:]:
-            if (c / self.epsilon_prime).denominator != 1:
-                raise InstanceError("cost %s not a multiple of epsilon_prime" % c)
-        ratio = self.epsilon_prime / costs[0]
-        if ratio.denominator != 1 and (1 / ratio).denominator != 1:
-            raise InstanceError("epsilon_prime neither multiple nor divisor of l1")
-        object.__setattr__(self, "letters_q", tuple(lq))
-        object.__setattr__(self, "unit_q", uq.numerator)
-        object.__setattr__(self, "eps_q", eq.numerator)
+    instance: Instance  # the normalized letters, with epsilon_prime as epsilon
+    letters_q: tuple[int, ...]
+    unit_q: int
+    eps_q: int
 
     @property
     def n(self) -> int:
         return self.instance.n
+
+    @property
+    def epsilon_prime(self) -> Fraction:
+        return self.instance.epsilon
+
+    @property
+    def cost_quantum(self) -> Fraction:
+        return Fraction(1, self.unit_q)
 
     @property
     def distinct_q(self) -> tuple[tuple[int, int], ...]:
@@ -261,38 +246,40 @@ def normalize(instance: Instance) -> NormalizedInstance:
     multiple of the shrunk epsilon; rescale so the second letter costs 1 again.
     Cost distortion of any code is at most a factor 1+epsilon; epsilon shrinks
     by at most a factor 2(1+epsilon).
+
+    The costs are computed in ints, in units of l1/a, where the shrunk
+    epsilon is e units: e*l1 with a = 1, or l1/a with a = ceil(l1/epsilon)
+    and e = 1. The quantum is the gcd of the letter costs in these units,
+    which is the unit itself unless e = 1.
     """
+    c = instance.letters.costs_int
     eps = instance.epsilon
-    costs = instance.letters.costs
-    s1 = costs[1]
-    step1 = [c / s1 for c in costs]
-
-    l1 = step1[0]
-    if eps >= l1:
-        eps2 = (eps / l1).__floor__() * l1  # largest multiple of l1 that is <= eps
+    # epsilon / l1 = num / den, with l1 = c[0] / c[1] after the first step
+    num, den = eps.numerator * c[1], eps.denominator * c[0]
+    if num >= den:
+        a, e = 1, num // den  # largest multiple of l1 that is <= eps
     else:
-        eps2 = l1 / -((-l1) // eps)  # largest divisor of l1 that is <= eps
-
-    step3 = [step1[0]] + [-((-c) // eps2) * eps2 for c in step1[1:]]
-
-    s4 = step3[1]
-    final = [c / s4 for c in step3]
-    eps_prime = eps2 / s4
-    quantum = min(final[0], eps_prime)
-
-    # the same words, already checked (eps_prime <= epsilon stays in (0, 1])
+        a, e = -(-den // num), 1  # largest divisor of l1 that is <= eps
+    units = [a] + [-(-a * x // (e * c[0])) * e for x in c[1:]]
+    g = math.gcd(*units)
+    letters_q = tuple(x // g for x in units)
+    unit_q = letters_q[1]
+    # the same words, already checked (epsilon_prime <= epsilon stays in (0, 1])
     norm_inst = _unchecked(
         Instance,
         weights_int=instance.weights_int,
         scale=instance.scale,
-        letters=LetterCosts(final),
-        epsilon=eps_prime,
+        letters=LetterCosts([Fraction(x, unit_q) for x in letters_q]),
+        epsilon=Fraction(e, units[1]),
         weight_total=instance.weight_total,
     )
-    return NormalizedInstance(
+    # g > 1 only when e = 1: epsilon_prime is then 1/g quanta
+    return _unchecked(
+        NormalizedInstance,
         instance=norm_inst,
-        epsilon_prime=eps_prime,
-        cost_quantum=quantum,
+        letters_q=letters_q,
+        unit_q=unit_q,
+        eps_q=max(e // g, 1),
     )
 
 

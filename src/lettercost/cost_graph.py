@@ -1,26 +1,30 @@
 """Graph of achievable codeword costs and free-string counting.
 
-Costs live on an integer grid of quantum units. The graph's nodes are the
-achievable string costs in [0, k]; an arc joins c to c + w for every distinct
-letter cost w, carrying the number of letters of that cost. `counts[c]` is
-the number of strings of cost exactly c, which identifies the nodes
-(count > 0) and the live levels (a level's one admissible cost has
-count > 0), and gives every free-string count in closed form: for a
-prefix-free set S, the strings of cost c with no prefix in S number
-count(c) - sum over x in S of count(c - cost(x)). `CostGraph.free` computes
-it and `CostGraph.tail` walks it past k; the guess search and the leveled
-construction both use these two.
+Costs live on normalize's integer grid, whose quantum is the gcd of the
+letter costs. The horizon k = 1 + m*eps' is kept exact, and need not be a
+grid cost when eps' is finer than the grid: `k_q`, the first grid cost at or
+above k, starts the tail, and a cost is below k exactly when it is below
+k_q. The graph's nodes are the achievable string costs in [0, k]; an arc
+joins c to c + w for every distinct letter cost w, carrying the number of
+letters of that cost. `counts[c]` is the number of strings of cost exactly
+c, which identifies the nodes (count > 0) and the live levels (a level's one
+admissible cost has count > 0), and gives every free-string count in closed
+form: for a prefix-free set S, the strings of cost c with no prefix in S
+number count(c) - sum over x in S of count(c - cost(x)). `CostGraph.free`
+computes it and `CostGraph.tail` walks it past k; the guess search and the
+leveled construction both use these two.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable, Sequence
 
-from .core import InstanceError, NormalizedInstance
+from .core import InstanceError, NormalizedInstance, Rational
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,8 @@ class Inconsistent:
 
 
 class CostGraph:
-    """Achievable codeword costs up to k, with string counts per cost.
+    """Achievable codeword costs up to k, with string counts per cost. k_q is
+    the horizon in quanta, an int or a Fraction between two grid costs.
     Raises InstanceError when more than one letter costs less than the unit."""
 
     def __init__(
@@ -42,11 +47,9 @@ class CostGraph:
         distinct_q: Sequence[tuple[int, int]],
         unit_q: int,
         eps_q: int,
-        k_q: int,
+        k_q: Rational,
         quantum: Fraction,
     ):
-        if (k_q - unit_q) % eps_q != 0:
-            raise InstanceError("k-1 must be an integer multiple of epsilon")
         if k_q < unit_q:
             raise InstanceError("k must be at least 1")
         self.distinct_q = tuple(distinct_q)
@@ -56,7 +59,9 @@ class CostGraph:
             raise InstanceError("at most one letter may cost less than the unit")
         self.unit_q = unit_q
         self.eps_q = eps_q
-        self.k_q = k_q
+        self.k = k_q * quantum  # the exact horizon
+        last = math.floor(k_q)  # the last grid cost <= k
+        k_q = self.k_q = math.ceil(k_q)
         self.quantum = quantum
         self.max_letter_q = max(c for c, _ in self.distinct_q)
         self.level_count = (k_q - unit_q) // eps_q
@@ -65,13 +70,13 @@ class CostGraph:
         self.count(k_q)
         # level i >= 1 admits one codeword cost, level_target(i), and is live
         # when some string has that cost; the targets step by eps_q from
-        # level_target(1) to k - 1
+        # level_target(1) to k_q - 1
         first = unit_q + eps_q - 1
         self.live_targets = list(compress(range(first, k_q, eps_q), self.counts[first:k_q:eps_q]))
-        self.nodes_q = list(compress(range(k_q + 1), self.counts))
+        self.nodes_q = list(compress(range(last + 1), self.counts))
         self.node_count = len(self.nodes_q)
         # an arc of cost w leaves every node c <= k - w
-        self.arc_count = sum(bisect_right(self.nodes_q, k_q - w) for w, _ in self.distinct_q)
+        self.arc_count = sum(bisect_right(self.nodes_q, last - w) for w, _ in self.distinct_q)
 
     def count(self, c: int) -> int:
         """Number of strings of cost c (c in quantum units; negative -> 0),
@@ -144,20 +149,14 @@ class CostGraph:
         return batches
 
 
-def build_cost_graph(norm: NormalizedInstance, k: Fraction) -> CostGraph:
-    """Breadth-style enumeration of all codeword costs in [0, k]."""
-    k_q = Fraction(k) / norm.cost_quantum
-    if k_q.denominator != 1:
-        raise InstanceError("k must be a multiple of the cost quantum")
+def build_cost_graph(norm: NormalizedInstance, k: Rational) -> CostGraph:
+    """Breadth-style enumeration of all codeword costs in [0, k], for
+    k = 1 + m*epsilon' with m an integer."""
+    k = Fraction(k)
+    if ((k - 1) / norm.epsilon_prime).denominator != 1:
+        raise InstanceError("k-1 must be an integer multiple of epsilon")
     if norm.instance.letters.costs[0] * norm.n <= norm.epsilon_prime:
         raise InstanceError(
             "cheapest letter cost is at most eps/n; use the tiny-letter solver"
         )
-    return CostGraph(
-        norm.distinct_q,
-        norm.unit_q,
-        norm.eps_q,
-        k_q.numerator,
-        norm.cost_quantum,
-    )
-
+    return CostGraph(norm.distinct_q, norm.unit_q, norm.eps_q, k * norm.unit_q, norm.cost_quantum)

@@ -238,11 +238,14 @@ def level0_size_candidates(norm: NormalizedInstance) -> list[int]:
 
 
 def guess_stream_size(grouping: Grouping, k: Fraction, epsilon: Fraction) -> int:
-    """Closed-form size of the raw guess stream."""
-    levels = int((Fraction(k) - 1) / Fraction(epsilon))
+    """Closed-form size of the raw guess stream over the cost graph's levels
+    at horizon k = 1 + m*epsilon: one per eps_q quanta from the unit to k,
+    which makes m levels unless epsilon is finer than the cost grid."""
+    norm = grouping.norm
+    levels = (math.ceil(Fraction(k) * norm.unit_q) - norm.unit_q) // norm.eps_q
     g = grouping.group_count
     maps = sum(math.comb(levels + t - 1, t) for t in range(g + 1))
-    return maps * len(level0_size_candidates(grouping.norm))
+    return maps * len(level0_size_candidates(norm))
 
 
 # ---------------------------------------------------------------------------

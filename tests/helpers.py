@@ -17,7 +17,9 @@ the command line did before it parsed whole lines and built instances in
 bulk: token by token, and every weight through a Fraction. The layout scans
 list a cost graph's live levels, nodes and arcs the way the library did
 before the graph computed them in one pass each: level by level, cost by
-cost and arc by arc. All stay
+cost and arc by arc. fraction_normalize conditions the letter costs the way
+the library did before its quantum was the gcd of the letter costs: in
+Fractions, with the finer quantum min(l1, epsilon'). All stay
 independent of the library's counting, construction, conversion and oracle
 paths. single_pass_minimize runs the guess search the way the library did
 before it took a first pass to seed its incumbent: one pass, from the
@@ -230,6 +232,35 @@ def fraction_code_cost(codewords, costs, probabilities):
     )
 
 
+def fraction_normalize(instance):
+    """normalize's letter costs, epsilon' and cost quantum, worked out in
+    Fractions the way the library did before it took the gcd of the letter
+    costs as the quantum: the quantum is min(l1, epsilon')."""
+    eps = instance.epsilon
+    costs = instance.letters.costs
+    step1 = [c / costs[1] for c in costs]
+    l1 = step1[0]
+    if eps >= l1:
+        eps2 = (eps / l1).__floor__() * l1  # largest multiple of l1 that is <= eps
+    else:
+        eps2 = l1 / -((-l1) // eps)  # largest divisor of l1 that is <= eps
+    step3 = [l1] + [-((-c) // eps2) * eps2 for c in step1[1:]]
+    final = [c / step3[1] for c in step3]
+    eps_prime = eps2 / step3[1]
+    return final, eps_prime, min(final[0], eps_prime)
+
+
+def fraction_grid(instance):
+    """(distinct_q, unit_q, eps_q, quantum) of fraction_normalize's grid:
+    every cost in its quanta, which must come out whole."""
+    final, eps_prime, quantum = fraction_normalize(instance)
+    in_quanta = [c / quantum for c in [*final, 1, eps_prime]]
+    assert all(c.denominator == 1 for c in in_quanta)
+    *letters_q, unit_q, eps_q = [c.numerator for c in in_quanta]
+    distinct_q = tuple(sorted(Counter(letters_q).items()))
+    return distinct_q, unit_q, eps_q, quantum
+
+
 def fraction_instance_words(weights):
     """(weights_int, scale, probabilities) that an Instance of the raw weights
     holds, worked out in Fractions: each weight over the total, sorted
@@ -352,14 +383,15 @@ def live_targets_scan(graph):
 
 
 def nodes_scan(graph):
-    """The graph's node costs, cost by cost over 0..k_q."""
-    return [c for c in range(graph.k_q + 1) if graph.count(c) > 0]
+    """The graph's node costs, cost by cost over the grid costs up to k."""
+    return [c for c in range(graph.k_q + 1) if c * graph.quantum <= graph.k and graph.count(c) > 0]
 
 
 def arc_count_scan(graph):
     """The graph's arcs, one per node and distinct letter cost that stays
-    within k_q, counted one by one."""
-    return sum(1 for c in nodes_scan(graph) for w, _ in graph.distinct_q if c + w <= graph.k_q)
+    within k, counted one by one."""
+    within = graph.k / graph.quantum
+    return sum(1 for c in nodes_scan(graph) for w, _ in graph.distinct_q if c + w <= within)
 
 
 def tail_recurrence(distinct_q, v, m):

@@ -97,6 +97,31 @@ class TestSolve:
         assert "error: guess search exceeded budget (6 nodes explored, budget 5)\n" in err
         assert "epsilon" not in err
 
+    def test_small_epsilon_table_size(self, tmp_path, monkeypatch):
+        # a size check, not a timing one: over letters 1 2 at eps 1/1000 the
+        # quantum is 1/2, the gcd of the letter costs, so the count table
+        # runs to k_q = 33,023 quanta; on a grid of quantum 1/1000 it would
+        # hold 16,511,155 entries, 33,021 of them at live levels
+        path = tmp_path / "three.txt"
+        path.write_text("1 2\n1 2 3\n")
+        graphs = []
+        build = driver.build_cost_graph
+
+        def recorded(norm, k):
+            graphs.append(build(norm, k))
+            return graphs[-1]
+
+        monkeypatch.setattr(driver, "build_cost_graph", recorded)
+        totals = []
+        for eps in ("1/100", "1/1000"):
+            code, out, _ = run_cli("solve", str(path), "--epsilon", eps, "--emit", "tsv")
+            assert code == 0
+            totals += [ln for ln in out.splitlines() if ln.startswith("# total_cost")]
+        assert totals == ["# total_cost\t13"] * 2
+        graph = graphs[-1]
+        assert len(graph.counts) == 33_024
+        assert len(graph.live_targets) == 33_021
+
 
 class TestUsageErrors:
     # exit code 2 means an exhausted budget, so a bad option exits 1, with
@@ -107,6 +132,8 @@ class TestUsageErrors:
             (["--epsilon", "2"], "argument --epsilon: epsilon must lie in (0, 1]"),
             (["--budget", "x"], "argument --budget: invalid int value: 'x'"),
             (["--k", "1"], "unrecognized arguments: --k 1"),
+            (["--epsilon", "1/0"], "argument --epsilon: invalid epsilon value: '1/0'"),
+            (["--epsilon", "x"], "argument --epsilon: invalid epsilon value: 'x'"),
         ],
     )
     def test_bad_option_exits_1(self, figure_skewed, argv, message):

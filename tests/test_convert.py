@@ -184,8 +184,7 @@ class TestAgainstReference:
 
     def check(self, code):
         assert code.codewords == materialize_reference(code)
-        k = code.graph.k_q * code.graph.quantum
-        assert convert_to_prefix(code, k).codewords == convert_reference(code)
+        assert convert_to_prefix(code, code.graph.k).codewords == convert_reference(code)
 
     def test_solve_codes(self, monkeypatch):
         for costs in ([1, 2], [1, 1, 2]):

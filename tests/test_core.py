@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from lettercost import (
     Instance,
     InstanceError,
     LetterCosts,
+    NormalizedInstance,
     code_cost,
     codeword_cost,
     exact_optimal,
@@ -22,6 +24,7 @@ from lettercost.driver import tiny_candidate_code, tiny_run_length_candidates
 from helpers import (
     fraction_code_cost,
     fraction_instance_words,
+    fraction_normalize,
     fraction_codeword_cost,
     fraction_reorder,
     is_prefix_free_pairwise,
@@ -41,7 +44,9 @@ class TestNormalize:
         norm = normalize(inst(ONE, [1, 1], F(1, 2)))
         assert norm.instance.letters.costs == (F(1), F(1))
         assert norm.epsilon_prime == F(1, 2)
-        assert norm.cost_quantum == F(1, 2)
+        # every codeword cost is a whole number, so the grid is no finer
+        assert norm.cost_quantum == 1
+        assert (norm.letters_q, norm.unit_q, norm.eps_q) == ((1, 1), 1, 1)
 
     def test_one_three(self):
         norm = normalize(inst(ONE, [1, 3], F(1, 2)))
@@ -102,6 +107,39 @@ class TestNormalize:
                     norm_cost = sum(norm.instance.letters.costs[let] for let in word)
                     mapped = norm_cost * scale_factor
                     assert cost <= mapped <= (1 + eps) * cost
+
+    def test_matches_the_fraction_reference(self):
+        # the same letter costs and epsilon' as in Fractions; the quantum is
+        # the gcd of the letter costs, a multiple of min(l1, epsilon') that
+        # equals it when epsilon' >= l1
+        rng = random.Random(14)
+        coarser = 0
+        for _ in range(200):
+            costs = sorted(F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 4)))
+            instance = inst(ONE, costs, F(1, rng.randint(1, 30)))
+            norm = normalize(instance)
+            final, eps_prime, quantum = fraction_normalize(instance)
+            assert list(norm.instance.letters.costs) == final
+            assert norm.epsilon_prime == eps_prime
+            assert norm.letters_q == tuple(c / norm.cost_quantum for c in final)
+            assert math.gcd(*norm.letters_q) == 1
+            assert (norm.cost_quantum / quantum).denominator == 1
+            if eps_prime >= final[0]:
+                assert norm.cost_quantum == quantum
+                assert norm.eps_q * quantum == eps_prime
+            else:
+                assert norm.eps_q == 1
+            coarser += norm.cost_quantum > quantum
+        assert coarser > 0
+
+    def test_only_normalize_makes_one(self):
+        # its fields are normalize's ints, with no checks of their own, so
+        # nothing else can build one, not even from valid values
+        norm = normalize(inst(ONE, [1, 2], F(1, 4)))
+        with pytest.raises(TypeError):
+            NormalizedInstance(instance=norm.instance, epsilon_prime=F(1, 4), cost_quantum=F(1, 4))
+        with pytest.raises(TypeError):
+            NormalizedInstance(instance=norm.instance, letters_q=(1, 2), unit_q=2, eps_q=1)
 
     def test_quantum_divides_everything(self):
         norm = normalize(inst(ONE, [F(3, 7), 1, 2], F(1, 3)))

@@ -18,6 +18,7 @@ from helpers import (
     arc_count_scan,
     blocker_pairs,
     count_free_brute,
+    fraction_grid,
     live_targets_scan,
     nodes_scan,
     random_instance,
@@ -90,24 +91,34 @@ class TestBuild:
 
 class TestLayout:
     """live_targets, nodes_q and arc_count, each computed in one pass, equal
-    the level-by-level, cost-by-cost and arc-by-arc scans."""
+    the level-by-level, cost-by-cost and arc-by-arc scans; and on the gcd
+    grid they are the same costs as on the finer grid of fraction_normalize,
+    as are the tail batches."""
 
     ALPHABETS = [(1, 2), (1, 3), (2, 3, 4), (1, 1, 2), (1, 4)]
 
     def test_layout_matches_the_scans(self):
         rng = random.Random(2121)
         drawn = [tuple(sorted(rng.randint(1, 6) for _ in range(rng.randint(2, 4)))) for _ in range(6)]
-        coarse = empty = 0
+        coarse = empty = off_grid = coarser = 0
         for costs in self.ALPHABETS + drawn:
             for m in range(1, 13):
                 norm = norm_for(costs, F(1, m))
                 eps, quantum = norm.epsilon_prime, norm.cost_quantum
+                old_distinct, old_unit, old_eps, old_quantum = fraction_grid(
+                    Instance(FOUR, LetterCosts(costs), F(1, m))
+                )
+                assert (quantum / old_quantum).denominator == 1
+                coarser += quantum > old_quantum
                 k = choose_k(eps)
                 # no live level at k = 1; then choose_k's k and a few eps steps above it
                 for horizon in (1, k, k + eps, k + rng.randint(2, 6) * eps):
-                    k_q = horizon / quantum
-                    assert k_q.denominator == 1
-                    graph = CostGraph(norm.distinct_q, norm.unit_q, norm.eps_q, k_q.numerator, quantum)
+                    # k = 1 + m*eps' need not be a grid cost; the tail starts
+                    # at the first one at or above it
+                    graph = CostGraph(norm.distinct_q, norm.unit_q, norm.eps_q, horizon / quantum, quantum)
+                    assert graph.k == horizon
+                    assert (graph.k_q - 1) * quantum < horizon <= graph.k_q * quantum
+                    off_grid += graph.k_q * quantum != horizon
                     assert graph.live_targets == live_targets_scan(graph)
                     assert graph.nodes_q == nodes_scan(graph)
                     assert graph.arc_count == arc_count_scan(graph)
@@ -115,7 +126,20 @@ class TestLayout:
                     if graph.k_q == graph.unit_q:
                         assert graph.live_targets == []
                         empty += 1
-        assert coarse > 0 and empty > 0
+                    old = CostGraph(old_distinct, old_unit, old_eps, int(horizon / old_quantum), old_quantum)
+                    assert [t * quantum for t in graph.live_targets] == [
+                        t * old_quantum for t in old.live_targets
+                    ]
+                    assert [c * quantum for c in graph.nodes_q] == [c * old_quantum for c in old.nodes_q]
+                    assert graph.arc_count == old.arc_count
+                    # the 40 cheapest strings past k, with no blocker and
+                    # with one codeword at the first live level's cost
+                    ratio = int(quantum / old_quantum)
+                    for blockers in ([], [(t, 1) for t in graph.live_targets[:1]]):
+                        tail = graph.tail(40, blockers)
+                        old_tail = old.tail(40, [(t * ratio, n) for t, n in blockers])
+                        assert [(c * quantum, n) for c, n in tail] == [(c * old_quantum, n) for c, n in old_tail]
+        assert coarse > 0 and empty > 0 and off_grid > 0 and coarser > 0
 
 
 class TestFreeStrings:

@@ -192,13 +192,17 @@ class TestGuessEnumeration:
         return Grouping(norm, ranges, tuple(sum(ws[s:e]) for s, e in ranges)), norm
 
     def test_two_groups_two_levels(self):
-        g, norm = self.make_grouping(
-            [1, 1], F(1, 2), (F(1, 2), F(1, 2)), ((0, 1), (1, 2))
-        )
+        g, norm = self.make_grouping([1, 1], 1, (F(1, 2), F(1, 2)), ((0, 1), (1, 2)))
         # one level-0 size (the cheapest letter costs 1) times the monotone
         # maps of a group prefix onto levels 1..2: (), (1,), (2,), (1, 1),
         # (1, 2) and (2, 2)
-        assert guess_stream_size(g, F(2), norm.epsilon_prime) == 6
+        assert guess_stream_size(g, F(3), norm.epsilon_prime) == 6
+        # at eps 1/2 every codeword cost is still a whole number: the grid is
+        # coarser than eps, a level is one quantum wide, and below k = 2 the
+        # cost graph has the one level 1: (), (1,) and (1, 1)
+        g, norm = self.make_grouping([1, 1], F(1, 2), (F(1, 2), F(1, 2)), ((0, 1), (1, 2)))
+        assert build_cost_graph(norm, F(2)).level_count == 1
+        assert guess_stream_size(g, F(2), norm.epsilon_prime) == 3
 
     def test_level0_candidates(self):
         norm = normalize(Instance((F(1),), LetterCosts([F(1, 8), 1]), F(1, 2)))
