@@ -69,7 +69,9 @@ families are arithmetic progressions of integer costs with one common step,
 so their merged cost order is a short list of strided runs of ranks
 (_tiny_segments). Each run length is priced from strided prefix sums of the
 weights, in work that does not grow with n, and the code is built, as
-slices, for the cheapest run length only.
+slices, for the cheapest run length only. Only the run lengths up to the
+first one >= n are priced: from there on every pool holds the same words
+but a^i0, whose cost only grows, so no later run length costs less.
 """
 
 from __future__ import annotations
@@ -439,6 +441,11 @@ class CodeReport:
     total_cost and lower_bound are in the caller's scale: raw weights times
     original letter costs. normalized_cost divides out the second letter cost
     and the weight total, the scale in which lower_bound reads as 1 - p1.
+
+    guess_count counts the guesses the search reached as leaves on the main
+    path, and the run lengths on the tiny path's ladder
+    (tiny_run_length_candidates). The rungs after the first run length >= n
+    are counted but not priced: none of them can cost less than that rung.
     """
 
     code: CodeAssignment
@@ -461,6 +468,7 @@ class CodeReport:
 def _finish_report(
     instance: Instance,
     code: CodeAssignment,
+    cost: Fraction,
     *,
     mode: str,
     ratio_bound: Fraction,
@@ -468,8 +476,8 @@ def _finish_report(
     started: float,
     **extra,
 ) -> CodeReport:
-    """The report on an ordered code, priced by its own costs."""
-    cost = code_cost(code, instance)  # probabilities times letter costs
+    """The report on an ordered code whose probability-weighted cost, as
+    code_cost gives it, is `cost`."""
     l2 = instance.letters.costs[1]
     return CodeReport(
         code=code,
@@ -630,15 +638,20 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
     """Direct construction for instances whose cheapest letter is very cheap
     (cost at most epsilon/n once the second letter is scaled to 1).
 
-    Prices every candidate run length and builds the code of the cheapest,
-    which costs at most (1 + epsilon) times the optimum. The code is made of
-    candidates a^i0, b a^j b with j < n, and a^j x a^n with j < i0 and x not
-    a, and is prefix free by construction: any two of them differ at a
-    letter both have. a^i0 has an a where a^j x a^n has x. Two words
-    a^j x a^n differ at their first letter other than a. Two words that
-    start with b, b a^j b or b a^n, differ at letter j + 2 of the shorter,
-    which is b in b a^j b and a in every longer one, since j < n. Any other
-    two words differ at their first letter.
+    Prices the candidate run lengths up to the first one >= n and builds the
+    code of the cheapest, which costs at most (1 + epsilon) times the
+    optimum. From that run length i0 on, every pool is the words b a^j b,
+    the n words a^j x a^n for each x, and a^i0, whose cost i0 * c1 only
+    grows; so a later pool's n cheapest strings cost at least as much, rank
+    by rank, and the first cheapest run length is among those priced.
+
+    The code is made of candidates a^i0, b a^j b with j < n, and a^j x a^n
+    with j < i0 and x not a, and is prefix free by construction: any two of
+    them differ at a letter both have. a^i0 has an a where a^j x a^n has x.
+    Two words a^j x a^n differ at their first letter other than a. Two words
+    that start with b, b a^j b or b a^n, differ at letter j + 2 of the
+    shorter, which is b in b a^j b and a in every longer one, since j < n.
+    Any other two words differ at their first letter.
     """
     started = time.perf_counter()
     n = instance.n
@@ -648,10 +661,12 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
         raise InstanceError("cheapest letter cost exceeds epsilon/n")
 
     i0_candidates = tiny_run_length_candidates(instance)
+    priced = i0_candidates[: bisect_left(i0_candidates, n) + 1]
     # every candidate's cost has the same denominator, so its numerator
     # decides; index keeps the first of equal values, the smallest run length
-    values = _tiny_values(instance, i0_candidates)
-    code = _tiny_pool(instance, i0_candidates[values.index(min(values))])
+    values = _tiny_values(instance, priced)
+    value = min(values)
+    code = _tiny_pool(instance, priced[values.index(value)])
     # The code is prefix free by construction, but this check stays: at
     # n = 500-512 it raises RecursionError in is_prefix_free, and
     # perfbench/test_perfbench.py::test_tiny_recursion_band_counts_as_failure
@@ -663,6 +678,7 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
     return _finish_report(
         instance,
         code,
+        Fraction(value, instance.scale * instance.letters.scale),
         mode="tiny",
         ratio_bound=1 + eps,
         guess_count=len(i0_candidates),
@@ -681,9 +697,11 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     """
     started = time.perf_counter()
     if instance.n == 1:
+        code = CodeAssignment((((0, 1),),), instance.letters)
         return _finish_report(
             instance,
-            CodeAssignment((((0, 1),),), instance.letters),
+            code,
+            code_cost(code, instance),
             mode="single",
             ratio_bound=Fraction(1),
             guess_count=1,
@@ -711,9 +729,11 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     merged = [(c, sum(cnt for _, cnt in run)) for c, run in groupby(picks, itemgetter(0))]
     leveled = LeveledCode(norm, graph, merged)
     prefix_code = convert_to_prefix(leveled, k)
+    code = reorder(CodeAssignment(prefix_code.codewords, instance.letters))
     report = _finish_report(
         instance,
-        reorder(CodeAssignment(prefix_code.codewords, instance.letters)),
+        code,
+        code_cost(code, instance),
         mode="main",
         ratio_bound=1 + C_TOTAL * instance.epsilon,
         guess_count=search.leaves,

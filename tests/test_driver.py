@@ -6,6 +6,7 @@ import random
 import sys
 import time
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction as F
 from operator import mul
 
@@ -23,6 +24,7 @@ from lettercost import (
     LeveledCode,
     build_cost_graph,
     choose_k,
+    code_cost,
     construct_leveled,
     exact_optimal,
     group_words,
@@ -47,6 +49,7 @@ from lettercost.driver import (
 from helpers import (
     choose_k_scan,
     every_other_level_minimize,
+    huffman_cost,
     is_prefix_free_sorted,
     random_instance,
     search_minimum,
@@ -544,6 +547,10 @@ class TestTiny:
             candidates = tiny_run_length_candidates(inst)
             expected = [tiny_value_reference(inst, i0) for i0 in candidates]
             assert _tiny_values(inst, candidates) == expected, (letters, n)
+            # solve_tiny_ell1 prices no run length past the first one >= n:
+            # from there on the pools differ only in a^i0, which grows
+            tail = expected[bisect_left(candidates, n):]
+            assert tail == sorted(tail), (letters, n)
             for i0, value in zip(candidates, expected):
                 ref_value, ref = tiny_pool_reference(inst, i0)
                 got = _tiny_pool(inst, i0)
@@ -583,6 +590,27 @@ class TestTiny:
         assert rep.mode == "tiny"
         assert len(tiny_run_length_candidates(inst)) > 1
         assert len(built) == 1
+
+    def test_prices_run_lengths_through_the_first_at_least_n(self, monkeypatch):
+        priced = []
+
+        def recorded(instance, run_lengths):
+            priced.append(list(run_lengths))
+            return _tiny_values(instance, run_lengths)
+
+        monkeypatch.setattr(driver, "_tiny_values", recorded)
+        n = 40
+        inst, _ = Instance.from_weights(
+            list(range(n, 0, -1)), LetterCosts([F(1, 200), 1, 2]), F(1, 2)
+        )
+        ladder = tiny_run_length_candidates(inst)
+        last_priced = bisect_left(ladder, n)
+        assert ladder[last_priced] >= n and last_priced < len(ladder) - 1
+        rep = solve(inst)
+        assert rep.mode == "tiny"
+        assert priced == [ladder[: last_priced + 1]]
+        assert rep.guess_count == len(ladder)
+        assert rep.total_cost == code_cost(rep.code, inst) * inst.weight_total
 
     def test_dispatching(self):
         # at the boundary l1 = eps*l2/n the solver takes the tiny path
@@ -937,6 +965,29 @@ class TestEndToEnd:
             ran[rep.mode] += 1
         assert ran == {"main": 48, "tiny": 12}
         print("worst excess at n=%d: main %s*eps, tiny %s*eps" % (n, worst["main"], worst["tiny"]))
+
+    def test_guarantee_on_equal_letter_costs(self):
+        # Huffman's greedy merge is optimal when every letter costs the same,
+        # so the guarantee is checked far past the exact oracle's reach. At
+        # eps 1/2 some cases exhaust the budget; they stay in the grid
+        rng = random.Random(4096)
+        cases = []
+        for costs in ([1, 1], [1, 1, 1], [2, 2, 2, 2]):
+            for n in (64, 1024, 4096):
+                zipf = [10**7 // (i + 1) + 1 for i in range(n)]
+                drawn = [rng.randint(1, 10**6) for _ in range(n)]
+                cases += [(costs, zipf), (costs, drawn)]
+        for eps, budget, least in ((F(1), driver.DEFAULT_BUDGET, 18), (F(1, 2), 10**5, 8)):
+            returned = 0
+            for costs, weights in cases:
+                inst, _ = Instance.from_weights(weights, LetterCosts(costs), eps)
+                try:
+                    rep = solve(inst, budget=budget)
+                except BudgetExceeded:
+                    continue
+                returned += 1
+                assert rep.total_cost <= (1 + C_TOTAL * eps) * huffman_cost(inst), (costs, inst.n, eps)
+            assert returned >= least, eps
 
     def test_ratio_and_witness_sample(self):
         rng = random.Random(91)
