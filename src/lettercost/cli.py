@@ -11,9 +11,10 @@ error. A line of plain ASCII digits is parsed in one pass; a line with any
 other number form is parsed token by token, which also places any error.
 
 Exit codes: 0 success; 1 a usage, parse or validation failure, with a
-one-line message; 2 guess budget exceeded; 3 a failed check: `verify` found
-the ratio to the optimum outside [1, bound], or `graph-stats` found the cost
-graph or the grouping over its size bounds.
+one-line message; 2 budget exceeded, by the search's nodes or the count
+table's entries; 3 a failed check: `verify` found the ratio to the optimum
+outside [1, bound], or `graph-stats` found the cost graph or the grouping
+over its size bounds.
 """
 
 from __future__ import annotations

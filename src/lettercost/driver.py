@@ -26,14 +26,18 @@ probabilities times their common denominator) times costs in quanta, so
 partial costs and bounds are ints; the result is turned back into a Fraction
 once. Each search node owns a list of remaining capacities (free strings at
 a live level's target cost) that starts at the lowest level its groups may
-use. Placing a group at live level i builds the child's list in one pass,
-subtracting a row size * count(T_j - T_i), cached per (i, size), from the
-parent's entries; nothing is undone on return. The list stops at the
-node's reach: the first level j at which any leaf that puts a later group on
-j costs at least the incumbent. Such a leaf carries at least the last
-group's weight at T_j and the rest at the node's lowest target or above, so
-no leaf that could still win is cut, and the completion bound charges words
-beyond the reach at cost k.
+use. The list stops at the node's reach: the first level j at which any
+leaf that puts a later group on j costs at least the incumbent. Such a leaf
+carries at least the last group's weight at T_j and the rest at the node's
+lowest target or above, so no leaf that could still win is cut, and the
+completion bound charges words beyond the reach at cost k. A child's reach
+is never past its parent's. Placing a group at live level i gives the
+child's capacities as the parent's entries minus a row size * count(T_j -
+T_i), cached per (i, size) and built only as far as the reaches that asked
+for it. The parent reads the child's completion bound from these
+differences, most often from the first few, and builds the child's list,
+in one pass, only when that bound is below the incumbent; nothing is undone
+on return. The root's list is read from the count table up to its reach.
 
 All level-0 sizes share one incumbent, searched in increasing order; it is
 replaced only by a strictly cheaper guess, so ties go to the smaller level-0
@@ -83,7 +87,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby, islice
 from fractions import Fraction
 from operator import itemgetter, mul, sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .convert import convert_to_prefix
 from .core import (
@@ -110,16 +114,22 @@ C_TOTAL = Fraction(1)
 
 DEFAULT_BUDGET = 10**7
 
+# count tables up to this many entries are built whatever the budget: they
+# take milliseconds, so a small budget still cuts the search itself. A longer
+# table is charged to the budget, one unit per entry, before it is built
+TABLE_ALLOWANCE = 2**12
+
 
 class BudgetExceeded(RuntimeError):
-    """The guess search grew past the configured node budget."""
+    """The solve grew past the configured budget: the guess search's nodes,
+    or, before the search starts, the cost graph's count table."""
 
-    def __init__(self, explored: int, budget: int):
+    def __init__(self, explored: int, budget: int, message: str | None = None):
         self.explored = explored
         self.budget = budget
         super().__init__(
-            "guess search exceeded budget (%d nodes explored, budget %d)"
-            % (explored, budget)
+            message
+            or "guess search exceeded budget (%d nodes explored, budget %d)" % (explored, budget)
         )
 
 
@@ -268,8 +278,9 @@ class _Search:
         self.targets = g.live_targets
         # (lpos, size) -> row: row[j - lpos] = size * count(T_j - T_lpos) is
         # what a group of size words placed at live level lpos takes from the
-        # capacity of live level j >= lpos (count(0) == 1 covers j == lpos);
-        # it does not depend on the grouping, so every pass shares it
+        # capacity of live level j >= lpos (count(0) == 1 covers j == lpos),
+        # as far as the reaches that asked for it; it does not depend on the
+        # grouping, so every pass shares it
         self.rows: dict[tuple[int, int], list[int]] = {}
         ws = self.norm.instance.weights_int
         self.prefix_w = [0, *accumulate(ws)]
@@ -292,17 +303,6 @@ class _Search:
         self.group_w = [prefix[e] - prefix[s] for s, e in ranges]
         self.rest_w = [*accumulate(reversed(self.group_w), initial=0)][::-1]
 
-    def _bump(self) -> None:
-        self.explored += 1
-        if self.explored > self.budget:
-            raise BudgetExceeded(self.explored, self.budget)
-
-    def _row(self, lpos: int, size: int) -> list[int]:
-        counts, targets = self.graph.counts, self.targets
-        t = targets[lpos]
-        row = self.rows[lpos, size] = [size * counts[tj - t] for tj in targets[lpos:]]
-        return row
-
     def _reach(self, lpos: int, partial: int, rest: int, best: int) -> int:
         """End of the live levels that a leaf cheaper than best can still use,
         below a node whose unplaced groups weigh rest in all and go to live
@@ -313,23 +313,6 @@ class _Search:
         w_last = self.group_w[-1]
         need = best - partial - (rest - w_last) * self.targets[lpos]
         return bisect_left(self.targets, -(-need // w_last), lpos)
-
-    def _completion_bound(self, caps: list[int], lpos_min: int, first_word: int) -> int:
-        """Admissible cost bound, for every leaf cheaper than the incumbent,
-        on the unplaced words: fill the levels of the node's capacity list
-        (from lpos_min up to its reach) at their current capacities, which
-        future placements only shrink, and the rest at cost k, since such a
-        leaf can put them nowhere but the tail."""
-        n, prefix = self.n, self.prefix_w
-        value, w = 0, first_word
-        for cap, target in zip(caps, islice(self.targets, lpos_min, None)):
-            if cap > 0:
-                end = w + cap
-                if end >= n:
-                    return value + (prefix[n] - prefix[w]) * target
-                value += (prefix[end] - prefix[w]) * target
-                w = end
-        return value + (prefix[n] - prefix[w]) * self.graph.k_q
 
     def _tail_value(self, batches: list[tuple[int, int]], first_word: int) -> int:
         """Cost of giving words first_word.. the (cost, how_many) tail
@@ -347,9 +330,12 @@ class _Search:
         earlier f0 and the earlier depth-first order. Unassigned trailing
         groups are tail."""
         g = self.graph
+        counts, k_q = g.counts, g.k_q
         sizes, ranges = self.sizes, self.ranges
         group_w, rest_w = self.group_w, self.rest_w
-        targets, rows = self.targets, self.rows
+        targets, rows, reach = self.targets, self.rows, self._reach
+        n, prefix = self.n, self.prefix_w
+        total = prefix[n]
         L = len(targets)
         G = len(sizes)
         f0_cost = f0 * self.norm.letters_q[0]
@@ -359,33 +345,50 @@ class _Search:
         # then (target, size) per placed group, in nondecreasing target order
         placed: list[tuple[int, int]] = [(f0_cost, 1)] if f0 > 0 else []
         best = self.best
+        budget, explored = self.budget, self.explored
 
-        # each node owns caps: the free strings at the target costs of live
-        # levels lpos_min, lpos_min + 1, ..., given the level-0 codeword and
-        # the words placed above it, up to the node's reach
-        root = [g.free(t, placed) for t in targets]
-        del root[self._reach(0, base, rest_w[start], best[0]) :]
+        def bump() -> None:
+            nonlocal explored
+            explored += 1
+            if explored > budget:
+                raise BudgetExceeded(explored, budget)
 
         def leaf(gpos: int, partial: int) -> None:
             self.leaves += 1
-            first_word = ranges[gpos][0] if gpos < G else self.n
-            batches = g.tail(self.n - first_word, placed, self._bump)
+            first_word = ranges[gpos][0] if gpos < G else n
+            batches = g.tail(n - first_word, placed, bump)
             if batches is None:
                 return
             value = partial + self._tail_value(batches, first_word)
             if value < best[0]:
                 best[:] = value, placed + batches
 
+        def promising(value: int, w: int, caps: Iterable[int], lpos: int) -> bool:
+            """Whether a node's admissible bound is below the incumbent: its
+            cost so far, value, plus words w.. filled into the levels of its
+            capacities (live levels lpos.. up to its reach) at their current
+            capacities, which future placements only shrink, and the rest at
+            cost k, since a leaf cheaper than the incumbent can put them
+            nowhere but the tail."""
+            for cap in caps:
+                if cap > 0:
+                    end = w + cap
+                    if end >= n:
+                        return value + (total - prefix[w]) * targets[lpos] < best[0]
+                    value += (prefix[end] - prefix[w]) * targets[lpos]
+                    w = end
+                lpos += 1
+            return value + (total - prefix[w]) * k_q < best[0]
+
         def dfs(gpos: int, lpos_min: int, partial: int, caps: list[int]) -> None:
-            if gpos == G:
-                leaf(gpos, partial)
-                return
+            nonlocal explored
             size, gw, rest = sizes[gpos], group_w[gpos], rest_w[gpos]
-            # capacity-aware admissible bound prunes the whole subtree
-            if partial + self._completion_bound(caps, lpos_min, ranges[gpos][0]) >= best[0]:
-                return
+            last = gpos + 1 == G
+            first_word = 0 if last else ranges[gpos + 1][0]
             for lpos in range(lpos_min, L):
-                self._bump()
+                explored += 1
+                if explored > budget:
+                    raise BudgetExceeded(explored, budget)
                 target = targets[lpos]
                 # fires at or before the end of caps
                 if partial + rest * target >= best[0]:
@@ -393,21 +396,45 @@ class _Search:
                 at = lpos - lpos_min
                 if size > caps[at]:
                     continue
-                child: list[int] = []  # a leaf reads no capacities
-                if gpos + 1 < G:
-                    hi = self._reach(lpos, partial, rest, best[0])
-                    row = rows.get((lpos, size)) or self._row(lpos, size)
-                    child = list(map(sub, islice(caps, at, hi - lpos_min), row))
-                placed.append((target, size))
-                dfs(gpos + 1, lpos, partial + gw * target, child)
-                placed.pop()
+                child_partial = partial + gw * target
+                if last:
+                    placed.append((target, size))
+                    leaf(G, child_partial)
+                    placed.pop()
+                    continue
+                # the child's capacities run to its reach, which is never
+                # past this node's; its row, what the group takes from each,
+                # is cached per (lpos, size) and rebuilt when a child reaches
+                # further. The child's list is built only if its bound passes
+                hi = reach(lpos, partial, rest, best[0])
+                row = rows.get((lpos, size), ())
+                if len(row) < hi - lpos:
+                    row = rows[lpos, size] = [size * counts[tj - target] for tj in targets[lpos:hi]]
+                stop = hi - lpos_min
+                if promising(
+                    child_partial, first_word, map(sub, islice(caps, at, stop), row), lpos
+                ):
+                    placed.append((target, size))
+                    dfs(gpos + 1, lpos, child_partial, list(map(sub, islice(caps, at, stop), row)))
+                    placed.pop()
             # remaining groups fall to the tail
-            if partial + rest * g.k_q < best[0]:
+            if partial + rest * k_q < best[0]:
                 leaf(gpos, partial)
 
+        # the root's capacities: the free strings at the target costs of the
+        # live levels up to its reach, given the level-0 codeword
+        hi = reach(0, base, rest_w[start], best[0])
+        if f0 > 0:
+            root = [counts[t] - counts[t - f0_cost] for t in targets[:hi]]
+        else:
+            root = [counts[t] for t in targets[:hi]]
         try:
-            dfs(start, 0, base, root)
+            if start == G:
+                leaf(G, base)
+            elif promising(base, ranges[start][0], root, 0):
+                dfs(start, 0, base, root)
         finally:
+            self.explored = explored
             # dfs refers to itself through its cell; without this the search
             # state would wait for a full garbage collection
             del dfs
@@ -715,6 +742,15 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     norm = normalize(instance)
     eps = norm.epsilon_prime
     k = choose_k(eps)
+    # the count table holds one entry per quantum from 0 to k_q
+    entries = math.ceil(k * norm.unit_q) + 1
+    if entries > max(budget, TABLE_ALLOWANCE):
+        raise BudgetExceeded(
+            0,
+            budget,
+            "cost graph needs %d count-table entries at epsilon %s, over budget %d"
+            % (entries, instance.epsilon, budget),
+        )
     graph = build_cost_graph(norm, k)
     grouping = group_words(norm, k)
 

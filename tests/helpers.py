@@ -25,11 +25,14 @@ paths. single_pass_minimize runs the guess search the way the library did
 before it took a first pass to seed its incumbent: one pass, from the
 all-tail incumbent. every_other_level_minimize runs it the way the library
 did before that first pass merged the groups in pairs: a first pass over
-every other live level, then the full one. search_minimum, by contrast, runs
+every other live level, then the full one. reference_run runs one pass of
+it the way the library did before each node checked its children's bounds
+before building their capacity lists. search_minimum, by contrast, runs
 the library's own guess search, at any horizon k, and solved_leveled_code
 records the leveled code that solve itself converts.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 import heapq
@@ -142,6 +145,98 @@ def every_other_level_minimize(search):
     search.targets, search.rows = live, {}
     for f0 in sizes:
         search.run(f0)
+
+
+def reference_run(search, f0):
+    """driver._Search.run the way the library ran it before each node
+    checked its children's bounds from its own capacities: every child's
+    capacity list built in full, up to its reach, and its bound checked on
+    entry; the root's list from CostGraph.free on every live level, cut at
+    its reach; a row over every live level above its own. It reads the
+    search's grouping, targets, incumbent and budget and updates explored
+    and leaves, but keeps its own rows."""
+    g = search.graph
+    counts = g.counts
+    sizes, ranges = search.sizes, search.ranges
+    group_w, rest_w = search.group_w, search.rest_w
+    targets, n, prefix = search.targets, search.n, search.prefix_w
+    best = search.best
+    L, G = len(targets), len(sizes)
+    f0_cost = f0 * search.norm.letters_q[0]
+    start = 1 if f0 > 0 else 0
+    base = group_w[0] * f0_cost
+    placed = [(f0_cost, 1)] if f0 > 0 else []
+    rows = {}
+
+    def bump():
+        search.explored += 1
+        if search.explored > search.budget:
+            raise driver.BudgetExceeded(search.explored, search.budget)
+
+    def reach(lpos, partial, rest, incumbent):
+        w_last = group_w[-1]
+        need = incumbent - partial - (rest - w_last) * targets[lpos]
+        return bisect_left(targets, -(-need // w_last), lpos)
+
+    def completion_bound(caps, lpos_min, first_word):
+        value, w = 0, first_word
+        for cap, target in zip(caps, itertools.islice(targets, lpos_min, None)):
+            if cap > 0:
+                end = w + cap
+                if end >= n:
+                    return value + (prefix[n] - prefix[w]) * target
+                value += (prefix[end] - prefix[w]) * target
+                w = end
+        return value + (prefix[n] - prefix[w]) * g.k_q
+
+    def tail_value(batches, w):
+        value = 0
+        for c, take in batches:
+            value += (prefix[w + take] - prefix[w]) * c
+            w += take
+        return value
+
+    def leaf(gpos, partial):
+        search.leaves += 1
+        first_word = ranges[gpos][0] if gpos < G else n
+        batches = g.tail(n - first_word, placed, bump)
+        if batches is None:
+            return
+        value = partial + tail_value(batches, first_word)
+        if value < best[0]:
+            best[:] = value, placed + batches
+
+    def dfs(gpos, lpos_min, partial, caps):
+        if gpos == G:
+            leaf(gpos, partial)
+            return
+        size, gw, rest = sizes[gpos], group_w[gpos], rest_w[gpos]
+        if partial + completion_bound(caps, lpos_min, ranges[gpos][0]) >= best[0]:
+            return
+        for lpos in range(lpos_min, L):
+            bump()
+            target = targets[lpos]
+            if partial + rest * target >= best[0]:
+                break
+            at = lpos - lpos_min
+            if size > caps[at]:
+                continue
+            child = []
+            if gpos + 1 < G:
+                hi = reach(lpos, partial, rest, best[0])
+                row = rows.get((lpos, size))
+                if row is None:
+                    row = rows[lpos, size] = [size * counts[tj - target] for tj in targets[lpos:]]
+                child = [c - r for c, r in zip(caps[at : hi - lpos_min], row)]
+            placed.append((target, size))
+            dfs(gpos + 1, lpos, partial + gw * target, child)
+            placed.pop()
+        if partial + rest * g.k_q < best[0]:
+            leaf(gpos, partial)
+
+    root = [g.free(t, placed) for t in targets]
+    del root[reach(0, base, rest_w[start], best[0]) :]
+    dfs(start, 0, base, root)
 
 
 def solved_leveled_code(monkeypatch, instance):

@@ -97,6 +97,19 @@ class TestSolve:
         assert "error: guess search exceeded budget (6 nodes explored, budget 5)\n" in err
         assert "epsilon" not in err
 
+    def test_count_table_past_budget_exits_2(self, tmp_path):
+        # 16,545,777 count-table entries over letters 2 3 4 at eps 1/1000:
+        # refused at once, on one line, before the table is built
+        path = tmp_path / "three.txt"
+        path.write_text("2 3 4\n1 2 3\n")
+        code, out, err = run_cli("solve", str(path), "--epsilon", "1/1000")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: cost graph needs 16545777 count-table entries at epsilon 1/1000,"
+            " over budget 10000000\n"
+        )
+
     def test_small_epsilon_table_size(self, tmp_path, monkeypatch):
         # a size check, not a timing one: over letters 1 2 at eps 1/1000 the
         # quantum is 1/2, the gcd of the letter costs, so the count table

@@ -52,6 +52,7 @@ from helpers import (
     huffman_cost,
     is_prefix_free_sorted,
     random_instance,
+    reference_run,
     search_minimum,
     single_pass_minimize,
     solved_leveled_code,
@@ -76,10 +77,9 @@ def stack_depth():
     return depth
 
 
-def recorded_solves(monkeypatch, instances, minimize=None, budget=driver.DEFAULT_BUDGET):
-    """solve's report on each instance, with the search it ran; minimize,
-    if given, stands in for _Search.minimize."""
-    searches = []
+def recorded_search(searches, minimize=None, run=None):
+    """driver._Search, appending each search it makes to searches; minimize
+    and run, if given, stand in for _Search.minimize and _Search.run."""
 
     class Recorded(driver._Search):
         def __post_init__(self):
@@ -88,11 +88,33 @@ def recorded_solves(monkeypatch, instances, minimize=None, budget=driver.DEFAULT
 
     if minimize is not None:
         Recorded.minimize = minimize
+    if run is not None:
+        Recorded.run = run
+    return Recorded
+
+
+def recorded_solves(monkeypatch, instances, minimize=None, budget=driver.DEFAULT_BUDGET, run=None):
+    """solve's report on each instance, with the search it ran; minimize and
+    run, if given, stand in for _Search.minimize and _Search.run."""
+    searches = []
     with monkeypatch.context() as patch:
-        patch.setattr(driver, "_Search", Recorded)
+        patch.setattr(driver, "_Search", recorded_search(searches, minimize, run))
         reports = [solve(inst, budget=budget) for inst in instances]
     assert len(searches) == len(reports)
     return list(zip(reports, searches))
+
+
+def budget_cut(monkeypatch, instance, budget, run=None):
+    """(explored, leaves, incumbent) of the search that solve ran on instance
+    when the budget cut it; run, if given, stands in for _Search.run."""
+    searches = []
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "_Search", recorded_search(searches, run=run))
+        with pytest.raises(BudgetExceeded) as err:
+            solve(instance, budget=budget)
+    (search,) = searches
+    assert search.explored == err.value.explored
+    return search.explored, search.leaves, search.best
 
 
 class TestChooseK:
@@ -253,6 +275,49 @@ class TestSolve:
         with pytest.raises(BudgetExceeded) as err:
             solve(inst, budget=rep.explored - 1)
         assert err.value.explored == err.value.budget + 1
+
+    def test_count_table_charged_to_budget(self, monkeypatch):
+        # the count table holds one entry per quantum up to k_q; past the
+        # budget the solve stops before building it, with no node explored
+        def refuse(norm, k):
+            raise AssertionError("the cost graph was built")
+
+        monkeypatch.setattr(driver, "build_cost_graph", refuse)
+        for costs, eps, entries in (
+            ([2, 3, 4], F(1, 1000), 16_545_777),
+            ([1, 2], F(1, 10**6), 54_393_884),
+        ):
+            inst, _ = Instance.from_weights([1, 2, 3], LetterCosts(costs), eps)
+            with pytest.raises(BudgetExceeded) as err:
+                solve(inst)
+            assert (err.value.explored, err.value.budget) == (0, driver.DEFAULT_BUDGET)
+            assert str(err.value) == (
+                "cost graph needs %d count-table entries at epsilon %s, over budget %d"
+                % (entries, eps, driver.DEFAULT_BUDGET)
+            )
+        # past the allowance a budget below the table's 33,024 entries stops
+        # the solve too, but a table within it is built whatever the budget,
+        # so a small budget cuts the search itself
+        inst, _ = Instance.from_weights([1, 2, 3], LetterCosts([1, 2]), F(1, 1000))
+        with pytest.raises(BudgetExceeded, match="needs 33024 count-table entries"):
+            solve(inst, budget=33_023)
+        monkeypatch.undo()
+        inst, _ = Instance.from_weights([1, 2, 3], LetterCosts([1, 2]), F(1, 100))  # 2,566 entries
+        with pytest.raises(BudgetExceeded) as err:
+            solve(inst, budget=1)
+        assert err.value.explored == 2
+
+    def test_search_depth_at_thousands_of_groups(self):
+        # Zipf weights over 1 2 at eps 1/10 make 3,075 groups; the search
+        # recurses once per group it places, and the budget must stop it
+        # before Python's recursion limit does
+        weights = [10**7 // (i + 1) + 1 for i in range(4096)]
+        inst, _ = Instance.from_weights(weights, LetterCosts([1, 2]), F(1, 10))
+        norm = normalize(inst)
+        assert group_words(norm, choose_k(norm.epsilon_prime)).group_count == 3075
+        with pytest.raises(BudgetExceeded) as err:
+            solve(inst, budget=10**5)
+        assert err.value.explored == 10**5 + 1
 
     def test_zipf_thirty_two_words_within_small_budget(self):
         # with a first pass over every other live level the search explored
@@ -795,6 +860,30 @@ class TestSearchEquivalence:
             assert search.best == other.best
             assert rep.explored < want.explored
         assert sum(rep.explored for rep, _ in ran) * 100 <= 65 * sum(want.explored for want, _ in reference)
+
+    # checking each child's bound from its parent's capacities, before its
+    # list is built, must visit the same nodes in the same order as checking
+    # it on entry: the same incumbent, node count and leaf count everywhere
+    def test_search_matches_parent_search(self, monkeypatch):
+        corpus = [*self.differential_corpus(1000), *TestGoldenOutput.tail_shapes_corpus()]
+        ran = recorded_solves(monkeypatch, corpus)
+        reference = recorded_solves(monkeypatch, corpus, run=reference_run)
+        for inst, (_, search), (_, parent) in zip(corpus, ran, reference):
+            assert (search.best, search.explored, search.leaves) == (
+                parent.best,
+                parent.explored,
+                parent.leaves,
+            ), (inst.letters.costs, inst.weights_int, inst.epsilon)
+
+    def test_budget_cut_matches_parent_search(self, monkeypatch):
+        # the budget cuts both searches at the same node, with the same
+        # incumbent and leaf count, early, midway and one node short
+        corpus = list(TestGoldenOutput.tail_shapes_corpus())[::3]
+        for (rep, _), inst in zip(recorded_solves(monkeypatch, corpus), corpus):
+            for budget in (rep.explored // 8, rep.explored // 2, rep.explored - 1):
+                cut = budget_cut(monkeypatch, inst, budget)
+                assert cut[0] == budget + 1
+                assert cut == budget_cut(monkeypatch, inst, budget, reference_run)
 
 
 class TestGoldenOutput:
