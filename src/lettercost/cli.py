@@ -12,9 +12,9 @@ other number form is parsed token by token, which also places any error.
 
 Exit codes: 0 success; 1 a usage, parse or validation failure, with a
 one-line message; 2 budget exceeded, by the search's nodes or the count
-table's entries; 3 a failed check: `verify` found the ratio to the optimum
-outside [1, bound], or `graph-stats` found the cost graph or the grouping
-over its size bounds.
+table's entries (`graph-stats` charges the table at the default budget); 3
+a failed check: `verify` found the ratio to the optimum outside [1, bound],
+or `graph-stats` found the cost graph or the grouping over its size bounds.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from fractions import Fraction
 from itertools import chain
 
 from .core import GLYPHS, CodeAssignment, Instance, InstanceError, LetterCosts, normalize
-from .cost_graph import build_cost_graph
 from .driver import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     CodeReport,
+    _charged_cost_graph,
     choose_k,
     group_words,
     solve,
@@ -235,7 +235,8 @@ def cmd_graph_stats(args) -> int:
     loaded = load_instance(args.path, args.epsilon)
     norm = normalize(loaded.instance)
     k = choose_k(norm.epsilon_prime)
-    graph = build_cost_graph(norm, k)
+    # the count table is charged as solve charges it, at the default budget
+    graph = _charged_cost_graph(norm, k, DEFAULT_BUDGET, loaded.instance.epsilon)
     grouping = group_words(norm, k)
     n = loaded.instance.n
     d = len(norm.distinct_q)

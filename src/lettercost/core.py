@@ -264,12 +264,20 @@ def normalize(instance: Instance) -> NormalizedInstance:
     g = math.gcd(*units)
     letters_q = tuple(x // g for x in units)
     unit_q = letters_q[1]
+    # the letters cost letters_q / unit_q, sorted and positive; their gcd is
+    # 1 and unit_q is one of them, so the lcm of their denominators is unit_q
+    letters = _unchecked(
+        LetterCosts,
+        costs=tuple([Fraction(x, unit_q) for x in letters_q]),
+        scale=unit_q,
+        costs_int=letters_q,
+    )
     # the same words, already checked (epsilon_prime <= epsilon stays in (0, 1])
     norm_inst = _unchecked(
         Instance,
         weights_int=instance.weights_int,
         scale=instance.scale,
-        letters=LetterCosts([Fraction(x, unit_q) for x in letters_q]),
+        letters=letters,
         epsilon=Fraction(e, units[1]),
         weight_total=instance.weight_total,
     )

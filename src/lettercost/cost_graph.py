@@ -85,11 +85,18 @@ class CostGraph:
             return 0
         cs = self.counts
         if c >= len(cs):
-            for x in range(len(cs), c + 1):
+            dq = self.distinct_q
+            for x in range(len(cs), min(c + 1, self.max_letter_q)):
                 total = 0
-                for w, mult in self.distinct_q:
+                for w, mult in dq:
                     if w <= x:
                         total += mult * cs[x - w]
+                cs.append(total)
+            # from the dearest letter's cost on, every letter fits
+            for x in range(len(cs), c + 1):
+                total = 0
+                for w, mult in dq:
+                    total += mult * cs[x - w]
                 cs.append(total)
         return cs[c]
 
@@ -152,11 +159,17 @@ class CostGraph:
 def build_cost_graph(norm: NormalizedInstance, k: Rational) -> CostGraph:
     """Breadth-style enumeration of all codeword costs in [0, k], for
     k = 1 + m*epsilon' with m an integer."""
-    k = Fraction(k)
-    if ((k - 1) / norm.epsilon_prime).denominator != 1:
+    # k = kn / kd and epsilon' = en / ed, compared cross-multiplied
+    kn, kd = k.numerator, k.denominator
+    en, ed = norm.epsilon_prime.numerator, norm.epsilon_prime.denominator
+    unit_q = norm.unit_q
+    if (kn - kd) * ed % (kd * en):
         raise InstanceError("k-1 must be an integer multiple of epsilon")
-    if norm.instance.letters.costs[0] * norm.n <= norm.epsilon_prime:
+    # the cheapest letter costs letters_q[0] / unit_q
+    if norm.letters_q[0] * norm.n * ed <= en * unit_q:
         raise InstanceError(
             "cheapest letter cost is at most eps/n; use the tiny-letter solver"
         )
-    return CostGraph(norm.distinct_q, norm.unit_q, norm.eps_q, k * norm.unit_q, norm.cost_quantum)
+    return CostGraph(
+        norm.distinct_q, unit_q, norm.eps_q, Fraction(kn * unit_q, kd), Fraction(1, unit_q)
+    )

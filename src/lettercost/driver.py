@@ -7,7 +7,9 @@ assignment of a group prefix to levels; unassigned groups fall to the cost->=k
 tail). The search keeps the cheapest leaf's leveled code as its (cost,
 count) picks: the level-0 codeword, each placed group at its level's target
 cost, and the tail batches the leaf walked. solve builds that code from the
-picks and converts it into a true prefix code.
+picks and converts it into a true prefix code. Every step from the
+tiny-letter test to the report works in ints, cross-multiplied where it
+compares ratios, and each reported value is made as one Fraction.
 
 The search is depth-first over assignments in increasing level order with an
 admissible bound (accumulated cost plus remaining probability times the
@@ -33,11 +35,18 @@ lowest target or above, so no leaf that could still win is cut, and the
 completion bound charges words beyond the reach at cost k. A child's reach
 is never past its parent's. Placing a group at live level i gives the
 child's capacities as the parent's entries minus a row size * count(T_j -
-T_i), cached per (i, size) and built only as far as the reaches that asked
-for it. The parent reads the child's completion bound from these
-differences, most often from the first few, and builds the child's list,
-in one pass, only when that bound is below the incumbent; nothing is undone
-on return. The root's list is read from the count table up to its reach.
+T_i), built only as far as the reaches that asked for it. From the last
+gap in the targets searched on (from the first level if there is none),
+they step by eps_q to the end, so there T_j - T_i = (j - i) * eps_q and
+all those levels share one row per group size, size * count(d * eps_q) at
+the level d further on; only the levels before that gap keep a row per
+(level, size). A child is entered with its parent's list and its row and
+reads its completion bound from their differences, most often from the
+first few; it returns at once unless that bound is below the incumbent,
+and only then builds its own list, in one pass. Nothing is undone on
+return. The root is entered the same way, from the free strings at the
+live targets up to its reach and the row of the level-0 codeword, so one
+loop computes every bound.
 
 All level-0 sizes share one incumbent, searched in increasing order; it is
 replaced only by a strictly cheaper guess, so ties go to the smaller level-0
@@ -87,7 +96,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby, islice
 from fractions import Fraction
 from operator import itemgetter, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .convert import convert_to_prefix
 from .core import (
@@ -97,14 +106,12 @@ from .core import (
     NormalizedInstance,
     Runs,
     _unchecked,
-    code_cost,
     is_prefix_free,
     normalize,
     reorder,
 )
 from .cost_graph import CostGraph, build_cost_graph
 from .kprefix import LeveledCode
-from .oracles import lower_bound
 
 # Frozen end-to-end approximation constant: measured over the random
 # verification corpus (n <= 8, r <= 3, integer costs <= 4,
@@ -145,7 +152,7 @@ def choose_k(epsilon: Fraction) -> Fraction:
     it, in O(log(k/epsilon)) tests. Smaller epsilon always yields the same or
     larger k.
     """
-    eps = Fraction(epsilon)
+    eps = epsilon if isinstance(epsilon, (int, Fraction)) else Fraction(epsilon)
     if not 0 < eps <= 1:
         raise InstanceError("epsilon must lie in (0, 1]")
     # k = top / den; int true division is correctly rounded, as float() of a
@@ -169,6 +176,29 @@ def choose_k(epsilon: Fraction) -> Fraction:
         else:
             lo = mid
     return Fraction(den + hi * num, den)
+
+
+def _k_q(norm: NormalizedInstance, k: Fraction) -> int:
+    """The horizon k in quanta, rounded up: the count table's last cost."""
+    return -(-k.numerator * norm.unit_q // k.denominator)
+
+
+def _charged_cost_graph(
+    norm: NormalizedInstance, k: Fraction, budget: int, epsilon: Fraction
+) -> CostGraph:
+    """build_cost_graph(norm, k), unless its count table, one entry per
+    quantum from 0 to k_q, holds more than max(budget, TABLE_ALLOWANCE)
+    entries: then BudgetExceeded, before the table is built. epsilon is the
+    caller's, for the message."""
+    entries = _k_q(norm, k) + 1
+    if entries > max(budget, TABLE_ALLOWANCE):
+        raise BudgetExceeded(
+            0,
+            budget,
+            "cost graph needs %d count-table entries at epsilon %s, over budget %d"
+            % (entries, epsilon, budget),
+        )
+    return build_cost_graph(norm, k)
 
 
 @dataclass(frozen=True)
@@ -202,8 +232,8 @@ def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
     # the packing cap (1 - p1) * eps^2 / k in integer weights is num / den, so
     # weights are compared with it cross-multiplied; the singleton threshold
     # is half the cap
-    cap = (scale - ws[0]) * eps * eps / k
-    num, den = cap.numerator, cap.denominator
+    num = (scale - ws[0]) * eps.numerator**2 * k.denominator
+    den = eps.denominator**2 * k.numerator
     # the groups run contiguously from (0, 1) to n, and a packed group weighs
     # at most the cap. The words after the first weigh k / eps^2 caps; a
     # later singleton weighs over half a cap and two adjacent packed groups
@@ -235,16 +265,18 @@ def level0_size_candidates(norm: NormalizedInstance) -> list[int]:
     f_max = (unit_q - 1) // l1_q  # largest f with f * l1 < 1
     if f_max <= 0:
         return [0]
-    eps = norm.epsilon_prime
-    base = math.ceil(1 / eps)
+    num, den = norm.epsilon_prime.numerator, norm.epsilon_prime.denominator
+    base = -(-den // num)  # ceil(1 / eps)
     out = set(range(0, min(base, f_max) + 1))
-    j = 1
+    # (1 + eps)^j / eps = top / bottom, kept in ints
+    top, bottom = num + den, num
     while True:
-        size = math.ceil((1 + eps) ** j / eps)
+        size = -(-top // bottom)
         if size > f_max:
             break
         out.add(size)
-        j += 1
+        top *= num + den
+        bottom *= den
     out.add(f_max)
     return sorted(out)
 
@@ -254,7 +286,7 @@ def guess_stream_size(grouping: Grouping, k: Fraction, epsilon: Fraction) -> int
     at horizon k = 1 + m*epsilon: one per eps_q quanta from the unit to k,
     which makes m levels unless epsilon is finer than the cost grid."""
     norm = grouping.norm
-    levels = (math.ceil(Fraction(k) * norm.unit_q) - norm.unit_q) // norm.eps_q
+    levels = (_k_q(norm, k) - norm.unit_q) // norm.eps_q
     g = grouping.group_count
     maps = sum(math.comb(levels + t - 1, t) for t in range(g + 1))
     return maps * len(level0_size_candidates(norm))
@@ -276,12 +308,13 @@ class _Search:
     def __post_init__(self):
         g = self.graph
         self.targets = g.live_targets
-        # (lpos, size) -> row: row[j - lpos] = size * count(T_j - T_lpos) is
-        # what a group of size words placed at live level lpos takes from the
-        # capacity of live level j >= lpos (count(0) == 1 covers j == lpos),
-        # as far as the reaches that asked for it; it does not depend on the
-        # grouping, so every pass shares it
-        self.rows: dict[tuple[int, int], list[int]] = {}
+        # row[j - lpos] = size * count(T_j - T_lpos) is what a group of size
+        # words placed at live level lpos takes from the capacity of live
+        # level j >= lpos (count(0) == 1 covers j == lpos), as far as the
+        # reaches that asked for it. It is keyed by (lpos, size), or by size
+        # alone where the targets step by eps_q from lpos to the end (run);
+        # it does not depend on the grouping, so every pass shares it
+        self.rows: dict[int | tuple[int, int], list[int]] = {}
         ws = self.norm.instance.weights_int
         self.prefix_w = [0, *accumulate(ws)]
         self.n = len(ws)
@@ -330,7 +363,7 @@ class _Search:
         earlier f0 and the earlier depth-first order. Unassigned trailing
         groups are tail."""
         g = self.graph
-        counts, k_q = g.counts, g.k_q
+        counts, k_q, eps_q = g.counts, g.k_q, g.eps_q
         sizes, ranges = self.sizes, self.ranges
         group_w, rest_w = self.group_w, self.rest_w
         targets, rows, reach = self.targets, self.rows, self._reach
@@ -338,6 +371,12 @@ class _Search:
         total = prefix[n]
         L = len(targets)
         G = len(sizes)
+        # from live level grid on, the targets searched step by eps_q (they
+        # step by at least that, so a suffix does when it spans its length
+        # less one times eps_q), and those levels share one row per size
+        grid = bisect_left(
+            range(L), True, key=lambda i: targets[-1] - targets[i] == (L - 1 - i) * eps_q
+        )
         f0_cost = f0 * self.norm.letters_q[0]
         start = 1 if f0 > 0 else 0
         base = group_w[0] * f0_cost
@@ -363,28 +402,39 @@ class _Search:
             if value < best[0]:
                 best[:] = value, placed + batches
 
-        def promising(value: int, w: int, caps: Iterable[int], lpos: int) -> bool:
-            """Whether a node's admissible bound is below the incumbent: its
-            cost so far, value, plus words w.. filled into the levels of its
-            capacities (live levels lpos.. up to its reach) at their current
-            capacities, which future placements only shrink, and the rest at
-            cost k, since a leaf cheaper than the incumbent can put them
-            nowhere but the tail."""
-            for cap in caps:
+        def dfs(
+            gpos: int, lpos: int, partial: int, parent: list[int], lpos_min: int, hi: int, row
+        ) -> None:
+            """Search below the node that has cost partial so far and puts
+            groups gpos.. on live levels lpos.. or the tail. Its capacities,
+            up to its reach hi, are parent[j - lpos_min] - row[j - lpos] at
+            live level j: those of its parent, whose list starts at
+            lpos_min, less what the group just placed takes from each. Its
+            list is built only if its bound is below the incumbent."""
+            nonlocal explored
+            # the admissible bound: partial, plus words from the group's
+            # first on filled into these capacities, which later placements
+            # only shrink, and the rest at cost k, since a leaf cheaper than
+            # the incumbent can put them nowhere but the tail. It is most
+            # often decided by the first few levels
+            value, w = partial, ranges[gpos][0]
+            for j in range(lpos, hi):
+                cap = parent[j - lpos_min] - row[j - lpos]
                 if cap > 0:
                     end = w + cap
                     if end >= n:
-                        return value + (total - prefix[w]) * targets[lpos] < best[0]
-                    value += (prefix[end] - prefix[w]) * targets[lpos]
+                        value += (total - prefix[w]) * targets[j]
+                        break
+                    value += (prefix[end] - prefix[w]) * targets[j]
                     w = end
-                lpos += 1
-            return value + (total - prefix[w]) * k_q < best[0]
-
-        def dfs(gpos: int, lpos_min: int, partial: int, caps: list[int]) -> None:
-            nonlocal explored
+            else:
+                value += (total - prefix[w]) * k_q
+            if value >= best[0]:
+                return
+            caps = list(map(sub, islice(parent, lpos - lpos_min, hi - lpos_min), row))
+            lpos_min = lpos
             size, gw, rest = sizes[gpos], group_w[gpos], rest_w[gpos]
             last = gpos + 1 == G
-            first_word = 0 if last else ranges[gpos + 1][0]
             for lpos in range(lpos_min, L):
                 explored += 1
                 if explored > budget:
@@ -393,46 +443,38 @@ class _Search:
                 # fires at or before the end of caps
                 if partial + rest * target >= best[0]:
                     break
-                at = lpos - lpos_min
-                if size > caps[at]:
+                if size > caps[lpos - lpos_min]:
                     continue
                 child_partial = partial + gw * target
+                placed.append((target, size))
                 if last:
-                    placed.append((target, size))
                     leaf(G, child_partial)
-                    placed.pop()
-                    continue
-                # the child's capacities run to its reach, which is never
-                # past this node's; its row, what the group takes from each,
-                # is cached per (lpos, size) and rebuilt when a child reaches
-                # further. The child's list is built only if its bound passes
-                hi = reach(lpos, partial, rest, best[0])
-                row = rows.get((lpos, size), ())
-                if len(row) < hi - lpos:
-                    row = rows[lpos, size] = [size * counts[tj - target] for tj in targets[lpos:hi]]
-                stop = hi - lpos_min
-                if promising(
-                    child_partial, first_word, map(sub, islice(caps, at, stop), row), lpos
-                ):
-                    placed.append((target, size))
-                    dfs(gpos + 1, lpos, child_partial, list(map(sub, islice(caps, at, stop), row)))
-                    placed.pop()
+                else:
+                    # the child's capacities run to its reach, which is
+                    # never past this node's; its row, what the group takes
+                    # from each, is cached as far as the reaches that asked
+                    hi = reach(lpos, partial, rest, best[0])
+                    key = size if lpos >= grid else (lpos, size)
+                    row = rows.get(key, ())
+                    if len(row) < hi - lpos:
+                        row = rows[key] = [size * counts[tj - target] for tj in targets[lpos:hi]]
+                    dfs(gpos + 1, lpos, child_partial, caps, lpos_min, hi, row)
+                placed.pop()
             # remaining groups fall to the tail
             if partial + rest * k_q < best[0]:
                 leaf(gpos, partial)
 
-        # the root's capacities: the free strings at the target costs of the
-        # live levels up to its reach, given the level-0 codeword
-        hi = reach(0, base, rest_w[start], best[0])
-        if f0 > 0:
-            root = [counts[t] - counts[t - f0_cost] for t in targets[:hi]]
-        else:
-            root = [counts[t] for t in targets[:hi]]
         try:
             if start == G:
                 leaf(G, base)
-            elif promising(base, ranges[start][0], root, 0):
-                dfs(start, 0, base, root)
+            else:
+                # the root enters like a child: the free strings at the live
+                # targets up to its reach, less those under the level-0
+                # codeword
+                hi = reach(0, base, rest_w[start], best[0])
+                free = [counts[t] for t in targets[:hi]]
+                row0 = [counts[t - f0_cost] for t in targets[:hi]] if f0 > 0 else [0] * hi
+                dfs(start, 0, base, free, 0, hi, row0)
         finally:
             self.explored = explored
             # dfs refers to itself through its cell; without this the search
@@ -495,7 +537,7 @@ class CodeReport:
 def _finish_report(
     instance: Instance,
     code: CodeAssignment,
-    cost: Fraction,
+    value: int,
     *,
     mode: str,
     ratio_bound: Fraction,
@@ -504,19 +546,32 @@ def _finish_report(
     **extra,
 ) -> CodeReport:
     """The report on an ordered code whose probability-weighted cost, as
-    code_cost gives it, is `cost`."""
-    l2 = instance.letters.costs[1]
+    code_cost gives it, is value / (instance.scale * letters.scale). The
+    lower bound is (1 - p1) * l2 (oracles.lower_bound), and both it and the
+    total cost are in the caller's scale, times the weight total."""
+    scale, ws = instance.scale, instance.weights_int
+    c2 = instance.letters.costs_int[1]
+    total_num, total_den = instance.weight_total.numerator, instance.weight_total.denominator
+    den = scale * instance.letters.scale * total_den
     return CodeReport(
         code=code,
-        total_cost=instance.weight_total * cost,
-        lower_bound=lower_bound(instance) * l2 * instance.weight_total,
+        total_cost=Fraction(value * total_num, den),
+        lower_bound=Fraction((scale - ws[0]) * c2 * total_num, den),
         ratio_bound_used=ratio_bound,
         guess_count=guess_count,
         elapsed=time.perf_counter() - started,
         mode=mode,
-        normalized_cost=cost / l2,
+        normalized_cost=Fraction(value, scale * c2),
         **extra,
     )
+
+
+def _cheapest_is_tiny(instance: Instance) -> bool:
+    """Whether the cheapest letter costs at most epsilon/n once the second
+    letter is scaled to 1: c1 / c2 * n <= epsilon, cross-multiplied."""
+    c1, c2 = instance.letters.costs_int[:2]
+    eps = instance.epsilon
+    return c1 * instance.n * eps.denominator <= eps.numerator * c2
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +581,7 @@ def _finish_report(
 def tiny_run_length_candidates(instance: Instance) -> list[int]:
     """Run lengths i0 to try: distinct floor((1+eps)^j), until a^i0 can no
     longer be among the n cheapest candidates (pool saturated)."""
-    n, base = instance.n, 1 + instance.epsilon
+    n, eps = instance.n, instance.epsilon
     c1, c2 = instance.letters.costs_int[:2]
     out: list[int] = []
     # (1+eps)^j = top / bottom, kept in ints
@@ -537,8 +592,8 @@ def tiny_run_length_candidates(instance: Instance) -> list[int]:
             out.append(i0)
             if i0 >= n and i0 * c1 > 2 * c2 + n * c1:
                 break
-        top *= base.numerator
-        bottom *= base.denominator
+        top *= eps.numerator + eps.denominator
+        bottom *= eps.denominator
     return out
 
 
@@ -683,8 +738,7 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
     started = time.perf_counter()
     n = instance.n
     eps = instance.epsilon
-    l1 = instance.letters.costs[0] / instance.letters.costs[1]
-    if l1 * n > eps:
+    if not _cheapest_is_tiny(instance):
         raise InstanceError("cheapest letter cost exceeds epsilon/n")
 
     i0_candidates = tiny_run_length_candidates(instance)
@@ -705,7 +759,7 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
     return _finish_report(
         instance,
         code,
-        Fraction(value, instance.scale * instance.letters.scale),
+        value,
         mode="tiny",
         ratio_bound=1 + eps,
         guess_count=len(i0_candidates),
@@ -728,36 +782,27 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
         return _finish_report(
             instance,
             code,
-            code_cost(code, instance),
+            code.costs_int()[0] * instance.weights_int[0],
             mode="single",
             ratio_bound=Fraction(1),
             guess_count=1,
             started=started,
         )
 
-    l2 = instance.letters.costs[1]
-    if instance.letters.costs[0] / l2 * instance.n <= instance.epsilon:
+    if _cheapest_is_tiny(instance):
         return solve_tiny_ell1(instance)
 
     norm = normalize(instance)
     eps = norm.epsilon_prime
     k = choose_k(eps)
-    # the count table holds one entry per quantum from 0 to k_q
-    entries = math.ceil(k * norm.unit_q) + 1
-    if entries > max(budget, TABLE_ALLOWANCE):
-        raise BudgetExceeded(
-            0,
-            budget,
-            "cost graph needs %d count-table entries at epsilon %s, over budget %d"
-            % (entries, instance.epsilon, budget),
-        )
-    graph = build_cost_graph(norm, k)
+    graph = _charged_cost_graph(norm, k, budget, instance.epsilon)
     grouping = group_words(norm, k)
 
     search = _Search(norm, graph, grouping, budget)
     search.minimize()
     value, picks = search.best
-    kprefix_cost = Fraction(value, instance.scale) * graph.quantum
+    # the search's value is in weight-scaled quanta
+    kprefix_cost = Fraction(value, instance.scale * norm.unit_q)
 
     # the search places groups in nondecreasing level order, so groups that
     # share a level are consecutive picks at its target; merged, each level is
@@ -766,12 +811,15 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     leveled = LeveledCode(norm, graph, merged)
     prefix_code = convert_to_prefix(leveled, k)
     code = reorder(CodeAssignment(prefix_code.codewords, instance.letters))
+    # 1 + C_TOTAL * epsilon, as one Fraction
+    given = instance.epsilon
+    den = C_TOTAL.denominator * given.denominator
     report = _finish_report(
         instance,
         code,
-        code_cost(code, instance),
+        sum(map(mul, instance.weights_int, code.costs_int())),
         mode="main",
-        ratio_bound=1 + C_TOTAL * instance.epsilon,
+        ratio_bound=Fraction(den + C_TOTAL.numerator * given.numerator, den),
         guess_count=search.leaves,
         started=started,
         epsilon_prime=eps,

@@ -19,7 +19,10 @@ list a cost graph's live levels, nodes and arcs the way the library did
 before the graph computed them in one pass each: level by level, cost by
 cost and arc by arc. fraction_normalize conditions the letter costs the way
 the library did before its quantum was the gcd of the letter costs: in
-Fractions, with the finer quantum min(l1, epsilon'). All stay
+Fractions, with the finer quantum min(l1, epsilon'). fraction_level0_sizes,
+fraction_group_ranges and fraction_graph_refusals work out the level-0
+sizes, the groups and the cost graph's refusals the way the library did
+before it kept them in ints: in Fractions. All stay
 independent of the library's counting, construction, conversion and oracle
 paths. single_pass_minimize runs the guess search the way the library did
 before it took a first pass to seed its incumbent: one pass, from the
@@ -135,7 +138,8 @@ def every_other_level_minimize(search):
     """driver._Search.minimize the way the library ran it before its first
     pass merged the groups in pairs: every level-0 size over every other live
     level only, then over all of them from that pass's best value plus one.
-    Rows are keyed by position in targets, so each pass has its own."""
+    Rows before the last gap in the targets are keyed by position in them,
+    so each pass has its own; run finds that gap in the targets it searches."""
     sizes = driver.level0_size_candidates(search.norm)
     live = search.targets
     search.targets, search.rows = live[::2], {}
@@ -343,6 +347,61 @@ def fraction_normalize(instance):
     final = [c / step3[1] for c in step3]
     eps_prime = eps2 / step3[1]
     return final, eps_prime, min(final[0], eps_prime)
+
+
+def fraction_level0_sizes(norm):
+    """driver.level0_size_candidates the way the library computed it before
+    it kept (1 + eps')^j / eps' in ints: each size a Fraction power,
+    rounded up."""
+    f_max = (norm.unit_q - 1) // norm.letters_q[0]
+    if f_max <= 0:
+        return [0]
+    eps = norm.epsilon_prime
+    out = set(range(0, min(math.ceil(1 / eps), f_max) + 1))
+    j = 1
+    while True:
+        size = math.ceil((1 + eps) ** j / eps)
+        if size > f_max:
+            break
+        out.add(size)
+        j += 1
+    out.add(f_max)
+    return sorted(out)
+
+
+def fraction_group_ranges(norm, k):
+    """driver.group_words' ranges the way the library worked them out before
+    it compared integer weights with the packing cap cross-multiplied: the
+    cap (1 - p1) * eps'^2 / k a Fraction, and every word's probability and
+    every packed group's a Fraction compared with it."""
+    probs = norm.instance.probabilities
+    eps = norm.epsilon_prime
+    cap = (1 - probs[0]) * eps * eps / Fraction(k)
+    n = len(probs)
+    ranges = [(0, 1)]
+    i = 1
+    while i < n and probs[i] > cap / 2:
+        ranges.append((i, i + 1))
+        i += 1
+    while i < n:
+        j, acc = i, Fraction(0)
+        while j < n and acc + probs[j] <= cap:
+            acc += probs[j]
+            j += 1
+        ranges.append((i, j))
+        i = j
+    return tuple(ranges)
+
+
+def fraction_graph_refusals(norm, k):
+    """build_cost_graph's two refusals worked out in Fractions, the way the
+    library did before it cross-multiplied ints: (k - 1 is no multiple of
+    eps', the cheapest letter costs at most eps'/n)."""
+    eps = norm.epsilon_prime
+    return (
+        ((Fraction(k) - 1) / eps).denominator != 1,
+        norm.instance.letters.costs[0] * norm.n <= eps,
+    )
 
 
 def fraction_grid(instance):

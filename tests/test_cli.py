@@ -415,6 +415,23 @@ class TestOtherCommands:
         assert code == 3
         assert out.endswith("FAIL\n")
 
+    def test_graph_stats_charges_the_count_table(self, tmp_path, monkeypatch):
+        # the 16,545,777 entries over letters 2 3 4 at eps 1/1000 are over
+        # the default budget, as in solve: refused before the table is built
+        def refuse(norm, k):
+            raise AssertionError("the cost graph was built")
+
+        monkeypatch.setattr(driver, "build_cost_graph", refuse)
+        path = tmp_path / "three.txt"
+        path.write_text("2 3 4\n1 2 3\n")
+        code, out, err = run_cli("graph-stats", str(path), "--epsilon", "1/1000")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: cost graph needs 16545777 count-table entries at epsilon 1/1000,"
+            " over budget 10000000\n"
+        )
+
 
 class TestLongNumbers:
     """Values past str()'s 4,300-digit limit for ints print in full."""

@@ -1,13 +1,14 @@
 """Seeded robustness of `lettercost solve`, run in-process.
 
 Each case writes an instance file with edge values: epsilon from 1 down to
-1/8, equal letter costs, fraction and decimal costs, 40-digit and duplicate
-weights, 2-6 letters, a cheapest letter small enough for the tiny-letter
-path, blank lines and glyph lines. The word count is capped per case and
-`--budget` keeps every search short. A case either exits 0 with a TSV code
-that is prefix free and whose `# total_cost` line is the cost recomputed
-from the printed codewords, or exits 1, 2 or 3 with one line on stderr and
-nothing on stdout. An exception that escapes `cli.main` fails the case.
+1/1000000, equal letter costs, fraction and decimal costs, 40-digit and
+duplicate weights, 2-6 letters, a cheapest letter small enough for the
+tiny-letter path, blank lines and glyph lines. The word count is capped per
+case, and `--budget` keeps every search and every count table short. A case
+either exits 0 with a TSV code that is prefix free and whose `# total_cost`
+line is the cost recomputed from the printed codewords, or exits 1, 2 or 3
+with one line on stderr and nothing on stdout. An exception that escapes
+`cli.main` fails the case.
 """
 
 import io
@@ -22,7 +23,7 @@ from lettercost import GLYPHS
 from lettercost.cli import main
 from lettercost.core import runs_from_letters
 
-EPSILONS = ["1", "1/2", "0.5", "1/3", "1/4", "0.2", "1/8"]
+EPSILONS = ["1", "1/2", "0.5", "1/3", "1/4", "0.2", "1/8", "1/100", "1/1000", "1/1000000"]
 BUDGET = 20000
 
 
