@@ -85,18 +85,11 @@ class CostGraph:
             return 0
         cs = self.counts
         if c >= len(cs):
-            dq = self.distinct_q
-            for x in range(len(cs), min(c + 1, self.max_letter_q)):
-                total = 0
-                for w, mult in dq:
-                    if w <= x:
-                        total += mult * cs[x - w]
-                cs.append(total)
-            # from the dearest letter's cost on, every letter fits
             for x in range(len(cs), c + 1):
                 total = 0
-                for w, mult in dq:
-                    total += mult * cs[x - w]
+                for w, mult in self.distinct_q:
+                    if w <= x:
+                        total += mult * cs[x - w]
                 cs.append(total)
         return cs[c]
 

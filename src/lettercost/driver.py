@@ -82,9 +82,9 @@ families are arithmetic progressions of integer costs with one common step,
 so their merged cost order is a short list of strided runs of ranks
 (_tiny_segments). Each run length is priced from strided prefix sums of the
 weights, in work that does not grow with n, and the code is built, as
-slices, for the cheapest run length only. Only the run lengths up to the
-first one >= n are priced: from there on every pool holds the same words
-but a^i0, whose cost only grows, so no later run length costs less.
+slices, for the cheapest run length only. The run lengths end at the first
+one >= n: from there on every pool holds the same words but a^i0, whose
+cost only grows, so no later run length costs less.
 """
 
 from __future__ import annotations
@@ -512,9 +512,8 @@ class CodeReport:
     and the weight total, the scale in which lower_bound reads as 1 - p1.
 
     guess_count counts the guesses the search reached as leaves on the main
-    path, and the run lengths on the tiny path's ladder
-    (tiny_run_length_candidates). The rungs after the first run length >= n
-    are counted but not priced: none of them can cost less than that rung.
+    path, and the run lengths priced on the tiny path
+    (tiny_run_length_candidates).
     """
 
     code: CodeAssignment
@@ -579,21 +578,21 @@ def _cheapest_is_tiny(instance: Instance) -> bool:
 
 
 def tiny_run_length_candidates(instance: Instance) -> list[int]:
-    """Run lengths i0 to try: distinct floor((1+eps)^j), until a^i0 can no
-    longer be among the n cheapest candidates (pool saturated)."""
+    """Run lengths i0 to try: distinct floor((1+eps)^j), up to the first one
+    >= n. No later run length is cheaper: from that rung on, every pool is
+    the words b a^j b, the n words a^j x a^n for each x, and a^i0, whose
+    cost i0 * c1 only grows; so a later pool's n cheapest strings cost at
+    least as much, rank by rank."""
     n, eps = instance.n, instance.epsilon
-    c1, c2 = instance.letters.costs_int[:2]
-    out: list[int] = []
+    out = [1]
     # (1+eps)^j = top / bottom, kept in ints
     top = bottom = 1
-    while True:
-        i0 = top // bottom
-        if not out or i0 > out[-1]:
-            out.append(i0)
-            if i0 >= n and i0 * c1 > 2 * c2 + n * c1:
-                break
+    while out[-1] < n:
         top *= eps.numerator + eps.denominator
         bottom *= eps.denominator
+        i0 = top // bottom
+        if i0 > out[-1]:
+            out.append(i0)
     return out
 
 
@@ -720,12 +719,10 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
     """Direct construction for instances whose cheapest letter is very cheap
     (cost at most epsilon/n once the second letter is scaled to 1).
 
-    Prices the candidate run lengths up to the first one >= n and builds the
-    code of the cheapest, which costs at most (1 + epsilon) times the
-    optimum. From that run length i0 on, every pool is the words b a^j b,
-    the n words a^j x a^n for each x, and a^i0, whose cost i0 * c1 only
-    grows; so a later pool's n cheapest strings cost at least as much, rank
-    by rank, and the first cheapest run length is among those priced.
+    Prices every candidate run length, up to the first one >= n
+    (tiny_run_length_candidates), and builds the code of the cheapest, which
+    costs at most (1 + epsilon) times the optimum. guess_count is the number
+    of run lengths priced.
 
     The code is made of candidates a^i0, b a^j b with j < n, and a^j x a^n
     with j < i0 and x not a, and is prefix free by construction: any two of
@@ -742,12 +739,11 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
         raise InstanceError("cheapest letter cost exceeds epsilon/n")
 
     i0_candidates = tiny_run_length_candidates(instance)
-    priced = i0_candidates[: bisect_left(i0_candidates, n) + 1]
     # every candidate's cost has the same denominator, so its numerator
     # decides; index keeps the first of equal values, the smallest run length
-    values = _tiny_values(instance, priced)
+    values = _tiny_values(instance, i0_candidates)
     value = min(values)
-    code = _tiny_pool(instance, priced[values.index(value)])
+    code = _tiny_pool(instance, i0_candidates[values.index(value)])
     # The code is prefix free by construction, but this check stays: at
     # n = 500-512 it raises RecursionError in is_prefix_free, and
     # perfbench/test_perfbench.py::test_tiny_recursion_band_counts_as_failure

@@ -10,7 +10,8 @@ counts, the group count, guess_count and explored, or the name of the
 exception raised; the line also gives the explored total, the
 exceptions raised, and a second sha256 ("results") over the same fields
 without guess_count and explored, which stays put when a change moves only
-the search's effort. After each such line a "cli" line gives one sha256
+the search's effort or the length of the tiny path's run-length ladder.
+After each such line a "cli" line gives one sha256
 over the stdout and exit code of `lettercost solve FILE --epsilon EPS --emit
 tsv`, run in-process on each of the workload's instance files, and the name
 of any exception that escaped, so a change to the loader or the printer can

@@ -789,6 +789,25 @@ def convert_reference(code):
     )
 
 
+def saturating_ladder_reference(instance):
+    """The tiny path's run lengths as they once were: distinct
+    floor((1+eps)^j), until a^i0 can no longer be among the n cheapest
+    candidates (i0 >= n and i0 * c1 > 2 * c2 + n * c1)."""
+    n, eps = instance.n, instance.epsilon
+    c1, c2 = instance.letters.costs_int[:2]
+    out = []
+    top = bottom = 1
+    while True:
+        i0 = top // bottom
+        if not out or i0 > out[-1]:
+            out.append(i0)
+            if i0 >= n and i0 * c1 > 2 * c2 + n * c1:
+                break
+        top *= eps.numerator + eps.denominator
+        bottom *= eps.denominator
+    return out
+
+
 def tiny_value_reference(instance, i0):
     """The cost of tiny_pool_reference's code, times instance.scale *
     letters.scale, from one sort of every candidate's bare cost: entries of

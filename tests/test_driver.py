@@ -53,6 +53,7 @@ from helpers import (
     is_prefix_free_sorted,
     random_instance,
     reference_run,
+    saturating_ladder_reference,
     search_minimum,
     single_pass_minimize,
     solved_leveled_code,
@@ -494,6 +495,40 @@ class TestLiveLevels:
             assert solve(instance).mode == "main"
 
 
+def tiny_corpus():
+    """150 tiny-path instances, n 1..300 over 2-5 letters. Equal letter
+    costs, costs a multiple of c1 apart and costs near 2 c2 - n c1 make ties
+    inside a window between families and between letters x, which the tuple
+    order breaks."""
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randint(1, 300)
+        eps = rng.choice([F(1, 2), F(3, 10), F(1)])
+        l1 = eps / (n * rng.randint(1, 4))
+        rest = []
+        for _ in range(rng.randint(0, 3)):  # r = 2..5 letters
+            rest.append(rng.choice([
+                F(1),
+                1 + rng.randint(0, 3 * n) * l1,
+                max(F(1), 2 - (n + rng.randint(-3, 3)) * l1),
+                1 + F(rng.randint(0, 6), rng.randint(1, 4)),
+            ]))
+        letters = LetterCosts(sorted([l1, F(1), *rest]))
+        weights = [rng.randint(1, 10**40) for _ in range(n)]
+        yield Instance.from_weights(weights, letters, eps)[0]
+
+
+def assert_tiny_code_is_cheapest(inst, ladder, values):
+    """solve_tiny_ell1's code and total_cost are those of the first cheapest
+    run length on ladder, given each rung's tiny_value_reference."""
+    best = min(values)
+    _, code = tiny_pool_reference(inst, ladder[values.index(best)])
+    rep = solve_tiny_ell1(inst)
+    assert rep.code.codewords == code.codewords, (inst.letters, inst.n)
+    scale = inst.scale * inst.letters.scale
+    assert rep.total_cost == F(best, scale) * inst.weight_total, (inst.letters, inst.n)
+
+
 class TestTiny:
     def test_smallest_run_length_candidate(self):
         inst = Instance(
@@ -507,7 +542,7 @@ class TestTiny:
         inst = Instance(
             tuple([F(1, 10)] * 10), LetterCosts([F(1, 100), 1]), F(1, 2)
         )
-        assert tiny_run_length_candidates(inst)[:6] == [1, 2, 3, 5, 7, 11]
+        assert tiny_run_length_candidates(inst) == [1, 2, 3, 5, 7, 11]
 
     def test_single_word(self):
         inst = Instance((F(1),), LetterCosts([F(1, 100), 1]), F(1, 2))
@@ -587,36 +622,27 @@ class TestTiny:
                 assert code.costs_int() == list(_price_int(code.codewords, letters))
                 assert code.ordered
 
-    def test_closed_form_matches_sorted_pool(self):
+    def test_closed_form_matches_sorted_pool(self, monkeypatch):
         # the strided walk prices and builds every run length's code as one
         # sort of the whole candidate pool would: same values, codewords,
-        # prices and order. Equal letter costs, costs a multiple of c1 apart
-        # and costs near 2 c2 - n c1 make ties inside a window between
-        # families and between letters x, which the tuple order breaks
-        rng = random.Random(17)
-        for _ in range(150):
-            n = rng.randint(1, 300)
-            eps = rng.choice([F(1, 2), F(3, 10), F(1)])
-            l1 = eps / (n * rng.randint(1, 4))
-            rest = []
-            for _ in range(rng.randint(0, 3)):  # r = 2..5 letters
-                rest.append(rng.choice([
-                    F(1),
-                    1 + rng.randint(0, 3 * n) * l1,
-                    max(F(1), 2 - (n + rng.randint(-3, 3)) * l1),
-                    1 + F(rng.randint(0, 6), rng.randint(1, 4)),
-                ]))
-            letters = LetterCosts(sorted([l1, F(1), *rest]))
-            weights = [rng.randint(1, 10**40) for _ in range(n)]
-            inst, _ = Instance.from_weights(weights, letters, eps)
-            candidates = tiny_run_length_candidates(inst)
-            expected = [tiny_value_reference(inst, i0) for i0 in candidates]
-            assert _tiny_values(inst, candidates) == expected, (letters, n)
-            # solve_tiny_ell1 prices no run length past the first one >= n:
-            # from there on the pools differ only in a^i0, which grows
-            tail = expected[bisect_left(candidates, n):]
+        # prices and order, over the old saturating ladder, which runs on
+        # past the first run length >= n. solve_tiny_ell1's self-check walks
+        # a per-letter trie, ~0.1 s per code here; the sorted check is the
+        # same test, in a tenth of the time
+        monkeypatch.setattr(driver, "is_prefix_free", is_prefix_free_sorted)
+        for inst in tiny_corpus():
+            letters, n = inst.letters, inst.n
+            ladder = saturating_ladder_reference(inst)
+            first = bisect_left(ladder, n)
+            assert tiny_run_length_candidates(inst) == ladder[: first + 1], (letters, n)
+            expected = [tiny_value_reference(inst, i0) for i0 in ladder]
+            assert _tiny_values(inst, ladder) == expected, (letters, n)
+            # no run length past the first one >= n is cheaper: from there on
+            # the pools differ only in a^i0, which grows
+            tail = expected[first:]
             assert tail == sorted(tail), (letters, n)
-            for i0, value in zip(candidates, expected):
+            assert_tiny_code_is_cheapest(inst, ladder, expected)
+            for i0, value in zip(ladder, expected):
                 ref_value, ref = tiny_pool_reference(inst, i0)
                 got = _tiny_pool(inst, i0)
                 got_value = sum(map(mul, inst.weights_int, got.costs_int()))
@@ -669,13 +695,33 @@ class TestTiny:
             list(range(n, 0, -1)), LetterCosts([F(1, 200), 1, 2]), F(1, 2)
         )
         ladder = tiny_run_length_candidates(inst)
-        last_priced = bisect_left(ladder, n)
-        assert ladder[last_priced] >= n and last_priced < len(ladder) - 1
+        assert ladder[-2] < n <= ladder[-1]
         rep = solve(inst)
         assert rep.mode == "tiny"
-        assert priced == [ladder[: last_priced + 1]]
+        assert priced == [ladder]
         assert rep.guess_count == len(ladder)
         assert rep.total_cost == code_cost(rep.code, inst) * inst.weight_total
+
+    def test_ladder_has_at_most_n_rungs(self):
+        # the rungs are distinct ints and all but the last are below n. The
+        # old saturating ladder had ln(2 c2 / c1) / eps rungs: 38,073 on
+        # 1/10^7 1 at eps 1/4000 with seven words, built in seconds
+        for inst in tiny_corpus():
+            assert len(tiny_run_length_candidates(inst)) <= inst.n
+        weights = list(range(7, 0, -1))
+        for costs, eps in (
+            ([F(1, 10**6), 1, 1], F(1, 1000)),
+            ([F(1, 10**6), 1], F(1, 2000)),
+            ([F(1, 10**7), 1], F(1, 4000)),
+        ):
+            inst, _ = Instance.from_weights(weights, LetterCosts(costs), eps)
+            assert len(tiny_run_length_candidates(inst)) <= inst.n
+        # the last one's code is still the cheapest over the old ladder
+        ladder = saturating_ladder_reference(inst)
+        assert len(ladder) == 38073
+        assert_tiny_code_is_cheapest(
+            inst, ladder, [tiny_value_reference(inst, i0) for i0 in ladder]
+        )
 
     def test_dispatching(self):
         # at the boundary l1 = eps*l2/n the solver takes the tiny path
