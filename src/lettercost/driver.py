@@ -80,18 +80,23 @@ Instances whose cheapest letter costs at most epsilon/n skip all of the above
 and use a direct candidate construction (solve_tiny_ell1). Its candidate
 families are arithmetic progressions of integer costs with one common step,
 so their merged cost order is a short list of strided runs of ranks
-(_tiny_segments). Each run length is priced from strided prefix sums of the
-weights, in work that does not grow with n, and the code is built, as
-slices, for the cheapest run length only. The run lengths end at the first
-one >= n: from there on every pool holds the same words but a^i0, whose
-cost only grows, so no later run length costs less.
+(_tiny_segments). Inside every c1-window the active families keep one order,
+by the fixed key (cost mod c1, family, -start window, letter), so one sweep
+over the families' start and end windows yields the runs, with no sort per
+window. Each run length is priced from two tables per stride, built once:
+S, the prefix sums of the weights along each residue class, and P, the
+prefix sums of S, since sum(u * w[q + u], u < k) = (k - 1) * S[q + k] -
+(P[q + k] - P[q + 1]). That is work that does not grow with n, and the code
+is built, as slices, for the cheapest run length only. The run lengths end
+at the first one >= n: from there on every pool holds the same words but
+a^i0, whose cost only grows, so no later run length costs less.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import accumulate, groupby, islice
 from fractions import Fraction
@@ -582,8 +587,15 @@ def tiny_run_length_candidates(instance: Instance) -> list[int]:
     >= n. No later run length is cheaper: from that rung on, every pool is
     the words b a^j b, the n words a^j x a^n for each x, and a^i0, whose
     cost i0 * c1 only grows; so a later pool's n cheapest strings cost at
-    least as much, rank by rank."""
+    least as much, rank by rank.
+
+    When n * eps <= 1 the ladder is 1, 2, ..., n, returned with no powers
+    built: while (1+eps)^j < n <= 1/eps, the step to (1+eps)^(j+1) adds
+    eps * (1+eps)^j < 1, so the floors climb by at most one and the first
+    that is >= n is n."""
     n, eps = instance.n, instance.epsilon
+    if n * eps.numerator <= eps.denominator:
+        return list(range(1, n + 1))
     out = [1]
     # (1+eps)^j = top / bottom, kept in ints
     top = bottom = 1
@@ -607,45 +619,64 @@ def _tiny_segments(
     Every family is an arithmetic progression with step c1: a^i0 one point,
     b a^j b n terms from 2 c2, and a^j x a^n min(i0, n) terms from cx + n c1
     for each letter x >= 1. A family whose first cost is c fills the
-    c1-windows c // c1 on, one term each, at the same cost mod c1. Between
-    two windows where a family starts or ends, the active families repeat in
-    the same order inside every window, by (cost mod c1, family, j, letter),
-    so each occupies ranks first, first + m, ... for m active families.
-    There are at most 2(r + 1) such windows, so at most 2r + 1 segments.
+    c1-windows c // c1 on, one term each, at the same cost mod c1, and its j
+    at window w is its first j plus w - c // c1. So inside every window the
+    active families keep one order, by the fixed key (cost mod c1, family,
+    -start window, letter): only letters' a^j x a^n share a family, and of
+    two of them at the same cost mod c1 the later start has the smaller j.
+    One sweep over the families' start and end windows keeps the active ones
+    in that order, inserted at their start and dropped at their end; between
+    two such windows each of the m active families occupies ranks first,
+    first + m, ... There are at most 2(r + 1) such windows, so at most 2r + 1
+    segments.
     """
     c1, c2 = costs_int[:2]
-    # (first cost, family, first j, letter, terms); a family's cost rises
-    # with j, so no family has more than n terms among the n cheapest
-    families = [(i0 * c1, 0, i0, 0, 1), (2 * c2, 1, 0, 0, n)]
-    families += [(cx + n * c1, 2, 0, x, min(i0, n)) for x, cx in enumerate(costs_int[1:], 1)]
-    # (first window, end window, cost mod c1, family, first j, letter)
-    spans = [(c // c1, c // c1 + t, c % c1, family, j, x) for c, family, j, x, t in families]
-    edges = sorted({b for start, end, *_ in spans for b in (start, end)})
+    # (cost mod c1, family, -start window, letter, first j, end window); a
+    # family's cost rises with j, so none has more than n terms among the n
+    # cheapest
+    spans = [(0, 0, -i0, 0, i0, i0 + 1)]
+    start, res = divmod(2 * c2, c1)
+    spans.append((res, 1, -start, 0, 0, start + n))
+    terms = min(i0, n)
+    for x, cx in enumerate(costs_int[1:], 1):
+        start, res = divmod(cx + n * c1, c1)
+        spans.append((res, 2, -start, x, 0, start + terms))
+    spans.sort()
+    # (window, k) where span k starts, (window, ~k) where it ends
+    events = sorted(
+        [(-span[2], k) for k, span in enumerate(spans)]
+        + [(span[5], ~k) for k, span in enumerate(spans)]
+    )
+    active: list[int] = []  # indices into spans, in key order
     rank = 0
-    for lo, hi in zip(edges, edges[1:]):
-        # the families active at window lo, in their order inside a window,
-        # with their j at window lo
-        active = sorted(
-            (res, family, j + lo - start, x)
-            for start, end, res, family, j, x in spans
-            if start <= lo < end
-        )
-        m = len(active)
-        for p, (res, family, j, x) in enumerate(active):
-            first = rank + p
-            if first >= n:
-                return
-            yield first, m, min(hi - lo, -((first - n) // m)), lo * c1 + res, family, j, x
-        rank += m * (hi - lo)
+    lo = events[0][0]
+    for hi, k in events:
+        if hi > lo:
+            m = len(active)
+            for first, s in enumerate(active, rank):
+                if first >= n:
+                    return
+                res, family, neg_start, x, j, _ = spans[s]
+                count = min(hi - lo, -((first - n) // m))
+                yield first, m, count, lo * c1 + res, family, j + lo + neg_start, x
+            rank += m * (hi - lo)
+            lo = hi
+        if k < 0:
+            active.remove(~k)
+        else:
+            insort(active, k)
 
 
 def _tiny_values(instance: Instance, run_lengths: Sequence[int]) -> list[int]:
     """_tiny_pool's code cost for each run length, without building its code.
 
     A run with first rank f, stride a, count k and first cost c costs
-    c * sum(w) + c1 * sum(u * w) over the weights w of ranks f + u a, u < k,
-    read from prefix sums of w and of q * w along each residue class of
-    stride a (q the position in the class); these are built once per stride."""
+    c * sum(w) + c1 * sum(u * w) over the weights w of ranks f + u a, u < k.
+    Along each residue class of stride a (position q in the class), S
+    (w_sums) holds the prefix sums of the weights and P (p_sums) the prefix
+    sums of S, built once per stride; from q = f // a, sum(w) = S[q + k] -
+    S[q] and
+    sum(u * w) = (k - 1) * S[q + k] - (P[q + k] - P[q + 1])."""
     ws = instance.weights_int
     costs = instance.letters.costs_int
     c1 = costs[0]
@@ -653,19 +684,19 @@ def _tiny_values(instance: Instance, run_lengths: Sequence[int]) -> list[int]:
     values = []
     for i0 in run_lengths:
         value = 0
-        for first, a, count, cost, *_ in _tiny_segments(costs, instance.n, i0):
+        for first, a, count, cost, _, _, _ in _tiny_segments(costs, instance.n, i0):
             tables = sums.get(a)
             if tables is None:
                 tables = sums[a] = []
                 for s in range(a):
-                    cls = ws[s::a]
-                    tables.append(
-                        ([0, *accumulate(cls)], [0, *accumulate(map(mul, cls, range(len(cls))))])
-                    )
-            w_sums, qw_sums = tables[first % a]
-            q, end = first // a, first // a + count
-            w = w_sums[end] - w_sums[q]
-            value += cost * w + c1 * (qw_sums[end] - qw_sums[q] - q * w)
+                    w_sums = [0, *accumulate(ws[s::a])]
+                    tables.append((w_sums, [0, *accumulate(w_sums)]))
+            w_sums, p_sums = tables[first % a]
+            q = first // a
+            end = q + count
+            value += cost * (w_sums[end] - w_sums[q]) + c1 * (
+                (count - 1) * w_sums[end] - p_sums[end] + p_sums[q + 1]
+            )
         values.append(value)
     return values
 

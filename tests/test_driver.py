@@ -496,10 +496,11 @@ class TestLiveLevels:
 
 
 def tiny_corpus():
-    """150 tiny-path instances, n 1..300 over 2-5 letters. Equal letter
-    costs, costs a multiple of c1 apart and costs near 2 c2 - n c1 make ties
-    inside a window between families and between letters x, which the tuple
-    order breaks."""
+    """150 random tiny-path instances, n 1..300 over 2-5 letters, then three
+    shaped like the tiny benchmark workload above the n <= 512 self-check.
+    Equal letter costs, costs a multiple of c1 apart and costs near
+    2 c2 - n c1 make ties inside a window between families and between
+    letters x, which the tuple order breaks."""
     rng = random.Random(17)
     for _ in range(150):
         n = rng.randint(1, 300)
@@ -516,6 +517,13 @@ def tiny_corpus():
         letters = LetterCosts(sorted([l1, F(1), *rest]))
         weights = [rng.randint(1, 10**40) for _ in range(n)]
         yield Instance.from_weights(weights, letters, eps)[0]
+    # as perfbench's tiny workload: cheapest letter eps/(4n) under 1 or 1 2,
+    # eps 1/2, shuffled Zipf-like weights with jitter
+    eps = F(1, 2)
+    for n, rest in ((613, [1]), (811, [1, 2]), (1024, [1])):
+        weights = [max(1, int(10**6 / (i + 1) ** 0.8 * rng.uniform(0.5, 1.5))) for i in range(n)]
+        rng.shuffle(weights)
+        yield Instance.from_weights(weights, LetterCosts([eps / (4 * n), *rest]), eps)[0]
 
 
 def assert_tiny_code_is_cheapest(inst, ladder, values):
@@ -722,6 +730,34 @@ class TestTiny:
         assert_tiny_code_is_cheapest(
             inst, ladder, [tiny_value_reference(inst, i0) for i0 in ladder]
         )
+
+    def test_ladder_is_one_to_n_when_n_eps_at_most_one(self):
+        # there each step of (1+eps)^j adds less than one before a rung
+        # reaches n, so the ladder is 1..n, returned without building
+        # powers: 1/10^9 1 with seven words once spent 3 s in the ladder at
+        # eps 1/20000 and did not finish in 120 s at eps 1/10^5
+        weights = list(range(7, 0, -1))
+        for eps in (F(1, 20000), F(1, 10**5)):
+            inst, _ = Instance.from_weights(weights, LetterCosts([F(1, 10**9), 1]), eps)
+            assert tiny_run_length_candidates(inst) == list(range(1, 8))
+            rep = solve_tiny_ell1(inst)
+            assert rep.mode == "tiny" and rep.guess_count == 7
+        # the stepped reference agrees on seeded cases with n * eps <= 1,
+        # six of them at n * eps == 1; eps stays >= 1/2000, where the
+        # saturating reference takes under a second
+        rng = random.Random(30)
+        cases = [(F(1, n), n) for n in (1, 2, 5, 64, 999, 2000)]
+        for _ in range(30):
+            eps = F(rng.randint(1, 9), rng.randint(9, 2000))
+            cases.append((eps, rng.randint(1, math.floor(1 / eps))))
+        for eps, n in cases:
+            letters = LetterCosts([eps / (n * rng.randint(1, 4)), 1, rng.choice([1, 2, 3])])
+            inst, _ = Instance.from_weights([rng.randint(1, 99) for _ in range(n)], letters, eps)
+            assert n * eps <= 1
+            ladder = saturating_ladder_reference(inst)
+            expected = ladder[: bisect_left(ladder, n) + 1]
+            assert expected == list(range(1, n + 1)), (eps, n)
+            assert tiny_run_length_candidates(inst) == expected, (eps, n)
 
     def test_dispatching(self):
         # at the boundary l1 = eps*l2/n the solver takes the tiny path
