@@ -19,11 +19,7 @@ from .core import (
     normalize,
     reorder,
 )
-from .cost_graph import (
-    CostGraph,
-    Inconsistent,
-    build_cost_graph,
-)
+from .cost_graph import CostGraph, build_cost_graph
 from .kprefix import Guess, LeveledCode, construct_leveled
 from .convert import convert_to_prefix, enc
 from .driver import (
@@ -34,7 +30,6 @@ from .driver import (
     choose_k,
     group_words,
     solve,
-    solve_tiny_ell1,
 )
 from .oracles import OracleResult, exact_optimal, lower_bound
 
@@ -47,7 +42,6 @@ __all__ = [
     "GLYPHS",
     "Grouping",
     "Guess",
-    "Inconsistent",
     "Instance",
     "InstanceError",
     "LetterCosts",
@@ -68,5 +62,4 @@ __all__ = [
     "normalize",
     "reorder",
     "solve",
-    "solve_tiny_ell1",
 ]

@@ -19,22 +19,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .core import InstanceError, NormalizedInstance, Rational
-
-
-@dataclass(frozen=True)
-class Inconsistent:
-    """construct_leveled's falsy 'no such code' outcome, returned, not raised."""
-
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return False
 
 
 class CostGraph:
@@ -161,7 +150,7 @@ def build_cost_graph(norm: NormalizedInstance, k: Rational) -> CostGraph:
     # the cheapest letter costs letters_q[0] / unit_q
     if norm.letters_q[0] * norm.n * ed <= en * unit_q:
         raise InstanceError(
-            "cheapest letter cost is at most eps/n; use the tiny-letter solver"
+            "cheapest letter cost is at most eps/n; solve takes the tiny-letter path"
         )
     return CostGraph(
         norm.distinct_q, unit_q, norm.eps_q, Fraction(kn * unit_q, kd), Fraction(1, unit_q)

@@ -77,9 +77,9 @@ ties and costs, and cuts only nodes that cannot win. The pass is skipped
 when pairing would merge nothing (two groups or fewer).
 
 Instances whose cheapest letter costs at most epsilon/n skip all of the above
-and use a direct candidate construction (solve_tiny_ell1). Its candidate
-families are arithmetic progressions of integer costs with one common step,
-so their merged cost order is a short list of strided runs of ranks
+and take solve's tiny branch (_solve_tiny), a direct candidate construction.
+Its candidate families are arithmetic progressions of integer costs with one
+common step, so their merged cost order is a short list of strided runs of ranks
 (_tiny_segments). Inside every c1-window the active families keep one order,
 by the fixed key (cost mod c1, family, -start window, letter), so one sweep
 over the families' start and end windows yields the runs, with no sort per
@@ -218,15 +218,10 @@ class Grouping:
 
     norm: NormalizedInstance
     ranges: tuple[tuple[int, int], ...]  # half-open word index ranges
-    group_weights_int: tuple[int, ...]  # group probabilities times the instance's scale
 
     @property
     def group_count(self) -> int:
         return len(self.ranges)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(e - s for s, e in self.ranges)
 
 
 def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
@@ -255,7 +250,7 @@ def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
             j += 1
         ranges.append((i, j))
         i = j
-    return Grouping(norm, tuple(ranges), tuple([sum(ws[s:e]) for s, e in ranges]))
+    return Grouping(norm, tuple(ranges))
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +716,7 @@ def _tiny_pool(instance: Instance, i0: int) -> CodeAssignment:
         else:
             xx = (x, 1)
             words[ranks] = [((0, jj), xx, tail) if jj else (xx, tail) for jj in js]
-    # distinct and prefix free by construction (see solve_tiny_ell1)
+    # distinct and prefix free by construction (see _solve_tiny)
     code = _unchecked(
         CodeAssignment,
         codewords=tuple(words),
@@ -746,9 +741,10 @@ def tiny_candidate_code(
     return Fraction(value, instance.scale * c2), list(code.codewords), costs
 
 
-def solve_tiny_ell1(instance: Instance) -> CodeReport:
-    """Direct construction for instances whose cheapest letter is very cheap
-    (cost at most epsilon/n once the second letter is scaled to 1).
+def _solve_tiny(instance: Instance, started: float) -> CodeReport:
+    """solve's direct construction for instances whose cheapest letter is
+    very cheap (cost at most epsilon/n once the second letter is scaled to
+    1), which solve has checked. started is solve's clock reading.
 
     Prices every candidate run length, up to the first one >= n
     (tiny_run_length_candidates), and builds the code of the cheapest, which
@@ -763,12 +759,8 @@ def solve_tiny_ell1(instance: Instance) -> CodeReport:
     shorter, which is b in b a^j b and a in every longer one, since j < n.
     Any other two words differ at their first letter.
     """
-    started = time.perf_counter()
     n = instance.n
     eps = instance.epsilon
-    if not _cheapest_is_tiny(instance):
-        raise InstanceError("cheapest letter cost exceeds epsilon/n")
-
     i0_candidates = tiny_run_length_candidates(instance)
     # every candidate's cost has the same denominator, so its numerator
     # decides; index keeps the first of equal values, the smallest run length
@@ -800,8 +792,9 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
 
     Keeps the minimum-cost leveled code over all guesses at choose_k's
     horizon, the one for which the ratio bound holds, as the search found it,
-    then converts it to a prefix code. Dispatches to solve_tiny_ell1 when the cheapest letter is
-    at most epsilon/n after scaling the second letter cost to 1.
+    then converts it to a prefix code. Takes the tiny-letter path
+    (_solve_tiny) when the cheapest letter is at most epsilon/n after
+    scaling the second letter cost to 1.
     """
     started = time.perf_counter()
     if instance.n == 1:
@@ -817,7 +810,7 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
         )
 
     if _cheapest_is_tiny(instance):
-        return solve_tiny_ell1(instance)
+        return _solve_tiny(instance, started)
 
     norm = normalize(instance)
     eps = norm.epsilon_prime

@@ -5,7 +5,7 @@ codeword count per level), build a code that is k-prefix free, has exactly the
 requested number of codewords at each level's single admissible cost, and
 completes to n codewords with the cheapest strings of cost >= k. Among all
 codes meeting the constraints, the result has minimum cost; when none exists
-the result is the falsy Inconsistent value, not an exception. solve does not
+it raises InstanceError, as it does for a malformed guess. solve does not
 call it: the guess search values guesses with the same counts and keeps the
 cheapest one's picks, from which solve makes its LeveledCode directly.
 construct_leveled rebuilds a code from a guess, for callers that hold only
@@ -41,7 +41,7 @@ from .core import (
     NormalizedInstance,
     Runs,
 )
-from .cost_graph import CostGraph, Inconsistent
+from .cost_graph import CostGraph
 
 
 class OpCounter:
@@ -68,16 +68,6 @@ class Guess:
     f0: int
     level_counts: tuple[tuple[int, int], ...] = ()
 
-    @property
-    def level_words(self) -> int:
-        return sum(cnt for _, cnt in self.level_counts)
-
-    def codeword_total(self) -> int:
-        return self.level_words + (1 if self.f0 > 0 else 0)
-
-    def fits(self, n: int) -> bool:
-        return self.codeword_total() <= n
-
 
 # a materialized code: its codewords in word order; each tail codeword's split
 # at its shortest prefix alpha of cost >= k, as (alpha, suffix cost, how many
@@ -92,7 +82,10 @@ class LeveledCode:
     picks: (cost_q, count) pairs in increasing cost order: the level-0 run,
     when present, then each nonempty level at its target cost, then the tail
     batches of cost >= k. Word i receives the i-th codeword in this order
-    (most probable word first).
+    (most probable word first). Raises InstanceError unless the costs are
+    positive and strictly increasing and the counts nonnegative: two picks
+    of one cost >= k take the same strings, a pick below k blocks only the
+    picks after it, and convert_to_prefix repairs neither.
     """
 
     norm: NormalizedInstance
@@ -100,6 +93,14 @@ class LeveledCode:
     picks: list[tuple[int, int]]
     # _materialize's value, made on first use
     _materialized: Materialized | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for (last, _), (cost_q, count) in itertools.pairwise([(0, 0), *self.picks]):
+            if cost_q <= last or count < 0:
+                raise InstanceError(
+                    "picks need rising positive costs and nonnegative counts: (%d, %d) after"
+                    " cost %d" % (cost_q, count, last)
+                )
 
     @property
     def word_costs_q(self) -> list[int]:
@@ -124,44 +125,48 @@ def construct_leveled(
     guess: Guess,
     n: int,
     ops: OpCounter | None = None,
-) -> LeveledCode | Inconsistent:
+) -> LeveledCode:
     """Build a minimum-cost leveled k-prefix code consistent with the guess.
 
     Checks each level's request against the free strings at its target cost,
     in increasing level order, with the level-0 run and the lower levels'
     codewords as blockers; then completes with the cheapest eligible strings
-    of cost >= k. ops, when given, counts one per level checked and one per
+    of cost >= k. Raises InstanceError when the guess is malformed or no
+    code meets it. ops, when given, counts one per level checked and one per
     cost the tail walk visits.
     """
     bump = ops.bump if ops is not None else None
     l1_q = norm.letters_q[0]
     if guess.f0 < 0 or any(c < 0 for _, c in guess.level_counts):
         raise InstanceError("guess counts must be nonnegative")
-    if not guess.fits(n):
-        return Inconsistent("guess places more codewords than words")
+    missing = n - sum(c for _, c in guess.level_counts) - (1 if guess.f0 > 0 else 0)
+    if missing < 0:
+        raise InstanceError("guess places more codewords than words")
     if guess.f0 > 0 and guess.f0 * l1_q >= graph.unit_q:
-        return Inconsistent("level-0 codeword size %d costs at least 1" % guess.f0)
+        raise InstanceError("level-0 codeword size %d costs at least 1" % guess.f0)
 
-    wanted = dict(guess.level_counts)
-    if any(not 1 <= lvl <= graph.level_count for lvl in wanted):
-        return Inconsistent("guess names a level outside 1..%d" % graph.level_count)
+    wanted = sorted(guess.level_counts)
+    if any(not 1 <= lvl <= graph.level_count for lvl, _ in wanted):
+        raise InstanceError("guess names a level outside 1..%d" % graph.level_count)
+    for (lvl, _), (nxt, _) in itertools.pairwise(wanted):
+        if lvl == nxt:
+            raise InstanceError("guess names level %d twice" % lvl)
 
     # (cost_q, how_many) of every codeword below k chosen so far
     blockers: list[tuple[int, int]] = [(guess.f0 * l1_q, 1)] if guess.f0 > 0 else []
-    for lvl, count in sorted(wanted.items()):
+    for lvl, count in wanted:
         if count == 0:
             continue
         if bump:
             bump()
         target = graph.level_target(lvl)
         if graph.free(target, blockers) < count:
-            return Inconsistent("level %d cannot host %d codewords" % (lvl, count))
+            raise InstanceError("level %d cannot host %d codewords" % (lvl, count))
         blockers.append((target, count))
 
-    missing = n - guess.codeword_total()
     tail = graph.tail(missing, blockers, bump)
     if tail is None:
-        return Inconsistent("fewer than %d tail codewords exist" % missing)
+        raise InstanceError("fewer than %d tail codewords exist" % missing)
     return LeveledCode(norm, graph, blockers + tail)
 
 

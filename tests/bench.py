@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from lettercost import (
     Guess,
-    Inconsistent,
     Instance,
     LetterCosts,
     LeveledCode,
@@ -64,9 +63,8 @@ def kprefix_ladder(exponents=(10, 11, 12, 13, 14)) -> list[tuple[int, int, float
         guess = _filled_guess(norm, graph, n)
         ops = OpCounter()
         t0 = time.perf_counter()
-        code = construct_leveled(norm, graph, guess, n, ops=ops)
+        construct_leveled(norm, graph, guess, n, ops=ops)
         took = time.perf_counter() - t0
-        assert not isinstance(code, Inconsistent)
         out.append((n, ops.count, took))
     return out
 

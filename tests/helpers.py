@@ -108,6 +108,12 @@ def leveled_setup(costs, eps, k, n):
     return norm, build_cost_graph(norm, Fraction(k))
 
 
+def guess_words(guess):
+    """The codewords a guess places below k: its level-0 run, when it has
+    one, and every level's count."""
+    return sum(cnt for _, cnt in guess.level_counts) + (1 if guess.f0 > 0 else 0)
+
+
 def leveled_cost(code):
     """Probability-weighted cost of a LeveledCode in normalized cost units:
     the weighted sum over word_costs_q, as a Fraction, that equals the
@@ -488,7 +494,7 @@ def brute_force_leveled_minimum(norm, graph, guess, n):
         target = graph.level_target(lvl)
         pools.append((target, cnt, by_cost_q.get(target, [])))
 
-    tail_needed = n - guess.codeword_total()
+    tail_needed = n - guess_words(guess)
     if tail_needed < 0:
         return None
 
@@ -585,7 +591,7 @@ def leveled_recurrence(norm, graph, guess, n):
     code meets the guess."""
     distinct_q, k_q = graph.distinct_q, graph.k_q
     l1_q = norm.letters_q[0]
-    if guess.codeword_total() > n:
+    if guess_words(guess) > n:
         return None
     if guess.f0 > 0 and guess.f0 * l1_q >= norm.unit_q:
         return None
@@ -609,7 +615,7 @@ def leveled_recurrence(norm, graph, guess, n):
             total -= want
             picks.append((c, want))
         v.append(total)
-    tail = tail_recurrence(distinct_q, v, n - guess.codeword_total())
+    tail = tail_recurrence(distinct_q, v, n - guess_words(guess))
     return None if tail is None else picks + tail
 
 

@@ -408,7 +408,7 @@ class TestOtherCommands:
         # cost graph is within its bounds
         def too_many(norm, k):
             count = math.floor(1 + 4 * k / norm.epsilon_prime**2) + 1
-            return Grouping(norm, ((0, 1),) * count, (1,) * count)
+            return Grouping(norm, ((0, 1),) * count)
 
         monkeypatch.setattr(cli, "group_words", too_many)
         code, out, _ = run_cli("graph-stats", figure_skewed, "--epsilon", "1")

@@ -7,7 +7,6 @@ import pytest
 
 from lettercost import (
     Guess,
-    Inconsistent,
     Instance,
     InstanceError,
     LetterCosts,
@@ -93,6 +92,29 @@ class TestWorkedConversions:
                 convert_to_prefix(code, k)
         assert is_prefix_free(convert_to_prefix(code, F(5, 2)).codewords)
 
+    def test_never_sees_picks_out_of_cost_order(self):
+        # hand-made picks that once reached the conversion: aaaaaa, aa, aba,
+        # with aa a prefix of aaaaaa, came out unchanged; two tail picks of
+        # one cost gave one codeword twice; a pick of cost 0 gave a codeword
+        # of cost k. The code itself now refuses them
+        inst, _ = Instance.from_weights([5, 4, 3], LetterCosts([1, 2]), F(1, 2))
+        norm = normalize(inst)
+        k = choose_k(norm.epsilon_prime)
+        graph = build_cost_graph(norm, k)
+        assert graph.k_q == 25
+        for picks in (
+            [(6, 1), (2, 1), (4, 1)],
+            [(25, 1), (25, 1), (26, 1)],
+            [(0, 1), (25, 2)],
+            [(2, -1), (4, 4)],
+        ):
+            with pytest.raises(InstanceError, match="rising positive costs"):
+                convert_to_prefix(LeveledCode(norm, graph, picks), k)
+        # the same picks in cost order make a prefix code
+        code = LeveledCode(norm, graph, [(2, 1), (4, 1), (6, 1)])
+        assert [runs_to_str(w) for w in code.codewords] == ["aa", "aba", "abba"]
+        assert is_prefix_free(convert_to_prefix(code, k).codewords)
+
 
 def random_kprefix_codes(rng, count):
     """Yield (LeveledCode, k, norm) built from random instances and guesses."""
@@ -112,8 +134,9 @@ def random_kprefix_codes(rng, count):
             lvl = rng.randint(1, max(1, graph.level_count))
             counts[lvl] = counts.get(lvl, 0) + rng.randint(1, 2)
         guess = Guess(0, tuple(sorted(counts.items())))
-        code = construct_leveled(norm, graph, guess, n)
-        if isinstance(code, Inconsistent):
+        try:
+            code = construct_leveled(norm, graph, guess, n)
+        except InstanceError:
             continue
         produced += 1
         yield code, k, norm

@@ -17,7 +17,6 @@ from lettercost import (
     BudgetExceeded,
     Grouping,
     Guess,
-    Inconsistent,
     Instance,
     InstanceError,
     LetterCosts,
@@ -31,7 +30,6 @@ from lettercost import (
     is_prefix_free,
     normalize,
     solve,
-    solve_tiny_ell1,
 )
 from lettercost import driver
 from lettercost.core import _price_int, runs_to_str
@@ -179,7 +177,7 @@ class TestGrouping:
         probs = (F(1, 2),) + tuple([F(1, 100)] * 50)
         g = group_words(normalize(Instance(probs, LetterCosts([1, 1]), F(1, 2))), F(3))
         assert g.group_count == 14
-        assert g.sizes == (1,) + (4,) * 12 + (2,)
+        assert [e - s for s, e in g.ranges] == [1] + [4] * 12 + [2]
 
     def test_singleton_threshold_is_half_the_cap(self):
         # cap (1 - p1) * eps^2 / k = 1/24: above 1/48 a word is a singleton,
@@ -187,7 +185,7 @@ class TestGrouping:
         probs = (F(1, 2), F(1, 40)) + (F(1, 48),) * 22 + (F(1, 60),)
         g = group_words(normalize(Instance(probs, LetterCosts([1, 1]), F(1, 2))), F(3))
         assert g.ranges[:3] == ((0, 1), (1, 2), (2, 4))
-        assert g.sizes == (1, 1) + (2,) * 11 + (1,)
+        assert [e - s for s, e in g.ranges] == [1, 1] + [2] * 11 + [1]
 
     def test_single_word(self):
         g = group_words(normalize(Instance((F(1),), LetterCosts([1, 1]), F(1, 2))), F(3))
@@ -206,16 +204,16 @@ class TestGrouping:
             assert all(e0 == s1 for (_, e0), (s1, _) in zip(g.ranges, g.ranges[1:]))
             assert g.ranges[-1][1] == inst.n
             cap = (norm.instance.scale - norm.instance.weights_int[0]) * eps * eps / k
-            for size, w in zip(g.sizes, g.group_weights_int):
-                assert size == 1 or w <= cap, "packed group exceeds the probability cap"
+            for s, e in g.ranges:
+                w = sum(norm.instance.weights_int[s:e])
+                assert e - s == 1 or w <= cap, "packed group exceeds the probability cap"
             assert g.group_count <= 1 + 4 * k / (eps * eps)
 
 
 class TestGuessEnumeration:
     def make_grouping(self, costs, eps, probs, ranges):
         norm = normalize(Instance(probs, LetterCosts(costs), F(eps)))
-        ws = norm.instance.weights_int
-        return Grouping(norm, ranges, tuple(sum(ws[s:e]) for s, e in ranges)), norm
+        return Grouping(norm, ranges), norm
 
     def test_two_groups_two_levels(self):
         g, norm = self.make_grouping([1, 1], 1, (F(1, 2), F(1, 2)), ((0, 1), (1, 2)))
@@ -527,11 +525,12 @@ def tiny_corpus():
 
 
 def assert_tiny_code_is_cheapest(inst, ladder, values):
-    """solve_tiny_ell1's code and total_cost are those of the first cheapest
-    run length on ladder, given each rung's tiny_value_reference."""
+    """solve's code and total_cost on a tiny-path instance are those of the
+    first cheapest run length on ladder, given each rung's
+    tiny_value_reference."""
     best = min(values)
     _, code = tiny_pool_reference(inst, ladder[values.index(best)])
-    rep = solve_tiny_ell1(inst)
+    rep = solve(inst)
     assert rep.code.codewords == code.codewords, (inst.letters, inst.n)
     scale = inst.scale * inst.letters.scale
     assert rep.total_cost == F(best, scale) * inst.weight_total, (inst.letters, inst.n)
@@ -554,14 +553,9 @@ class TestTiny:
 
     def test_single_word(self):
         inst = Instance((F(1),), LetterCosts([F(1, 100), 1]), F(1, 2))
-        rep = solve_tiny_ell1(inst)
+        rep = solve(inst)
         assert rep.code.strings() == ["a"]
         assert rep.total_cost == F(1, 100)
-
-    def test_precondition_enforced(self):
-        inst = Instance((F(1, 2), F(1, 2)), LetterCosts([1, 1]), F(1, 2))
-        with pytest.raises(InstanceError):
-            solve_tiny_ell1(inst)
 
     def test_random_within_bound(self):
         rng = random.Random(81)
@@ -573,7 +567,8 @@ class TestTiny:
                 continue
             weights = [rng.randint(1, 9) for _ in range(n)]
             inst, _ = Instance.from_weights(weights, LetterCosts([l1, 1]), eps)
-            rep = solve_tiny_ell1(inst)
+            rep = solve(inst)
+            assert rep.mode == "tiny"
             assert is_prefix_free(rep.code.codewords)
             exact = exact_optimal(inst)
             assert exact.optimal_cost <= rep.total_cost <= (1 + eps) * exact.optimal_cost
@@ -600,14 +595,14 @@ class TestTiny:
             above += sum(i0 > n for i0 in candidates)
             codes = [tiny_candidate_code(inst, i0) for i0 in candidates]
             best = min(codes, key=lambda code: code[0])
-            rep = solve_tiny_ell1(inst)
+            rep = solve(inst)
             assert rep.code.codewords == tuple(best[1])
             assert rep.total_cost == best[0] * l2 * inst.weight_total
             assert rep.guess_count == len(candidates)
         assert below > 100 and above > 50
 
     def test_codes_above_the_self_check(self):
-        # solve_tiny_ell1 checks its code only up to n = 512; above that its
+        # the tiny path checks its code only up to n = 512; above that its
         # code and the candidate codes of other run lengths must be distinct,
         # prefix free, ordered and priced as built. The shortest run length
         # is always among them: short ones keep many b a^j b words, which
@@ -621,7 +616,7 @@ class TestTiny:
             weights = [rng.randint(1, 10**6) for _ in range(n)]
             inst, _ = Instance.from_weights(weights, letters, eps)
             candidates = tiny_run_length_candidates(inst)
-            codes = [solve_tiny_ell1(inst).code]
+            codes = [solve(inst).code]
             for i0 in [candidates[0], *rng.sample(candidates[1:], 2)]:
                 codes.append(_tiny_pool(inst, i0))
             for code in codes:
@@ -634,7 +629,7 @@ class TestTiny:
         # the strided walk prices and builds every run length's code as one
         # sort of the whole candidate pool would: same values, codewords,
         # prices and order, over the old saturating ladder, which runs on
-        # past the first run length >= n. solve_tiny_ell1's self-check walks
+        # past the first run length >= n. The tiny path's self-check walks
         # a per-letter trie, ~0.1 s per code here; the sorted check is the
         # same test, in a tenth of the time
         monkeypatch.setattr(driver, "is_prefix_free", is_prefix_free_sorted)
@@ -740,7 +735,7 @@ class TestTiny:
         for eps in (F(1, 20000), F(1, 10**5)):
             inst, _ = Instance.from_weights(weights, LetterCosts([F(1, 10**9), 1]), eps)
             assert tiny_run_length_candidates(inst) == list(range(1, 8))
-            rep = solve_tiny_ell1(inst)
+            rep = solve(inst)
             assert rep.mode == "tiny" and rep.guess_count == 7
         # the stepped reference agrees on seeded cases with n * eps <= 1,
         # six of them at n * eps == 1; eps stays >= 1/2000, where the
@@ -769,17 +764,15 @@ class TestTiny:
 
     def test_boundary_agreement(self):
         # just above the boundary (l1 * n = 9/16 > eps) solve takes the main
-        # path and solve_tiny_ell1 refuses the instance, but the tiny path's
-        # candidate codes still price it; the two costs stay within a
-        # (1+eps)^2 factor of each other
+        # path, but the tiny path's candidate codes still price the
+        # instance; the two costs stay within a (1+eps)^2 factor of each
+        # other
         eps = F(1, 2)
         n = 4
         l1 = eps / n + F(1, 64)
         inst = Instance(tuple([F(1, n)] * n), LetterCosts([l1, 1]), eps)
         main = solve(inst)
         assert main.mode == "main"
-        with pytest.raises(InstanceError):
-            solve_tiny_ell1(inst)
         best = min(tiny_candidate_code(inst, i0)[0] for i0 in tiny_run_length_candidates(inst))
         tiny_cost = best * inst.letters.costs[1] * inst.weight_total
         ratio = max(main.total_cost / tiny_cost, tiny_cost / main.total_cost)
@@ -792,7 +785,7 @@ def enumerated_minimum(norm, k, n):
     priced in integer weights times costs in quanta."""
     graph = build_cost_graph(norm, k)
     weights = norm.instance.weights_int
-    sizes = group_words(norm, k).sizes
+    sizes = [e - s for s, e in group_words(norm, k).ranges]
     best = None
     for f0 in level0_size_candidates(norm):
         skip = 1 if f0 > 0 else 0  # group 1 sits on level 0 then
@@ -805,8 +798,9 @@ def enumerated_minimum(norm, k, n):
                 for lvl, size in zip(levels, usable[:t]):
                     counts[lvl] = counts.get(lvl, 0) + size
                 guess = Guess(f0, tuple(sorted(counts.items())))
-                code = construct_leveled(norm, graph, guess, n)
-                if isinstance(code, Inconsistent):
+                try:
+                    code = construct_leveled(norm, graph, guess, n)
+                except InstanceError:
                     continue
                 cost = sum(map(mul, weights, code.word_costs_q))
                 if best is None or cost < best:

@@ -6,7 +6,6 @@ import pytest
 
 from lettercost import (
     Guess,
-    Inconsistent,
     Instance,
     InstanceError,
     LetterCosts,
@@ -22,6 +21,7 @@ from helpers import (
     blocker_pairs,
     brute_force_leveled_minimum,
     free_counts_recurrence,
+    guess_words,
     is_k_prefix_free_pairwise,
     leveled_cost,
     leveled_recurrence,
@@ -40,8 +40,8 @@ class TestConstruct:
 
     def test_fourth_word_impossible(self):
         norm, graph = leveled_setup([1, 1], 1, 3, 4)
-        result = construct_leveled(norm, graph, Guess(0, ((1, 1), (2, 2))), 4)
-        assert isinstance(result, Inconsistent)
+        with pytest.raises(InstanceError, match="fewer than 1 tail codewords exist"):
+            construct_leveled(norm, graph, Guess(0, ((1, 1), (2, 2))), 4)
 
     def test_two_singles(self):
         norm, graph = leveled_setup([1, 1], 1, 3, 4)
@@ -59,9 +59,27 @@ class TestConstruct:
 
     def test_overfull_guess(self):
         norm, graph = leveled_setup([1, 1], 1, 3, 4)
-        assert isinstance(
-            construct_leveled(norm, graph, Guess(0, ((1, 2), (2, 4))), 3), Inconsistent
-        )
+        with pytest.raises(InstanceError, match="guess places more codewords than words"):
+            construct_leveled(norm, graph, Guess(0, ((1, 2), (2, 4))), 3)
+
+    def test_level_outside_the_graph(self):
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
+        assert graph.level_count == 2
+        for lvl in (0, 3):
+            with pytest.raises(InstanceError, match=r"guess names a level outside 1\.\.2"):
+                construct_leveled(norm, graph, Guess(0, ((lvl, 1),)), 4)
+
+    def test_repeated_level(self):
+        # a level named twice once kept only its last count while the tail
+        # was sized from both, giving 7 codewords for 8 words
+        inst, _ = Instance.from_weights([5, 4, 3, 3, 2, 2, 1, 1], LetterCosts([1, 2]), F(1, 2))
+        norm = normalize(inst)
+        graph = build_cost_graph(norm, choose_k(norm.epsilon_prime))
+        with pytest.raises(InstanceError, match="guess names level 1 twice"):
+            construct_leveled(norm, graph, Guess(0, ((1, 1), (1, 1))), 8)
+        # in any order
+        with pytest.raises(InstanceError, match="guess names level 2 twice"):
+            construct_leveled(norm, graph, Guess(0, ((2, 1), (1, 1), (2, 0))), 8)
 
     def test_materializing_keeps_equality(self):
         # the materialized value is a cache, not part of the code: it neither
@@ -79,7 +97,8 @@ class TestConstruct:
 
     def test_level0_size_too_costly(self):
         norm, graph = leveled_setup([F(1, 2), 1], F(1, 2), 2, 4)
-        assert isinstance(construct_leveled(norm, graph, Guess(2, ()), 4), Inconsistent)
+        with pytest.raises(InstanceError, match="level-0 codeword size 2 costs at least 1"):
+            construct_leveled(norm, graph, Guess(2, ()), 4)
 
 
 class TestSelect:
@@ -102,17 +121,18 @@ class TestSelect:
         assert code.picks == [(2, 4)]
         assert graph.free(2, [(2, 4)]) == 0
         # the four cost-2 strings block every longer one: no fifth codeword
-        assert isinstance(construct_leveled(norm, graph, Guess(0, ((2, 4),)), 5), Inconsistent)
+        with pytest.raises(InstanceError, match="fewer than 1 tail codewords exist"):
+            construct_leveled(norm, graph, Guess(0, ((2, 4),)), 5)
 
     def test_insufficient(self):
         norm, graph = leveled_setup([1, 1], 1, 3, 4)
         assert graph.free(1, []) == 2
-        assert isinstance(construct_leveled(norm, graph, Guess(0, ((1, 3),)), 3), Inconsistent)
+        with pytest.raises(InstanceError, match="level 1 cannot host 3 codewords"):
+            construct_leveled(norm, graph, Guess(0, ((1, 3),)), 3)
         # a lower level's codewords count against a higher level
         assert graph.free(2, [(1, 1)]) == 2
-        assert isinstance(
-            construct_leveled(norm, graph, Guess(0, ((1, 1), (2, 3))), 4), Inconsistent
-        )
+        with pytest.raises(InstanceError, match="level 2 cannot host 3 codewords"):
+            construct_leveled(norm, graph, Guess(0, ((1, 1), (2, 3))), 4)
 
     def test_pick_past_the_free_strings_is_an_error(self):
         # a pick made by hand, not by the search or construct_leveled, may
@@ -143,8 +163,9 @@ class TestStructure:
                 lvl = rng.randint(1, graph.level_count)
                 counts[lvl] = counts.get(lvl, 0) + rng.randint(1, 2)
             guess = Guess(0, tuple(sorted(counts.items())))
-            code = construct_leveled(norm, graph, guess, n)
-            if isinstance(code, Inconsistent):
+            try:
+                code = construct_leveled(norm, graph, guess, n)
+            except InstanceError:
                 continue
             assert is_k_prefix_free_pairwise(code.codewords, k, norm.instance.letters.costs)
             # leveled: the picks below k are the guess's levels, each at its
@@ -244,17 +265,17 @@ class TestRecurrenceReference:
                 counts[lvl] = cnt
                 blocked_q += [target] * cnt
             guess = Guess(f0, tuple(sorted(counts.items())))
-            n = guess.codeword_total() + rng.randint(0, 6)
+            n = guess_words(guess) + rng.randint(0, 6)
             seen["level-0 run"] += f0 > 0
             expected = leveled_recurrence(norm, graph, guess, n)
-            got = construct_leveled(norm, graph, guess, n)
             where = (costs, eps, graph.k_q, guess, n)
             if expected is None:
-                assert isinstance(got, Inconsistent), where
-                levels_fit = leveled_recurrence(norm, graph, guess, guess.codeword_total())
+                with pytest.raises(InstanceError, match="cannot host|tail codewords"):
+                    construct_leveled(norm, graph, guess, n)
+                levels_fit = leveled_recurrence(norm, graph, guess, guess_words(guess))
                 seen["tail short" if levels_fit else "level short"] += 1
             else:
-                assert isinstance(got, LeveledCode), where
+                got = construct_leveled(norm, graph, guess, n)
                 assert got.picks == expected, where
                 seen["feasible"] += 1
                 seen["tail spans costs"] += sum(c >= graph.k_q for c, _ in got.picks) > 1
@@ -283,8 +304,9 @@ class TestMaterializationOrder:
             for _ in range(rng.randint(0, 3)):
                 lvl = rng.randint(1, graph.level_count)
                 counts[lvl] = counts.get(lvl, 0) + rng.randint(1, 3)
-            code = construct_leveled(norm, graph, Guess(f0, tuple(sorted(counts.items()))), n)
-            if isinstance(code, Inconsistent):
+            try:
+                code = construct_leveled(norm, graph, Guess(f0, tuple(sorted(counts.items()))), n)
+            except InstanceError:
                 continue
             if any(graph.count(c) > 3000 for c, _ in code.picks):
                 continue
@@ -371,11 +393,12 @@ class TestOptimality:
                 for f0 in f0_options:
                     for level_counts in level_options:
                         guess = Guess(f0, level_counts)
-                        if not guess.fits(n):
+                        if guess_words(guess) > n:
                             continue
-                        code = construct_leveled(norm, graph, guess, n)
                         brute = brute_force_leveled_minimum(norm, graph, guess, n)
-                        if isinstance(code, Inconsistent):
+                        try:
+                            code = construct_leveled(norm, graph, guess, n)
+                        except InstanceError:
                             assert brute is None, (costs, k, n, guess)
                         else:
                             got = leveled_cost(code)

@@ -17,7 +17,6 @@ PUBLIC = [
     "GLYPHS",
     "Grouping",
     "Guess",
-    "Inconsistent",
     "Instance",
     "InstanceError",
     "LetterCosts",
@@ -38,7 +37,6 @@ PUBLIC = [
     "normalize",
     "reorder",
     "solve",
-    "solve_tiny_ell1",
 ]
 
 
