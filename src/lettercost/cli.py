@@ -12,9 +12,11 @@ other number form is parsed token by token, which also places any error.
 
 Exit codes: 0 success; 1 a usage, parse or validation failure, with a
 one-line message; 2 budget exceeded, by the search's nodes or the count
-table's entries (`graph-stats` charges the table at the default budget); 3
-a failed check: `verify` found the ratio to the optimum outside [1, bound],
-or `graph-stats` found the cost graph or the grouping over its size bounds.
+table's entries or bits (`graph-stats` charges the table at the default
+budget), or a MemoryError that escaped those charges, with a one-line
+message; 3 a failed check: `verify` found the ratio to the optimum outside
+[1, bound], or `graph-stats` found the cost graph or the grouping over its
+size bounds.
 """
 
 from __future__ import annotations
@@ -26,16 +28,8 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import chain
 
-from .core import GLYPHS, CodeAssignment, Instance, InstanceError, LetterCosts, normalize
-from .driver import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    CodeReport,
-    _charged_cost_graph,
-    choose_k,
-    group_words,
-    solve,
-)
+from .core import GLYPHS, CodeAssignment, Instance, InstanceError, LetterCosts
+from .driver import DEFAULT_BUDGET, BudgetExceeded, CodeReport, _setup, solve
 from .oracles import exact_optimal
 
 
@@ -233,11 +227,8 @@ def cmd_verify(args) -> int:
 
 def cmd_graph_stats(args) -> int:
     loaded = load_instance(args.path, args.epsilon)
-    norm = normalize(loaded.instance)
-    k = choose_k(norm.epsilon_prime)
-    # the count table is charged as solve charges it, at the default budget
-    graph = _charged_cost_graph(norm, k, DEFAULT_BUDGET, loaded.instance.epsilon)
-    grouping = group_words(norm, k)
+    # set up as solve sets up, the count table charged at the default budget
+    norm, k, graph, grouping = _setup(loaded.instance, DEFAULT_BUDGET)
     n = loaded.instance.n
     d = len(norm.distinct_q)
     node_bound = n * k / norm.epsilon_prime
@@ -320,6 +311,9 @@ def main(argv=None) -> int:
     except (ParseError, InstanceError, BudgetExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2 if isinstance(exc, BudgetExceeded) else 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,14 +31,7 @@ class CostGraph:
     the horizon in quanta, an int or a Fraction between two grid costs.
     Raises InstanceError when more than one letter costs less than the unit."""
 
-    def __init__(
-        self,
-        distinct_q: Sequence[tuple[int, int]],
-        unit_q: int,
-        eps_q: int,
-        k_q: Rational,
-        quantum: Fraction,
-    ):
+    def __init__(self, distinct_q: Sequence[tuple[int, int]], unit_q: int, eps_q: int, k_q: Rational):
         if k_q < unit_q:
             raise InstanceError("k must be at least 1")
         self.distinct_q = tuple(distinct_q)
@@ -48,10 +41,10 @@ class CostGraph:
             raise InstanceError("at most one letter may cost less than the unit")
         self.unit_q = unit_q
         self.eps_q = eps_q
-        self.k = k_q * quantum  # the exact horizon
+        self.quantum = Fraction(1, unit_q)
+        self.k = k_q * self.quantum  # the exact horizon
         last = math.floor(k_q)  # the last grid cost <= k
         k_q = self.k_q = math.ceil(k_q)
-        self.quantum = quantum
         self.max_letter_q = max(c for c, _ in self.distinct_q)
         self.level_count = (k_q - unit_q) // eps_q
         # counts[c] = number of strings of cost c; extended past k on demand
@@ -152,6 +145,4 @@ def build_cost_graph(norm: NormalizedInstance, k: Rational) -> CostGraph:
         raise InstanceError(
             "cheapest letter cost is at most eps/n; solve takes the tiny-letter path"
         )
-    return CostGraph(
-        norm.distinct_q, unit_q, norm.eps_q, Fraction(kn * unit_q, kd), Fraction(1, unit_q)
-    )
+    return CostGraph(norm.distinct_q, unit_q, norm.eps_q, Fraction(kn * unit_q, kd))

@@ -1,15 +1,16 @@
 """End-to-end solver: parameter choice, grouping, guess search, conversion.
 
 The solve pipeline conditions the instance, picks the prefix-relaxation
-horizon k, builds the cost graph, partitions words into probability groups,
-and searches over constraint tuples (level-0 codeword size plus a monotone
-assignment of a group prefix to levels; unassigned groups fall to the cost->=k
-tail). The search keeps the cheapest leaf's leveled code as its (cost,
-count) picks: the level-0 codeword, each placed group at its level's target
-cost, and the tail batches the leaf walked. solve builds that code from the
-picks and converts it into a true prefix code. Every step from the
-tiny-letter test to the report works in ints, cross-multiplied where it
-compares ratios, and each reported value is made as one Fraction.
+horizon k, builds the cost graph and partitions words into probability
+groups (_setup, which graph-stats runs too), then searches over constraint
+tuples (level-0 codeword size plus a monotone assignment of a group prefix
+to levels; unassigned groups fall to the cost->=k tail). The search keeps
+the cheapest leaf's leveled code as its (cost, count) picks: the level-0
+codeword, each placed group at its level's target cost, and the tail
+batches the leaf walked. solve builds that code from the picks and converts
+it into a true prefix code. Every step from the tiny-letter test to the
+report works in ints, cross-multiplied where it compares ratios, and each
+reported value is made as one Fraction.
 
 The search is depth-first over assignments in increasing level order with an
 admissible bound (accumulated cost plus remaining probability times the
@@ -96,7 +97,7 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate, groupby, islice
 from fractions import Fraction
@@ -130,6 +131,10 @@ DEFAULT_BUDGET = 10**7
 # take milliseconds, so a small budget still cuts the search itself. A longer
 # table is charged to the budget, one unit per entry, before it is built
 TABLE_ALLOWANCE = 2**12
+
+# a longer table is also charged by its bits, which grow with the square of
+# its entries: past this many (256 MiB), it is not built whatever the budget
+TABLE_BITS_ALLOWANCE = 2**31
 
 
 class BudgetExceeded(RuntimeError):
@@ -188,24 +193,6 @@ def _k_q(norm: NormalizedInstance, k: Fraction) -> int:
     return -(-k.numerator * norm.unit_q // k.denominator)
 
 
-def _charged_cost_graph(
-    norm: NormalizedInstance, k: Fraction, budget: int, epsilon: Fraction
-) -> CostGraph:
-    """build_cost_graph(norm, k), unless its count table, one entry per
-    quantum from 0 to k_q, holds more than max(budget, TABLE_ALLOWANCE)
-    entries: then BudgetExceeded, before the table is built. epsilon is the
-    caller's, for the message."""
-    entries = _k_q(norm, k) + 1
-    if entries > max(budget, TABLE_ALLOWANCE):
-        raise BudgetExceeded(
-            0,
-            budget,
-            "cost graph needs %d count-table entries at epsilon %s, over budget %d"
-            % (entries, epsilon, budget),
-        )
-    return build_cost_graph(norm, k)
-
-
 @dataclass(frozen=True)
 class Grouping:
     """Contiguous partition of the sorted word list.
@@ -243,14 +230,56 @@ def group_words(norm: NormalizedInstance, k: Fraction) -> Grouping:
     while i < n and 2 * ws[i] * den > num:
         ranges.append((i, i + 1))
         i += 1
+    # int weights fit the cap num / den exactly when they fit its floor, so a
+    # packed group from i ends at the last prefix sum within prefix[i] + cap
+    prefix, cap = list(accumulate(ws, initial=0)), num // den
     while i < n:
-        j, acc = i, 0
-        while j < n and (acc + ws[j]) * den <= num:
-            acc += ws[j]
-            j += 1
+        j = bisect_right(prefix, prefix[i] + cap, i + 1) - 1
         ranges.append((i, j))
         i = j
     return Grouping(norm, tuple(ranges))
+
+
+def _setup(
+    instance: Instance, budget: int
+) -> tuple[NormalizedInstance, Fraction, CostGraph, Grouping]:
+    """What the guess search starts from: the normalized instance, choose_k's
+    horizon k, the cost graph and the grouping. The graph's count table, one
+    entry per quantum from 0 to k_q, is charged before it is built: past
+    max(budget, TABLE_ALLOWANCE) entries, or past TABLE_ALLOWANCE entries
+    and TABLE_BITS_ALLOWANCE bits, BudgetExceeded."""
+    norm = normalize(instance)
+    k = choose_k(norm.epsilon_prime)
+    entries = _k_q(norm, k) + 1
+    if entries > max(budget, TABLE_ALLOWANCE):
+        raise BudgetExceeded(
+            0,
+            budget,
+            "cost graph needs %d count-table entries at epsilon %s, over budget %d"
+            % (entries, instance.epsilon, budget),
+        )
+    if entries > TABLE_ALLOWANCE:
+        # count(c) <= 2^(beta * c) when sum mult * 2^(-beta * w) <= 1 over the
+        # letters of w < E quanta, by induction on the sum that fills the
+        # table, so its E entries hold at most beta * E * (E - 1) / 2 + E bits.
+        # Bisect for the root from beta = bit_length(r) / l1_q, where the sum
+        # is below 1 with every letter as cheap as the cheapest
+        lo, hi = 0.0, len(norm.letters_q).bit_length() / norm.letters_q[0]
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if sum(m * 2.0 ** (-mid * w) for w, m in norm.distinct_q if w < entries) > 1:
+                lo = mid
+            else:
+                hi = mid
+        bits = int(hi * entries * (entries - 1) / 2) + entries
+        if bits > TABLE_BITS_ALLOWANCE:
+            raise BudgetExceeded(
+                0,
+                budget,
+                "cost graph's count table needs about %d bits at epsilon %s, over the"
+                " allowance of %d bits" % (bits, instance.epsilon, TABLE_BITS_ALLOWANCE),
+            )
+    return norm, k, build_cost_graph(norm, k), group_words(norm, k)
 
 
 # ---------------------------------------------------------------------------
@@ -812,11 +841,8 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
     if _cheapest_is_tiny(instance):
         return _solve_tiny(instance, started)
 
-    norm = normalize(instance)
+    norm, k, graph, grouping = _setup(instance, budget)
     eps = norm.epsilon_prime
-    k = choose_k(eps)
-    graph = _charged_cost_graph(norm, k, budget, instance.epsilon)
-    grouping = group_words(norm, k)
 
     search = _Search(norm, graph, grouping, budget)
     search.minimize()

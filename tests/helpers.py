@@ -22,7 +22,9 @@ the library did before its quantum was the gcd of the letter costs: in
 Fractions, with the finer quantum min(l1, epsilon'). fraction_level0_sizes,
 fraction_group_ranges and fraction_graph_refusals work out the level-0
 sizes, the groups and the cost graph's refusals the way the library did
-before it kept them in ints: in Fractions. All stay
+before it kept them in ints: in Fractions. loop_group_ranges packs the
+groups the way the library did before it ended each by a bisection over
+prefix sums: word by word, in ints. All stay
 independent of the library's counting, construction, conversion and oracle
 paths. single_pass_minimize runs the guess search the way the library did
 before it took a first pass to seed its incumbent: one pass, from the
@@ -393,6 +395,29 @@ def fraction_group_ranges(norm, k):
         j, acc = i, Fraction(0)
         while j < n and acc + probs[j] <= cap:
             acc += probs[j]
+            j += 1
+        ranges.append((i, j))
+        i = j
+    return tuple(ranges)
+
+
+def loop_group_ranges(norm, k):
+    """driver.group_words' ranges packed word by word: each packed group's
+    running int weight compared with the cap num / den cross-multiplied."""
+    ws = norm.instance.weights_int
+    eps, k = norm.epsilon_prime, Fraction(k)
+    num = (norm.instance.scale - ws[0]) * eps.numerator**2 * k.denominator
+    den = eps.denominator**2 * k.numerator
+    n = len(ws)
+    ranges = [(0, 1)]
+    i = 1
+    while i < n and 2 * ws[i] * den > num:
+        ranges.append((i, i + 1))
+        i += 1
+    while i < n:
+        j, acc = i, 0
+        while j < n and (acc + ws[j]) * den <= num:
+            acc += ws[j]
             j += 1
         ranges.append((i, j))
         i = j

@@ -125,7 +125,7 @@ def test_criterion_4_counting_recurrence_oracle():
                 distinct[-1] = (c, distinct[-1][1] + 1)
             else:
                 distinct.append((c, 1))
-        graph = CostGraph(tuple(distinct), int(1 / quantum), int(1 / quantum), k_q, quantum)
+        graph = CostGraph(tuple(distinct), int(1 / quantum), int(1 / quantum), k_q)
 
         blocked = []
         for cand in [(0,), (0, 0), (1,), (1, 0), (0, 1), (1, 1)]:

@@ -410,7 +410,7 @@ class TestOtherCommands:
             count = math.floor(1 + 4 * k / norm.epsilon_prime**2) + 1
             return Grouping(norm, ((0, 1),) * count)
 
-        monkeypatch.setattr(cli, "group_words", too_many)
+        monkeypatch.setattr(driver, "group_words", too_many)
         code, out, _ = run_cli("graph-stats", figure_skewed, "--epsilon", "1")
         assert code == 3
         assert out.endswith("FAIL\n")

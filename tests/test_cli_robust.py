@@ -8,18 +8,21 @@ case, and `--budget` keeps every search and every count table short. A case
 either exits 0 with a TSV code that is prefix free and whose `# total_cost`
 line is the cost recomputed from the printed codewords, or exits 1, 2 or 3
 with one line on stderr and nothing on stdout. An exception that escapes
-`cli.main` fails the case.
+`cli.main` fails the case. Two more tests pin the two ways memory ends on
+one line: a count table charged by its bits before it is built, and a
+MemoryError that escapes anyway.
 """
 
 import io
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from helpers import is_prefix_free_sorted
-from lettercost import GLYPHS
+from lettercost import GLYPHS, cli, driver
 from lettercost.cli import main
 from lettercost.core import runs_from_letters
 
@@ -89,17 +92,21 @@ def value(text):
     return Fraction(text.split(" (")[0])
 
 
+def run(*argv):
+    """`lettercost *argv` in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_solve_ends_in_a_checked_code_or_an_exit_code(tmp_path, seed):
     rng = random.Random("cli-robust:%d" % seed)
     text, eps, costs, glyphs, words = case(rng)
     path = tmp_path / "instance.txt"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    argv = ["solve", str(path), "--epsilon", eps, "--budget", str(BUDGET), "--emit", "tsv"]
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = run("solve", str(path), "--epsilon", eps, "--budget", str(BUDGET), "--emit", "tsv")
     assert err.count("\n") == 1 and "Traceback" not in err
     if code != 0:
         assert code in (1, 2, 3) and out == "" and err.startswith("error: "), (code, err)
@@ -120,3 +127,50 @@ def test_solve_ends_in_a_checked_code_or_an_exit_code(tmp_path, seed):
     assert value(footer["# total_cost"]) == total
     spelled = [runs_from_letters(index[glyph] for glyph in row[2]) for row in rows]
     assert len(spelled) == len(words) and is_prefix_free_sorted(spelled)
+
+
+def test_count_table_bits_are_charged(tmp_path, monkeypatch):
+    # weights 1 1 over letters 1 2: at eps 1/10000 the table's 402,364
+    # entries are within the default budget, but they would hold about
+    # 5.6 * 10^10 bits (~7 GB); both commands refuse before building it. A
+    # letter past the table's last cost adds no strings to it, nor bits
+    path = tmp_path / "two.txt"
+    path.write_text("1 2\n1 1\n")
+    far = tmp_path / "far.txt"
+    far.write_text("1 2 1%s\n1 1\n" % ("0" * 400))
+
+    def refuse(norm, k):
+        raise AssertionError("the cost graph was built")
+
+    monkeypatch.setattr(driver, "build_cost_graph", refuse)
+    for command in ("solve", "graph-stats"):
+        for instance in (path, far):
+            started = time.perf_counter()
+            code, out, err = run(command, str(instance), "--epsilon", "1/10000")
+            assert time.perf_counter() - started < 1
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: cost graph's count table needs about 56198030823 bits at epsilon"
+                " 1/10000, over the allowance of 2147483648 bits\n"
+            )
+    # at eps 1/1000 its 33,024 entries hold about 3.8 * 10^8 bits (45 MiB):
+    # built and solved, with the code and cost it always had
+    monkeypatch.undo()
+    code, out, err = run("solve", str(path), "--epsilon", "1/1000", "--emit", "tsv")
+    assert code == 0
+    assert out == (
+        "word\tweight\tcodeword\tcost\n1\t1\ta\t1\n2\t1\tb\t2\n"
+        "# total_cost\t3\n# lower_bound\t2\n# guesses\t2\n"
+    )
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch):
+    # a MemoryError that escapes every charge still ends on one line
+    def exhausted(instance, budget):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve", exhausted)
+    path = tmp_path / "two.txt"
+    path.write_text("1 2\n1 1\n")
+    code, out, err = run("solve", str(path))
+    assert (code, out, err) == (2, "", "error: out of memory\n")

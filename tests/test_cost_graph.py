@@ -41,7 +41,7 @@ class TestBuild:
 
     def test_raw_one_two(self):
         # costs (1,2) without forcing the second letter to 1
-        graph = CostGraph(((1, 1), (2, 1)), unit_q=1, eps_q=1, k_q=4, quantum=F(1))
+        graph = CostGraph(((1, 1), (2, 1)), unit_q=1, eps_q=1, k_q=4)
         assert [c for c in graph.nodes_q] == [0, 1, 2, 3, 4]
         assert graph.counts[:5] == [1, 1, 2, 3, 5]
 
@@ -67,10 +67,10 @@ class TestBuild:
         # level 0 and the materializer take every string cheaper than the
         # unit to be a run of the one cheapest letter
         with pytest.raises(InstanceError, match="at most one letter"):
-            CostGraph(((1, 1), (2, 1)), 4, 1, 8, F(1, 4))
+            CostGraph(((1, 1), (2, 1)), 4, 1, 8)
         with pytest.raises(InstanceError, match="at most one letter"):
-            CostGraph(((1, 2), (4, 1)), 4, 1, 8, F(1, 4))
-        assert CostGraph(((1, 1), (4, 1)), 4, 1, 8, F(1, 4)).counts[:4] == [1, 1, 1, 1]
+            CostGraph(((1, 2), (4, 1)), 4, 1, 8)
+        assert CostGraph(((1, 1), (4, 1)), 4, 1, 8).counts[:4] == [1, 1, 1, 1]
 
     def test_size_bounds_random(self):
         rng = random.Random(41)
@@ -115,7 +115,7 @@ class TestLayout:
                 for horizon in (1, k, k + eps, k + rng.randint(2, 6) * eps):
                     # k = 1 + m*eps' need not be a grid cost; the tail starts
                     # at the first one at or above it
-                    graph = CostGraph(norm.distinct_q, norm.unit_q, norm.eps_q, horizon / quantum, quantum)
+                    graph = CostGraph(norm.distinct_q, norm.unit_q, norm.eps_q, horizon / quantum)
                     assert graph.k == horizon
                     assert (graph.k_q - 1) * quantum < horizon <= graph.k_q * quantum
                     off_grid += graph.k_q * quantum != horizon
@@ -126,7 +126,7 @@ class TestLayout:
                     if graph.k_q == graph.unit_q:
                         assert graph.live_targets == []
                         empty += 1
-                    old = CostGraph(old_distinct, old_unit, old_eps, int(horizon / old_quantum), old_quantum)
+                    old = CostGraph(old_distinct, old_unit, old_eps, int(horizon / old_quantum))
                     assert [t * quantum for t in graph.live_targets] == [
                         t * old_quantum for t in old.live_targets
                     ]
@@ -147,7 +147,7 @@ class TestFreeStrings:
     blocker pairs built from its members' costs."""
 
     def test_fibonacci_counts(self):
-        graph = CostGraph(((1, 1), (2, 1)), unit_q=1, eps_q=1, k_q=4, quantum=F(1))
+        graph = CostGraph(((1, 1), (2, 1)), unit_q=1, eps_q=1, k_q=4)
         assert [graph.free(c, []) for c in range(5)] == [1, 1, 2, 3, 5]
 
     def test_blocked_by_single_letter(self):
@@ -171,13 +171,7 @@ class TestFreeStrings:
             eps = rng.choice([F(1, 2), F(1)])
             norm = norm_for(costs, eps)
             k = 1 + rng.randint(1, 4) * norm.epsilon_prime
-            graph = CostGraph(
-                norm.distinct_q,
-                norm.unit_q,
-                norm.eps_q,
-                int(k / norm.cost_quantum),
-                norm.cost_quantum,
-            )
+            graph = CostGraph(norm.distinct_q, norm.unit_q, norm.eps_q, int(k / norm.cost_quantum))
             # block a random prefix-free set of short strings
             blocked = []
             for cand in [(0,), (0, 0), (1,), (1, 0), (0, 1)]:

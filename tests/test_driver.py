@@ -49,6 +49,7 @@ from helpers import (
     every_other_level_minimize,
     huffman_cost,
     is_prefix_free_sorted,
+    loop_group_ranges,
     random_instance,
     reference_run,
     saturating_ladder_reference,
@@ -190,6 +191,34 @@ class TestGrouping:
     def test_single_word(self):
         g = group_words(normalize(Instance((F(1),), LetterCosts([1, 1]), F(1, 2))), F(3))
         assert g.ranges == ((0, 1),)
+
+    def test_bisection_packs_as_the_word_loop(self):
+        # one bisection over prefix sums ends each packed group where adding
+        # word by word did: on random, all-equal, heavy-headed and Zipf
+        # weights, n = 1 and 2 among them
+        rng = random.Random(3201)
+        packed = singletons = 0
+        for trial in range(400):
+            n = rng.choice([1, 2, 3, rng.randint(4, 60), rng.randint(100, 2000)])
+            weights = (
+                [rng.randint(1, 10**6) for _ in range(n)],
+                [7] * n,
+                [rng.randint(10**6, 10**7) for _ in range(rng.randint(1, 5))]
+                + [rng.randint(1, 100) for _ in range(n)],
+                [10**6 // (i + 1) + 1 for i in range(n)],
+            )[trial % 4]
+            costs = rng.choice([[1, 1], [1, 2], [1, 1, 2], [2, 3, 4], [1, 3], [F(1, 2), 1]])
+            inst, _ = Instance.from_weights(weights, LetterCosts(costs), F(1, rng.randint(1, 8)))
+            norm = normalize(inst)
+            eps = norm.epsilon_prime
+            for k in (choose_k(eps), 1 + eps, 1 + 7 * eps):
+                ranges = group_words(norm, k).ranges
+                assert ranges == loop_group_ranges(norm, k)
+                packed += any(e - s > 1 for s, e in ranges)
+                # packed words weigh at most half the cap, so a one-word
+                # group between the first and the last is a singleton
+                singletons += any(e - s == 1 for s, e in ranges[1:-1])
+        assert packed > 0 and singletons > 0
 
     def test_bounds_on_random_instances(self):
         rng = random.Random(71)
