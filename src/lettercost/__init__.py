@@ -20,8 +20,7 @@ from .core import (
     reorder,
 )
 from .cost_graph import CostGraph, build_cost_graph
-from .kprefix import Guess, LeveledCode, construct_leveled
-from .convert import convert_to_prefix, enc
+from .kprefix import Guess, LeveledCode, construct_leveled, convert_to_prefix, enc
 from .driver import (
     BudgetExceeded,
     C_TOTAL,

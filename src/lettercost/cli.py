@@ -24,11 +24,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from decimal import Context, Decimal
+from decimal import Context
 from fractions import Fraction
 from itertools import chain
 
-from .core import GLYPHS, CodeAssignment, Instance, InstanceError, LetterCosts
+from .core import GLYPHS, CodeAssignment, Instance, InstanceError, LetterCosts, _exact_text
 from .driver import DEFAULT_BUDGET, BudgetExceeded, CodeReport, _setup, solve
 from .oracles import exact_optimal
 
@@ -120,14 +120,6 @@ def load_instance(path: str, epsilon: Fraction) -> LoadedInstance:
     except InstanceError as exc:
         raise ParseError(weight_no, 1, str(exc))
     return LoadedInstance(instance, order, sorted_glyphs, weights)
-
-
-def _exact_text(x) -> str:
-    """str(Fraction(x)) with every digit: str() of an int stops at
-    sys.get_int_max_str_digits() digits, and str() of a Decimal does not."""
-    f = Fraction(x)
-    text = str(Decimal(f.numerator))
-    return text if f.denominator == 1 else "%s/%s" % (text, Decimal(f.denominator))
 
 
 def fmt(x) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import groupby
 from operator import ge
@@ -46,12 +47,20 @@ def runs_from_letters(letters: Iterable[int]) -> Runs:
     return tuple((let, len(list(run))) for let, run in groupby(letters))
 
 
-def runs_from_str(s: str, glyphs: str = GLYPHS) -> Runs:
-    return runs_from_letters(glyphs.index(ch) for ch in s)
+def runs_from_str(s: str) -> Runs:
+    return runs_from_letters(GLYPHS.index(ch) for ch in s)
 
 
 def runs_to_str(runs: Runs, glyphs: str = GLYPHS) -> str:
     return "".join(glyphs[let] * rep for let, rep in runs)
+
+
+def _exact_text(x: Rational) -> str:
+    """str(Fraction(x)) with every digit: str() of an int stops at
+    sys.get_int_max_str_digits() digits, and str() of a Decimal does not."""
+    f = Fraction(x)
+    text = str(Decimal(f.numerator))
+    return text if f.denominator == 1 else "%s/%s" % (text, Decimal(f.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +92,6 @@ class LetterCosts:
         object.__setattr__(self, "costs", cs)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "costs_int", tuple(c.numerator * (scale // c.denominator) for c in cs))
-
-    @property
-    def r(self) -> int:
-        return len(self.costs)
 
 
 @dataclass(frozen=True, init=False)
@@ -372,8 +377,8 @@ class CodeAssignment:
         cs = self.costs_int()
         return all(a <= b for a, b in zip(cs, cs[1:]))
 
-    def strings(self, glyphs: str = GLYPHS) -> list[str]:
-        return [runs_to_str(c, glyphs) for c in self.codewords]
+    def strings(self) -> list[str]:
+        return [runs_to_str(c) for c in self.codewords]
 
 
 def code_cost(assignment: CodeAssignment, instance: Instance) -> Fraction:

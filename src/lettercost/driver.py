@@ -104,20 +104,20 @@ from fractions import Fraction
 from operator import itemgetter, mul, sub
 from typing import Iterator, Sequence
 
-from .convert import convert_to_prefix
 from .core import (
     CodeAssignment,
     Instance,
     InstanceError,
     NormalizedInstance,
     Runs,
+    _exact_text,
     _unchecked,
     is_prefix_free,
     normalize,
     reorder,
 )
 from .cost_graph import CostGraph, build_cost_graph
-from .kprefix import LeveledCode
+from .kprefix import LeveledCode, convert_to_prefix
 
 # Frozen end-to-end approximation constant: measured over the random
 # verification corpus (n <= 8, r <= 3, integer costs <= 4,
@@ -171,7 +171,14 @@ def choose_k(epsilon: Fraction) -> Fraction:
     limit = 2.0 * (num / den)
 
     def fits(m: int) -> bool:
-        kf = (den + m * num) / den
+        top = den + m * num
+        try:
+            kf = top / den
+        except OverflowError:
+            # k is past a float's range (epsilon below ~1e-305): the same
+            # test in log2, on the ints
+            log_k = math.log2(top) - math.log2(den)
+            return math.log2(5.0 + 2.0 * log_k) - log_k <= 1.0 + math.log2(num) - math.log2(den)
         return (5.0 + 2.0 * math.log2(kf)) / kf <= limit
 
     # once the doubling stops, m = hi passes and m = lo fails (lo = 0: none
@@ -255,8 +262,8 @@ def _setup(
         raise BudgetExceeded(
             0,
             budget,
-            "cost graph needs %d count-table entries at epsilon %s, over budget %d"
-            % (entries, instance.epsilon, budget),
+            "cost graph needs %s count-table entries at epsilon %s, over budget %d"
+            % (_exact_text(entries), _exact_text(instance.epsilon), budget),
         )
     if entries > TABLE_ALLOWANCE:
         # count(c) <= 2^(beta * c) when sum mult * 2^(-beta * w) <= 1 over the
@@ -271,13 +278,17 @@ def _setup(
                 lo = mid
             else:
                 hi = mid
-        bits = int(hi * entries * (entries - 1) / 2) + entries
+        try:
+            bits = int(hi * entries * (entries - 1) / 2) + entries
+        except OverflowError:  # entries past a float's range, under a larger budget
+            bits = int(Fraction(hi) * entries * (entries - 1) / 2) + entries
         if bits > TABLE_BITS_ALLOWANCE:
             raise BudgetExceeded(
                 0,
                 budget,
-                "cost graph's count table needs about %d bits at epsilon %s, over the"
-                " allowance of %d bits" % (bits, instance.epsilon, TABLE_BITS_ALLOWANCE),
+                "cost graph's count table needs about %s bits at epsilon %s, over the"
+                " allowance of %d bits"
+                % (_exact_text(bits), _exact_text(instance.epsilon), TABLE_BITS_ALLOWANCE),
             )
     return norm, k, build_cost_graph(norm, k), group_words(norm, k)
 
@@ -494,16 +505,14 @@ class _Search:
                 leaf(gpos, partial)
 
         try:
-            if start == G:
-                leaf(G, base)
-            else:
-                # the root enters like a child: the free strings at the live
-                # targets up to its reach, less those under the level-0
-                # codeword
-                hi = reach(0, base, rest_w[start], best[0])
-                free = [counts[t] for t in targets[:hi]]
-                row0 = [counts[t - f0_cost] for t in targets[:hi]] if f0 > 0 else [0] * hi
-                dfs(start, 0, base, free, 0, hi, row0)
+            # the root enters like a child: the free strings at the live
+            # targets up to its reach, less those under the level-0 codeword.
+            # solve takes n = 1 elsewhere, so group 0, alone, has a group after
+            # it and start < G
+            hi = reach(0, base, rest_w[start], best[0])
+            free = [counts[t] for t in targets[:hi]]
+            row0 = [counts[t - f0_cost] for t in targets[:hi]] if f0 > 0 else [0] * hi
+            dfs(start, 0, base, free, 0, hi, row0)
         finally:
             self.explored = explored
             # dfs refers to itself through its cell; without this the search

@@ -25,21 +25,34 @@ Python stack depth nor memory grows with codeword length in letters. The
 walk of a tail pick stops at each string's shortest prefix alpha of cost
 >= k and appends the first strings of the remaining cost from a suffix table
 per cost, which every pick of the code shares. The code keeps one
-materialized value, its codewords with that split and the suffix tables,
-and convert_to_prefix reads it, so the escape conversion splices each alpha
-and each suffix once.
+materialized value, its codewords with that split and the suffix tables.
+
+convert_to_prefix then makes a true prefix code. Codewords cheaper than k
+pass through; a codeword alpha + beta of cost >= k becomes
+(alpha + enc(i) without its final 'b') + ('b' + beta + 'b'), runs merged
+inside each part. The escape block enc(i) spells out, in doubled binary, the
+count i of second letters in beta, so its end ("ab") is unmistakable and no
+codeword is a prefix of another; total cost grows by at most the factor
+1 + l2*(5 + 2*log2(k))/k. From the materialized value, the first part is
+built once per alpha and count, the second once per suffix, and each
+codeword is one tuple concatenation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import (
+    CodeAssignment,
     InstanceError,
     NormalizedInstance,
+    Rational,
     Runs,
+    _unchecked,
+    runs_from_letters,
 )
 from .cost_graph import CostGraph
 
@@ -52,8 +65,8 @@ class OpCounter:
     def __init__(self):
         self.count = 0
 
-    def bump(self, amount: int = 1) -> None:
-        self.count += amount
+    def bump(self) -> None:
+        self.count += 1
 
 
 @dataclass(frozen=True)
@@ -71,8 +84,11 @@ class Guess:
 
 # a materialized code: its codewords in word order; each tail codeword's split
 # at its shortest prefix alpha of cost >= k, as (alpha, suffix cost, how many
-# suffixes) in word order; and the suffix strings of each cost in letter order
-Materialized = tuple[list[Runs], list[tuple[Runs, int, int]], dict[int, list[Runs]]]
+# suffixes) in word order; and per suffix cost, its rows in letter order, each
+# (beta, first letter, first run length, beta past its first run), and the walk
+# that yields the rest
+SuffixRow = tuple[Runs, int, int, Runs]
+Materialized = tuple[list[Runs], list[tuple[Runs, int, int]], dict[int, tuple[list[SuffixRow], Iterator]]]
 
 
 @dataclass
@@ -247,11 +263,9 @@ def _materialize(code: LeveledCode) -> Materialized:
     graph = code.graph
     k_q = graph.k_q
     blocked: dict[int, set[Runs]] = {}
-    # suffix tables: cost -> (its first strings in letter order, each as
-    # (beta, first letter, first run length, beta past its first run), and
-    # the walk that yields the rest); cost 0 holds only the empty string,
+    # suffix tables, as in Materialized; cost 0 holds only the empty string,
     # which a walk, starting from a letter, cannot yield
-    tables: dict[int, tuple[list[tuple[Runs, int, int, Runs]], Iterator]] = {
+    tables: dict[int, tuple[list[SuffixRow], Iterator]] = {
         0: ([((), -1, 0, ())], iter(()))
     }
     tails: list[tuple[Runs, int, int]] = []
@@ -298,4 +312,79 @@ def _materialize(code: LeveledCode) -> Materialized:
                 % (take, cost_q, len(out))
             )
         words.extend(out)
-    return words, tails, {rest: [row[0] for row in rows] for rest, (rows, _) in tables.items()}
+    return words, tails, tables
+
+
+# ---------------------------------------------------------------------------
+# conversion to a prefix code by escape blocks
+
+
+def enc(i: int) -> Runs:
+    """Escape block for a count i: doubled binary digits, then the pair 'ab'."""
+    if i < 0:
+        raise InstanceError("enc expects a nonnegative count")
+    letters: list[int] = []
+    if i > 0:
+        for bit in bin(i)[2:]:
+            digit = 1 if bit == "1" else 0
+            letters.extend((digit, digit))
+    letters.extend((0, 1))
+    return runs_from_letters(letters)
+
+
+def _escape_suffix(beta: Runs) -> Runs:
+    """'b' + beta + 'b', with runs merged at both ends."""
+    if not beta:
+        return ((1, 2),)
+    head, last = beta[0], beta[-1]
+    if len(beta) == 1:
+        if head[0] == 1:
+            return ((1, head[1] + 2),)
+        return ((1, 1), head, (1, 1))
+    head = ((1, head[1] + 1),) if head[0] == 1 else ((1, 1), head)
+    last = ((1, last[1] + 1),) if last[0] == 1 else (last, (1, 1))
+    return head + beta[1:-1] + last
+
+
+def convert_to_prefix(code: LeveledCode, k: Rational) -> CodeAssignment:
+    """Convert a leveled code, k-prefix free by construction, to a prefix code.
+
+    k must be the horizon the code's cost graph was built at. Codewords of
+    cost < k are returned unchanged; the rest are converted in quanta, from
+    the code's materialized value: the split of each at alpha, and the
+    suffix tables.
+    """
+    graph = code.graph
+    if Fraction(k) != graph.k:
+        raise InstanceError("k %s is not the code's horizon %s" % (k, graph.k))
+    words, tails, tables = code._parts()
+    # picks rise in cost, so the codewords below k come first and pass as they are
+    out = words[: sum(count for cost_q, count in code.picks if cost_q < graph.k_q)]
+    # per suffix beta: its second-letter count i and 'b' + beta + 'b'
+    suffixes = {
+        rest: [
+            (sum(rep for let, rep in beta if let == 1), _escape_suffix(beta)) for beta, _, _, _ in rows
+        ]
+        for rest, (rows, _) in tables.items()
+    }
+    blocks: dict[int, Runs] = {}  # enc(i) without its final 'b'
+    for alpha, rest, used in tails:
+        let, rep = alpha[-1]
+        heads: dict[int, Runs] = {}  # alpha + enc(i) without its final 'b'
+        for i, tail in suffixes[rest][:used]:
+            head = heads.get(i)
+            if head is None:
+                block = blocks.get(i)
+                if block is None:
+                    block = blocks[i] = enc(i)[:-1]
+                # enc(i) starts with a doubled digit or the final 'a'
+                if block[0][0] == let:
+                    head = alpha[:-1] + ((let, rep + block[0][1]),) + block[1:]
+                else:
+                    head = alpha + block
+                heads[i] = head
+            # the head ends in 'a' and the tail starts with 'b': no seam to merge
+            out.append(head + tail)
+    letters = code.norm.instance.letters
+    # a prefix code made from distinct runs: nothing to check again
+    return _unchecked(CodeAssignment, codewords=tuple(out), letters=letters, _costs_int=None)

@@ -273,7 +273,7 @@ def huffman_cost(instance):
     every merge takes r items, summing the merged weights. A lone word takes
     one letter."""
     letters = instance.letters
-    r, c = letters.r, letters.costs_int[0]
+    r, c = len(letters.costs), letters.costs_int[0]
     assert set(letters.costs_int) == {c}
     heap = list(instance.weights_int)
     heap += [0] * (-(len(heap) - 1) % (r - 1))
@@ -660,7 +660,7 @@ def exact_optimal_reference(instance):
     letters = instance.letters
     costs = letters.costs_int
     weights = instance.weights_int
-    r = letters.r
+    r = len(letters.costs)
 
     # initial incumbent: the n cheapest codewords of one common length
     depth = 1

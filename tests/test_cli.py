@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
@@ -383,6 +384,16 @@ class TestOtherCommands:
         path.write_text("1 2\n5 4 3 2 1\n")
         code, out, _ = run_cli("verify", str(path), "--epsilon", "0.5")
         assert code == 0 and out.endswith("bound: 2\nPASS\n")
+
+    def test_verify_fail(self, figure_binary, monkeypatch):
+        # a solver that claims less than the optimum fails the check, exit 3
+        def too_cheap(instance, budget):
+            return dataclasses.replace(solve(instance, budget=budget), total_cost=F(1))
+
+        monkeypatch.setattr(cli, "solve", too_cheap)
+        code, out, _ = run_cli("verify", figure_binary, "--epsilon", "0.25")
+        assert code == 3
+        assert "solver cost:  1\n" in out and out.endswith("FAIL: ratio outside [1, bound]\n")
 
     def test_verify_asks_the_oracle_first(self, tmp_path, monkeypatch):
         # an instance too large for the exact oracle fails before solve runs

@@ -229,6 +229,8 @@ class TestCanonicalRuns:
         for codewords in ([((0, 1), (0, 1)), ((0, 2),)], [((0, -3),)]):
             with pytest.raises(InstanceError, match="canonical"):
                 CodeAssignment(codewords, self.LETTERS12)
+        with pytest.raises(InstanceError, match="distinct"):
+            CodeAssignment([((1, 1),), ((0, 2),), ((1, 1),)], self.LETTERS12)
 
     def test_canonical_codewords_are_kept(self):
         code = CodeAssignment([(), ((1, 1), (0, 2), (1, 3))], self.LETTERS12)
@@ -406,6 +408,18 @@ class TestIntegerViews:
         for eps in (F(0), F(3, 2)):
             with pytest.raises(InstanceError, match="epsilon"):
                 Instance((F(1),), letters, eps)
+
+    @pytest.mark.parametrize(
+        "costs, message",
+        [
+            ([1], "at least 2 letters"),
+            ([0, 1], "strictly positive"),
+            ([2, 1], "sorted nondecreasing"),
+        ],
+    )
+    def test_letter_costs_checks(self, costs, message):
+        with pytest.raises(InstanceError, match=message):
+            LetterCosts(costs)
 
     def test_from_weights_checks(self):
         letters = LetterCosts([1, 2])

@@ -63,6 +63,10 @@ class TestBuild:
         with pytest.raises(InstanceError):
             build_cost_graph(norm, F(5, 2))
 
+    def test_rejects_k_below_the_unit(self):
+        with pytest.raises(InstanceError, match="k must be at least 1"):
+            CostGraph(((2, 1), (4, 1)), 4, 1, 3)
+
     def test_rejects_two_letters_below_the_unit(self):
         # level 0 and the materializer take every string cheaper than the
         # unit to be a run of the one cheapest letter

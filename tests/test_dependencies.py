@@ -23,7 +23,7 @@ def outside_imports(source):
 
 
 def test_library_imports_only_the_standard_library():
-    assert len(SOURCES) >= 8
+    assert len(SOURCES) >= 7
     for path in SOURCES:
         assert outside_imports(path.read_text()) == [], path.name
 

@@ -135,6 +135,11 @@ class TestChooseK:
         assert choose_k(F(1)) == 5
         assert choose_k(F(1, 2)) == F(25, 2)
 
+    @pytest.mark.parametrize("eps", [F(0), F(-1, 2), F(3, 2)])
+    def test_rejects_epsilon_outside_the_unit_interval(self, eps):
+        with pytest.raises(InstanceError, match=r"epsilon must lie in \(0, 1\]"):
+            choose_k(eps)
+
     def test_matches_linear_scan(self):
         # the bisection returns the first grid point the scan would: every
         # a/b with b <= 64, plus random epsilons in [1/150, 1] with large

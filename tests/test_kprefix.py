@@ -57,6 +57,12 @@ class TestConstruct:
         assert words[1] == "b"  # the run aa is blocked by the level-0 codeword
         assert is_k_prefix_free_pairwise(code.codewords, 2, norm.instance.letters.costs)
 
+    @pytest.mark.parametrize("guess", [Guess(-1), Guess(0, ((1, -1),))])
+    def test_negative_guess_count(self, guess):
+        norm, graph = leveled_setup([1, 1], 1, 3, 4)
+        with pytest.raises(InstanceError, match="guess counts must be nonnegative"):
+            construct_leveled(norm, graph, guess, 4)
+
     def test_overfull_guess(self):
         norm, graph = leveled_setup([1, 1], 1, 3, 4)
         with pytest.raises(InstanceError, match="guess places more codewords than words"):
