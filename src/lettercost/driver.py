@@ -256,9 +256,21 @@ def _setup(
     max(budget, TABLE_ALLOWANCE) entries, or past TABLE_ALLOWANCE entries
     and TABLE_BITS_ALLOWANCE bits, BudgetExceeded."""
     norm = normalize(instance)
-    k = choose_k(norm.epsilon_prime)
+    # choose_k's k > 1 has k >= (5 + 2*log2 k) / (2*eps) > 5 / (2*eps), so
+    # the table has more than 5*unit_q / (2*eps) entries. That bound is
+    # charged first: choose_k's tests slow down as epsilon's digits grow
+    eps, cap = norm.epsilon_prime, max(budget, TABLE_ALLOWANCE)
+    least = 5 * norm.unit_q * eps.denominator // (2 * eps.numerator)
+    if least >= cap:
+        raise BudgetExceeded(
+            0,
+            budget,
+            "cost graph needs more than %s count-table entries at epsilon %s, over budget %d"
+            % (_exact_text(least), _exact_text(instance.epsilon), budget),
+        )
+    k = choose_k(eps)
     entries = _k_q(norm, k) + 1
-    if entries > max(budget, TABLE_ALLOWANCE):
+    if entries > cap:
         raise BudgetExceeded(
             0,
             budget,
@@ -278,10 +290,7 @@ def _setup(
                 lo = mid
             else:
                 hi = mid
-        try:
-            bits = int(hi * entries * (entries - 1) / 2) + entries
-        except OverflowError:  # entries past a float's range, under a larger budget
-            bits = int(Fraction(hi) * entries * (entries - 1) / 2) + entries
+        bits = int(Fraction(hi) * entries * (entries - 1) / 2) + entries
         if bits > TABLE_BITS_ALLOWANCE:
             raise BudgetExceeded(
                 0,

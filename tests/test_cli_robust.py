@@ -12,8 +12,8 @@ with one line on stderr and nothing on stdout. An exception that escapes
 one line: a count table charged by its bits before it is built, and a
 MemoryError that escapes anyway. Epsilons so small that k passes a float's
 range, or that the table's entry count passes str()'s digit limit, exit 2
-on one line too, as does a table whose bits pass a float's range under a
-huge budget, and choose_k keeps its values where k is a float.
+on one line too, before choose_k runs, as does a table whose bits pass a
+float's range under a huge budget.
 """
 
 import io
@@ -25,7 +25,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import is_prefix_free_sorted
-from lettercost import GLYPHS, choose_k, cli, driver
+from lettercost import GLYPHS, cli, driver
 from lettercost.cli import main
 from lettercost.core import runs_from_letters
 
@@ -180,15 +180,22 @@ def test_memory_error_exits_2(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["solve", "graph-stats"])
-@pytest.mark.parametrize("eps", ["1e-310", "1e-400", "1e-5000"])
-def test_tiny_epsilon_exits_2(tmp_path, command, eps):
-    # k is past a float's range; at 1e-5000 the table's entry count and the
-    # epsilon's denominator are past str()'s digit limit
+@pytest.mark.parametrize("eps", ["1e-310", "1e-400", "1e-5000", "1e-20000"])
+def test_tiny_epsilon_exits_2(tmp_path, command, eps, monkeypatch):
+    # k is past a float's range; from 1e-5000 the table's entry count and the
+    # epsilon's denominator are past str()'s digit limit. The lower bound
+    # 5 / (2*eps) on k refuses the table before choose_k, whose tests take
+    # seconds at 1e-20000
+    def refuse(epsilon):
+        raise AssertionError("choose_k ran")
+
+    monkeypatch.setattr(driver, "choose_k", refuse)
     path = tmp_path / "five.txt"
     path.write_text("1 2\n5 4 3 2 1\n")
     code, out, err = run(command, str(path), "--epsilon", eps)
     assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and err.startswith("error: cost graph needs "), err[:200]
+    assert err.count("\n") == 1, err[:200]
+    assert err.startswith("error: cost graph needs more than "), err[:200]
 
 
 def test_bits_charged_past_a_float(tmp_path):
@@ -199,13 +206,3 @@ def test_bits_charged_past_a_float(tmp_path):
     code, out, err = run("solve", str(path), "--epsilon", "1e-310", "--budget", "1" + "0" * 400)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error: cost graph's count table needs about ")
-
-
-def test_choose_k_keeps_its_values():
-    assert choose_k(Fraction(1)) == 5
-    assert choose_k(Fraction(1, 4)) == Fraction(119, 4)
-    assert choose_k(Fraction(1, 1000)) == Fraction(8255577, 500)
-    assert choose_k(Fraction(1, 10**6)) == Fraction(6799235264893, 250000)
-    # and grows past a float's range as epsilon shrinks
-    ks = [choose_k(Fraction(1, 10**e)) for e in (305, 306, 310, 400)]
-    assert all(a < b for a, b in zip(ks, ks[1:])) and ks[1] > 2**1024

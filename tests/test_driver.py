@@ -130,10 +130,16 @@ class TestChooseK:
     def test_monotone_in_epsilon(self):
         ks = [choose_k(F(1, d)) for d in (1, 2, 4, 8, 16)]
         assert all(a <= b for a, b in zip(ks, ks[1:]))
+        # and past a float's range, where the test runs in log2 on the ints
+        ks = [choose_k(F(1, 10**e)) for e in (305, 306, 310, 400)]
+        assert all(a < b for a, b in zip(ks, ks[1:])) and ks[1] > 2**1024
 
     def test_known_values(self):
         assert choose_k(F(1)) == 5
         assert choose_k(F(1, 2)) == F(25, 2)
+        assert choose_k(F(1, 4)) == F(119, 4)
+        assert choose_k(F(1, 1000)) == F(8255577, 500)
+        assert choose_k(F(1, 10**6)) == F(6799235264893, 250000)
 
     @pytest.mark.parametrize("eps", [F(0), F(-1, 2), F(3, 2)])
     def test_rejects_epsilon_outside_the_unit_interval(self, eps):
