@@ -11,12 +11,12 @@ error. A line of plain ASCII digits is parsed in one pass; a line with any
 other number form is parsed token by token, which also places any error.
 
 Exit codes: 0 success; 1 a usage, parse or validation failure, with a
-one-line message; 2 budget exceeded, by the search's nodes or the count
+one-line message; 2 budget exceeded, by the search's nodes, the count
 table's entries or bits (`graph-stats` charges the table at the default
-budget), or a MemoryError that escaped those charges, with a one-line
-message; 3 a failed check: `verify` found the ratio to the optimum outside
-[1, bound], or `graph-stats` found the cost graph or the grouping over its
-size bounds.
+budget) or the exact oracle's states, or a MemoryError that escaped those
+charges, with a one-line message; 3 a failed check: `verify` found the
+ratio to the optimum outside [1, bound], or `graph-stats` found the cost
+graph or the grouping over its size bounds.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def cmd_solve(args) -> int:
 
 def cmd_exact(args) -> int:
     loaded = load_instance(args.path, Fraction(1))
-    result = exact_optimal(loaded.instance)
+    result = exact_optimal(loaded.instance, args.budget)
     codewords, costs = _code_columns(loaded, result.optimal_code)
     for input_i, row in enumerate(zip(codewords, costs), 1):
         print("%d\t%s\t%s" % (input_i, *row))
@@ -202,7 +202,7 @@ def cmd_exact(args) -> int:
 def cmd_verify(args) -> int:
     loaded = load_instance(args.path, args.epsilon)
     # the oracle first, so an instance too large for it fails before solve runs
-    exact = exact_optimal(loaded.instance)
+    exact = exact_optimal(loaded.instance, args.budget)
     report = solve(loaded.instance, budget=args.budget)
     ratio = Fraction(report.total_cost, exact.optimal_cost)
     bound = report.ratio_bound_used
@@ -284,6 +284,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("exact", help="exact optimum by a signature search (n <= 10)")
     p.add_argument("path")
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("verify", help="solve and compare against the exact optimum")

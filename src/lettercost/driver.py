@@ -13,16 +13,27 @@ report works in ints, cross-multiplied where it compares ratios, and each
 reported value is made as one Fraction.
 
 The search is depth-first over assignments in increasing level order with an
-admissible bound (accumulated cost plus remaining probability times the
-current level cost), so it returns exactly the minimum that exhaustive
-enumeration over the same guess space would, while skipping guesses that
-provably cannot win. Feasibility of a partial assignment is checked with
-closed-form free-string counts: with S prefix-free, the number of cost-c
-strings with no prefix in S equals count(c) minus sum over members x of
-count(c - cost(x)). The cost graph computes this count (CostGraph.free) and
-walks it past k for the tail (CostGraph.tail). construct_leveled, which
-rebuilds a code from a guess, uses the same two, so for the winning guess it
-returns the picks that solve builds its code from.
+admissible completion bound, so it returns exactly the minimum that
+exhaustive enumeration over the same guess space would, while skipping
+guesses that provably cannot win. A node's bound is its cost so far plus
+its unplaced words, heaviest first, filled into the cheapest free strings
+left on the live levels, and the rest at cost k. A word placed at live
+level i blocks count(T_j - T_i) free strings of every later level j, its
+own and disjoint from every other word's; so where that count is positive,
+the words placed from the node on at levels up to j number at most j's
+free strings in all. The levels fall into runs, broken at each live level j
+with count(T_j - T_{j-1}) = 0 (_Search.linked). Inside a run every such
+count is positive, as count(a + b) >= count(a) * count(b), so each level
+fills only up to its free strings less the words the bound put on the
+levels before it in its run. That is the greedy optimum of a relaxation
+whose limits are nested within each run, so the bound stays admissible.
+Feasibility of a partial assignment is checked with closed-form free-string
+counts: with S prefix-free, the number of cost-c strings with no prefix in
+S equals count(c) minus sum over members x of count(c - cost(x)). The cost
+graph computes this count (CostGraph.free) and walks it past k for the tail
+(CostGraph.tail). construct_leveled, which rebuilds a code from a guess,
+uses the same two, so for the winning guess it returns the picks that solve
+builds its code from.
 
 The search works in Python ints: the instance's integer weights (its
 probabilities times their common denominator) times costs in quanta, so
@@ -138,8 +149,9 @@ TABLE_BITS_ALLOWANCE = 2**31
 
 
 class BudgetExceeded(RuntimeError):
-    """The solve grew past the configured budget: the guess search's nodes,
-    or, before the search starts, the cost graph's count table."""
+    """The work grew past the configured budget: the guess search's nodes,
+    the cost graph's count table before the search starts, or the exact
+    oracle's settled states."""
 
     def __init__(self, explored: int, budget: int, message: str | None = None):
         self.explored = explored
@@ -356,7 +368,12 @@ class _Search:
 
     def __post_init__(self):
         g = self.graph
-        self.targets = g.live_targets
+        self.targets = targets = g.live_targets
+        # linked[j]: count(T_j - T_{j-1}) > 0, so live level j continues the
+        # run of linked levels before it, over which the completion bound
+        # counts words against each level's capacity
+        counts = g.counts
+        self.linked = [False] + [counts[b - a] > 0 for a, b in zip(targets, targets[1:])]
         # row[j - lpos] = size * count(T_j - T_lpos) is what a group of size
         # words placed at live level lpos takes from the capacity of live
         # level j >= lpos (count(0) == 1 covers j == lpos), as far as the
@@ -415,7 +432,7 @@ class _Search:
         counts, k_q, eps_q = g.counts, g.k_q, g.eps_q
         sizes, ranges = self.sizes, self.ranges
         group_w, rest_w = self.group_w, self.rest_w
-        targets, rows, reach = self.targets, self.rows, self._reach
+        targets, linked, rows, reach = self.targets, self.linked, self.rows, self._reach
         n, prefix = self.n, self.prefix_w
         total = prefix[n]
         L = len(targets)
@@ -464,13 +481,19 @@ class _Search:
             # the admissible bound: partial, plus words from the group's
             # first on filled into these capacities, which later placements
             # only shrink, and the rest at cost k, since a leaf cheaper than
-            # the incumbent can put them nowhere but the tail. It is most
+            # the incumbent can put them nowhere but the tail. A word placed
+            # from here on at a level of j's run of linked levels blocks a
+            # free string of j of its own, so those words number at most
+            # j's capacity in all: level j fills up to its capacity past
+            # first, the first word the bound put on j's run. It is most
             # often decided by the first few levels
-            value, w = partial, ranges[gpos][0]
+            value = partial
+            w = first = ranges[gpos][0]
             for j in range(lpos, hi):
-                cap = parent[j - lpos_min] - row[j - lpos]
-                if cap > 0:
-                    end = w + cap
+                if not linked[j]:
+                    first = w
+                end = first + parent[j - lpos_min] - row[j - lpos]
+                if end > w:
                     if end >= n:
                         value += (total - prefix[w]) * targets[j]
                         break

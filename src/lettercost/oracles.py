@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CodeAssignment, Instance, InstanceError, runs_from_letters
+from .driver import DEFAULT_BUDGET, BudgetExceeded
 
 MAX_ORACLE_WORDS = 10
 
@@ -42,7 +43,7 @@ class OracleResult:
         return self.optimal_cost / letters.costs[1]
 
 
-def exact_optimal(instance: Instance) -> OracleResult:
+def exact_optimal(instance: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact minimum-cost prefix code, ordered: word i gets the i-th cheapest
     codeword.
 
@@ -55,7 +56,8 @@ def exact_optimal(instance: Instance) -> OracleResult:
     costs nothing, so expanding fewer never helps. Then only the n - m - x
     cheapest pending nodes are kept, as the words left use at most that many
     disjoint subtrees and a cheaper node holds any subtree a costlier one
-    does. nodes_explored counts the states settled.
+    does. nodes_explored counts the states settled; past budget of them,
+    BudgetExceeded.
 
     Everything runs in integers: codeword costs times letters.scale and
     probabilities times instance.scale, with one Fraction for the result.
@@ -107,6 +109,12 @@ def exact_optimal(instance: Instance) -> OracleResult:
         if d > dist[state]:
             continue  # superseded by a shorter path
         settled += 1
+        if settled > budget:
+            raise BudgetExceeded(
+                settled,
+                budget,
+                "exact oracle exceeded budget (%d states settled, budget %d)" % (settled, budget),
+            )
         if state == goal:
             break
         m, pending = state

@@ -32,9 +32,11 @@ all-tail incumbent. every_other_level_minimize runs it the way the library
 did before that first pass merged the groups in pairs: a first pass over
 every other live level, then the full one. reference_run runs one pass of
 it the way the library did before each node checked its children's bounds
-before building their capacity lists. search_minimum, by contrast, runs
-the library's own guess search, at any horizon k, and solved_leveled_code
-records the leveled code that solve itself converts.
+before building their capacity lists; capacity_sum_run runs it the same
+way with the completion bound the library used before the words on lower
+levels counted against each level's capacity. search_minimum, by contrast,
+runs the library's own guess search, at any horizon k, and
+solved_leveled_code records the leveled code that solve itself converts.
 """
 
 from bisect import bisect_left
@@ -147,26 +149,69 @@ def every_other_level_minimize(search):
     pass merged the groups in pairs: every level-0 size over every other live
     level only, then over all of them from that pass's best value plus one.
     Rows before the last gap in the targets are keyed by position in them,
-    so each pass has its own; run finds that gap in the targets it searches."""
+    so each pass has its own; run finds that gap in the targets it searches,
+    and reads which of them are linked from the list set here."""
     sizes = driver.level0_size_candidates(search.norm)
-    live = search.targets
+    live, linked = search.targets, search.linked
+    counts = search.graph.counts
     search.targets, search.rows = live[::2], {}
+    search.linked = [False] + [counts[b - a] > 0 for a, b in itertools.pairwise(live[::2])]
     for f0 in sizes:
         search.run(f0)
     search.best[0] += 1
-    search.targets, search.rows = live, {}
+    search.targets, search.rows, search.linked = live, {}, linked
     for f0 in sizes:
         search.run(f0)
 
 
-def reference_run(search, f0):
+def linked_capacity_bound(search, caps, lpos_min, first_word):
+    """The completion bound beyond a node's partial cost, the way the library
+    reads it: words from first_word on, heaviest first, at the cheapest live
+    levels from lpos_min on, under caps[j - lpos_min], and the rest at cost
+    k. A word at live level i blocks count(T_j - T_i) strings of level j >=
+    i, at least one when every step from i to j has a string of its cost;
+    along such a run of levels the words on its levels up to j number at
+    most level j's capacity in all. A level is a run's first when it is
+    lpos_min or when the step to it from the previous live level has no
+    string."""
+    g, targets, n, prefix = search.graph, search.targets, search.n, search.prefix_w
+    value = 0
+    w = first = first_word
+    for j, cap in enumerate(caps, lpos_min):
+        if j > lpos_min and g.count(targets[j] - targets[j - 1]) == 0:
+            first = w
+        end = min(first + cap, n)
+        if end > w:
+            value += (prefix[end] - prefix[w]) * targets[j]
+            w = end
+    return value + (prefix[n] - prefix[w]) * g.k_q
+
+
+def capacity_sum_bound(search, caps, lpos_min, first_word):
+    """The completion bound the way the library read it before the words on
+    lower levels counted against each level's capacity: every live level
+    takes up to its whole capacity on top of what the cheaper ones took."""
+    g, targets, n, prefix = search.graph, search.targets, search.n, search.prefix_w
+    value, w = 0, first_word
+    for cap, target in zip(caps, itertools.islice(targets, lpos_min, None)):
+        if cap > 0:
+            end = w + cap
+            if end >= n:
+                return value + (prefix[n] - prefix[w]) * target
+            value += (prefix[end] - prefix[w]) * target
+            w = end
+    return value + (prefix[n] - prefix[w]) * g.k_q
+
+
+def reference_run(search, f0, completion_bound=linked_capacity_bound):
     """driver._Search.run the way the library ran it before each node
     checked its children's bounds from its own capacities: every child's
     capacity list built in full, up to its reach, and its bound checked on
     entry; the root's list from CostGraph.free on every live level, cut at
     its reach; a row over every live level above its own. It reads the
     search's grouping, targets, incumbent and budget and updates explored
-    and leaves, but keeps its own rows."""
+    and leaves, but keeps its own rows. completion_bound(search, caps,
+    lpos_min, first_word) gives a node's bound beyond its partial cost."""
     g = search.graph
     counts = g.counts
     sizes, ranges = search.sizes, search.ranges
@@ -190,17 +235,6 @@ def reference_run(search, f0):
         need = incumbent - partial - (rest - w_last) * targets[lpos]
         return bisect_left(targets, -(-need // w_last), lpos)
 
-    def completion_bound(caps, lpos_min, first_word):
-        value, w = 0, first_word
-        for cap, target in zip(caps, itertools.islice(targets, lpos_min, None)):
-            if cap > 0:
-                end = w + cap
-                if end >= n:
-                    return value + (prefix[n] - prefix[w]) * target
-                value += (prefix[end] - prefix[w]) * target
-                w = end
-        return value + (prefix[n] - prefix[w]) * g.k_q
-
     def tail_value(batches, w):
         value = 0
         for c, take in batches:
@@ -223,7 +257,7 @@ def reference_run(search, f0):
             leaf(gpos, partial)
             return
         size, gw, rest = sizes[gpos], group_w[gpos], rest_w[gpos]
-        if partial + completion_bound(caps, lpos_min, ranges[gpos][0]) >= best[0]:
+        if partial + completion_bound(search, caps, lpos_min, ranges[gpos][0]) >= best[0]:
             return
         for lpos in range(lpos_min, L):
             bump()
@@ -249,6 +283,12 @@ def reference_run(search, f0):
     root = [g.free(t, placed) for t in targets]
     del root[reach(0, base, rest_w[start], best[0]) :]
     dfs(start, 0, base, root)
+
+
+def capacity_sum_run(search, f0):
+    """reference_run with the completion bound the library used before the
+    words on lower levels counted against each level's capacity."""
+    reference_run(search, f0, capacity_sum_bound)
 
 
 def solved_leveled_code(monkeypatch, instance):

@@ -98,6 +98,17 @@ class TestSolve:
         assert "error: guess search exceeded budget (6 nodes explored, budget 5)\n" in err
         assert "epsilon" not in err
 
+    @pytest.mark.parametrize("command", ["exact", "verify"])
+    def test_exact_oracle_budget_exits_2(self, tmp_path, command):
+        # four equal words over 1/10^6 1 settle 750,012 oracle states at the
+        # default budget; at 10,000 the oracle stops at once, on one line
+        path = tmp_path / "tiny.txt"
+        path.write_text("1/1000000 1\n1 1 1 1\n")
+        code, out, err = run_cli(command, str(path), "--budget", "10000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: exact oracle exceeded budget (10001 states settled, budget 10000)\n"
+
     def test_count_table_past_budget_exits_2(self, tmp_path):
         # 16,545,777 count-table entries over letters 2 3 4 at eps 1/1000:
         # refused at once, on one line, before the table is built
@@ -157,7 +168,7 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1
         assert message in err
 
-    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("command", ["solve", "exact", "verify"])
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_must_be_positive(self, figure_skewed, command, budget):
         # not an exhausted budget (exit 2) but a usage error

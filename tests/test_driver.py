@@ -45,6 +45,7 @@ from lettercost.driver import (
 )
 
 from helpers import (
+    capacity_sum_run,
     choose_k_scan,
     every_other_level_minimize,
     huffman_cost,
@@ -1000,6 +1001,41 @@ class TestSearchEquivalence:
                 cut = budget_cut(monkeypatch, inst, budget)
                 assert cut[0] == budget + 1
                 assert cut == budget_cut(monkeypatch, inst, budget, reference_run)
+
+    # counting the words on lower levels against each level's capacity
+    # tightens the completion bound and keeps it admissible: the same first
+    # cheapest leaf, so the same code and costs, and on no instance more
+    # nodes. Under the sum of capacities the search explored 111,147 nodes
+    # over the differential corpus and 12,956 over the tail shapes; with the
+    # linked levels counted, 93,269 and 10,265
+    def test_linked_bound_matches_capacity_sum_bound(self, monkeypatch):
+        sums = []
+        corpora = (self.differential_corpus(1000), TestGoldenOutput.tail_shapes_corpus())
+        for corpus in map(list, corpora):
+            ran = recorded_solves(monkeypatch, corpus)
+            reference = recorded_solves(monkeypatch, corpus, run=capacity_sum_run)
+            for inst, (rep, search), (want, old) in zip(corpus, ran, reference):
+                where = (inst.letters.costs, inst.weights_int, inst.epsilon)
+                assert search.best == old.best, where
+                assert rep.code == want.code, where
+                assert (rep.total_cost, rep.kprefix_cost) == (want.total_cost, want.kprefix_cost)
+                assert rep.explored <= want.explored, where
+            sums.append(
+                (sum(rep.explored for rep, _ in ran), sum(want.explored for want, _ in reference))
+            )
+        (ran_diff, old_diff), (ran_tail, old_tail) = sums
+        assert ran_diff * 100 <= 85 * old_diff
+        assert ran_tail * 100 <= 80 * old_tail
+
+    def test_hard_zipf_instance_solves_within_budget(self):
+        # 989,601 nodes under the sum of capacities; 166,965 with the linked
+        # levels counted
+        weights = [10**7 // (i + 1) + 1 for i in range(32)]
+        inst, _ = Instance.from_weights(weights, LetterCosts([1, 3]), F(1, 2))
+        rep = solve(inst, budget=250_000)
+        assert rep.mode == "main"
+        assert rep.total_cost == 306357520
+        assert rep.kprefix_cost == F(76589380, 30438729)
 
 
 class TestGoldenOutput:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from lettercost import (
+    BudgetExceeded,
     Instance,
     InstanceError,
     LetterCosts,
@@ -38,6 +39,21 @@ class TestExactOptimal:
         probs = tuple([F(1, 12)] * 12)
         with pytest.raises(InstanceError):
             exact_optimal(Instance(probs, LetterCosts([1, 1]), F(1, 2)))
+
+    def test_budget_counts_settled_states(self):
+        # four equal words over 1/10^6 1 settle 750,012 states at the default
+        # budget; a small budget stops the search at the first state past it
+        inst, _ = Instance.from_weights([1] * 4, LetterCosts([F(1, 10**6), 1]), F(1, 2))
+        with pytest.raises(BudgetExceeded) as err:
+            exact_optimal(inst, budget=1000)
+        assert (err.value.explored, err.value.budget) == (1001, 1000)
+        assert str(err.value) == "exact oracle exceeded budget (1001 states settled, budget 1000)"
+        # a budget of exactly the states an instance settles is enough
+        small, _ = Instance.from_weights([2, 2, 1, 1], LetterCosts([1, 3]), F(1, 4))
+        settled = exact_optimal(small).nodes_explored
+        assert exact_optimal(small, budget=settled).optimal_cost == 21
+        with pytest.raises(BudgetExceeded):
+            exact_optimal(small, budget=settled - 1)
 
     def test_output_well_formed(self):
         rng = random.Random(101)
