@@ -13,7 +13,8 @@ other number form is parsed token by token, which also places any error.
 Exit codes: 0 success; 1 a usage, parse or validation failure, with a
 one-line message; 2 budget exceeded, by the search's nodes, the count
 table's entries or bits (`graph-stats` charges the table at the default
-budget) or the exact oracle's states, or a MemoryError that escaped those
+budget), the tiny path's run-length ladder steps or the exact oracle's
+states, or a MemoryError that escaped those
 charges, with a one-line message; 3 a failed check: `verify` found the
 ratio to the optimum outside [1, bound], or `graph-stats` found the cost
 graph or the grouping over its size bounds.

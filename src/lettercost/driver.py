@@ -40,14 +40,22 @@ probabilities times their common denominator) times costs in quanta, so
 partial costs and bounds are ints; the result is turned back into a Fraction
 once. Each search node owns a list of remaining capacities (free strings at
 a live level's target cost) that starts at the lowest level its groups may
-use. The list stops at the node's reach: the first level j at which any
-leaf that puts a later group on j costs at least the incumbent. Such a leaf
-carries at least the last group's weight at T_j and the rest at the node's
-lowest target or above, so no leaf that could still win is cut, and the
-completion bound charges words beyond the reach at cost k. A child's reach
-is never past its parent's. Placing a group at live level i gives the
+use and ends where the node's own completion bound says no cheaper leaf can
+go. The bound's fill takes the unplaced words heaviest first; when it puts
+them all at live levels up to T_top, a leaf below the node that puts a later
+group g' at level i costs at least the bound plus W(g'..) * (T_i - T_top),
+and W(g'..) is at least the last group's weight w_last. So the list ends at
+the first level i with w_last * (T_i - T_top) >= incumbent - bound, or, when
+the fill left words for cost k, where the parent's list ended. A child is
+entered with its parent's list end, so its fill may pass its reach: the
+first level j at which any leaf that puts a later group on j costs at least
+the incumbent, as it carries at least w_last at T_j and the rest at the
+node's lowest target or above. A fill that got there is read again with the
+list cut at the reach. Every bound is thus at least what a list ending at
+the reach gives, no leaf that could still win is cut, and the bound charges
+words beyond the list at cost k. Placing a group at live level i gives the
 child's capacities as the parent's entries minus a row size * count(T_j -
-T_i), built only as far as the reaches that asked for it. From the last
+T_i), built only as far as the lists that asked for it. From the last
 gap in the targets searched on (from the first level if there is none),
 they step by eps_q to the end, so there T_j - T_i = (j - i) * eps_q and
 all those levels share one row per group size, size * count(d * eps_q) at
@@ -56,9 +64,9 @@ the level d further on; only the levels before that gap keep a row per
 reads its completion bound from their differences, most often from the
 first few; it returns at once unless that bound is below the incumbent,
 and only then builds its own list, in one pass. Nothing is undone on
-return. The root is entered the same way, from the free strings at the
-live targets up to its reach and the row of the level-0 codeword, so one
-loop computes every bound.
+return. The root is entered the same way, from the free strings at every
+live target and the row of the level-0 codeword, so one loop computes every
+bound.
 
 All level-0 sizes share one incumbent, searched in increasing order; it is
 replaced only by a strictly cheaper guess, so ties go to the smaller level-0
@@ -68,8 +76,8 @@ all-tail guess (every word on the n cheapest strings of cost >= k, always
 consistent) valued one above its cost V, the classical branch-and-bound
 start from a known feasible solution (Land and Doig, 1960). Size 0 is
 searched first and its all-tail leaf costs V, so the seed never outlasts
-that search; until a leaf there costs at most V, no bound, break or reach
-cuts anything, since each is at most the total weight times k <= V.
+that search; until a leaf there costs at most V, no bound, break, reach or
+list end cuts anything, since each is at most the total weight times k <= V.
 
 That seed is far above the optimum, and a search from it spends most of its
 nodes finding a good incumbent. So _Search.minimize first searches size 0
@@ -113,7 +121,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby, islice
 from fractions import Fraction
 from operator import itemgetter, mul, sub
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     CodeAssignment,
@@ -150,8 +158,8 @@ TABLE_BITS_ALLOWANCE = 2**31
 
 class BudgetExceeded(RuntimeError):
     """The work grew past the configured budget: the guess search's nodes,
-    the cost graph's count table before the search starts, or the exact
-    oracle's settled states."""
+    the cost graph's count table before the search starts, the tiny path's
+    run-length ladder steps, or the exact oracle's settled states."""
 
     def __init__(self, explored: int, budget: int, message: str | None = None):
         self.explored = explored
@@ -377,7 +385,7 @@ class _Search:
         # row[j - lpos] = size * count(T_j - T_lpos) is what a group of size
         # words placed at live level lpos takes from the capacity of live
         # level j >= lpos (count(0) == 1 covers j == lpos), as far as the
-        # reaches that asked for it. It is keyed by (lpos, size), or by size
+        # lists that asked for it. It is keyed by (lpos, size), or by size
         # alone where the targets step by eps_q from lpos to the end (run);
         # it does not depend on the grouping, so every pass shares it
         self.rows: dict[int | tuple[int, int], list[int]] = {}
@@ -402,17 +410,6 @@ class _Search:
         self.group_w = [prefix[e] - prefix[s] for s, e in ranges]
         self.rest_w = [*accumulate(reversed(self.group_w), initial=0)][::-1]
 
-    def _reach(self, lpos: int, partial: int, rest: int, best: int) -> int:
-        """End of the live levels that a leaf cheaper than best can still use,
-        below a node whose unplaced groups weigh rest in all and go to live
-        levels from lpos on. If one of them goes to level j, every later one
-        goes to j or above, or to the tail; that suffix weighs at least the
-        last group, w_last, so such a leaf costs at least
-        partial + (rest - w_last) * T_lpos + w_last * T_j."""
-        w_last = self.group_w[-1]
-        need = best - partial - (rest - w_last) * self.targets[lpos]
-        return bisect_left(self.targets, -(-need // w_last), lpos)
-
     def _tail_value(self, batches: list[tuple[int, int]], first_word: int) -> int:
         """Cost of giving words first_word.. the (cost, how_many) tail
         batches in order."""
@@ -432,8 +429,9 @@ class _Search:
         counts, k_q, eps_q = g.counts, g.k_q, g.eps_q
         sizes, ranges = self.sizes, self.ranges
         group_w, rest_w = self.group_w, self.rest_w
-        targets, linked, rows, reach = self.targets, self.linked, self.rows, self._reach
+        targets, linked, rows = self.targets, self.linked, self.rows
         n, prefix = self.n, self.prefix_w
+        w_last = group_w[-1]
         total = prefix[n]
         L = len(targets)
         G = len(sizes)
@@ -473,46 +471,72 @@ class _Search:
         ) -> None:
             """Search below the node that has cost partial so far and puts
             groups gpos.. on live levels lpos.. or the tail. Its capacities,
-            up to its reach hi, are parent[j - lpos_min] - row[j - lpos] at
-            live level j: those of its parent, whose list starts at
-            lpos_min, less what the group just placed takes from each. Its
-            list is built only if its bound is below the incumbent."""
+            up to its parent's list end hi, are parent[j - lpos_min] -
+            row[j - lpos] at live level j: those of its parent, whose list
+            starts at lpos_min, less what the group just placed takes from
+            each. Its list is built only if its bound is below the
+            incumbent, and ends where that bound says no cheaper leaf can
+            put a later group."""
             nonlocal explored
-            # the admissible bound: partial, plus words from the group's
-            # first on filled into these capacities, which later placements
-            # only shrink, and the rest at cost k, since a leaf cheaper than
-            # the incumbent can put them nowhere but the tail. A word placed
-            # from here on at a level of j's run of linked levels blocks a
-            # free string of j of its own, so those words number at most
-            # j's capacity in all: level j fills up to its capacity past
-            # first, the first word the bound put on j's run. It is most
-            # often decided by the first few levels
-            value = partial
-            w = first = ranges[gpos][0]
-            for j in range(lpos, hi):
-                if not linked[j]:
-                    first = w
-                end = first + parent[j - lpos_min] - row[j - lpos]
-                if end > w:
-                    if end >= n:
-                        value += (total - prefix[w]) * targets[j]
-                        break
-                    value += (prefix[end] - prefix[w]) * targets[j]
-                    w = end
-            else:
-                value += (total - prefix[w]) * k_q
-            if value >= best[0]:
-                return
+            rest = rest_w[gpos]
+            while True:
+                # the admissible bound: partial, plus words from the group's
+                # first on filled into these capacities, which later
+                # placements only shrink, and the rest at cost k, since a
+                # leaf cheaper than the incumbent can put them nowhere but
+                # the tail. A word placed from here on at a level of j's run
+                # of linked levels blocks a free string of j of its own, so
+                # those words number at most j's capacity in all: level j
+                # fills up to its capacity past first, the first word the
+                # bound put on j's run. top is the last level filled, or
+                # lpos if none was
+                value = partial
+                w = first = ranges[gpos][0]
+                top = lpos
+                for j in range(lpos, hi):
+                    if not linked[j]:
+                        first = w
+                    end = first + parent[j - lpos_min] - row[j - lpos]
+                    if end > w:
+                        top = j
+                        if end >= n:
+                            value += (total - prefix[w]) * targets[j]
+                            w = n
+                            break
+                        value += (prefix[end] - prefix[w]) * targets[j]
+                        w = end
+                else:
+                    value += (total - prefix[w]) * k_q
+                if value >= best[0]:
+                    return
+                # a leaf cheaper than the incumbent puts no later group at
+                # or past live level j when w_last * T_j >= need, as every
+                # group after it goes there too or to the tail. If the fill
+                # reached such a level, it fills again with the list cut
+                # there, and then stops short of it. With no level filled,
+                # the check passes only if partial + rest * T_lpos reaches
+                # the incumbent, and the bound, partial + rest * k_q, has
+                # then returned above
+                need = best[0] - partial - (rest - w_last) * targets[lpos]
+                if w_last * targets[top] < need:
+                    break
+                hi = bisect_left(targets, -(-need // w_last), lpos, hi)
+            if w == n:
+                # the fill put every word at T_top or below, heaviest first,
+                # so a leaf that puts a later group g' at live level i costs
+                # at least value + W(g'..) * (T_i - T_top), and W(g'..) >=
+                # w_last: the list ends where that reaches the incumbent
+                gap = -(-(best[0] - value) // w_last)
+                hi = bisect_left(targets, targets[top] + gap, top + 1, hi)
             caps = list(map(sub, islice(parent, lpos - lpos_min, hi - lpos_min), row))
             lpos_min = lpos
-            size, gw, rest = sizes[gpos], group_w[gpos], rest_w[gpos]
+            size, gw = sizes[gpos], group_w[gpos]
             last = gpos + 1 == G
-            for lpos in range(lpos_min, L):
+            for lpos in range(lpos_min, hi):
                 explored += 1
                 if explored > budget:
                     raise BudgetExceeded(explored, budget)
                 target = targets[lpos]
-                # fires at or before the end of caps
                 if partial + rest * target >= best[0]:
                     break
                 if size > caps[lpos - lpos_min]:
@@ -522,10 +546,9 @@ class _Search:
                 if last:
                     leaf(G, child_partial)
                 else:
-                    # the child's capacities run to its reach, which is
-                    # never past this node's; its row, what the group takes
-                    # from each, is cached as far as the reaches that asked
-                    hi = reach(lpos, partial, rest, best[0])
+                    # the child's capacities run to this list's end; its
+                    # row, what the group takes from each, is cached as far
+                    # as the lists that asked
                     key = size if lpos >= grid else (lpos, size)
                     row = rows.get(key, ())
                     if len(row) < hi - lpos:
@@ -537,14 +560,13 @@ class _Search:
                 leaf(gpos, partial)
 
         try:
-            # the root enters like a child: the free strings at the live
-            # targets up to its reach, less those under the level-0 codeword.
-            # solve takes n = 1 elsewhere, so group 0, alone, has a group after
-            # it and start < G
-            hi = reach(0, base, rest_w[start], best[0])
-            free = [counts[t] for t in targets[:hi]]
-            row0 = [counts[t - f0_cost] for t in targets[:hi]] if f0 > 0 else [0] * hi
-            dfs(start, 0, base, free, 0, hi, row0)
+            # the root enters like a child: the free strings at every live
+            # target, less those under the level-0 codeword. solve takes
+            # n = 1 elsewhere, so group 0, alone, has a group after it and
+            # start < G
+            free = [counts[t] for t in targets]
+            row0 = [counts[t - f0_cost] for t in targets] if f0 > 0 else [0] * L
+            dfs(start, 0, base, free, 0, L, row0)
         finally:
             self.explored = explored
             # dfs refers to itself through its cell; without this the search
@@ -647,12 +669,14 @@ def _cheapest_is_tiny(instance: Instance) -> bool:
 # the two solvers
 
 
-def tiny_run_length_candidates(instance: Instance) -> list[int]:
+def tiny_run_length_candidates(
+    instance: Instance, step: Callable[[], None] | None = None
+) -> list[int]:
     """Run lengths i0 to try: distinct floor((1+eps)^j), up to the first one
-    >= n. No later run length is cheaper: from that rung on, every pool is
-    the words b a^j b, the n words a^j x a^n for each x, and a^i0, whose
-    cost i0 * c1 only grows; so a later pool's n cheapest strings cost at
-    least as much, rank by rank.
+    >= n, calling step, if given, once per j stepped. No later run length
+    is cheaper: from that rung on, every pool is the words b a^j b, the n
+    words a^j x a^n for each x, and a^i0, whose cost i0 * c1 only grows; so
+    a later pool's n cheapest strings cost at least as much, rank by rank.
 
     When n * eps <= 1 the ladder is 1, 2, ..., n, returned with no powers
     built: while (1+eps)^j < n <= 1/eps, the step to (1+eps)^(j+1) adds
@@ -665,6 +689,8 @@ def tiny_run_length_candidates(instance: Instance) -> list[int]:
     # (1+eps)^j = top / bottom, kept in ints
     top = bottom = 1
     while out[-1] < n:
+        if step is not None:
+            step()
         top *= eps.numerator + eps.denominator
         bottom *= eps.denominator
         i0 = top // bottom
@@ -811,7 +837,7 @@ def tiny_candidate_code(
     return Fraction(value, instance.scale * c2), list(code.codewords), costs
 
 
-def _solve_tiny(instance: Instance, started: float) -> CodeReport:
+def _solve_tiny(instance: Instance, started: float, budget: int) -> CodeReport:
     """solve's direct construction for instances whose cheapest letter is
     very cheap (cost at most epsilon/n once the second letter is scaled to
     1), which solve has checked. started is solve's clock reading.
@@ -819,7 +845,9 @@ def _solve_tiny(instance: Instance, started: float) -> CodeReport:
     Prices every candidate run length, up to the first one >= n
     (tiny_run_length_candidates), and builds the code of the cheapest, which
     costs at most (1 + epsilon) times the optimum. guess_count is the number
-    of run lengths priced.
+    of run lengths priced. Each power of 1 + epsilon that the ladder steps
+    through is charged to the budget, one unit each; past it,
+    BudgetExceeded.
 
     The code is made of candidates a^i0, b a^j b with j < n, and a^j x a^n
     with j < i0 and x not a, and is prefix free by construction: any two of
@@ -831,7 +859,20 @@ def _solve_tiny(instance: Instance, started: float) -> CodeReport:
     """
     n = instance.n
     eps = instance.epsilon
-    i0_candidates = tiny_run_length_candidates(instance)
+    stepped = 0
+
+    def step() -> None:
+        nonlocal stepped
+        stepped += 1
+        if stepped > budget:
+            raise BudgetExceeded(
+                stepped,
+                budget,
+                "tiny path's run-length ladder exceeded budget (%d steps, budget %d)"
+                % (stepped, budget),
+            )
+
+    i0_candidates = tiny_run_length_candidates(instance, step)
     # every candidate's cost has the same denominator, so its numerator
     # decides; index keeps the first of equal values, the smallest run length
     values = _tiny_values(instance, i0_candidates)
@@ -880,7 +921,7 @@ def solve(instance: Instance, *, budget: int = DEFAULT_BUDGET) -> CodeReport:
         )
 
     if _cheapest_is_tiny(instance):
-        return _solve_tiny(instance, started)
+        return _solve_tiny(instance, started, budget)
 
     norm, k, graph, grouping = _setup(instance, budget)
     eps = norm.epsilon_prime

@@ -69,35 +69,20 @@ def exact_optimal(instance: Instance, budget: int = DEFAULT_BUDGET) -> OracleRes
     letters = instance.letters
     costs = letters.costs_int
     weights = instance.weights_int
-    by_cost = sorted(Counter(costs).items())
     # unplaced[m]: weight of words m.., charged per unit of cost climbed
     unplaced = list(itertools.accumulate(reversed(weights), initial=0))[::-1]
+    mults = dict(Counter(costs))
+    # (offset, pending count, letter count) at each letter cost
+    children = {c: (c, 0, mult) for c, mult in mults.items()}
 
-    def climb(rest, expand: int, keep: int):
-        """(gap, pending) after expanding `expand` nodes at the current level,
-        rest being the nodes above it: the `keep` cheapest, with offsets from
-        the cheapest one, which lies `gap` above the current level. None when
-        no node is left."""
-        nodes = dict(rest)
-        if expand:
-            for c, mult in by_cost:
-                nodes[c] = nodes.get(c, 0) + expand * mult
-        if not nodes:
-            return None
-        offsets = sorted(nodes)
-        gap = offsets[0]
-        pending = []
-        for off in offsets:
-            cnt = nodes[off]
-            if cnt >= keep:
-                pending.append((off - gap, keep))
-                break
-            pending.append((off - gap, cnt))
-            keep -= cnt
-        return gap, tuple(pending)
-
-    gap, pending = climb((), 1, n)
-    start: Signature = (0, pending)
+    # the start: the root already expanded, its n cheapest children kept
+    gap, keep, pending = min(mults), n, []
+    for c in sorted(mults):
+        pending.append((c - gap, min(mults[c], keep)))
+        keep -= mults[c]
+        if keep <= 0:
+            break
+    start: Signature = (0, tuple(pending))
     goal: Signature = (n, ())
     dist = {start: unplaced[0] * gap}
     came_from: dict[Signature, tuple[Signature, int]] = {}
@@ -119,17 +104,36 @@ def exact_optimal(instance: Instance, budget: int = DEFAULT_BUDGET) -> OracleRes
             break
         m, pending = state
         w0 = pending[0][1]
-        rest = pending[1:]
-        for x in range(min(w0, n - m) + 1):
-            left = n - m - x
-            if left == 0:
+        # the other pending nodes and the children of the expanded ones,
+        # merged once as (offset, pending count, letter count) in offset
+        # order; each move expands its own count of nodes, and one walk over
+        # the merged list keeps the cheapest that the words left can use
+        nodes = children.copy()
+        for off, count in pending[1:]:
+            nodes[off] = (off, count, mults.get(off, 0))
+        merged = sorted(nodes.values())
+        left = n - m
+        for x in range(min(w0, left) + 1):
+            keep = left - x
+            if keep == 0:
                 nxt, nd = goal, d
             else:
-                moved = climb(rest, min(w0 - x, left), left)
-                if moved is None:
-                    continue
-                gap, after = moved
-                nxt, nd = (m + x, after), d + unplaced[m + x] * gap
+                expand = min(w0 - x, keep)
+                gap = None
+                after = []
+                for off, count, mult in merged:
+                    count += expand * mult
+                    if count:
+                        if gap is None:
+                            gap = off
+                        if count >= keep:
+                            after.append((off - gap, keep))
+                            break
+                        after.append((off - gap, count))
+                        keep -= count
+                if gap is None:
+                    continue  # no node left
+                nxt, nd = (m + x, tuple(after)), d + unplaced[m + x] * gap
             if nd < dist.get(nxt, nd + 1):
                 dist[nxt] = nd
                 came_from[nxt] = (state, x)

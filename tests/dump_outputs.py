@@ -7,8 +7,9 @@ solved through the public API with the library defaults. One sha256 line per
 workload and seed covers, per instance in run order, the codewords,
 total_cost, lower_bound, kprefix_cost, mode, the cost graph's node and arc
 counts, the group count, guess_count and explored, or the name of the
-exception raised; the line also gives the explored total, the
-exceptions raised, and a second sha256 ("results") over the same fields
+exception raised; the line also gives the explored total, the leaves total
+(guess_count summed: the search's leaves, or on the tiny path the run
+lengths priced), the exceptions raised, and a second sha256 ("results") over the same fields
 without guess_count and explored, which stays put when a change moves only
 the search's effort or the length of the tiny path's run-length ladder.
 After each such line a "cli" line gives one sha256
@@ -40,16 +41,16 @@ import workloads  # noqa: E402
 from lettercost import Instance, LetterCosts, cli, solve  # noqa: E402
 
 
-def outcome(spec: workloads.Spec) -> tuple[str, str, int, str | None]:
+def outcome(spec: workloads.Spec) -> tuple[str, str, int, int, str | None]:
     """The instance's result as text, the same without the search's effort,
-    the nodes its search explored, and the name of the exception it raised,
-    if any."""
+    the nodes its search explored, its guess_count, and the name of the
+    exception it raised, if any."""
     instance, _ = Instance.from_weights(spec.weights, LetterCosts(spec.costs), spec.epsilon)
     try:
         rep = solve(instance)
     except Exception as exc:  # the exception's name is part of the output
         name = type(exc).__name__
-        return "raised %s" % name, "raised %s" % name, 0, name
+        return "raised %s" % name, "raised %s" % name, 0, 0, name
     results = (
         rep.code.codewords,
         rep.total_cost,
@@ -61,26 +62,31 @@ def outcome(spec: workloads.Spec) -> tuple[str, str, int, str | None]:
         rep.group_count,
     )
     effort = (rep.guess_count, rep.explored)
-    return repr(results + effort), repr(results), rep.explored, None
+    return repr(results + effort), repr(results), rep.explored, rep.guess_count, None
 
 
 def dump(workload: str, seed: int) -> str:
     digest, results_digest = hashlib.sha256(), hashlib.sha256()
-    explored = 0
+    explored = leaves = 0
     raised: list[str] = []
     specs = workloads.generate(workload, seed)
     for spec in specs:
-        text, results, nodes, exc = outcome(spec)
+        text, results, nodes, guesses, exc = outcome(spec)
         digest.update(text.encode() + b"\n")
         results_digest.update(results.encode() + b"\n")
         explored += nodes
+        leaves += guesses
         if exc is not None:
             raised.append("%s at n=%d" % (exc, spec.n))
-    return "%s seed %d: %d instances, explored %d, raised [%s], sha256 %s, results sha256 %s" % (
+    return (
+        "%s seed %d: %d instances, explored %d, leaves %d, raised [%s], sha256 %s,"
+        " results sha256 %s"
+    ) % (
         workload,
         seed,
         len(specs),
         explored,
+        leaves,
         ", ".join(raised),
         digest.hexdigest(),
         results_digest.hexdigest(),

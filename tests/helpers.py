@@ -31,12 +31,18 @@ before it took a first pass to seed its incumbent: one pass, from the
 all-tail incumbent. every_other_level_minimize runs it the way the library
 did before that first pass merged the groups in pairs: a first pass over
 every other live level, then the full one. reference_run runs one pass of
-it the way the library did before each node checked its children's bounds
-before building their capacity lists; capacity_sum_run runs it the same
-way with the completion bound the library used before the words on lower
-levels counted against each level's capacity. search_minimum, by contrast,
+it as a plain recursion over the library's rule for where a node's capacity
+list ends, every list built in full by its parent and every bound checked on
+entry. reach_run runs it the way the library did before each node ended its
+list where its own completion bound says no cheaper leaf can go: every list
+ends at the reach its parent priced for it. capacity_sum_run runs reach_run
+with the completion bound the library used before the words on lower levels
+counted against each level's capacity. search_minimum, by contrast,
 runs the library's own guess search, at any horizon k, and
 solved_leveled_code records the leveled code that solve itself converts.
+climb_exact_optimal runs the exact oracle's signature search the way the
+library did before it merged each settled signature's nodes once: one
+sorted dict per move.
 """
 
 from bisect import bisect_left
@@ -164,7 +170,7 @@ def every_other_level_minimize(search):
         search.run(f0)
 
 
-def linked_capacity_bound(search, caps, lpos_min, first_word):
+def linked_capacity_fill(search, caps, lpos_min, first_word):
     """The completion bound beyond a node's partial cost, the way the library
     reads it: words from first_word on, heaviest first, at the cheapest live
     levels from lpos_min on, under caps[j - lpos_min], and the rest at cost
@@ -173,9 +179,11 @@ def linked_capacity_bound(search, caps, lpos_min, first_word):
     along such a run of levels the words on its levels up to j number at
     most level j's capacity in all. A level is a run's first when it is
     lpos_min or when the step to it from the previous live level has no
-    string."""
+    string. Returns (bound, top, spilled): top is the last live level that
+    took a word (None if none did), spilled whether any word went to cost
+    k."""
     g, targets, n, prefix = search.graph, search.targets, search.n, search.prefix_w
-    value = 0
+    value, top = 0, None
     w = first = first_word
     for j, cap in enumerate(caps, lpos_min):
         if j > lpos_min and g.count(targets[j] - targets[j - 1]) == 0:
@@ -183,8 +191,13 @@ def linked_capacity_bound(search, caps, lpos_min, first_word):
         end = min(first + cap, n)
         if end > w:
             value += (prefix[end] - prefix[w]) * targets[j]
-            w = end
-    return value + (prefix[n] - prefix[w]) * g.k_q
+            w, top = end, j
+    return value + (prefix[n] - prefix[w]) * g.k_q, top, w < n
+
+
+def linked_capacity_bound(search, caps, lpos_min, first_word):
+    """linked_capacity_fill's bound alone."""
+    return linked_capacity_fill(search, caps, lpos_min, first_word)[0]
 
 
 def capacity_sum_bound(search, caps, lpos_min, first_word):
@@ -203,92 +216,157 @@ def capacity_sum_bound(search, caps, lpos_min, first_word):
     return value + (prefix[n] - prefix[w]) * g.k_q
 
 
-def reference_run(search, f0, completion_bound=linked_capacity_bound):
-    """driver._Search.run the way the library ran it before each node
-    checked its children's bounds from its own capacities: every child's
-    capacity list built in full, up to its reach, and its bound checked on
-    entry; the root's list from CostGraph.free on every live level, cut at
-    its reach; a row over every live level above its own. It reads the
-    search's grouping, targets, incumbent and budget and updates explored
-    and leaves, but keeps its own rows. completion_bound(search, caps,
-    lpos_min, first_word) gives a node's bound beyond its partial cost."""
-    g = search.graph
-    counts = g.counts
-    sizes, ranges = search.sizes, search.ranges
-    group_w, rest_w = search.group_w, search.rest_w
-    targets, n, prefix = search.targets, search.n, search.prefix_w
-    best = search.best
-    L, G = len(targets), len(sizes)
-    f0_cost = f0 * search.norm.letters_q[0]
-    start = 1 if f0 > 0 else 0
-    base = group_w[0] * f0_cost
-    placed = [(f0_cost, 1)] if f0 > 0 else []
-    rows = {}
+class _ReferencePass:
+    """What reference_run and reach_run share: one pass's start, its leaves,
+    its node count and its rows, each row over every live level above its
+    own. It reads the search's grouping, targets, incumbent and budget and
+    updates explored and leaves."""
 
-    def bump():
+    def __init__(self, search, f0):
+        self.search = search
+        self.f0_cost = f0 * search.norm.letters_q[0]
+        self.start = 1 if f0 > 0 else 0
+        self.base = search.group_w[0] * self.f0_cost
+        self.placed = [(self.f0_cost, 1)] if f0 > 0 else []
+        self.rows = {}
+
+    def bump(self):
+        search = self.search
         search.explored += 1
         if search.explored > search.budget:
             raise driver.BudgetExceeded(search.explored, search.budget)
 
-    def reach(lpos, partial, rest, incumbent):
-        w_last = group_w[-1]
-        need = incumbent - partial - (rest - w_last) * targets[lpos]
+    def reach(self, lpos, partial, rest):
+        """The first live level from lpos on that no later group of a leaf
+        cheaper than the incumbent can use: such a leaf carries at least the
+        last group's weight there and the rest at T_lpos or above."""
+        search = self.search
+        w_last, targets = search.group_w[-1], search.targets
+        need = search.best[0] - partial - (rest - w_last) * targets[lpos]
         return bisect_left(targets, -(-need // w_last), lpos)
 
-    def tail_value(batches, w):
-        value = 0
+    def child_caps(self, caps, at, lpos, size):
+        """caps from position at on, less what size words at live level lpos
+        take from each."""
+        search = self.search
+        row = self.rows.get((lpos, size))
+        if row is None:
+            target, counts = search.targets[lpos], search.graph.counts
+            row = [size * counts[tj - target] for tj in search.targets[lpos:]]
+            self.rows[lpos, size] = row
+        return [c - r for c, r in zip(caps[at:], row)]
+
+    def leaf(self, gpos, partial):
+        search = self.search
+        n, prefix, best = search.n, search.prefix_w, search.best
+        search.leaves += 1
+        w = search.ranges[gpos][0] if gpos < len(search.sizes) else n
+        batches = search.graph.tail(n - w, self.placed, self.bump)
+        if batches is None:
+            return
+        value = partial
         for c, take in batches:
             value += (prefix[w + take] - prefix[w]) * c
             w += take
-        return value
-
-    def leaf(gpos, partial):
-        search.leaves += 1
-        first_word = ranges[gpos][0] if gpos < G else n
-        batches = g.tail(n - first_word, placed, bump)
-        if batches is None:
-            return
-        value = partial + tail_value(batches, first_word)
         if value < best[0]:
-            best[:] = value, placed + batches
+            best[:] = value, self.placed + batches
 
-    def dfs(gpos, lpos_min, partial, caps):
-        if gpos == G:
-            leaf(gpos, partial)
-            return
-        size, gw, rest = sizes[gpos], group_w[gpos], rest_w[gpos]
-        if partial + completion_bound(search, caps, lpos_min, ranges[gpos][0]) >= best[0]:
-            return
-        for lpos in range(lpos_min, L):
-            bump()
-            target = targets[lpos]
+    def children(self, gpos, lpos_min, partial, caps, loop_end, child_list_end, dfs):
+        """A node's loop over the live levels from lpos_min up to loop_end,
+        then its tail leaf; child_list_end(lpos) is where a child's list
+        stops."""
+        search = self.search
+        size, gw, rest = search.sizes[gpos], search.group_w[gpos], search.rest_w[gpos]
+        best = search.best
+        for lpos in range(lpos_min, loop_end):
+            self.bump()
+            target = search.targets[lpos]
             if partial + rest * target >= best[0]:
                 break
             at = lpos - lpos_min
             if size > caps[at]:
                 continue
             child = []
-            if gpos + 1 < G:
-                hi = reach(lpos, partial, rest, best[0])
-                row = rows.get((lpos, size))
-                if row is None:
-                    row = rows[lpos, size] = [size * counts[tj - target] for tj in targets[lpos:]]
-                child = [c - r for c, r in zip(caps[at : hi - lpos_min], row)]
-            placed.append((target, size))
+            if gpos + 1 < len(search.sizes):
+                child = self.child_caps(caps, at, lpos, size)[: child_list_end(lpos) - lpos]
+            self.placed.append((target, size))
             dfs(gpos + 1, lpos, partial + gw * target, child)
-            placed.pop()
-        if partial + rest * g.k_q < best[0]:
-            leaf(gpos, partial)
+            self.placed.pop()
+        if partial + rest * search.graph.k_q < best[0]:
+            self.leaf(gpos, partial)
 
-    root = [g.free(t, placed) for t in targets]
-    del root[reach(0, base, rest_w[start], best[0]) :]
-    dfs(start, 0, base, root)
+    def root(self):
+        g = self.search.graph
+        return [g.free(t, self.placed) for t in self.search.targets]
+
+
+def reference_run(search, f0):
+    """driver._Search.run as a plain recursion: every node's capacity list
+    built in full by its parent, up to the parent's list end, and its bound
+    read on entry. If that fill put a word at or past the node's reach
+    (_ReferencePass.reach), it is read again with the list cut there. If the
+    fill put every word at T_top or below, the node's list ends at the first
+    live level i where the last group's weight times T_i - T_top reaches
+    the incumbent less the bound; otherwise where the fill's list ended. The
+    root's list covers every live level."""
+    run = _ReferencePass(search, f0)
+    best, targets, w_last = search.best, search.targets, search.group_w[-1]
+
+    def dfs(gpos, lpos_min, partial, caps):
+        if gpos == len(search.sizes):
+            run.leaf(gpos, partial)
+            return
+        first_word = search.ranges[gpos][0]
+        value, top, spilled = linked_capacity_fill(search, caps, lpos_min, first_word)
+        reach = run.reach(lpos_min, partial, search.rest_w[gpos])
+        if top is not None and top >= reach:
+            caps = caps[: reach - lpos_min]
+            value, top, spilled = linked_capacity_fill(search, caps, lpos_min, first_word)
+        value += partial
+        if value >= best[0]:
+            return
+        if not spilled:
+            ends = range(top + 1, lpos_min + len(caps))
+            cut = [i for i in ends if w_last * (targets[i] - targets[top]) >= best[0] - value]
+            caps = caps[: cut[0] - lpos_min] if cut else caps
+        list_end = lpos_min + len(caps)
+        run.children(gpos, lpos_min, partial, caps, list_end, lambda lpos: list_end, dfs)
+
+    dfs(run.start, 0, run.base, run.root())
+
+
+def reach_run(search, f0, completion_bound=linked_capacity_bound):
+    """driver._Search.run the way the library ran it before each node ended
+    its capacity list where its own completion bound said no cheaper leaf
+    could go: every child's list built in full by its parent, up to the
+    child's reach (_ReferencePass.reach), and its bound checked on entry;
+    the root's list cut at its reach. completion_bound(search, caps,
+    lpos_min, first_word) gives a node's bound beyond its partial cost."""
+    run = _ReferencePass(search, f0)
+    best = search.best
+
+    def dfs(gpos, lpos_min, partial, caps):
+        if gpos == len(search.sizes):
+            run.leaf(gpos, partial)
+            return
+        if partial + completion_bound(search, caps, lpos_min, search.ranges[gpos][0]) >= best[0]:
+            return
+        # the loop's break fires at or before the list's end, which may be
+        # the last level it counts
+        rest, levels = search.rest_w[gpos], len(search.targets)
+        run.children(
+            gpos, lpos_min, partial, caps, levels, lambda lpos: run.reach(lpos, partial, rest), dfs
+        )
+
+    root = run.root()
+    del root[run.reach(0, run.base, search.rest_w[run.start]) :]
+    dfs(run.start, 0, run.base, root)
 
 
 def capacity_sum_run(search, f0):
-    """reference_run with the completion bound the library used before the
-    words on lower levels counted against each level's capacity."""
-    reference_run(search, f0, capacity_sum_bound)
+    """reach_run with the completion bound the library used before the words
+    on lower levels counted against each level's capacity."""
+    reach_run(search, f0, capacity_sum_bound)
 
 
 def solved_leveled_code(monkeypatch, instance):
@@ -763,6 +841,95 @@ def exact_optimal_reference(instance):
     code = CodeAssignment(tuple(runs_from_letters(w) for w in best_words), letters)
     cost = Fraction(best, instance.scale * letters.scale) * instance.weight_total
     return OracleResult(cost, code, nodes)
+
+
+def climb_exact_optimal(instance):
+    """oracles.exact_optimal the way the library ran it before it merged a
+    signature's pending nodes and the expanded nodes' children once per
+    settled state: for each move, the other pending nodes copied into a
+    dict, the children added, the offsets sorted and the cheapest kept. The
+    same Dijkstra search over the same signatures, with no word cap and no
+    budget, and the same replay on strings."""
+    n = instance.n
+    letters = instance.letters
+    costs = letters.costs_int
+    weights = instance.weights_int
+    by_cost = sorted(Counter(costs).items())
+    unplaced = list(itertools.accumulate(reversed(weights), initial=0))[::-1]
+
+    def climb(rest, expand, keep):
+        nodes = dict(rest)
+        if expand:
+            for c, mult in by_cost:
+                nodes[c] = nodes.get(c, 0) + expand * mult
+        if not nodes:
+            return None
+        offsets = sorted(nodes)
+        gap = offsets[0]
+        pending = []
+        for off in offsets:
+            cnt = nodes[off]
+            if cnt >= keep:
+                pending.append((off - gap, keep))
+                break
+            pending.append((off - gap, cnt))
+            keep -= cnt
+        return gap, tuple(pending)
+
+    gap, pending = climb((), 1, n)
+    start = (0, pending)
+    goal = (n, ())
+    dist = {start: unplaced[0] * gap}
+    came_from = {}
+    tie = itertools.count()
+    heap = [(dist[start], next(tie), start)]
+    settled = 0
+    while True:
+        d, _, state = heapq.heappop(heap)
+        if d > dist[state]:
+            continue
+        settled += 1
+        if state == goal:
+            break
+        m, pending = state
+        w0 = pending[0][1]
+        rest = pending[1:]
+        for x in range(min(w0, n - m) + 1):
+            left = n - m - x
+            if left == 0:
+                nxt, nd = goal, d
+            else:
+                moved = climb(rest, min(w0 - x, left), left)
+                if moved is None:
+                    continue
+                gap, after = moved
+                nxt, nd = (m + x, after), d + unplaced[m + x] * gap
+            if nd < dist.get(nxt, nd + 1):
+                dist[nxt] = nd
+                came_from[nxt] = (state, x)
+                heapq.heappush(heap, (nd, next(tie), nxt))
+    best = d
+
+    leaf_counts = []
+    while state != start:
+        state, x = came_from[state]
+        leaf_counts.append(x)
+    leaf_counts.reverse()
+
+    frontier = sorted((c, (let,)) for let, c in enumerate(costs))[:n]
+    words = []
+    for x in leaf_counts:
+        level = frontier[0][0]
+        w0 = sum(1 for c, _ in frontier if c == level)
+        left = n - len(words) - x
+        words.extend(word for _, word in frontier[:x])
+        expand = frontier[x : x + min(w0 - x, left)]
+        children = [(c + cl, word + (let,)) for c, word in expand for let, cl in enumerate(costs)]
+        frontier = sorted(frontier[w0:] + children)[:left]
+
+    codewords = tuple(runs_from_letters(w) for w in words)
+    cost = Fraction(best, instance.scale * letters.scale)
+    return OracleResult(cost * instance.weight_total, CodeAssignment(codewords, letters), settled)
 
 
 def materialize_reference(code):

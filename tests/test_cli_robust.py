@@ -13,9 +13,11 @@ one line: a count table charged by its bits before it is built, and a
 MemoryError that escapes anyway. Epsilons so small that k passes a float's
 range, or that the table's entry count passes str()'s digit limit, exit 2
 on one line too, before choose_k runs, as does a table whose bits pass a
-float's range under a huge budget.
+float's range under a huge budget, and a tiny-path run-length ladder whose
+steps pass the budget.
 """
 
+import hashlib
 import io
 import random
 import time
@@ -206,3 +208,24 @@ def test_bits_charged_past_a_float(tmp_path):
     code, out, err = run("solve", str(path), "--epsilon", "1e-310", "--budget", "1" + "0" * 400)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error: cost graph's count table needs about ")
+
+
+def test_tiny_ladder_is_charged(tmp_path):
+    # 4,100 equal weights over 1/10^9 1 at eps 1/4000: the tiny path's ladder
+    # steps through 4,099 powers of 1 + eps on exact big ints, ~1.4 s. At
+    # --budget 1000 it stops at its 1,001st step; at the default budget it
+    # solves to the code it always had
+    path = tmp_path / "ladder.txt"
+    path.write_text("1/1000000000 1\n" + " ".join(["1"] * 4100) + "\n")
+    started = time.perf_counter()
+    code, out, err = run("solve", str(path), "--epsilon", "1/4000", "--budget", "1000")
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (2, "")
+    assert err == "error: tiny path's run-length ladder exceeded budget (1001 steps, budget 1000)\n"
+    code, out, err = run("solve", str(path), "--epsilon", "1/4000", "--emit", "tsv")
+    assert code == 0
+    assert out.endswith(
+        "# total_cost\t81980504177/20000000 (4099.03)\n# lower_bound\t4099\n# guesses\t4099\n"
+    )
+    digest = "466fbea9f9d166a8fdc9d5319b6639b434fff407d57874c888339c8a2e0dedc6"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -31,7 +31,7 @@ from lettercost import (
     normalize,
     solve,
 )
-from lettercost import driver
+from lettercost import driver, oracles
 from lettercost.core import _price_int, runs_to_str
 from lettercost.cost_graph import CostGraph
 from lettercost.driver import (
@@ -52,6 +52,7 @@ from helpers import (
     is_prefix_free_sorted,
     loop_group_ranges,
     random_instance,
+    reach_run,
     reference_run,
     saturating_ladder_reference,
     search_minimum,
@@ -891,17 +892,19 @@ class TestSearchEquivalence:
             assert want == enumerated_minimum(normalize(inst), F(2), len(weights))
 
     def test_reach_limit_on_many_live_levels(self, monkeypatch):
-        # 20-22 live levels at n <= 4: the incumbent cuts most capacity lists
-        # short of the last live level, and the result must not move
-        reaches = []
-        reach = driver._Search._reach
+        # 20-22 live levels at n <= 4: each node's list ends where its own
+        # completion bound says no cheaper leaf can go, most of them short of
+        # the last live level, and the result must not move. The search
+        # builds each list from islice(parent, ..., hi - lpos_min), so the
+        # list's end is the caller's hi
+        ends = []
 
-        def recorded(self, lpos, partial, rest, best):
-            hi = reach(self, lpos, partial, rest, best)
-            reaches.append(hi < len(self.targets))
-            return hi
+        def recorded(parent, start, stop):
+            caller = sys._getframe(1).f_locals
+            ends.append(caller["hi"] < len(caller["targets"]))
+            return itertools.islice(parent, start, stop)
 
-        monkeypatch.setattr(driver._Search, "_reach", recorded)
+        monkeypatch.setattr(driver, "islice", recorded)
         rng = random.Random(112)
         alphabets = ([1, 2], [F(1, 2), 1], [1, 3], [2, 3, 4], [F(2, 3), 1], [1, 1, 2])
         checked = 0
@@ -922,7 +925,8 @@ class TestSearchEquivalence:
             assert takes_main_path(inst)
             assert search_minimum(norm, k) == enumerated_minimum(norm, k, n), (costs, weights, eps, k)
             checked += 1
-        assert sum(reaches) > 30
+        assert sum(ends) > 30
+        assert sum(ends) * 2 > len(ends)
 
     # the first pass over the groups merged in pairs must leave the full
     # search's result as one pass alone finds it: the same value, the same
@@ -978,9 +982,10 @@ class TestSearchEquivalence:
             assert rep.explored < want.explored
         assert sum(rep.explored for rep, _ in ran) * 100 <= 65 * sum(want.explored for want, _ in reference)
 
-    # checking each child's bound from its parent's capacities, before its
-    # list is built, must visit the same nodes in the same order as checking
-    # it on entry: the same incumbent, node count and leaf count everywhere
+    # the search must visit the same nodes in the same order as a plain
+    # recursion over the same list-end rule that builds every child's list in
+    # full and checks its bound on entry: the same incumbent, node count and
+    # leaf count everywhere
     def test_search_matches_parent_search(self, monkeypatch):
         corpus = [*self.differential_corpus(1000), *TestGoldenOutput.tail_shapes_corpus()]
         ran = recorded_solves(monkeypatch, corpus)
@@ -1027,9 +1032,34 @@ class TestSearchEquivalence:
         assert ran_diff * 100 <= 85 * old_diff
         assert ran_tail * 100 <= 80 * old_tail
 
+    # ending each node's list where its own completion bound says no cheaper
+    # leaf can go, rather than at the reach its parent priced for it, leaves
+    # every bound at least as high and cuts only nodes that cannot win: the
+    # same first cheapest leaf, so the same code and costs, and on no
+    # instance more nodes. With lists ending at the reach the search explored
+    # 93,269 nodes over the differential corpus and 10,265 over the tail
+    # shapes; with the list-end rule, 90,445 and 10,169
+    def test_list_end_matches_reach_search(self, monkeypatch):
+        sums = []
+        corpora = (self.differential_corpus(1000), TestGoldenOutput.tail_shapes_corpus())
+        for corpus in map(list, corpora):
+            ran = recorded_solves(monkeypatch, corpus)
+            reference = recorded_solves(monkeypatch, corpus, run=reach_run)
+            for inst, (rep, search), (want, old) in zip(corpus, ran, reference):
+                where = (inst.letters.costs, inst.weights_int, inst.epsilon)
+                assert search.best == old.best, where
+                assert rep.code == want.code, where
+                assert (rep.total_cost, rep.kprefix_cost) == (want.total_cost, want.kprefix_cost)
+                assert rep.explored <= want.explored, where
+            sums.append(
+                (sum(rep.explored for rep, _ in ran), sum(want.explored for want, _ in reference))
+            )
+        assert all(ran_total < old_total for ran_total, old_total in sums)
+
     def test_hard_zipf_instance_solves_within_budget(self):
         # 989,601 nodes under the sum of capacities; 166,965 with the linked
-        # levels counted
+        # levels counted, and 166,455 with each list ending where its node's
+        # bound says no cheaper leaf can go
         weights = [10**7 // (i + 1) + 1 for i in range(32)]
         inst, _ = Instance.from_weights(weights, LetterCosts([1, 3]), F(1, 2))
         rep = solve(inst, budget=250_000)
@@ -1229,6 +1259,26 @@ class TestEndToEnd:
                 returned += 1
                 assert rep.total_cost <= (1 + C_TOTAL * eps) * huffman_cost(inst), (costs, inst.n, eps)
             assert returned >= least, eps
+
+    def test_guarantee_at_thirty_two_words_on_unequal_costs(self, monkeypatch):
+        # the exact oracle settles these in well under a second each once
+        # its word cap is lifted, so the guarantee is checked at n = 32 on
+        # unequal letter costs: Zipf-like weights with per-seed jitter
+        monkeypatch.setattr(oracles, "MAX_ORACLE_WORDS", 32)
+        rng = random.Random(3232)
+        n = 32
+        worst = F(0)
+        for costs in ([1, 2], [1, 3], [2, 3, 4], [1, 1, 2]):
+            for eps in (F(1), F(1, 2)):
+                weights = [10**6 * rng.randint(90, 110) // (100 * (i + 1)) + 1 for i in range(n)]
+                inst, _ = Instance.from_weights(weights, LetterCosts(costs), eps)
+                rep = solve(inst, budget=10**6)
+                assert rep.mode == "main"
+                opt = exact_optimal(inst, budget=10**6).optimal_cost
+                ratio = F(rep.total_cost, opt)
+                assert 1 <= ratio <= 1 + C_TOTAL * eps, (costs, weights, eps)
+                worst = max(worst, ratio)
+        print("worst ratio at n=%d on unequal costs: %.4f" % (n, worst))
 
     def test_ratio_and_witness_sample(self):
         rng = random.Random(91)

@@ -13,8 +13,9 @@ from lettercost import (
     is_prefix_free,
     lower_bound,
 )
+from lettercost import oracles
 
-from helpers import exact_optimal_reference, huffman_cost, random_instance
+from helpers import climb_exact_optimal, exact_optimal_reference, huffman_cost, random_instance
 
 
 class TestExactOptimal:
@@ -143,6 +144,25 @@ class TestAgainstReference:
         assert res.nodes_explored <= 5000
         self.check_code(inst, res)
         assert res.normalized_cost >= lower_bound(inst)
+
+
+class TestAgainstPerMoveWalk:
+    def test_merged_walk_matches_per_move_walk(self, monkeypatch):
+        # one merged walk per settled signature derives the moves that a
+        # sorted dict per move gave, so the states, their pushes and their
+        # order stay the same: the same nodes_explored, code and cost
+        monkeypatch.setattr(oracles, "MAX_ORACLE_WORDS", 12)
+        rng = random.Random(20130)
+        settled = 0
+        for _ in range(300):
+            inst = random_instance(rng, max_n=12, max_r=4, max_cost=5)
+            res, ref = exact_optimal(inst), climb_exact_optimal(inst)
+            where = (inst.letters.costs, inst.weights_int)
+            assert res.nodes_explored == ref.nodes_explored, where
+            assert res.optimal_code == ref.optimal_code, where
+            assert res.optimal_cost == ref.optimal_cost, where
+            settled += res.nodes_explored
+        assert settled > 10_000
 
 
 class TestHuffman:

@@ -7,9 +7,10 @@ solve --emit tsv` prints for each instance file, less its guesses line
 ("cli results sha256"). Neither digest covers the search's effort, so a
 change that moves only how hard the search works keeps them. A refactor
 must keep both as they are; record them again only for a change meant to
-alter codes or costs. The nodes that the searches explored in all, which
-`dump` also prints, must stay at or below EXPLORED: a change that loosens
-the search's completion bound keeps the digests but not these totals.
+alter codes or costs. The nodes that the searches explored in all, and
+their leaves, which `dump` also prints, must stay at or below EXPLORED and
+LEAVES: a change that loosens the search's completion bound or lengthens
+its capacity lists keeps the digests but not these totals.
 `tiny` is left out: its `n <= 512` prefix self-check makes it four times
 slower than the other three together.
 """
@@ -36,16 +37,20 @@ GOLDEN = {
 }
 
 
-# explored totals at seed 3 once the completion bound counted the words on
-# lower levels against each level's capacity; under the plain sum of
-# capacities they were 13,485, 5,409 and 4,944
-EXPLORED = {"search": 10842, "codebook": 5409, "verify": 4263}
+# explored totals at seed 3 once each node's capacity list ended where its
+# own completion bound says no cheaper leaf can go; with lists ending at the
+# reach that its parent priced they were 10,842, 5,409 and 4,263, and under
+# the plain sum of capacities 13,485, 5,409 and 4,944
+EXPLORED = {"search": 10703, "codebook": 5409, "verify": 4197}
+# leaves totals (guess_count summed) at seed 3
+LEAVES = {"search": 331, "codebook": 619, "verify": 178}
 
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN))
 def test_results_digests(workload):
     line = dump(workload, 3)
     assert int(re.search(r"explored (\d+),", line).group(1)) <= EXPLORED[workload]
+    assert int(re.search(r"leaves (\d+),", line).group(1)) <= LEAVES[workload]
     results = re.search(r"results sha256 (\w+)$", line).group(1)
     cli_results = re.search(r"cli results sha256 (\w+)$", dump_cli(workload, 3)).group(1)
     assert (results, cli_results) == GOLDEN[workload]
