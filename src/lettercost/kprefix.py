@@ -18,14 +18,16 @@ that solve builds its code from.
 A code is kept as (cost, how_many) picks, the pairs CostGraph.free and
 CostGraph.tail take, so construction cost never depends on codeword length.
 Codewords materialize lazily: each pick takes the first free strings of its
-cost in letter-index order, found by a depth-first walk with an explicit
-stack whose frames carry their prefix as runs. The blocking codewords (cost
-< k) are kept as per-cost sets of runs, with no node per letter, so neither
-Python stack depth nor memory grows with codeword length in letters. The
-walk of a tail pick stops at each string's shortest prefix alpha of cost
->= k and appends the first strings of the remaining cost from a suffix table
-per cost, which every pick of the code shares. The code keeps one
-materialized value, its codewords with that split and the suffix tables.
+cost in letter-index order, found by two depth-first walks in that order,
+each on an explicit stack whose frames carry their prefix as runs. The
+first fills every pick below k at once. Its codewords block, kept as
+per-cost sets of runs with no node per letter, so neither Python stack depth
+nor memory grows with codeword length in letters. The second yields each
+free string's shortest prefix alpha of cost >= k once for all tail picks,
+and a tail pick appends to each alpha it takes the first strings of the
+remaining cost from a suffix table per cost, which every pick of the code
+shares. The code keeps one materialized value, its codewords with that
+split and the suffix tables.
 
 convert_to_prefix then makes a true prefix code. Codewords cheaper than k
 pass through; a codeword alpha + beta of cost >= k becomes
@@ -43,6 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterator, Sequence
 
 from .core import (
@@ -88,7 +91,7 @@ class Guess:
 # (beta, first letter, first run length, beta past its first run), and the walk
 # that yields the rest
 SuffixRow = tuple[Runs, int, int, Runs]
-Materialized = tuple[list[Runs], list[tuple[Runs, int, int]], dict[int, tuple[list[SuffixRow], Iterator]]]
+Materialized = tuple[tuple[Runs, ...], list[tuple[Runs, int, int]], dict[int, tuple[list[SuffixRow], Iterator]]]
 
 
 @dataclass
@@ -101,7 +104,8 @@ class LeveledCode:
     (most probable word first). Raises InstanceError unless the costs are
     positive and strictly increasing and the counts nonnegative: two picks
     of one cost >= k take the same strings, a pick below k blocks only the
-    picks after it, and convert_to_prefix repairs neither.
+    picks after it, and convert_to_prefix repairs neither. The codewords
+    are made on first use, all picks at once, and kept.
     """
 
     norm: NormalizedInstance
@@ -123,9 +127,10 @@ class LeveledCode:
         return [cost_q for cost_q, count in self.picks for _ in range(count)]
 
     @property
-    def codewords(self) -> list[Runs]:
-        """Materialized codewords in word order (cheapest first). Raises
-        InstanceError when a pick asks for more free strings than exist."""
+    def codewords(self) -> tuple[Runs, ...]:
+        """Materialized codewords in word order (cheapest first), as the
+        tuple the code keeps. Raises InstanceError, naming the first such
+        pick, when a pick asks for more free strings than exist."""
         return self._parts()[0]
 
     def _parts(self) -> Materialized:
@@ -190,49 +195,49 @@ def construct_leveled(
 # materialization of implicit picks into concrete codewords
 
 
-def _walk(
-    letters_q: Sequence[int],
-    count: list[int],
-    cost_q: int,
-    cut_q: int,
-    blocked: dict[int, set[Runs]],
-) -> Iterator[tuple[Runs, int]]:
-    """Yield (prefix, rest) pairs in letter-index order: each string of cost
-    cost_q with no blocking prefix, as (string, 0), except that a prefix whose
-    cost reaches cut_q is yielded with the cost `rest` its strings still need,
-    and not walked below.
+def _extends(count: list[int], costs: Sequence[int], size: int) -> list[int]:
+    """Per cost c < size, how many of the costs have a string that extends a
+    prefix of cost c: those with count[cost - c] > 0."""
+    out = [0] * size
+    for cost_q in costs:
+        out[: cost_q + 1] = map(add, out, map(bool, reversed(count[: cost_q + 1])))
+    return out
 
-    One depth-first walk on an explicit stack of (prefix runs, remaining cost,
-    next letter) frames. It cuts a prefix with no string of the remaining
-    cost below it or that is a blocking codeword. Below a prefix that is not
-    cut, some string of the cost either is free or has a blocking prefix
-    below it, so the walk goes no deeper than the strings it yields and the
-    blocking codewords.
+
+def _prefixes(
+    letters_q: Sequence[int], ext: list[int], here: list[int], blocked: dict[int, set[Runs]]
+) -> Iterator[tuple[Runs, int]]:
+    """Yield (prefix, its cost) in letter-index order for each prefix with
+    no blocking prefix and no yielded proper prefix, whose cost c has here[c]
+    true. The walk skips a prefix of a cost c with ext[c] false, with all its
+    extensions. The caller may lower ext and here between yields; a cost with
+    ext true and here false must have a string of a cost below len(ext) that
+    extends it, so the walk goes no deeper than the prefixes it yields and
+    the blocking codewords. One depth-first walk on an explicit stack of
+    (prefix runs, cost, next letter) frames.
     """
-    r = len(letters_q)
-    # a frame tries one letter, which fits its remaining cost (a string of
-    # that cost exists); the frame for the next letter goes below the
+    r, top = len(letters_q), len(ext) - 1
+    # a frame tries one letter; the frame for the next letter goes below the
     # child's, so the walk goes in letter order
-    stack = [((), cost_q, 0)]
+    stack = [((), 0, 0)] if ext[0] else []
     while stack:
-        runs, budget, let = stack.pop()
-        if let + 1 < r and letters_q[let + 1] <= budget:  # letters are sorted by cost
-            stack.append((runs, budget, let + 1))
-        rest = budget - letters_q[let]
-        if not count[rest]:
+        runs, spent, let = stack.pop()
+        if let + 1 < r and spent + letters_q[let + 1] <= top:  # letters are sorted by cost
+            stack.append((runs, spent, let + 1))
+        spent += letters_q[let]
+        if not ext[spent]:
             continue
         if runs and runs[-1][0] == let:
             runs = runs[:-1] + ((let, runs[-1][1] + 1),)
         else:
             runs = runs + ((let, 1),)
-        spent = cost_q - rest
         marks = blocked.get(spent)
         if marks is not None and runs in marks:
             continue
-        if rest and spent < cut_q:
-            stack.append((runs, rest, 0))
+        if here[spent]:
+            yield runs, spent
         else:
-            yield runs, rest
+            stack.append((runs, spent, 0))
 
 
 def _materialize(code: LeveledCode) -> Materialized:
@@ -243,76 +248,100 @@ def _materialize(code: LeveledCode) -> Materialized:
     A string is free when no blocking codeword is a prefix of it. A pick
     blocks later picks exactly when its cost is below k, the relaxed prefix
     rule. Below cost 1 each cost holds one string, a cheapest-letter run
-    (CostGraph checks this), so the level-0 pick's walk finds a^f0. Blocking
-    codewords are kept as sets of runs keyed by cost, so a prefix is looked
-    up only when its cost is a key. A subtree whose strings are all blocked
-    is walked again by each later pick whose strings sort after it.
+    (CostGraph checks this), so the level-0 pick finds a^f0. One walk fills
+    every pick below k, taking a string of a pick's cost while that pick
+    wants strings and entering no taken string's subtree. It reaches a
+    string after its prefixes, so each pick takes what it would take after
+    the picks before it, and no subtree is walked twice.
 
     A string of cost >= k is alpha + beta, alpha its shortest prefix of cost
     >= k. Every blocking codeword costs less than k, so only alpha decides
     whether the string is free, and since such prefixes are prefix free,
-    letter order is (alpha, beta) order. So a tail pick's walk stops at each
-    free alpha and pairs it with the first strings of the remaining cost,
-    taken from a suffix table per cost. The tables are shared by every pick
-    of the code and are filled lazily by the same walk with no blockers, so
-    none holds more strings than one pick asked of it. Returns the codewords,
-    each alpha with its table's cost and how many of its strings it took, and
-    the tables' strings.
+    letter order is (alpha, beta) order. A second walk yields the free
+    alphas, kept as far as the tail picks read them. Each pick pairs each
+    alpha that its cost extends with the first strings of the remaining
+    cost, from suffix tables that every pick shares and the same walk fills
+    lazily with no blockers, so none holds more strings than one pick asked
+    of it. Returns the codewords, each alpha with its table's cost and how
+    many of its strings it took, and the tables' strings.
     """
     letters_q = code.norm.letters_q
     graph = code.graph
     k_q = graph.k_q
-    blocked: dict[int, set[Runs]] = {}
+    graph.count(code.picks[-1][0] if code.picks else 0)  # extends the counts to every cost read below
+    count = graph.counts
+    # per cost below k: strings its pick still wants, and how many picks
+    # still want a string that extends a prefix of that cost (a full pick quits)
+    left = [0] * k_q
+    for cost_q, take in code.picks:
+        if cost_q < k_q:
+            left[cost_q] = take
+    wants = _extends(count, [cost_q for cost_q, take in code.picks if cost_q < k_q and take], k_q)
+    taken: dict[int, list[Runs]] = {cost_q: [] for cost_q, _ in code.picks}
+    for runs, cost_q in _prefixes(letters_q, wants, left, {}):
+        taken[cost_q].append(runs)
+        left[cost_q] -= 1
+        if not left[cost_q]:
+            wants[: cost_q + 1] = map(sub, wants, map(bool, reversed(count[: cost_q + 1])))
+            if not wants[0]:
+                break
+
     # suffix tables, as in Materialized; cost 0 holds only the empty string,
     # which a walk, starting from a letter, cannot yield
-    tables: dict[int, tuple[list[SuffixRow], Iterator]] = {
-        0: ([((), -1, 0, ())], iter(()))
-    }
+    tables: dict[int, tuple[list[SuffixRow], Iterator]] = {0: ([((), -1, 0, ())], iter(()))}
     tails: list[tuple[Runs, int, int]] = []
+    tail = [(cost_q, take) for cost_q, take in code.picks if cost_q >= k_q and take]
+    if tail:
+        blocked = {cost_q: set(out) for cost_q, out in taken.items() if cost_q < k_q}
+        size = tail[-1][0] + 1
+        ext = _extends(count, [cost_q for cost_q, _ in tail], size)
+        more = _prefixes(letters_q, ext, [0] * k_q + [1] * (size - k_q), blocked)
+    alphas: list[tuple[Runs, int]] = []  # the alphas read so far
+    for i, (cost_q, take) in enumerate(tail):
+        # the last pick reads the walk itself; the others keep what they read
+        fresh = more if i + 1 == len(tail) else (alphas.append(item) or item for item in more)
+        out = taken[cost_q]
+        for alpha, a in itertools.chain(alphas, fresh):
+            rest = cost_q - a
+            if rest < 0 or not count[rest]:
+                continue
+            table = tables.get(rest)
+            if table is None:
+                strings = _prefixes(letters_q, _extends(count, [rest], rest + 1), [0] * rest + [1], {})
+                table = tables[rest] = ([], strings)
+            rows, more_rows = table
+            used = take - len(out)
+            if used > len(rows):
+                rows.extend(
+                    (beta, beta[0][0], beta[0][1], beta[1:])
+                    for beta, _ in itertools.islice(more_rows, used - len(rows))
+                )
+                used = min(used, len(rows))
+            tails.append((alpha, rest, used))
+            # alpha + beta, with runs merged at the seam; alpha with its
+            # last run lengthened is made once per length
+            let, rep = alpha[-1]
+            heads: dict[int, Runs] = {}
+            for beta, first, first_rep, beta_rest in rows[:used]:
+                if first == let:
+                    head = heads.get(first_rep)
+                    if head is None:
+                        head = heads[first_rep] = alpha[:-1] + ((let, rep + first_rep),)
+                    out.append(head + beta_rest)
+                else:
+                    out.append(alpha + beta)
+            if len(out) == take:
+                break
     words: list[Runs] = []
     for cost_q, take in code.picks:
-        graph.count(cost_q)  # extends the string counts to every cost read below
-        count = graph.counts
-        walk = _walk(letters_q, count, cost_q, k_q, blocked)
-        if cost_q < k_q:
-            out = [runs for runs, _ in itertools.islice(walk, take)]
-            blocked.setdefault(cost_q, set()).update(out)
-        else:
-            out = []
-            for alpha, rest in walk:
-                table = tables.get(rest)
-                if table is None:
-                    table = tables[rest] = ([], _walk(letters_q, count, rest, rest, {}))
-                rows, more = table
-                used = take - len(out)
-                if used > len(rows):
-                    rows.extend(
-                        (beta, beta[0][0], beta[0][1], beta[1:])
-                        for beta, _ in itertools.islice(more, used - len(rows))
-                    )
-                    used = min(used, len(rows))
-                tails.append((alpha, rest, used))
-                # alpha + beta, with runs merged at the seam; alpha with its
-                # last run lengthened is made once per length
-                let, rep = alpha[-1]
-                heads: dict[int, Runs] = {}
-                for beta, first, first_rep, beta_rest in rows[:used]:
-                    if first == let:
-                        head = heads.get(first_rep)
-                        if head is None:
-                            head = heads[first_rep] = alpha[:-1] + ((let, rep + first_rep),)
-                        out.append(head + beta_rest)
-                    else:
-                        out.append(alpha + beta)
-                if len(out) == take:
-                    break
+        out = taken[cost_q]
         if len(out) < take:
             raise InstanceError(
                 "a pick asks for %d strings of cost %d quanta; only %d are free"
                 % (take, cost_q, len(out))
             )
         words.extend(out)
-    return words, tails, tables
+    return tuple(words), tails, tables
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +388,7 @@ def convert_to_prefix(code: LeveledCode, k: Rational) -> CodeAssignment:
         raise InstanceError("k %s is not the code's horizon %s" % (k, graph.k))
     words, tails, tables = code._parts()
     # picks rise in cost, so the codewords below k come first and pass as they are
-    out = words[: sum(count for cost_q, count in code.picks if cost_q < graph.k_q)]
+    out = list(words[: sum(count for cost_q, count in code.picks if cost_q < graph.k_q)])
     # per suffix beta: its second-letter count i and 'b' + beta + 'b'
     suffixes = {
         rest: [

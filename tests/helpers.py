@@ -933,10 +933,10 @@ def climb_exact_optimal(instance):
 
 
 def materialize_reference(code):
-    """A LeveledCode's codewords: each (cost, count) pick walked down to the
-    first `count` strings of its cost in letter order, with no blocking
-    codeword as a prefix. The codewords of the picks below k block; they are
-    kept as per-cost sets of runs."""
+    """A LeveledCode's codewords, as a tuple: each (cost, count) pick walked
+    down to the first `count` strings of its cost in letter order, with no
+    blocking codeword as a prefix, one pick after another. The codewords of
+    the picks below k block; they are kept as per-cost sets of runs."""
     letters_q = code.norm.letters_q
     r = len(letters_q)
     graph = code.graph
@@ -947,7 +947,7 @@ def materialize_reference(code):
         count = graph.counts
         out = []
         stack = [((), cost_q, 0)]
-        while stack:
+        while stack and len(out) < take:
             runs, budget, let = stack.pop()
             if let + 1 < r and letters_q[let + 1] <= budget:
                 stack.append((runs, budget, let + 1))
@@ -965,13 +965,11 @@ def materialize_reference(code):
                 stack.append((runs, rest, 0))
             else:
                 out.append(runs)
-                if len(out) == take:
-                    break
         assert len(out) == take
         if cost_q < graph.k_q:
             blocked.setdefault(cost_q, set()).update(out)
         words.extend(out)
-    return words
+    return tuple(words)
 
 
 def transform_reference(runs, letter_costs, k, blocks):

@@ -201,6 +201,27 @@ def all_tail(norm, graph, n):
     return Guess(0, ())
 
 
+def mixed_code(costs, eps, n):
+    """A code of n equally likely words with _filled_guess's levels below k
+    and its tail spread over several costs, a third of the tail words at
+    most per cost."""
+    norm = normalize(_uniform_instance(n, costs, eps))
+    graph = build_cost_graph(norm, choose_k(norm.epsilon_prime))
+    guess = _filled_guess(norm, graph, n)
+    below = construct_leveled(norm, graph, guess, sum(c for _, c in guess.level_counts)).picks
+    picks = list(below)
+    left = n - sum(c for _, c in below)
+    share = -(-left // 3)
+    cost_q = graph.k_q
+    while left:
+        take = min(left, share, graph.free(cost_q, below))
+        if take:
+            picks.append((cost_q, take))
+            left -= take
+        cost_q += 1
+    return LeveledCode(norm, graph, picks)
+
+
 class TestAgainstReference:
     # codes with thousands of tail codewords, whose picks share suffix tables
     # and ask more of them pick after pick
@@ -245,6 +266,40 @@ class TestAgainstReference:
             code = horizon_code(costs, eps, 1024, _filled_guess)
             assert any(cost_q < code.graph.k_q for cost_q, _ in code.picks)
             self.check(code)
+
+    def test_mixed_codes(self):
+        # levels below k and tail picks over several costs, whose alphas sort
+        # between the codewords below k: one walk takes the codewords, the
+        # other yields the alphas, and letter order holds across both
+        def spelled(runs):
+            return tuple(let for let, rep in runs for _ in range(rep))
+
+        for costs in ([1, 2], [1, 1, 2], [1, 3], [2, 3, 4], [F(1, 8), 1]):
+            code = mixed_code(costs, 1, 1024)
+            k_q = code.graph.k_q
+            below = sum(count for cost_q, count in code.picks if cost_q < k_q)
+            assert below and sum(cost_q >= k_q for cost_q, _ in code.picks) >= 3, costs
+            self.check(code)
+            lows = sorted(map(spelled, code.codewords[:below]))
+            alphas = sorted(spelled(alpha) for alpha, _, _ in code._parts()[1])
+            assert alphas[0] < lows[-1] and lows[0] < alphas[-1], costs
+
+    def test_zero_count_picks(self):
+        # a pick of count 0 takes and blocks nothing, below k or past it, and
+        # a tail pick of count 0 splits no alpha
+        inst, _ = Instance.from_weights([8, 7, 6, 5, 4, 3, 2, 1], LetterCosts([1, 2]), 1)
+        norm = normalize(inst)
+        graph = build_cost_graph(norm, choose_k(norm.epsilon_prime))
+        k_q = graph.k_q
+        for picks in (
+            [(3, 1), (5, 0), (7, 2), (k_q, 0), (k_q + 1, 5)],
+            [(5, 0), (k_q, 3), (k_q + 2, 0)],
+            [(3, 0), (k_q + 1, 0)],
+        ):
+            code = LeveledCode(norm, graph, picks)
+            self.check(code)
+            assert len(code.codewords) == sum(count for _, count in picks)
+            assert all(used > 0 for _, _, used in code._parts()[1]), picks
 
 
 def test_memory_is_bounded_by_the_codewords():

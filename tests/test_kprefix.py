@@ -12,6 +12,7 @@ from lettercost import (
     build_cost_graph,
     choose_k,
     construct_leveled,
+    convert_to_prefix,
     normalize,
 )
 from lettercost.core import runs_to_str
@@ -101,6 +102,23 @@ class TestConstruct:
         with pytest.raises(TypeError):
             LeveledCode(norm, graph, a.picks, _materialized=a._parts())
 
+    def test_codewords_cannot_be_changed_by_the_caller(self):
+        # the code hands out the codewords it keeps, so they are a tuple: a
+        # caller's edit would reach every later codewords and conversion
+        inst, _ = Instance.from_weights([8, 7, 6, 5, 4, 3, 2, 1], LetterCosts([1, 2]), 1)
+        norm = normalize(inst)
+        k = choose_k(norm.epsilon_prime)
+        graph = build_cost_graph(norm, k)
+        code = construct_leveled(norm, graph, Guess(1), 8)
+        converted = convert_to_prefix(code, k).codewords
+        words = code.codewords
+        assert words[0] == ((0, 1),)
+        with pytest.raises(TypeError):
+            words[0] = ((1, 5),)
+        assert code.codewords == words and code.codewords[0] == ((0, 1),)
+        assert convert_to_prefix(code, k).codewords == converted
+        assert converted[0] == ((0, 1),)
+
     def test_level0_size_too_costly(self):
         norm, graph = leveled_setup([F(1, 2), 1], F(1, 2), 2, 4)
         with pytest.raises(InstanceError, match="level-0 codeword size 2 costs at least 1"):
@@ -149,6 +167,13 @@ class TestSelect:
         code = LeveledCode(norm, graph, [(graph.live_targets[0], 1000)])
         with pytest.raises(InstanceError, match="asks for 1000 strings"):
             code.codewords
+        # after another pick below k and before tail picks, one of them short
+        # too, the message still names the first short pick
+        first, second = graph.live_targets[:2]
+        for tail in ([(graph.k_q, 1)], [(graph.k_q, 10**6)]):
+            code = LeveledCode(norm, graph, [(first, 1), (second, 1000), *tail])
+            with pytest.raises(InstanceError, match="asks for 1000 strings of cost %d quanta" % second):
+                code.codewords
 
 
 class TestStructure:
