@@ -23,11 +23,11 @@ each on an explicit stack whose frames carry their prefix as runs. The
 first fills every pick below k at once. Its codewords block, kept as
 per-cost sets of runs with no node per letter, so neither Python stack depth
 nor memory grows with codeword length in letters. The second yields each
-free string's shortest prefix alpha of cost >= k once for all tail picks,
-and a tail pick appends to each alpha it takes the first strings of the
-remaining cost from a suffix table per cost, which every pick of the code
-shares. The code keeps one materialized value, its codewords with that
-split and the suffix tables.
+free string's shortest prefix alpha of cost >= k once, to each tail pick
+still wanting strings that extends it, which appends the first strings of
+the remaining cost from a suffix table per cost that all picks share. A
+walk enters a prefix only while a pick wanting strings extends it. The code
+keeps one materialized value: codewords, that split and the tables.
 
 convert_to_prefix then makes a true prefix code. Codewords cheaper than k
 pass through; a codeword alpha + beta of cost >= k becomes
@@ -45,8 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .core import (
     CodeAssignment,
@@ -195,38 +194,33 @@ def construct_leveled(
 # materialization of implicit picks into concrete codewords
 
 
-def _extends(count: list[int], costs: Sequence[int], size: int) -> list[int]:
-    """Per cost c < size, how many of the costs have a string that extends a
-    prefix of cost c: those with count[cost - c] > 0."""
-    out = [0] * size
-    for cost_q in costs:
-        out[: cost_q + 1] = map(add, out, map(bool, reversed(count[: cost_q + 1])))
-    return out
-
-
 def _prefixes(
-    letters_q: Sequence[int], ext: list[int], here: list[int], blocked: dict[int, set[Runs]]
+    letters_q: Sequence[int], count: list[int], wanted: Collection[int], cut_q: int, blocked: dict[int, set[Runs]]
 ) -> Iterator[tuple[Runs, int]]:
     """Yield (prefix, its cost) in letter-index order for each prefix with
-    no blocking prefix and no yielded proper prefix, whose cost c has here[c]
-    true. The walk skips a prefix of a cost c with ext[c] false, with all its
-    extensions. The caller may lower ext and here between yields; a cost with
-    ext true and here false must have a string of a cost below len(ext) that
-    extends it, so the walk goes no deeper than the prefixes it yields and
-    the blocking codewords. One depth-first walk on an explicit stack of
-    (prefix runs, cost, next letter) frames.
+    no blocking prefix and no yielded proper prefix whose cost is in wanted
+    or at least cut_q. The walk skips a prefix that no string of a cost in
+    wanted extends, with all its extensions, so it goes no deeper than the
+    prefixes it yields and the blocking codewords, and each prefix it enters
+    is one that a walk for a single wanted cost enters too. The caller may
+    drop costs from wanted between yields. One depth-first walk on an
+    explicit stack of (prefix runs, cost, next letter) frames.
     """
-    r, top = len(letters_q), len(ext) - 1
+    r, top = len(letters_q), max(wanted, default=0)
     # a frame tries one letter; the frame for the next letter goes below the
     # child's, so the walk goes in letter order
-    stack = [((), 0, 0)] if ext[0] else []
+    stack = [((), 0, 0)]
     while stack:
         runs, spent, let = stack.pop()
         if let + 1 < r and spent + letters_q[let + 1] <= top:  # letters are sorted by cost
             stack.append((runs, spent, let + 1))
         spent += letters_q[let]
-        if not ext[spent]:
-            continue
+        if spent > top or not count[top - spent]:  # the dearest cost extends the most prefixes
+            for cost_q in wanted:
+                if cost_q >= spent and count[cost_q - spent]:
+                    break
+            else:
+                continue
         if runs and runs[-1][0] == let:
             runs = runs[:-1] + ((let, runs[-1][1] + 1),)
         else:
@@ -234,10 +228,20 @@ def _prefixes(
         marks = blocked.get(spent)
         if marks is not None and runs in marks:
             continue
-        if here[spent]:
+        if spent >= cut_q or spent in wanted:
             yield runs, spent
+            if top not in wanted:
+                top = max(wanted, default=0)
         else:
             stack.append((runs, spent, 0))
+
+
+def _check_full(picks: list[tuple[int, int]], taken: dict[int, list[Runs]]) -> None:
+    """Raise InstanceError at the first pick that took fewer strings than it asked."""
+    for cost_q, take in picks:
+        if len(taken[cost_q]) < take:
+            free = len(taken[cost_q])
+            raise InstanceError("a pick asks for %d strings of cost %d quanta; only %d are free" % (take, cost_q, free))
 
 
 def _materialize(code: LeveledCode) -> Materialized:
@@ -252,63 +256,65 @@ def _materialize(code: LeveledCode) -> Materialized:
     every pick below k, taking a string of a pick's cost while that pick
     wants strings and entering no taken string's subtree. It reaches a
     string after its prefixes, so each pick takes what it would take after
-    the picks before it, and no subtree is walked twice.
+    the picks before it, and no subtree is walked twice. A pick left short
+    raises before the tail is built.
 
     A string of cost >= k is alpha + beta, alpha its shortest prefix of cost
     >= k. Every blocking codeword costs less than k, so only alpha decides
     whether the string is free, and since such prefixes are prefix free,
     letter order is (alpha, beta) order. A second walk yields the free
-    alphas, kept as far as the tail picks read them. Each pick pairs each
-    alpha that its cost extends with the first strings of the remaining
-    cost, from suffix tables that every pick shares and the same walk fills
-    lazily with no blockers, so none holds more strings than one pick asked
-    of it. Returns the codewords, each alpha with its table's cost and how
-    many of its strings it took, and the tables' strings.
+    alphas that some tail pick still wanting strings extends, and each such
+    pick pairs the alpha with the first strings of the remaining cost (the
+    empty string alone when the alpha has the pick's cost), from suffix
+    tables that every pick shares and that a walk with no blockers fills
+    lazily, so none holds more strings than one pick asked of it.
+    Returns the codewords, each alpha with its table's cost and how many of
+    its strings it took, and the tables' strings.
     """
     letters_q = code.norm.letters_q
     graph = code.graph
     k_q = graph.k_q
     graph.count(code.picks[-1][0] if code.picks else 0)  # extends the counts to every cost read below
     count = graph.counts
-    # per cost below k: strings its pick still wants, and how many picks
-    # still want a string that extends a prefix of that cost (a full pick quits)
-    left = [0] * k_q
-    for cost_q, take in code.picks:
-        if cost_q < k_q:
-            left[cost_q] = take
-    wants = _extends(count, [cost_q for cost_q, take in code.picks if cost_q < k_q and take], k_q)
+    below = [(cost_q, take) for cost_q, take in code.picks if cost_q < k_q]
+    tail = code.picks[len(below) :]
     taken: dict[int, list[Runs]] = {cost_q: [] for cost_q, _ in code.picks}
-    for runs, cost_q in _prefixes(letters_q, wants, left, {}):
+    # strings each pick below k still wants, the dearest first (tried first)
+    left = {cost_q: take for cost_q, take in reversed(below) if take}
+    for runs, cost_q in _prefixes(letters_q, count, left, k_q, {}):
         taken[cost_q].append(runs)
         left[cost_q] -= 1
         if not left[cost_q]:
-            wants[: cost_q + 1] = map(sub, wants, map(bool, reversed(count[: cost_q + 1])))
-            if not wants[0]:
+            del left[cost_q]
+            if not left:
                 break
+    _check_full(below, taken)
 
     # suffix tables, as in Materialized; cost 0 holds only the empty string,
     # which a walk, starting from a letter, cannot yield
     tables: dict[int, tuple[list[SuffixRow], Iterator]] = {0: ([((), -1, 0, ())], iter(()))}
-    tails: list[tuple[Runs, int, int]] = []
-    tail = [(cost_q, take) for cost_q, take in code.picks if cost_q >= k_q and take]
-    if tail:
-        blocked = {cost_q: set(out) for cost_q, out in taken.items() if cost_q < k_q}
-        size = tail[-1][0] + 1
-        ext = _extends(count, [cost_q for cost_q, _ in tail], size)
-        more = _prefixes(letters_q, ext, [0] * k_q + [1] * (size - k_q), blocked)
-    alphas: list[tuple[Runs, int]] = []  # the alphas read so far
-    for i, (cost_q, take) in enumerate(tail):
-        # the last pick reads the walk itself; the others keep what they read
-        fresh = more if i + 1 == len(tail) else (alphas.append(item) or item for item in more)
-        out = taken[cost_q]
-        for alpha, a in itertools.chain(alphas, fresh):
+    splits: dict[int, list[tuple[Runs, int, int]]] = {cost_q: [] for cost_q, _ in tail}
+    # per tail pick still wanting strings, the dearest first: its count, codewords and splits
+    left = {cost_q: (take, taken[cost_q], splits[cost_q]) for cost_q, take in reversed(tail) if take}
+    blocked = {cost_q: set(out) for cost_q, out in taken.items() if cost_q < k_q} if left else {}
+    for alpha, a in _prefixes(letters_q, count, left, k_q, blocked):
+        # alpha + beta, with runs merged at the seam; alpha with its last
+        # run lengthened is made once per length
+        let, rep = alpha[-1]
+        heads: dict[int, Runs] = {}
+        full = False
+        for cost_q, (take, out, split) in left.items():
             rest = cost_q - a
             if rest < 0 or not count[rest]:
                 continue
+            if not rest:  # alpha is a codeword of the pick's cost
+                split.append((alpha, 0, 1))
+                out.append(alpha)
+                full = full or len(out) == take
+                continue
             table = tables.get(rest)
             if table is None:
-                strings = _prefixes(letters_q, _extends(count, [rest], rest + 1), [0] * rest + [1], {})
-                table = tables[rest] = ([], strings)
+                table = tables[rest] = ([], _prefixes(letters_q, count, (rest,), rest, {}))
             rows, more_rows = table
             used = take - len(out)
             if used > len(rows):
@@ -317,11 +323,7 @@ def _materialize(code: LeveledCode) -> Materialized:
                     for beta, _ in itertools.islice(more_rows, used - len(rows))
                 )
                 used = min(used, len(rows))
-            tails.append((alpha, rest, used))
-            # alpha + beta, with runs merged at the seam; alpha with its
-            # last run lengthened is made once per length
-            let, rep = alpha[-1]
-            heads: dict[int, Runs] = {}
+            split.append((alpha, rest, used))
             for beta, first, first_rep, beta_rest in rows[:used]:
                 if first == let:
                     head = heads.get(first_rep)
@@ -330,18 +332,15 @@ def _materialize(code: LeveledCode) -> Materialized:
                     out.append(head + beta_rest)
                 else:
                     out.append(alpha + beta)
-            if len(out) == take:
+            full = full or len(out) == take
+        if full:
+            for cost_q in [cost_q for cost_q, (take, out, _) in left.items() if len(out) == take]:
+                del left[cost_q]
+            if not left:
                 break
-    words: list[Runs] = []
-    for cost_q, take in code.picks:
-        out = taken[cost_q]
-        if len(out) < take:
-            raise InstanceError(
-                "a pick asks for %d strings of cost %d quanta; only %d are free"
-                % (take, cost_q, len(out))
-            )
-        words.extend(out)
-    return tuple(words), tails, tables
+    _check_full(tail, taken)
+    words = tuple(itertools.chain.from_iterable(taken[cost_q] for cost_q, _ in code.picks))
+    return words, list(itertools.chain.from_iterable(splits.values())), tables
 
 
 # ---------------------------------------------------------------------------

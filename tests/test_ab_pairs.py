@@ -37,18 +37,43 @@ class TestVerdict:
         assert ab_pairs.verdict(parent, [1.2, 1.3, 1.1, 1.2], "lower", 0.25) == (0, "flat")
         assert ab_pairs.verdict([10.0] * 3, [7.0] * 3, "higher", 0.25) == (0, "regression")
 
-    def test_one_pair(self):
+    def test_a_spread_wider_than_the_bound_is_unresolved(self):
+        # the parent's quartiles lie 0.6 apart, wider than a bound of 0.25
+        # of its median 1.0
+        parent = [0.6, 1.4, 0.7, 1.3, 1.0]
+        assert ab_pairs.verdict(parent, [0.9, 1.3, 0.8, 1.2, 1.0], "lower", 0.25) == (2, "unresolved")
+        # a median worse than the bound is still a regression
+        assert ab_pairs.verdict(parent, [1.5, 1.6, 1.4, 1.5, 1.3], "lower", 0.25) == (0, "regression")
+        # every change run better than every parent run: not unresolved,
+        # though the medians lie less than the parent's spread apart
+        assert ab_pairs.verdict(parent, [0.5, 0.55, 0.45, 0.5, 0.52], "lower", 0.25) == (5, "flat")
+
+    def test_more_failures_refuse_a_gain(self):
+        parent = [100, 101, 99, 102, 98, 100, 101, 99, 100, 100]
+        change = [v + 10 for v in parent]
+        assert ab_pairs.verdict(parent, change, "higher", 0.25, more_failed=True) == (10, "flat")
+
+    def test_fewer_than_ten_pairs_claim_no_gain(self):
         assert ab_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
-        assert ab_pairs.verdict([3.0], [2.0], "lower", 0.25) == (1, "gain")
+        assert ab_pairs.verdict([3.0], [2.0], "lower", 0.25) == (1, "flat")
+        assert ab_pairs.verdict([5.0] * 9, [4.0] * 9, "lower", 0.25) == (9, "flat")
+        assert ab_pairs.verdict([5.0] * 3, [7.0] * 3, "lower", 0.25) == (0, "regression")
 
 
 def test_summary_lines():
-    parent = [dict(a, **b) for a, b in zip(runs([100, 104, 96, 100], SPECS[0]["name"]), runs([2.0] * 4, SPECS[1]["name"]))]
-    change = [dict(a, **b) for a, b in zip(runs([120, 121, 119, 120], SPECS[0]["name"]), runs([2.6] * 4, SPECS[1]["name"]))]
+    name, other = SPECS[0]["name"], SPECS[1]["name"]
+    parent = [dict(a, failed=0, **b) for a, b in zip(runs([100, 104, 96, 100] * 3, name), runs([2.0] * 12, other))]
+    change = [dict(a, failed=0, **b) for a, b in zip(runs([120, 121, 119, 120] * 3, name), runs([2.6] * 12, other))]
     lines = ab_pairs.summary(parent, change, SPECS)
-    assert lines[0].startswith("throughput_words_s   parent 100 [99, 101]  change 120 [119.75, 120.25]")
-    assert lines[0].endswith("change wins 4 of 4  gain")
-    assert lines[1].endswith("change wins 0 of 4  regression")
+    assert lines[0] == "failed operations  parent 0  change 0"
+    assert lines[1].startswith("throughput_words_s   parent 100 [99, 101]  change 120 [119.75, 120.25]")
+    assert lines[1].endswith("change wins 12 of 12  gain")
+    assert lines[2].endswith("change wins 0 of 12  regression")
+    # one more failed operation on the change's side: no gain
+    change[2]["failed"] = 1
+    lines = ab_pairs.summary(parent, change, SPECS)
+    assert lines[0] == "failed operations  parent 0  change 1"
+    assert lines[1].endswith("change wins 12 of 12  flat")
 
 
 def test_a_run_without_a_result_names_its_side_and_pair(tmp_path, capsys):
@@ -66,7 +91,7 @@ def test_a_run_without_a_result_names_its_side_and_pair(tmp_path, capsys):
     argv = [sides["parent"], sides["change"], "--workload", "w", "--seed", "1", "--pairs", "2"]
     assert ab_pairs.main(argv) == 1
     captured = capsys.readouterr()
-    assert "pair 1 parent throughput_words_s=1 latency_p50_s=1" in captured.out
+    assert "pair 1 parent failed=0 throughput_words_s=1 latency_p50_s=1" in captured.out
     assert "error: change run of pair 1 failed: last line is not a result" in captured.err
     # both sides end in a result: one line per run, then the summary
     (tmp_path / "change" / "stub.py").write_text((tmp_path / "parent" / "stub.py").read_text())
@@ -75,4 +100,5 @@ def test_a_run_without_a_result_names_its_side_and_pair(tmp_path, capsys):
     assert [line.split()[:3] for line in out[:4]] == [
         ["pair", "1", "parent"], ["pair", "1", "change"], ["pair", "2", "change"], ["pair", "2", "parent"]
     ]
-    assert out[4].endswith("change wins 0 of 2  flat")
+    assert out[4] == "failed operations  parent 0  change 0"
+    assert out[5].endswith("change wins 0 of 2  flat")

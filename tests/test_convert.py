@@ -284,6 +284,17 @@ class TestAgainstReference:
             alphas = sorted(spelled(alpha) for alpha, _, _ in code._parts()[1])
             assert alphas[0] < lows[-1] and lows[0] < alphas[-1], costs
 
+    def test_small_eps_codes(self):
+        # at eps 1/64 the letters 2 3 4 cost 43, 65 and 86 quanta, so tail
+        # strings of adjacent costs differ in their count of the second
+        # letter mod 43 and lie far apart in letter order: a walk that went
+        # on walking the alphas of filled picks' costs did not finish in
+        # minutes
+        for costs, eps in (([2, 3, 4], F(1, 64)), ([F(1, 8), 1], F(1, 32))):
+            code = mixed_code(costs, eps, 256)
+            assert sum(cost_q >= code.graph.k_q for cost_q, _ in code.picks) >= 3, costs
+            self.check(code)
+
     def test_zero_count_picks(self):
         # a pick of count 0 takes and blocks nothing, below k or past it, and
         # a tail pick of count 0 splits no alpha

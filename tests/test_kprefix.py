@@ -16,6 +16,7 @@ from lettercost import (
     normalize,
 )
 from lettercost.core import runs_to_str
+from lettercost import kprefix
 from lettercost.kprefix import LeveledCode
 
 from helpers import (
@@ -174,6 +175,18 @@ class TestSelect:
             code = LeveledCode(norm, graph, [(first, 1), (second, 1000), *tail])
             with pytest.raises(InstanceError, match="asks for 1000 strings of cost %d quanta" % second):
                 code.codewords
+
+    def test_a_short_pick_below_k_raises_before_the_tail_is_walked(self, monkeypatch):
+        inst, _ = Instance.from_weights([5, 3, 2, 1], LetterCosts([1, 2]), 1)
+        norm = normalize(inst)
+        graph = build_cost_graph(norm, choose_k(norm.epsilon_prime))
+        walks = []
+        walk = kprefix._prefixes
+        monkeypatch.setattr(kprefix, "_prefixes", lambda *args: walks.append(list(args[2])) or walk(*args))
+        code = LeveledCode(norm, graph, [(graph.live_targets[0], 1000), (graph.k_q, 10**6)])
+        with pytest.raises(InstanceError, match="asks for 1000 strings"):
+            code.codewords
+        assert walks == [[graph.live_targets[0]]]
 
 
 class TestStructure:
