@@ -411,49 +411,41 @@ def reorder(assignment: CodeAssignment) -> CodeAssignment:
 
 
 # ---------------------------------------------------------------------------
-# the prefix-freeness predicate and the codeword trie
-
-
-class TrieNode:
-    __slots__ = ("children", "marks")
-
-    def __init__(self):
-        self.children: dict[int, "TrieNode"] = {}
-        self.marks = 0  # how many codewords end exactly here
-
-
-class CodewordTrie:
-    """Letter-level trie over codewords."""
-
-    def __init__(self):
-        self.root = TrieNode()
-
-    def insert(self, runs: Runs) -> None:
-        node = self.root
-        for let, rep in runs:
-            for _ in range(rep):
-                nxt = node.children.get(let)
-                if nxt is None:
-                    nxt = node.children[let] = TrieNode()
-                node = nxt
-        node.marks += 1
+# the prefix-freeness predicate, over a letter-level trie of plain dicts
 
 
 def _has_violation(items: list[Runs]) -> bool:
-    """Some codeword is a prefix of another or equals it."""
-    trie = CodewordTrie()
-    for runs in items:
-        trie.insert(runs)
+    """Some codeword is a prefix of another or equals it.
 
-    def dfs(node: TrieNode, marked_above: bool) -> bool:
-        if node.marks and (marked_above or node.marks >= 2):
+    Builds a letter-level trie with one dict per node: a node maps each
+    letter to its child and keeps, under the key None, which no letter
+    equals, how many codewords end there. The walk recurses once per letter,
+    so a codeword longer than the interpreter's recursion limit (~1,000
+    letters by default) raises RecursionError.
+    """
+    root: dict = {}
+    for runs in items:
+        node = root
+        for let, rep in runs:
+            for _ in range(rep):
+                nxt = node.get(let)
+                if nxt is None:
+                    nxt = node[let] = {}
+                node = nxt
+        node[None] = node.get(None, 0) + 1
+
+    def dfs(node: dict, marked_above: bool) -> bool:
+        # the trie is dropped after this walk, so the count comes off its
+        # node and the loop below sees only children
+        marks = node.pop(None, 0)
+        if marks and (marked_above or marks >= 2):
             return True  # a codeword above prefixes this one, or a duplicate
-        for child in node.children.values():
-            if dfs(child, marked_above or node.marks > 0):
+        for child in node.values():
+            if dfs(child, marked_above or marks > 0):
                 return True
         return False
 
-    return dfs(trie.root, False)
+    return dfs(root, False)
 
 
 def is_prefix_free(words: Iterable[Runs]) -> bool:

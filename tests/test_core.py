@@ -19,7 +19,12 @@ from lettercost import (
     solve,
 )
 from lettercost.core import runs_from_str, runs_to_str
-from lettercost.driver import tiny_candidate_code, tiny_run_length_candidates
+from lettercost.driver import (
+    _tiny_pool,
+    _tiny_values,
+    tiny_candidate_code,
+    tiny_run_length_candidates,
+)
 
 from helpers import (
     fraction_code_cost,
@@ -28,6 +33,7 @@ from helpers import (
     fraction_codeword_cost,
     fraction_reorder,
     is_prefix_free_pairwise,
+    is_prefix_free_sorted,
     tuples_to_runs,
 )
 
@@ -190,6 +196,33 @@ class TestPrefixFree:
                 for _ in range(m)
             ]
             assert is_prefix_free(tuples_to_runs(words)) == is_prefix_free_pairwise(words)
+
+    def test_tiny_codes_with_long_runs(self):
+        # the tiny path's codes hold runs of hundreds of the cheapest letter;
+        # up to n = 450 their longest codeword stays below the recursion limit
+        def extended(runs, let):
+            if runs[-1][0] == let:
+                return runs[:-1] + ((let, runs[-1][1] + 1),)
+            return runs + ((let, 1),)
+
+        eps = F(1, 2)
+        for n, others in ((200, [1]), (330, [1, 2]), (450, [1, 3])):
+            letters = LetterCosts([eps / (4 * n)] + others)
+            weights = [10**6 // (i + 1) for i in range(n)]
+            instance, _ = Instance.from_weights(weights, letters, eps)
+            candidates = tiny_run_length_candidates(instance)
+            values = _tiny_values(instance, candidates)
+            words = list(_tiny_pool(instance, candidates[values.index(min(values))]).codewords)
+            longest = max(words, key=lambda runs: sum(rep for _, rep in runs))
+            assert max(rep for runs in words for _, rep in runs) >= n
+            for code, expected in (
+                (words, True),
+                (words + [longest], False),
+                (words + [extended(longest, 0)], False),
+                (words + [extended(words[n // 2], 1)], False),
+            ):
+                assert is_prefix_free(code) is expected, (n, len(code))
+                assert is_prefix_free_sorted(code) is expected, (n, len(code))
 
 
 class TestCanonicalRuns:

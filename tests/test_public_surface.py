@@ -83,5 +83,5 @@ def test_removed_names_stay_removed():
 
 def test_still_there_sees_live_names():
     # the check above means something only if a live name would fail it
-    for name in ("solve", "core.CodewordTrie", "Grouping.ranges", "solve(budget=...)"):
+    for name in ("solve", "core.is_prefix_free", "Grouping.ranges", "solve(budget=...)"):
         assert still_there(name), name
