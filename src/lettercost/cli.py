@@ -14,7 +14,7 @@ Exit codes: 0 success; 1 a usage, parse or validation failure, with a
 one-line message; 2 budget exceeded, by the search's nodes, the count
 table's entries or bits (`graph-stats` charges the table at the default
 budget), the tiny path's run-length ladder steps or the exact oracle's
-states, or a MemoryError that escaped those
+settled states or kept signatures, or a MemoryError that escaped those
 charges, with a one-line message; 3 a failed check: `verify` found the
 ratio to the optimum outside [1, bound], or `graph-stats` found the cost
 graph or the grouping over its size bounds.

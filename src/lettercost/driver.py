@@ -159,7 +159,8 @@ TABLE_BITS_ALLOWANCE = 2**31
 class BudgetExceeded(RuntimeError):
     """The work grew past the configured budget: the guess search's nodes,
     the cost graph's count table before the search starts, the tiny path's
-    run-length ladder steps, or the exact oracle's settled states."""
+    run-length ladder steps, or the exact oracle's settled states or the
+    signatures it keeps, past oracles.MAX_ORACLE_SIGNATURES."""
 
     def __init__(self, explored: int, budget: int, message: str | None = None):
         self.explored = explored

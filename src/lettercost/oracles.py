@@ -26,6 +26,9 @@ from .core import CodeAssignment, Instance, InstanceError, runs_from_letters
 from .driver import DEFAULT_BUDGET, BudgetExceeded
 
 MAX_ORACLE_WORDS = 10
+# past this many signature records the search stops: at ~0.8 KB a record
+# with its heap entries, 2^20 of them keep it under ~1 GB
+MAX_ORACLE_SIGNATURES = 2**20
 
 # a signature: (words placed, ((offset, count), ...)) with offsets ascending
 Signature = tuple[int, tuple[tuple[int, int], ...]]
@@ -56,8 +59,8 @@ def exact_optimal(instance: Instance, budget: int = DEFAULT_BUDGET) -> OracleRes
     costs nothing, so expanding fewer never helps. Then only the n - m - x
     cheapest pending nodes are kept, as the words left use at most that many
     disjoint subtrees and a cheaper node holds any subtree a costlier one
-    does. nodes_explored counts the states settled; past budget of them,
-    BudgetExceeded.
+    does. nodes_explored counts the states settled; past budget of them, or
+    past MAX_ORACLE_SIGNATURES signatures kept, BudgetExceeded.
 
     Everything runs in integers: codeword costs times letters.scale and
     probabilities times instance.scale, with one Fraction for the result.
@@ -84,14 +87,16 @@ def exact_optimal(instance: Instance, budget: int = DEFAULT_BUDGET) -> OracleRes
             break
     start: Signature = (0, tuple(pending))
     goal: Signature = (n, ())
-    dist = {start: unplaced[0] * gap}
-    came_from: dict[Signature, tuple[Signature, int]] = {}
+    # each reached signature's record: (distance, predecessor, leaf count)
+    records: dict[Signature, tuple[int, Signature | None, int]] = {
+        start: (unplaced[0] * gap, None, 0)
+    }
     tie = itertools.count()  # equal distances settle in insertion order
-    heap = [(dist[start], next(tie), start)]
+    heap = [(records[start][0], next(tie), start)]
     settled = 0
     while True:
         d, _, state = heapq.heappop(heap)
-        if d > dist[state]:
+        if d > records[state][0]:
             continue  # superseded by a shorter path
         settled += 1
         if settled > budget:
@@ -99,6 +104,13 @@ def exact_optimal(instance: Instance, budget: int = DEFAULT_BUDGET) -> OracleRes
                 settled,
                 budget,
                 "exact oracle exceeded budget (%d states settled, budget %d)" % (settled, budget),
+            )
+        if len(records) > MAX_ORACLE_SIGNATURES:
+            raise BudgetExceeded(
+                settled,
+                budget,
+                "exact oracle kept %d signatures, over its bound of %d (%d states settled)"
+                % (len(records), MAX_ORACLE_SIGNATURES, settled),
             )
         if state == goal:
             break
@@ -134,15 +146,13 @@ def exact_optimal(instance: Instance, budget: int = DEFAULT_BUDGET) -> OracleRes
                 if gap is None:
                     continue  # no node left
                 nxt, nd = (m + x, tuple(after)), d + unplaced[m + x] * gap
-            if nd < dist.get(nxt, nd + 1):
-                dist[nxt] = nd
-                came_from[nxt] = (state, x)
+            if nd < records.get(nxt, (nd + 1,))[0]:
+                records[nxt] = (nd, state, x)
                 heapq.heappush(heap, (nd, next(tie), nxt))
-    best = d
 
     leaf_counts = []
     while state != start:
-        state, x = came_from[state]
+        _, state, x = records[state]
         leaf_counts.append(x)
     leaf_counts.reverse()
 
@@ -160,7 +170,7 @@ def exact_optimal(instance: Instance, budget: int = DEFAULT_BUDGET) -> OracleRes
         frontier = sorted(frontier[w0:] + children)[:left]
 
     codewords = tuple(runs_from_letters(w) for w in words)
-    cost = Fraction(best, instance.scale * letters.scale)
+    cost = Fraction(d, instance.scale * letters.scale)
     return OracleResult(cost * instance.weight_total, CodeAssignment(codewords, letters), settled)
 
 

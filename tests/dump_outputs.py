@@ -18,9 +18,13 @@ tsv`, run in-process on each of the workload's instance files, and the name
 of any exception that escaped, so a change to the loader or the printer can
 be diffed the same way, and a second sha256 ("cli results") over the same
 output without its "# guesses" line, which stays put when a change moves
-only the search's effort. Run it before and after a change that must not
-change results and diff the output. The file's name keeps pytest from
-collecting it.
+only the search's effort. After the verify workload's two lines an "oracle"
+line gives one sha256 over each verify instance's `exact_optimal` result,
+its codewords, optimal_cost and nodes_explored, or the name of the
+exception raised, and the states settled in all, so a change to the exact
+oracle can be diffed the same way. Run it before and after a change that
+must not change results and diff the output. The file's name keeps pytest
+from collecting it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import workloads  # noqa: E402
 
-from lettercost import Instance, LetterCosts, cli, solve  # noqa: E402
+from lettercost import Instance, LetterCosts, cli, exact_optimal, solve  # noqa: E402
 
 
 def outcome(spec: workloads.Spec) -> tuple[str, str, int, int, str | None]:
@@ -124,12 +128,40 @@ def dump_cli(workload: str, seed: int) -> str:
     )
 
 
+def dump_oracle(seed: int) -> str:
+    digest = hashlib.sha256()
+    settled = 0
+    raised: list[str] = []
+    specs = workloads.generate("verify", seed)
+    for spec in specs:
+        instance, _ = Instance.from_weights(spec.weights, LetterCosts(spec.costs), spec.epsilon)
+        try:
+            res = exact_optimal(instance)
+        except Exception as exc:  # the exception's name is part of the output
+            name = type(exc).__name__
+            text = "raised %s" % name
+            raised.append("%s at n=%d" % (name, spec.n))
+        else:
+            text = repr((res.optimal_code.codewords, res.optimal_cost, res.nodes_explored))
+            settled += res.nodes_explored
+        digest.update(text.encode() + b"\n")
+    return "verify seed %d oracle: %d instances, settled %d, raised [%s], oracle sha256 %s" % (
+        seed,
+        len(specs),
+        settled,
+        ", ".join(raised),
+        digest.hexdigest(),
+    )
+
+
 def main(argv: list[str]) -> int:
     seeds = [int(a) for a in argv] or [3, 8]
     for seed in seeds:
         for workload in workloads.GENERATORS:
             print(dump(workload, seed), flush=True)
             print(dump_cli(workload, seed), flush=True)
+            if workload == "verify":
+                print(dump_oracle(seed), flush=True)
     return 0
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lettercost import cli, codeword_cost, driver, Grouping, LetterCosts, solve
+from lettercost import cli, codeword_cost, driver, Grouping, LetterCosts, oracles, solve
 from lettercost.cli import main
 from lettercost.core import CodeAssignment, runs_from_str
 
@@ -108,6 +108,21 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert err == "error: exact oracle exceeded budget (10001 states settled, budget 10000)\n"
+
+    @pytest.mark.parametrize("command", ["exact", "verify"])
+    def test_exact_oracle_signature_bound_exits_2(self, tmp_path, monkeypatch, command):
+        # with the oracle's signature bound at 1,000, four equal words over
+        # 1/10^5 1 stop it at the default budget, on one line
+        monkeypatch.setattr(oracles, "MAX_ORACLE_SIGNATURES", 1000)
+        path = tmp_path / "tiny.txt"
+        path.write_text("1/100000 1\n1 1 1 1\n")
+        code, out, err = run_cli(command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: exact oracle kept 1001 signatures, over its bound of 1000"
+            " (998 states settled)\n"
+        )
 
     def test_count_table_past_budget_exits_2(self, tmp_path):
         # 16,545,777 count-table entries over letters 2 3 4 at eps 1/1000:

@@ -56,6 +56,21 @@ class TestExactOptimal:
         with pytest.raises(BudgetExceeded):
             exact_optimal(small, budget=settled - 1)
 
+    def test_signature_bound(self, monkeypatch):
+        # past MAX_ORACLE_SIGNATURES records the search stops, whatever the
+        # state budget; four equal words over 1/10^5 1 keep far more than 1,000
+        monkeypatch.setattr(oracles, "MAX_ORACLE_SIGNATURES", 1000)
+        inst, _ = Instance.from_weights([1] * 4, LetterCosts([F(1, 10**5), 1]), F(1, 2))
+        with pytest.raises(BudgetExceeded) as err:
+            exact_optimal(inst)
+        assert (err.value.explored, err.value.budget) == (998, oracles.DEFAULT_BUDGET)
+        assert str(err.value) == (
+            "exact oracle kept 1001 signatures, over its bound of 1000 (998 states settled)"
+        )
+        # an instance that keeps fewer records is solved as before
+        small, _ = Instance.from_weights([2, 2, 1, 1], LetterCosts([1, 3]), F(1, 4))
+        assert exact_optimal(small).optimal_cost == 21
+
     def test_output_well_formed(self):
         rng = random.Random(101)
         for _ in range(20):

@@ -11,6 +11,9 @@ alter codes or costs. The nodes that the searches explored in all, and
 their leaves, which `dump` also prints, must stay at or below EXPLORED and
 LEAVES: a change that loosens the search's completion bound or lengthens
 its capacity lists keeps the digests but not these totals.
+On `verify`, `dump_outputs.dump_oracle` hashes each instance's exact
+optimum: codewords, optimal_cost and nodes_explored. A change to the exact
+oracle must keep that digest and the states settled in all, ORACLE.
 `tiny` is left out: its `n <= 512` prefix self-check makes it four times
 slower than the other three together.
 """
@@ -19,7 +22,7 @@ import re
 
 import pytest
 
-from dump_outputs import dump, dump_cli
+from dump_outputs import dump, dump_cli, dump_oracle
 
 GOLDEN = {
     "search": (
@@ -54,3 +57,13 @@ def test_results_digests(workload):
     results = re.search(r"results sha256 (\w+)$", line).group(1)
     cli_results = re.search(r"cli results sha256 (\w+)$", dump_cli(workload, 3)).group(1)
     assert (results, cli_results) == GOLDEN[workload]
+
+
+# the oracle digest and the states settled in all on verify at seed 3
+ORACLE = ("42e453c2b240a6d39309527db4725f19b58c53e166e362ce843966f4410f63bb", 896)
+
+
+def test_oracle_digest():
+    line = dump_oracle(3)
+    settled = int(re.search(r"settled (\d+),", line).group(1))
+    assert (re.search(r"oracle sha256 (\w+)$", line).group(1), settled) == ORACLE
